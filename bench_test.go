@@ -316,16 +316,15 @@ func BenchmarkLFKNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkFastTier measures the analytical serving tier per kernel in
-// its steady state: repeated identical requests over one predictor, the
-// pattern the service actually sees (first sight replays the schedule,
-// every later request answers from the prediction memo). Compile is
-// outside the timer like BenchmarkLFK. The per-kernel ratio of
-// BenchmarkLFK ns/op to BenchmarkFastTier ns/op is the fast tier's
-// serving speedup over pooled simulation; benchgate gates its floor.
-// BenchmarkFastTierCold is the first-sight cost.
+// BenchmarkFastTier measures the analytical serving tier per kernel on
+// repeated identical requests over one predictor: after an untimed first
+// sight, every timed request is a prediction-memo hit. Compile is outside
+// the timer like BenchmarkLFK. The per-kernel ratio of BenchmarkLFK ns/op
+// to BenchmarkFastTier ns/op is therefore the memo's speedup over pooled
+// simulation, not the prediction engine's; benchgate gates its floor.
+// BenchmarkFastTierCold is the first-sight cost, about one simulation.
 func BenchmarkFastTier(b *testing.B) {
-	pred := fasttier.NewPredictor(calib.FastTierConfig(vm.DefaultConfig()))
+	pred := fasttier.NewPredictor(vm.DefaultConfig())
 	for _, k := range lfk.All() {
 		k := k
 		b.Run(fmt.Sprintf("lfk%d", k.ID), func(b *testing.B) {
@@ -353,10 +352,10 @@ func BenchmarkFastTier(b *testing.B) {
 }
 
 // BenchmarkFastTierCold measures the fast tier's first-sight cost: a
-// fresh predictor — empty memo, cold stream-stall table — replays the
-// schedule from scratch every iteration.
+// fresh predictor — empty memo, cold stream-stall table — steps the
+// program through the timing model from scratch every iteration.
 func BenchmarkFastTierCold(b *testing.B) {
-	cfg := calib.FastTierConfig(vm.DefaultConfig())
+	cfg := vm.DefaultConfig()
 	for _, k := range lfk.All() {
 		k := k
 		b.Run(fmt.Sprintf("lfk%d", k.ID), func(b *testing.B) {

@@ -2,17 +2,20 @@
 // analytical fast tier and the design-space exploration engine against
 // performance regressions. It runs the per-kernel benchmarks
 // (BenchmarkLFK, the pooled/memoized simulation path; BenchmarkLFKNaive,
-// the fresh-simulator reference; BenchmarkFastTier, the schedule-replay
-// prediction; and BenchmarkExplore, the two-stage grid sweep), writes a
+// the fresh-simulator reference; BenchmarkFastTier, repeated fast-tier
+// predictions answered by the prediction memo; and BenchmarkExplore, the
+// two-stage grid sweep), writes a
 // machine-readable report, and compares against a committed baseline.
 //
 // Absolute rates vary with hardware, so most gates are on
 // machine-neutral quantities measured in the same process: the
 // fast/naive simulation speedup ratio, the fast path's allocations per
-// run, the fast tier's speedup over pooled simulation, and the explore
-// engine's pruning ratio (points swept per point simulated). Two
-// absolute floors ride along — every kernel must predict at least 100x
-// faster than it simulates, and every kernel's sweep must clear 1000
+// run, the memoized fast tier's speedup over pooled simulation, and the
+// explore engine's pruning ratio (points swept per point simulated). Two
+// absolute floors ride along — every kernel's memo hit must answer at
+// least 100x faster than it simulates (a first-sight prediction costs
+// about one simulation; see BenchmarkFastTierCold), and every kernel's
+// sweep must clear 1000
 // grid points per second with at least 10x fewer simulations than an
 // exhaustive sweep — plus a relative gate on sweep throughput against
 // the committed baseline. A >10% drop in a gated ratio or rate,
@@ -74,9 +77,9 @@ type Aggregate struct {
 	ExploreMinPruneRatio         float64 `json:"explore_min_prune_ratio"`
 }
 
-// fastTierFloor is the per-kernel speedup the fast tier must keep over
-// pooled simulation: each LFK must predict at least this many times
-// faster than it simulates.
+// fastTierFloor is the per-kernel speedup a fast-tier memo hit must keep
+// over pooled simulation: each LFK's repeated prediction must answer at
+// least this many times faster than it simulates.
 const fastTierFloor = 100.0
 
 // exploreFloor is the sweep throughput every kernel must clear: grid

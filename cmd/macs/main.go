@@ -15,9 +15,10 @@
 //	macs analyze <kernel.f> [-tier exact|fast|auto] [-n N] [-ints N=1001]
 //	             [-trace out.json]
 //	                               serve through a selectable tier: exact
-//	                               simulates, fast predicts analytically in
-//	                               microseconds, auto does both and reports
-//	                               the divergence; -trace writes the
+//	                               simulates, fast predicts through the
+//	                               simulator's timing model without its
+//	                               functional half, auto does both and
+//	                               checks they agree; -trace writes the
 //	                               pipeline spans merged with the simulator
 //	                               lanes as one Chrome trace_event timeline
 //	macs attr    <kernel.f> [-n N] [-trace out.json] [-ring N]
@@ -101,7 +102,7 @@ func main() {
 	case "batch":
 		err = cmdBatch(os.Stdout, args)
 	case "calib":
-		err = cmdCalib(os.Stdout, args)
+		err = cmdCalib(os.Stdout)
 	case "sweep":
 		err = cmdSweep(os.Stdout)
 	case "explore":
@@ -271,9 +272,8 @@ func cmdSim(w io.Writer, args []string) error {
 }
 
 // cmdAnalyze serves a kernel through a selectable tier: "exact" simulates
-// (like sim), "fast" predicts analytically in microseconds, "auto" serves
-// the fast prediction and then verifies it against the simulator,
-// reporting the divergence.
+// (like sim), "fast" predicts analytically, "auto" serves the fast
+// prediction and then verifies it against the simulator.
 func cmdAnalyze(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	tierName := fs.String("tier", "exact", "serving tier: exact, fast or auto")
@@ -319,7 +319,7 @@ func cmdAnalyze(w io.Writer, args []string) error {
 		fmt.Fprintf(w, "tier: fast (%s)\n", time.Since(start).Round(time.Microsecond))
 		fmt.Fprint(w, fr.Report())
 		fmt.Fprintln(w)
-		fmt.Fprint(w, report.PredictionTable(fr.Prediction))
+		fmt.Fprint(w, report.AttributionTable(fr.Prediction.Stats))
 		return fr, nil
 	}
 	runExact := func() (macs.Result, error) {
@@ -382,15 +382,12 @@ func cmdAnalyze(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		if res.MeasuredCPL > 0 && fr.Prediction.CPL > 0 {
-			rel := (fr.Prediction.CPL - res.MeasuredCPL) / res.MeasuredCPL
-			ok := "within"
-			if rel > fr.Prediction.ErrorBand || rel < -fr.Prediction.ErrorBand {
-				ok = "OUTSIDE"
-			}
-			fmt.Fprintf(w, "divergence: predicted %.3f vs measured %.3f CPL (%+.3f%%, %s the ±%.1f%% band)\n",
-				fr.Prediction.CPL, res.MeasuredCPL, 100*rel, ok, 100*fr.Prediction.ErrorBand)
+		verdict := "match"
+		if res.Stats.Cycles != fr.Prediction.Cycles {
+			verdict = "MISMATCH"
 		}
+		fmt.Fprintf(w, "verification: predicted %d cycles, simulated %d (%s)\n",
+			fr.Prediction.Cycles, res.Stats.Cycles, verdict)
 		return writeTrace()
 	}
 	return fmt.Errorf("unhandled tier %v", tier)
@@ -621,32 +618,7 @@ func cmdAX(w io.Writer, args []string) error {
 	return nil
 }
 
-func cmdCalib(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("calib", flag.ExitOnError)
-	residuals := fs.String("residuals", "", `fit fast-tier residuals and write the generated Go table to this file ("-" prints to stdout)`)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *residuals != "" {
-		fits, err := calib.FitResiduals(vm.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		src := calib.RenderResiduals(fits)
-		for _, f := range fits {
-			fmt.Fprintf(os.Stderr, "%-6s class %-12s sim CPL %8.4f  raw %8.4f  scale %.6f\n",
-				f.Kernel, f.Class, f.SimCPL, f.RawCPL, f.Scale)
-		}
-		if *residuals == "-" {
-			fmt.Fprint(w, src)
-			return nil
-		}
-		if err := os.WriteFile(*residuals, []byte(src), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %d signature residuals to %s\n", len(fits), *residuals)
-		return nil
-	}
+func cmdCalib(w io.Writer) error {
 	res, err := calib.CalibrateAll(vm.DefaultConfig())
 	if err != nil {
 		return err

@@ -25,9 +25,9 @@
 //
 //	POST /v1/analyze   {"source": "...", "iterations": N, "prime": {...}};
 //	                   ?tier=exact|fast|auto picks the serving tier
-//	                   (fast: analytical prediction in microseconds;
+//	                   (fast: analytical prediction, no simulation;
 //	                   auto: fast answer now, exact verification async
-//	                   with divergence tracked on /metrics)
+//	                   with mismatches counted on /metrics)
 //	POST /v1/batch     {"items": [{...}, ...]}; per-kernel results
 //	                   stream back as NDJSON in completion order
 //	POST /v1/bound     {"source": "..."}
@@ -36,7 +36,7 @@
 //	GET  /v1/trace/{id} one request trace as Chrome trace_event JSON
 //	GET  /healthz      liveness
 //	GET  /metrics      counters, cache/queue stats, latency histograms,
-//	                   fast-tier divergence per kernel class
+//	                   fast-tier verifications and mismatches
 //	                   (?format=prom: Prometheus text exposition)
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, drains

@@ -20,19 +20,27 @@ func TestFastPathBitEquivalence(t *testing.T) {
 	fastCfg := vm.DefaultConfig()
 	naiveCfg := vm.DefaultConfig()
 	naiveCfg.NaiveMemPath = true
-	pool := vm.NewPool(fastCfg)
 
-	for _, k := range lfk.All() {
+	// The naive reference runs each build a fresh 16 MB simulator; run
+	// them all before the pooled loop, so the GCs they trigger cannot
+	// empty the pool between kernels and fake a reuse failure.
+	kernels := lfk.All()
+	compiled := make([]*lfk.Compiled, len(kernels))
+	naive := make([]vm.Stats, len(kernels))
+	for i, k := range kernels {
 		c, err := lfk.Compile(k, compiler.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		naiveStats, _, err := c.Run(naiveCfg)
-		if err != nil {
+		compiled[i] = c
+		if naive[i], _, err = c.Run(naiveCfg); err != nil {
 			t.Fatalf("lfk%d naive: %v", k.ID, err)
 		}
+	}
 
+	pool := vm.NewPool(fastCfg)
+	for i, k := range kernels {
+		c := compiled[i]
 		cpu := pool.Get()
 		fastStats, err := c.RunOn(cpu)
 		if err != nil {
@@ -43,9 +51,9 @@ func TestFastPathBitEquivalence(t *testing.T) {
 		}
 		pool.Put(cpu)
 
-		if !reflect.DeepEqual(fastStats, naiveStats) {
+		if !reflect.DeepEqual(fastStats, naive[i]) {
 			t.Fatalf("lfk%d: fast-path stats diverge from naive reference:\nfast  %+v\nnaive %+v",
-				k.ID, fastStats, naiveStats)
+				k.ID, fastStats, naive[i])
 		}
 		if err := fastStats.Attr.Conserved(fastStats.Cycles); err != nil {
 			t.Fatalf("lfk%d: %v", k.ID, err)

@@ -1,6 +1,6 @@
-// Golden and property tests for the analytical fast tier (PR 6).
+// Golden and property tests for the analytical fast tier.
 //
-//	TestFastTierGoldenLFK          pins predicted CPL + attribution vs sim
+//	TestFastTierGoldenLFK          pins predicted cycles + attribution vs sim
 //	TestBoundsMonotonicLFK         t_MA <= t_MAC <= t_MACS <= measured CPL
 //	TestBoundsMonotonicRandom      same hierarchy over random stride/VL kernels
 package macs_test
@@ -8,7 +8,6 @@ package macs_test
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -20,38 +19,27 @@ import (
 	"macs/internal/vm"
 )
 
-// fastTierBand is the calibrated error band stated by the residual table
-// (internal/fasttier/residuals_gen.go): fast-tier predicted CPL must land
-// within ±2% of the simulator's measured CPL for every calibration
-// kernel. The golden values below additionally pin both sides exactly —
-// the schedule replay is bit-exact today, so any drift in either the
-// simulator or the replay shows up as a cycle-count diff, not just a
-// band violation.
-const fastTierBand = 0.02
-
-// fastTierGolden pins, per LFK: the simulated (and, with all residual
-// scales at 1.0, predicted) cycle count and the coarse kernel class the
-// residual lookup falls back to when a signature is unknown.
-var fastTierGolden = map[int]struct {
-	Cycles int64
-	Class  string
-}{
-	1:  {4573, "c4-m4-f5"},
-	2:  {1550, "c6-m6-f4"},
-	3:  {2459, "c2-m2-f2"},
-	4:  {2667, "c2-m2-f2"},
-	6:  {16977, "c2-m2-f2"},
-	7:  {11350, "c10-m10-f16"},
-	8:  {6531, "c28-m21-f36"},
-	9:  {1291, "c11-m11-f17"},
-	10: {2210, "c20-m20-f9"},
-	12: {3293, "c3-m3-f1"},
+// fastTierGolden pins, per LFK, the cycle count the simulator measures
+// and the fast tier predicts. Both tiers run one timing model, so the
+// two must agree exactly; any drift in that model shows up here as a
+// cycle-count diff.
+var fastTierGolden = map[int]int64{
+	1:  4573,
+	2:  1550,
+	3:  2459,
+	4:  2667,
+	6:  16977,
+	7:  11350,
+	8:  6531,
+	9:  1291,
+	10: 2210,
+	12: 3293,
 }
 
 // TestFastTierGoldenLFK is the fast tier's accuracy gate: for all ten
-// LFKs the analytical prediction must match the golden cycle count, land
-// inside the stated error band of a live primed simulation, and
-// reproduce the simulator's stall attribution bucket for bucket.
+// LFKs the analytical prediction must match the golden cycle count and a
+// live primed simulation's CPL, and reproduce the simulator's stall
+// attribution lane by lane and bucket by bucket.
 func TestFastTierGoldenLFK(t *testing.T) {
 	cfg := vm.DefaultConfig()
 	an := macs.NewAnalyzer(macs.DefaultVMConfig())
@@ -75,28 +63,17 @@ func TestFastTierGoldenLFK(t *testing.T) {
 		}
 		p := fast.Prediction
 
-		if st.Cycles != want.Cycles {
-			t.Errorf("lfk%d: simulator measured %d cycles, golden %d", k.ID, st.Cycles, want.Cycles)
+		if st.Cycles != want {
+			t.Errorf("lfk%d: simulator measured %d cycles, golden %d", k.ID, st.Cycles, want)
 		}
-		if p.Cycles != want.Cycles {
-			t.Errorf("lfk%d: fast tier predicted %d cycles, golden %d", k.ID, p.Cycles, want.Cycles)
+		if p.Cycles != want {
+			t.Errorf("lfk%d: fast tier predicted %d cycles, golden %d", k.ID, p.Cycles, want)
 		}
-		rel := math.Abs(p.CPL-measuredCPL) / measuredCPL
-		if rel > fastTierBand {
-			t.Errorf("lfk%d: predicted CPL %.4f vs measured %.4f — relative error %.4f exceeds band %.2f",
-				k.ID, p.CPL, measuredCPL, rel, fastTierBand)
+		if p.CPL != measuredCPL {
+			t.Errorf("lfk%d: predicted CPL %.4f, measured %.4f", k.ID, p.CPL, measuredCPL)
 		}
-		if !p.Calibrated {
-			t.Errorf("lfk%d: prediction not calibrated (signature %s unknown?)", k.ID, p.Signature)
-		}
-		if p.ErrorBand != fastTierBand {
-			t.Errorf("lfk%d: ErrorBand = %v, want %v", k.ID, p.ErrorBand, fastTierBand)
-		}
-		if p.Class != want.Class {
-			t.Errorf("lfk%d: class %q, want %q", k.ID, p.Class, want.Class)
-		}
-		if got, wantAttr := p.Attr.Totals(), st.Attr.Totals(); !reflect.DeepEqual(got, wantAttr) {
-			t.Errorf("lfk%d: attribution diverges from simulator:\nfast %v\nsim  %v", k.ID, got, wantAttr)
+		if !reflect.DeepEqual(p.Attr, st.Attr) {
+			t.Errorf("lfk%d: attribution diverges from simulator:\nfast %+v\nsim  %+v", k.ID, p.Attr, st.Attr)
 		}
 		if err := p.Attr.Conserved(p.Cycles); err != nil {
 			t.Errorf("lfk%d: %v", k.ID, err)
@@ -261,5 +238,59 @@ END
 	if q := again.Prediction; q.CyclesLo != p.CyclesLo || q.CyclesHi != p.CyclesHi || q.Paths != p.Paths {
 		t.Errorf("memoized interval diverges: first [%d,%d]/%d, second [%d,%d]/%d",
 			p.CyclesLo, p.CyclesHi, p.Paths, q.CyclesLo, q.CyclesHi, q.Paths)
+	}
+}
+
+// TestFastTierOutOfRangeDifferential: the fast tier fails exactly when
+// the simulator does, with the same memory error, on the point and the
+// interval path alike — data that does not fit the memory, and a trip
+// count that runs the vector streams off its end — and answers the
+// simulator's cycle count when the same kernel stays in range.
+func TestFastTierOutOfRangeDifferential(t *testing.T) {
+	saxpy := func(elems int) string {
+		return fmt.Sprintf("PROGRAM SAXPY\nREAL X(%d), Y(%d), A\nINTEGER N, K\nDO K = 1, N\n  Y(K) = Y(K) + A*X(K)\nENDDO\nEND\n", elems, elems)
+	}
+	cases := []struct {
+		name  string
+		src   string
+		n     int64
+		wantE string // the simulator's memory error; "" when it runs
+	}{
+		{"data-too-big", saxpy(3000000), 1000, `mem: out of memory allocating "d_X" (24000000 bytes)`},
+		{"streams-off-the-end", saxpy(2048), 3000000, "mem: access at 16777216 (+8) out of range [0,16777216)"},
+		{"in-range", saxpy(2048), 2048, ""},
+	}
+	an := macs.NewAnalyzer(macs.DefaultVMConfig())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ints := map[string]int64{"d_N": tc.n}
+			exact, exactErr := an.AnalyzeSource(tc.src, tc.n, func(c *macs.CPU) error {
+				base, ok := c.Memory().SymbolAddr("d_N")
+				if !ok {
+					return fmt.Errorf("no symbol d_N")
+				}
+				return c.Memory().WriteI64(base, tc.n)
+			})
+			fast, fastErr := an.PredictSource(tc.src, tc.n, ints)
+			interval, intervalErr := an.PredictSourceInterval(tc.src, tc.n, ints)
+			if tc.wantE == "" {
+				if exactErr != nil || fastErr != nil || intervalErr != nil {
+					t.Fatalf("errors: exact %v, fast %v, interval %v", exactErr, fastErr, intervalErr)
+				}
+				if fast.Prediction.Cycles != exact.Stats.Cycles || interval.Prediction.Cycles != exact.Stats.Cycles {
+					t.Fatalf("predicted %d (interval %d) cycles, simulated %d",
+						fast.Prediction.Cycles, interval.Prediction.Cycles, exact.Stats.Cycles)
+				}
+				return
+			}
+			for tier, err := range map[string]error{"exact": exactErr, "fast": fastErr, "interval": intervalErr} {
+				if err == nil || !strings.HasSuffix(err.Error(), tc.wantE) {
+					t.Errorf("%s tier error = %v, want one ending in %q", tier, err, tc.wantE)
+				}
+				if errors.Is(err, macs.ErrDataDependent) {
+					t.Errorf("%s tier refused as data-dependent; auto would fall back instead of failing", tier)
+				}
+			}
+		})
 	}
 }

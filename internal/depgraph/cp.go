@@ -21,7 +21,7 @@ type Params struct {
 }
 
 // DefaultParams returns the C-240 ASU parameters, matching
-// vm.DefaultConfig and fasttier.DefaultConfig.
+// vm.DefaultMachine.
 func DefaultParams() Params {
 	return Params{ScalarOpLat: 1, ScalarLoadLat: 4, DispatchLat: 1, BranchPenalty: 2}
 }

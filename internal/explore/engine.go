@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"macs"
-	"macs/internal/calib"
 	"macs/internal/core"
 	"macs/internal/fasttier"
 	"macs/internal/isa"
@@ -48,16 +47,15 @@ type Options struct {
 
 // evaluator is the per-machine state of a sweep: the concrete run
 // configuration, the fast-tier predictor (with its memo and pooled
-// replayers) and the pooled exact simulators. Machines are recognized by
-// canonical fingerprint, so two grids naming the same machine share one
-// evaluator.
+// interpreters) and the pooled exact simulators. Machines are recognized by
+// value, so two grids naming the same machine share one evaluator.
 type evaluator struct {
 	cfg  vm.Config
 	pred *fasttier.Predictor
 	pool *vm.Pool
 }
 
-// Evaluators is a fingerprint-keyed registry of per-machine evaluators,
+// Evaluators is a machine-keyed registry of per-machine evaluators,
 // safe for concurrent use and shareable between engines. It also caches
 // compiled programs by (source, compiler options): the fast tier's
 // prediction memo is keyed by program pointer, so handing repeated
@@ -66,7 +64,7 @@ type evaluator struct {
 type Evaluators struct {
 	run vm.Config
 	mu  sync.Mutex
-	m   map[string]*evaluator
+	m   map[vm.Machine]*evaluator
 
 	progMu sync.Mutex
 	progs  map[progKey]*macs.Program
@@ -92,26 +90,25 @@ func NewEvaluators(run vm.Config) *Evaluators {
 	}
 	return &Evaluators{
 		run:   run,
-		m:     make(map[string]*evaluator),
+		m:     make(map[vm.Machine]*evaluator),
 		progs: make(map[progKey]*macs.Program),
 	}
 }
 
 // get returns (creating on first sight) the evaluator for one machine.
 func (e *Evaluators) get(m vm.Machine) *evaluator {
-	fp := m.Fingerprint()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ev, ok := e.m[fp]; ok {
+	if ev, ok := e.m[m]; ok {
 		return ev
 	}
 	cfg := e.run.WithMachine(m)
 	ev := &evaluator{
 		cfg:  cfg,
-		pred: fasttier.NewPredictor(calib.FastTierConfig(cfg)),
+		pred: fasttier.NewPredictor(cfg),
 		pool: vm.NewPool(cfg),
 	}
-	e.m[fp] = ev
+	e.m[m] = ev
 	return ev
 }
 
@@ -211,9 +208,8 @@ type Point struct {
 	Fingerprint string     `json:"fingerprint"`
 	// Bounds is the MACS hierarchy under this machine's VL and rules.
 	Bounds Bounds `json:"bounds"`
-	// PredictedCycles and PredictedCPL are the stage-1 fast-tier score
-	// (calibrated CPL; cycles are raw). In a data-dependent fallback
-	// sweep both are zero.
+	// PredictedCycles and PredictedCPL are the stage-1 fast-tier score.
+	// In a data-dependent fallback sweep both are zero.
 	PredictedCycles int64   `json:"predicted_cycles"`
 	PredictedCPL    float64 `json:"predicted_cpl"`
 	// Simulated marks a stage-2 survivor; Rank is its 1-based position

@@ -331,7 +331,7 @@ func TestSweepCancellation(t *testing.T) {
 }
 
 // TestSharedEvaluators: engines sharing a registry share per-machine
-// state, keyed by fingerprint.
+// state, keyed by machine.
 func TestSharedEvaluators(t *testing.T) {
 	shared := NewEvaluators(vm.DefaultConfig())
 	g := Grid{Axes: []Axis{{Param: "banks", Values: []float64{16, 32}}}}

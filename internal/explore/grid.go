@@ -1,18 +1,17 @@
 // Package explore is the design-space exploration engine: it sweeps a
 // declared grid of machine variants over a kernel and ranks the machines,
-// at interactive speed, by running the expensive cycle-level simulator on
-// only a small top fraction of the space.
+// attaching full per-lane stall attribution to the best of them.
 //
 // The paper models one machine (the Convex C-240), but the simulator has
 // always been fully parameterized; with the machine description split out
 // as vm.Machine, a sweep varies Machines while compiling the kernel
-// exactly once. Evaluation is two-stage, in the spirit of hierarchical
-// modeling: the analytical fast tier (internal/fasttier) scores every
-// grid point in microseconds — for the non-data-dependent programs it
-// admits, its cycle count is bit-exact against the simulator, so the
-// ranking it induces is the true ranking — and exact simulation with full
-// per-lane stall attribution runs only on the top-K survivors, explaining
-// *why* each one wins or loses. Programs the fast tier rejects
+// exactly once. Evaluation is two-stage: the analytical fast tier
+// (internal/fasttier) scores every grid point — it runs the simulator's
+// own timing model, so for the non-data-dependent programs it admits its
+// cycle count is the simulator's and the ranking it induces is the true
+// ranking; a first sight costs about one simulation per point — and
+// exact simulation runs only on the top-K survivors, explaining *why*
+// each one wins or loses. Programs the fast tier rejects
 // (ErrDataDependent) fall back to simulating every point: correctness
 // over pruning.
 package explore

@@ -1,38 +1,35 @@
-// Package fasttier is the instant analytical serving tier: it predicts a
-// compiled program's cycle count, CPL and per-lane stall attribution in
-// microseconds, without cycle-accurate simulation.
+// Package fasttier is the analytical serving tier: it predicts a compiled
+// program's cycle count, CPL and per-lane stall attribution without a
+// memory image and without any floating-point work.
 //
-// The predictor replays the program's *schedule* — the same chime
-// formation, chaining, tailgating, port-arbitration and memory-stall
-// equations the simulator applies (internal/vm shares them with the MACS
-// bound via core.ChimeBuilder) — but performs no per-element work at all:
-// no memory image, no vector register values, no functional execution.
-// Vector streams cost one stall-table query (internal/mem memoizes them)
-// instead of VL element operations, which is where the orders-of-magnitude
-// speedup over simulation comes from. Integer scalar state (trip counts,
-// address arithmetic, loop control) is tracked symbolically so strip
-// mining and data layout resolve exactly; floating-point values are never
-// computed. A program whose control flow depends on floating-point data
-// or unprimed inputs is rejected with ErrDataDependent — callers fall back
-// to the exact tier.
+// The predictor steps the program through vm.Timing — the simulator's own
+// timing model, not a copy of it — so every chime, chaining wait, bubble,
+// port conflict and memory stall it charges is the simulator's by
+// construction. What it replaces is only the simulator's functional half:
+// integer scalar state (trip counts, address arithmetic, loop control) is
+// tracked symbolically with known bits so strip mining and data layout
+// resolve exactly, and floating-point values are never computed. Data
+// placement and every access are range-checked against the configured
+// memory size, so a program the simulator would reject is rejected here
+// too. A program whose control flow depends on floating-point data or
+// unprimed inputs is refused with ErrDataDependent, or answered with an
+// interval when its data-dependent branches are boundedly enumerable
+// (PredictInterval).
 //
-// Predictions carry a small calibrated per-kernel residual correction
-// (internal/calib regenerates residuals_gen.go from simulator runs) and a
-// stated error band, so callers can serve the fast answer with an honest
-// confidence interval and verify asynchronously.
+// Cost: a first-sight prediction costs about one simulation of the same
+// program, because the timing equations are the same work either way.
+// The sub-microsecond answers come from the Predictor's memo — a repeated
+// request for a program already predicted — not from a cheaper model.
 package fasttier
 
 import (
 	"errors"
-	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"sync"
 
 	"macs/internal/asm"
-	"macs/internal/core"
-	"macs/internal/isa"
+	"macs/internal/vm"
 )
 
 // ErrDataDependent marks a program the fast tier cannot predict: its
@@ -41,230 +38,17 @@ import (
 // tier handles such programs.
 var ErrDataDependent = errors.New("fasttier: control flow depends on data the fast tier does not model")
 
-// Cause classifies one predicted non-issue cycle of a machine lane. The
-// taxonomy maps one-to-one onto the simulator's vm.StallCause constants —
-// same names, same order, same strings — so predicted and measured
-// attribution are directly comparable. cmd/macsvet verifies the mapping
-// statically (rule "tiermap").
-//
-// macsvet:exhaustive
-type Cause int
-
-// The predicted-attribution taxonomy, mirroring vm.Stall* constants.
-const (
-	CauseStartup Cause = iota
-	CauseBubble
-	CauseChain
-	CauseChimeSync
-	CauseChimeSplit
-	CauseBankConflict
-	CauseRefresh
-	CauseContention
-	CausePortArb
-	CauseScalar
-	CauseDrain
-
-	// NumCauses is the size of the taxonomy.
-	NumCauses
-)
-
-// causeNames must match vm's stallNames entry for entry; macsvet's tiermap
-// rule compares the two literals.
-var causeNames = [NumCauses]string{
-	"startup", "bubble", "chain-wait", "chime-sync", "chime-split",
-	"bank-conflict", "refresh", "contention", "port-arb", "scalar", "drain",
-}
-
-func (c Cause) String() string {
-	if c < 0 || c >= NumCauses {
-		return fmt.Sprintf("cause(%d)", int(c))
-	}
-	return causeNames[c]
-}
-
-// Causes lists the taxonomy in declaration order.
-func Causes() []Cause {
-	out := make([]Cause, NumCauses)
-	for i := range out {
-		out[i] = Cause(i)
-	}
-	return out
-}
-
-// Attribution lanes: index 0 is the ASU; 1..3 are the VP pipes, sharing
-// isa.Pipe numbering (load/store, add, multiply) — the same convention as
-// the simulator's ledger.
-const (
-	LaneASU  = 0
-	NumLanes = 4
-)
-
-// LaneName returns the display name of a predicted-attribution lane.
-func LaneName(lane int) string {
-	if lane == LaneASU {
-		return "asu"
-	}
-	return isa.Pipe(lane).String()
-}
-
-// LaneLedger is one lane's predicted cycle ledger.
-type LaneLedger struct {
-	// Issue counts predicted productive cycles (streaming for pipes,
-	// scalar execution for the ASU).
-	Issue int64
-	// Stalls counts predicted non-issue cycles by cause.
-	Stalls [NumCauses]int64
-}
-
-// Total returns all accounted cycles of the lane.
-func (l LaneLedger) Total() int64 {
-	t := l.Issue
-	for _, v := range l.Stalls {
-		t += v
-	}
-	return t
-}
-
-// StallTotal returns the lane's predicted non-issue cycles.
-func (l LaneLedger) StallTotal() int64 { return l.Total() - l.Issue }
-
-// Ledger is the full predicted per-lane attribution of one program.
-type Ledger struct {
-	Lanes [NumLanes]LaneLedger
-}
-
-// Cause sums one stall cause across all lanes.
-func (a Ledger) Cause(c Cause) int64 {
-	var sum int64
-	for _, l := range a.Lanes {
-		sum += l.Stalls[c]
-	}
-	return sum
-}
-
-// IssueCycles sums predicted issue cycles across all lanes.
-func (a Ledger) IssueCycles() int64 {
-	var sum int64
-	for _, l := range a.Lanes {
-		sum += l.Issue
-	}
-	return sum
-}
-
-// Totals returns the lane-summed ledger keyed by cause name, with issue
-// cycles under "issue" — the same wire shape as the simulator's
-// Attribution.Totals, so the two are directly diffable.
-func (a Ledger) Totals() map[string]int64 {
-	out := make(map[string]int64, NumCauses+1)
-	if v := a.IssueCycles(); v != 0 {
-		out["issue"] = v
-	}
-	for c := Cause(0); c < NumCauses; c++ {
-		if v := a.Cause(c); v != 0 {
-			out[c.String()] = v
-		}
-	}
-	return out
-}
-
-// Conserved verifies the ledger invariant: every lane's issue plus stall
-// cycles must equal the predicted cycle count.
-func (a Ledger) Conserved(totalCycles int64) error {
-	for lane := 0; lane < NumLanes; lane++ {
-		if got := a.Lanes[lane].Total(); got != totalCycles {
-			return fmt.Errorf("fasttier: ledger not conserved on lane %s: %d accounted, want %d",
-				LaneName(lane), got, totalCycles)
-		}
-	}
-	return nil
-}
-
-// Config controls the modeled machine. It mirrors the simulator knobs the
-// timing model depends on; use DefaultConfig and adjust.
-type Config struct {
-	// VLMax is the hardware vector length.
-	VLMax int
-	// Rules are the chime formation rules shared with the MACS bound.
-	Rules core.Rules
-	// Memory geometry: interleaved bank count, bank busy time, refresh
-	// schedule. Zero fields take the C-240 defaults, mirroring
-	// vm.Machine.BankConfig.
-	Banks         int
-	BankCycle     int
-	RefreshPeriod int
-	RefreshLen    int
-	// BankConflicts and RefreshStalls enable the corresponding
-	// stall-table terms in vector memory streams.
-	BankConflicts bool
-	RefreshStalls bool
-	// MemSlowdown >1 models multi-process memory contention.
-	MemSlowdown float64
-	// Scalar timing, in cycles (ASU latencies).
-	ScalarLoadLat int
-	ScalarOpLat   int
-	BranchPenalty int
-	DispatchLat   int
-	// MaxInstrs aborts runaway control flow.
-	MaxInstrs int64
-}
-
-// DefaultConfig returns the standard C-240 fast-tier configuration,
-// matching vm.DefaultConfig's timing knobs.
-func DefaultConfig() Config {
-	return Config{
-		VLMax:         isa.VLMax,
-		Rules:         core.DefaultRules(),
-		Banks:         isa.MemBanks,
-		BankCycle:     isa.BankCycle,
-		RefreshPeriod: isa.RefreshPeriod,
-		RefreshLen:    isa.RefreshLen,
-		BankConflicts: true,
-		RefreshStalls: true,
-		MemSlowdown:   1.0,
-		ScalarLoadLat: 4,
-		ScalarOpLat:   1,
-		BranchPenalty: 2,
-		DispatchLat:   1,
-		MaxInstrs:     50_000_000,
-	}
-}
-
 // Prediction is the fast tier's answer for one program.
 type Prediction struct {
-	// Cycles is the predicted run length of the whole program, before
-	// residual correction.
-	Cycles int64
-	// RawCPL is Cycles divided by the caller's iteration count (0 when no
+	// Stats is the predicted run as the simulator's timing model counts
+	// it: cycles, instruction and chime counts, memory stalls, port
+	// conflicts, pipe busy time and the per-lane stall attribution,
+	// conserved against Cycles. The element-work counters of functional
+	// execution (VectorFlops, ScalarFlops, VectorElems) stay zero.
+	vm.Stats
+	// CPL is Cycles divided by the caller's iteration count (0 when no
 	// iteration count was given).
-	RawCPL float64
-	// CPL is the served prediction: RawCPL times the calibrated residual.
 	CPL float64
-	// Residual is the multiplicative correction applied (1 when the
-	// program matched no calibration entry).
-	Residual float64
-	// ErrorBand is the stated relative error band of CPL versus the
-	// simulator's measurement: calibrated kernels carry their fitted
-	// band, unknown programs the conservative DefaultErrorBand.
-	ErrorBand float64
-	// Calibrated reports whether a fitted residual matched (by exact
-	// program signature or by kernel class).
-	Calibrated bool
-	// Signature identifies the exact compiled program; Class is the
-	// coarse kernel class used for residual fallback and divergence
-	// grouping.
-	Signature string
-	Class     string
-	// Instrs, VectorInstrs, ScalarInstrs and Chimes count the replayed
-	// schedule; MemStalls and PortConflicts mirror the simulator's stats.
-	Instrs        int64
-	VectorInstrs  int64
-	ScalarInstrs  int64
-	Chimes        int64
-	MemStalls     int64
-	PortConflicts int64
-	// Attr is the predicted per-lane stall attribution; it is conserved
-	// against Cycles by construction.
-	Attr Ledger
 
 	// Interval reports that this prediction came from bounded enumeration
 	// of data-dependent branch outcomes rather than a single bit-exact
@@ -272,10 +56,9 @@ type Prediction struct {
 	// outcome vector; because each enumerated path is itself bit-exact and
 	// the real execution follows one of them, the simulator's measurement
 	// is guaranteed to land inside [CyclesLo, CyclesHi]. CPLLo/CPLHi are
-	// the per-iteration forms of those raw bounds — deliberately left
-	// uncalibrated so the containment guarantee survives. Paths counts the
-	// complete paths enumerated; the point fields (Cycles, CPL, Attr, ...)
-	// describe the worst-case path.
+	// the per-iteration forms of those bounds. Paths counts the complete
+	// paths enumerated; the point fields (Cycles, CPL, Attr, ...) describe
+	// the worst-case path.
 	Interval bool
 	Paths    int
 	CyclesLo int64
@@ -284,52 +67,17 @@ type Prediction struct {
 	CPLHi    float64
 }
 
-// Signature returns a stable identity for a compiled program: an FNV-64a
-// hash of its canonical assembly text (data declarations included, so the
-// same kernel at a different problem size is a different signature).
-func Signature(p *asm.Program) string {
-	h := fnv.New64a()
-	h.Write([]byte(p.String()))
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// Class returns the coarse kernel class of a program: the chime count and
-// the memory/FP composition of its inner vectorized loop at full vector
-// length. Residual lookup falls back to it when the exact signature is
-// unknown, and the service groups divergence metrics by it.
-func Class(p *asm.Program, rules core.Rules) string {
-	loop, ok := asm.InnerVectorLoop(p)
-	if !ok {
-		return "scalar"
-	}
-	chimes := core.Partition(loop.Body, rules)
-	var mem, fp int
-	for _, in := range loop.Body {
-		if !in.IsVector() {
-			continue
-		}
-		switch in.Class() {
-		case isa.ClassLoad, isa.ClassStore:
-			mem++
-		case isa.ClassFPAdd, isa.ClassFPMul:
-			fp++
-		}
-	}
-	return fmt.Sprintf("c%d-m%d-f%d", len(chimes), mem, fp)
-}
-
 // Predictor is the pooled front door to the fast tier: it recycles
-// replay state — most importantly the memoized stream-stall table, whose
-// warmth is much of the fast tier's speed — across predictions. It is
-// safe for concurrent use.
+// symbolic interpreters — most importantly their memoized stream-stall tables —
+// across predictions, and memoizes finished predictions. It is safe for
+// concurrent use.
 type Predictor struct {
-	cfg  Config
 	pool sync.Pool
 
 	// memo caches finished predictions by (program, iterations, inputs).
-	// A compiled program is immutable, so identical requests — the
-	// serving tier's steady state — answer from here in nanoseconds; the
-	// replay runs only on the first sight of a schedule.
+	// A compiled program is immutable, so identical requests answer from
+	// here in nanoseconds; the interpreter runs only on the first sight of a
+	// schedule.
 	mu   sync.Mutex
 	memo map[memoKey]Prediction
 }
@@ -369,24 +117,27 @@ func intsFingerprint(ints map[string]int64) string {
 	return string(b)
 }
 
-// NewPredictor creates a Predictor for one machine configuration.
-func NewPredictor(cfg Config) *Predictor {
-	p := &Predictor{cfg: cfg, memo: make(map[memoKey]Prediction)}
+// NewPredictor creates a Predictor for one simulator configuration.
+func NewPredictor(cfg vm.Config) *Predictor {
+	p := &Predictor{memo: make(map[memoKey]Prediction)}
 	p.pool.New = func() any { return newReplay(cfg) }
 	return p
 }
 
-// Config returns the predictor's machine configuration.
-func (p *Predictor) Config() Config { return p.cfg }
-
-// Predict replays prog's schedule and returns the fast-tier prediction.
-// iterations converts predicted cycles to CPL (0 skips the conversion);
-// ints primes integer inputs by data-symbol name (e.g. "d_N") — the
-// values that drive trip counts and addresses. It returns
+// Predict steps prog through the timing model and returns the fast-tier
+// prediction. iterations converts predicted cycles to CPL (0 skips the
+// conversion); ints primes integer inputs by data-symbol name (e.g.
+// "d_N") — the values that drive trip counts and addresses. It returns
 // ErrDataDependent (wrapped) when the program's timing depends on data
 // the fast tier does not model. Identical requests are memoized.
 func (p *Predictor) Predict(prog *asm.Program, iterations int64, ints map[string]int64) (Prediction, error) {
-	key := memoKey{prog: prog, iterations: iterations, ints: intsFingerprint(ints)}
+	return p.memoized(memoKey{prog: prog, iterations: iterations, ints: intsFingerprint(ints)},
+		func(r *replay) (Prediction, error) { return r.predict(prog, iterations, ints) })
+}
+
+// memoized answers key from the memo, or runs predict on a pooled interpreter
+// and memoizes its successful answer.
+func (p *Predictor) memoized(key memoKey, predict func(*replay) (Prediction, error)) (Prediction, error) {
 	p.mu.Lock()
 	pred, ok := p.memo[key]
 	p.mu.Unlock()
@@ -394,7 +145,7 @@ func (p *Predictor) Predict(prog *asm.Program, iterations int64, ints map[string
 		return pred, nil
 	}
 	r := p.pool.Get().(*replay)
-	pred, err := r.predict(prog, iterations, ints)
+	pred, err := predict(r)
 	p.pool.Put(r)
 	if err != nil {
 		return pred, err
@@ -410,48 +161,6 @@ func (p *Predictor) Predict(prog *asm.Program, iterations int64, ints map[string
 
 // Predict is the one-shot form of Predictor.Predict for callers without a
 // predictor to pool state in.
-func Predict(prog *asm.Program, iterations int64, ints map[string]int64, cfg Config) (Prediction, error) {
+func Predict(prog *asm.Program, iterations int64, ints map[string]int64, cfg vm.Config) (Prediction, error) {
 	return newReplay(cfg).predict(prog, iterations, ints)
-}
-
-// finishPrediction applies the calibrated residual and stamps identity.
-func finishPrediction(pred *Prediction, prog *asm.Program, rules core.Rules, iterations int64) {
-	pred.Signature = Signature(prog)
-	pred.Class = Class(prog, rules)
-	if iterations > 0 {
-		pred.RawCPL = float64(pred.Cycles) / float64(iterations)
-	}
-	res, ok := ResidualFor(pred.Signature, pred.Class)
-	pred.Residual = res.Scale
-	pred.ErrorBand = res.Band
-	pred.Calibrated = ok
-	pred.CPL = pred.RawCPL * res.Scale
-}
-
-// Residual is one calibrated correction: the multiplicative scale mapping
-// a raw fast-tier CPL onto the simulator's CPL for a kernel (class), and
-// the relative error band observed when fitting it. The table lives in
-// residuals_gen.go, regenerated by internal/calib from simulator runs and
-// persisted alongside the ISA timing tables as committed Go source.
-type Residual struct {
-	Kernel string  // human label of the calibration kernel
-	Scale  float64 // sim CPL / raw predicted CPL
-	Band   float64 // stated relative error band after scaling
-}
-
-// DefaultErrorBand is the conservative band served for programs the
-// calibration corpus does not cover.
-const DefaultErrorBand = 0.05
-
-// ResidualFor looks up the calibrated residual for a program: exact
-// signature first, kernel class second. ok is false when neither matched
-// and the identity residual with DefaultErrorBand is returned.
-func ResidualFor(sig, class string) (Residual, bool) {
-	if r, ok := residualsBySig[sig]; ok {
-		return r, true
-	}
-	if r, ok := residualsByClass[class]; ok {
-		return r, true
-	}
-	return Residual{Kernel: "uncalibrated", Scale: 1, Band: DefaultErrorBand}, false
 }

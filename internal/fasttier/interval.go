@@ -88,8 +88,8 @@ func (r *replay) predictInterval(prog *asm.Program, iterations int64, ints map[s
 	pred.Paths = paths
 	pred.CyclesLo, pred.CyclesHi = lo, hi
 	if iterations > 0 {
-		pred.CPLLo = loP.RawCPL
-		pred.CPLHi = hiP.RawCPL
+		pred.CPLLo = loP.CPL
+		pred.CPLHi = hiP.CPL
 	}
 	return pred, nil
 }
@@ -101,29 +101,6 @@ func (r *replay) predictInterval(prog *asm.Program, iterations int64, ints map[s
 // It returns ErrDataDependent (wrapped) when the control flow is not
 // boundedly enumerable. Identical requests are memoized.
 func (p *Predictor) PredictInterval(prog *asm.Program, iterations int64, ints map[string]int64) (Prediction, error) {
-	key := memoKey{prog: prog, iterations: iterations, ints: intsFingerprint(ints), interval: true}
-	p.mu.Lock()
-	pred, ok := p.memo[key]
-	p.mu.Unlock()
-	if ok {
-		return pred, nil
-	}
-	r := p.pool.Get().(*replay)
-	pred, err := r.predictInterval(prog, iterations, ints)
-	p.pool.Put(r)
-	if err != nil {
-		return pred, err
-	}
-	p.mu.Lock()
-	if len(p.memo) >= memoCap {
-		clear(p.memo)
-	}
-	p.memo[key] = pred
-	p.mu.Unlock()
-	return pred, nil
-}
-
-// PredictInterval is the one-shot form of Predictor.PredictInterval.
-func PredictInterval(prog *asm.Program, iterations int64, ints map[string]int64, cfg Config) (Prediction, error) {
-	return newReplay(cfg).predictInterval(prog, iterations, ints)
+	return p.memoized(memoKey{prog: prog, iterations: iterations, ints: intsFingerprint(ints), interval: true},
+		func(r *replay) (Prediction, error) { return r.predictInterval(prog, iterations, ints) })
 }

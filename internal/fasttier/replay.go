@@ -1,35 +1,26 @@
 package fasttier
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
 
 	"macs/internal/asm"
-	"macs/internal/core"
 	"macs/internal/isa"
 	"macs/internal/mem"
+	"macs/internal/vm"
 )
 
-// vwriter records the in-flight producer of a vector register for the
-// chaining and completion constraints (the simulator's record, verbatim).
-type vwriter struct {
-	valid bool
-	chime int64
-	start int64
-	y     int
-	z     float64
-	fin   int64
-}
-
-// replay is one schedule replayer. It carries the simulator's *timing*
-// state — chime formation, pipe tailgates, producer records, port times,
-// attribution frontiers — plus a symbolic integer machine (registers and
-// memory cells with known bits) that resolves trip counts and addresses
-// without a memory image. There is deliberately no floating-point value
-// state and no per-element work anywhere in this file.
+// replay is the symbolic interpreter. Every cycle it charges comes from the
+// embedded vm.Timing; what it adds is only what the simulator would need
+// a memory image and floating-point values for: a symbolic integer
+// machine (registers and memory words with known bits) that resolves trip
+// counts and addresses, a layout that range-checks every access, and —
+// in interval mode — scripted outcomes for branches on data it does not
+// model.
 type replay struct {
-	cfg    Config
+	vm.Timing
+	cfg    vm.Config
 	prog   *asm.Program
 	layout *mem.Layout
 
@@ -47,6 +38,7 @@ type replay struct {
 	tf      bool
 	tfKnown bool
 	pc      int
+	halted  bool
 
 	// cells holds integer memory words (trip counts, loop bookkeeping);
 	// unknownCells marks words holding floating-point or otherwise
@@ -54,28 +46,6 @@ type replay struct {
 	// simulator's zeroed memory image.
 	cells        map[int64]int64
 	unknownCells map[int64]bool
-
-	// Timing state, mirroring vm.CPU field for field.
-	clock          int64
-	pipeFree       [4]int64
-	pipeUsed       [4]bool
-	vw             [isa.NumVRegs]vwriter
-	sReady         [isa.NumSRegs]int64
-	vectorPortFree int64
-	scalarPortFree int64
-	builder        *core.ChimeBuilder
-	chimeID        int64
-	chimeStart     int64
-	chimeMemStall  int64
-	chimeVL        int
-	lastChimeStart int64
-	prevGate       int64
-	prevGateSplit  bool
-	maxEvent       int64
-	laneTime       [NumLanes]int64
-
-	bankCfg  mem.Config
-	stallTab *mem.StallTable
 
 	// Interval (path-enumeration) mode. When forking is true, a branch on
 	// an unmodeled comparison consumes the next scripted outcome from
@@ -85,10 +55,6 @@ type replay struct {
 	forking     bool
 	decisions   []bool
 	decisionIdx int
-
-	halted   bool
-	finished bool
-	pred     Prediction
 }
 
 // errNeedDecision reports that a forking replay reached a branch on an
@@ -96,48 +62,23 @@ type replay struct {
 // the package: predictInterval catches it and deepens the script.
 var errNeedDecision = errors.New("fasttier: undecided data-dependent branch")
 
-func newReplay(cfg Config) *replay {
-	r := &replay{
+// newReplay creates an interpreter for cfg. Predictions record no timing
+// events, whatever cfg's tracing settings.
+func newReplay(cfg vm.Config) *replay {
+	cfg.Trace, cfg.TraceRing = false, 0
+	return &replay{
+		Timing:       vm.NewTiming(cfg),
 		cfg:          cfg,
-		layout:       mem.NewLayout(),
+		layout:       mem.NewLayout(cfg.MemSize),
 		cells:        make(map[int64]int64),
 		unknownCells: make(map[int64]bool),
-		builder:      core.NewChimeBuilder(cfg.Rules),
 	}
-	r.bankCfg = cfg.bankConfig()
-	if cfg.BankConflicts || cfg.RefreshStalls {
-		r.stallTab = mem.NewStallTable(r.bankCfg)
-	}
-	return r
 }
 
-// bankConfig renders the fast tier's memory geometry as the bank model's
-// configuration, with zero fields falling back to the C-240 defaults —
-// the same convention as vm.Machine.BankConfig, so both tiers describe
-// the same memory system for the same machine.
-func (cfg Config) bankConfig() mem.Config {
-	c := mem.DefaultConfig()
-	if cfg.Banks > 0 {
-		c.Banks = cfg.Banks
-	}
-	if cfg.BankCycle > 0 {
-		c.BankCycle = cfg.BankCycle
-	}
-	if cfg.RefreshPeriod > 0 {
-		c.RefreshPeriod = cfg.RefreshPeriod
-	}
-	if cfg.RefreshLen > 0 {
-		c.RefreshLen = cfg.RefreshLen
-	}
-	c.RefreshEnabled = cfg.RefreshStalls
-	return c
-}
-
-// reset prepares the replayer for the next prediction. The memoized
-// stream-stall table survives — its answers depend only on configuration,
-// and keeping it warm across pooled predictions is much of the tier's
-// speed.
+// reset prepares the interpreter for the next prediction; the timing model
+// keeps its memoized stream-stall table warm across pooled predictions.
 func (r *replay) reset() {
+	r.Timing.Reset()
 	r.prog = nil
 	r.layout.Reset()
 	clear(r.cells)
@@ -154,32 +95,11 @@ func (r *replay) reset() {
 	r.vs, r.vsKnown = isa.WordBytes, true
 	r.tf, r.tfKnown = false, true
 	r.pc = 0
-
-	r.clock = 0
-	r.pipeFree = [4]int64{}
-	r.pipeUsed = [4]bool{}
-	r.vw = [isa.NumVRegs]vwriter{}
-	r.sReady = [isa.NumSRegs]int64{}
-	r.vectorPortFree = 0
-	r.scalarPortFree = 0
-	r.builder.Reset()
-	r.chimeID = 0
-	r.chimeStart = 0
-	r.chimeMemStall = 0
-	r.chimeVL = 0
-	r.lastChimeStart = 0
-	r.prevGate = 0
-	r.prevGateSplit = false
-	r.maxEvent = 0
-	r.laneTime = [NumLanes]int64{}
+	r.halted = false
 
 	r.forking = false
 	r.decisions = nil
 	r.decisionIdx = 0
-
-	r.halted = false
-	r.finished = false
-	r.pred = Prediction{}
 }
 
 // predict replays one program. See Predictor.Predict for the contract.
@@ -200,6 +120,10 @@ func (r *replay) run(prog *asm.Program, iterations int64, ints map[string]int64,
 	for _, d := range prog.Data {
 		addr, err := r.layout.Place(d.Name, d.Size)
 		if err != nil {
+			return Prediction{}, err
+		}
+		// The loader writes initial values word by word.
+		if err := r.layout.CheckStream(addr, isa.WordBytes, len(d.Init)); err != nil {
 			return Prediction{}, err
 		}
 		// Initialized data is floating point: its words are real values
@@ -228,31 +152,30 @@ func (r *replay) run(prog *asm.Program, iterations int64, ints map[string]int64,
 			break
 		}
 	}
-	pred := r.pred
-	finishPrediction(&pred, prog, r.cfg.Rules, iterations)
+	pred := Prediction{Stats: r.Stats()}
+	if iterations > 0 {
+		pred.CPL = float64(pred.Cycles) / float64(iterations)
+	}
 	return pred, nil
 }
 
 func (r *replay) step() (bool, error) {
 	if r.halted || r.pc < 0 || r.pc >= len(r.prog.Instrs) {
-		r.finish()
+		r.Finish()
 		return true, nil
 	}
 	in := r.prog.Instrs[r.pc]
-	r.pred.Instrs++
-	if r.pred.Instrs > r.cfg.MaxInstrs {
-		return true, fmt.Errorf("fasttier: replay limit exceeded at pc=%d (%s)", r.pc, in)
+	if err := r.Fetch(in, r.pc); err != nil {
+		return true, err
 	}
 	var jumped bool
 	var err error
 	if in.IsVector() {
-		r.pred.VectorInstrs++
 		err = r.execVector(in)
 	} else {
-		r.pred.ScalarInstrs++
 		if in.Op == isa.OpHalt {
 			r.halted = true
-			r.finish()
+			r.Finish()
 			return true, nil
 		}
 		jumped, err = r.execScalar(in)
@@ -265,85 +188,10 @@ func (r *replay) step() (bool, error) {
 	}
 	if r.pc < 0 || r.pc >= len(r.prog.Instrs) {
 		r.halted = true
-		r.finish()
+		r.Finish()
 		return true, nil
 	}
 	return false, nil
-}
-
-func (r *replay) finish() {
-	if r.finished {
-		return
-	}
-	r.finished = true
-	r.closeChime(false)
-	r.pred.Cycles = maxI64(r.clock, r.maxEvent, r.prevGate)
-	// Conservation: top every lane's ledger up to the final cycle count,
-	// mirroring the simulator's drain accounting.
-	for lane := 0; lane < NumLanes; lane++ {
-		r.chargeStall(lane, r.pred.Cycles, CauseDrain)
-	}
-}
-
-// Attribution frontiers, verbatim from the simulator's ledger mechanics.
-
-func (r *replay) chargeStall(lane int, t int64, cause Cause) {
-	if t > r.laneTime[lane] {
-		r.pred.Attr.Lanes[lane].Stalls[cause] += t - r.laneTime[lane]
-		r.laneTime[lane] = t
-	}
-}
-
-func (r *replay) chargeIssue(lane int, t int64) {
-	if t > r.laneTime[lane] {
-		r.pred.Attr.Lanes[lane].Issue += t - r.laneTime[lane]
-		r.laneTime[lane] = t
-	}
-}
-
-func (r *replay) tickASU(n int64) {
-	r.clock += n
-	r.chargeIssue(LaneASU, r.clock)
-}
-
-// waitScalar delays the ASU until a vector-produced scalar is available.
-func (r *replay) waitScalar(reg isa.Reg) {
-	if reg.Class == isa.ClassS && r.sReady[reg.N] > r.clock {
-		r.clock = r.sReady[reg.N]
-		r.chargeStall(LaneASU, r.clock, CauseChain)
-	}
-}
-
-// closeChime retires the forming chime, fixing the gate before which the
-// next chime may not stream and bounding ASU runahead to one chime.
-func (r *replay) closeChime(split bool) {
-	cur, ok := r.builder.Flush()
-	if !ok {
-		r.chimeMemStall = 0
-		return
-	}
-	r.pred.Chimes++
-	cost := cur.ZMax * float64(r.chimeVL)
-	if r.cfg.Rules.Bubbles {
-		cost += float64(cur.SumB)
-	}
-	r.prevGate = r.chimeStart + int64(math.Ceil(cost)) + r.chimeMemStall
-	r.prevGateSplit = split
-	if r.prevGate > r.maxEvent {
-		r.maxEvent = r.prevGate
-	}
-	r.lastChimeStart = r.chimeStart
-	if r.clock < r.lastChimeStart {
-		r.clock = r.lastChimeStart
-		cause := CauseChimeSync
-		if split {
-			cause = CauseChimeSplit
-		}
-		r.chargeStall(LaneASU, r.clock, cause)
-	}
-	r.chimeID++
-	r.chimeMemStall = 0
-	r.chimeVL = 0
 }
 
 // effAddr resolves a memory operand. known is false when the base
@@ -395,7 +243,7 @@ func (r *replay) intVal(o isa.Operand) (v int64, known bool, err error) {
 		case isa.ClassA:
 			return r.a[o.Reg.N], r.aKnown[o.Reg.N], nil
 		case isa.ClassS:
-			r.waitScalar(o.Reg)
+			r.WaitScalar(o.Reg)
 			return r.s[o.Reg.N], r.sKnown[o.Reg.N], nil
 		case isa.ClassVL:
 			return int64(r.vl), r.vlKnown, nil
@@ -418,7 +266,7 @@ func (r *replay) setIntReg(reg isa.Reg, v int64, known bool) error {
 		if !known {
 			return fmt.Errorf("vector length set from unmodeled data: %w", ErrDataDependent)
 		}
-		r.vl = int(clampI64(v, 0, int64(r.cfg.VLMax)))
+		r.vl = int(max(0, min(v, int64(r.cfg.VLMax))))
 		r.vlKnown = true
 	case isa.ClassVS:
 		if !known {
@@ -432,22 +280,22 @@ func (r *replay) setIntReg(reg isa.Reg, v int64, known bool) error {
 	return nil
 }
 
-// execScalar replays one ASU instruction: exact latency accounting, with
-// integer effects tracked symbolically and float effects dropped.
+// execScalar replays one ASU instruction: its timing through the model,
+// integer effects tracked symbolically, float effects dropped.
 func (r *replay) execScalar(in isa.Instr) (jumped bool, err error) {
 	switch in.Op {
 	case isa.OpNop:
-		r.tickASU(int64(r.cfg.ScalarOpLat))
+		r.ScalarOp()
 		return false, nil
 	case isa.OpMov:
 		if len(in.Ops) != 2 {
 			return false, fmt.Errorf("mov needs 2 operands")
 		}
-		r.tickASU(int64(r.cfg.ScalarOpLat))
+		r.ScalarOp()
 		dst := in.Ops[1].Reg
 		if in.Suffix == isa.SufD && dst.Class == isa.ClassS && in.Ops[0].Kind == isa.KindReg && in.Ops[0].Reg.Class == isa.ClassS {
 			src := in.Ops[0].Reg
-			r.waitScalar(src)
+			r.WaitScalar(src)
 			r.s[dst.N], r.sKnown[dst.N] = r.s[src.N], r.sKnown[src.N]
 			return false, nil
 		}
@@ -465,11 +313,11 @@ func (r *replay) execScalar(in isa.Instr) (jumped bool, err error) {
 	case isa.OpLe, isa.OpLt, isa.OpGt, isa.OpGe, isa.OpEq, isa.OpNe:
 		return false, r.scalarCompare(in)
 	case isa.OpJmp:
-		r.tickASU(int64(r.cfg.ScalarOpLat + r.cfg.BranchPenalty))
-		r.closeChime(false)
+		r.ScalarOp()
+		r.TakenBranch()
 		return true, r.jumpTo(in)
 	case isa.OpJbrs:
-		r.tickASU(int64(r.cfg.ScalarOpLat))
+		r.ScalarOp()
 		if !r.tfKnown {
 			if !r.forking {
 				return false, fmt.Errorf("branch on unmodeled comparison: %w", ErrDataDependent)
@@ -489,8 +337,7 @@ func (r *replay) execScalar(in isa.Instr) (jumped bool, err error) {
 		if !take {
 			return false, nil
 		}
-		r.tickASU(int64(r.cfg.BranchPenalty))
-		r.closeChime(false)
+		r.TakenBranch()
 		return true, r.jumpTo(in)
 	case isa.OpSum, isa.OpSqrt, isa.OpCvt:
 		return false, fmt.Errorf("%s has no scalar form in this subset", in.Op)
@@ -512,29 +359,6 @@ func (r *replay) jumpTo(in isa.Instr) error {
 	return fmt.Errorf("branch without label")
 }
 
-// scalarMemStart delays a scalar access while vector traffic holds the
-// single CPU port, and notifies the chime builder (split rule).
-func (r *replay) scalarMemStart() int64 {
-	start := r.clock
-	if r.vectorPortFree > start {
-		start = r.vectorPortFree
-		r.pred.PortConflicts++
-		r.chargeStall(LaneASU, start, CausePortArb)
-	}
-	if r.builder.NoteScalarMem() {
-		r.closeChime(true)
-	}
-	return start
-}
-
-func (r *replay) scalarMemLat() int64 {
-	lat := float64(r.cfg.ScalarLoadLat)
-	if r.cfg.MemSlowdown > 1 {
-		lat *= r.cfg.MemSlowdown
-	}
-	return int64(math.Ceil(lat))
-}
-
 func (r *replay) scalarLoad(in isa.Instr) error {
 	if len(in.Ops) != 2 {
 		return fmt.Errorf("scalar load needs 2 operands")
@@ -543,24 +367,28 @@ func (r *replay) scalarLoad(in isa.Instr) error {
 	if err != nil {
 		return err
 	}
-	start := r.scalarMemStart()
-	r.clock = start + r.scalarMemLat()
-	r.chargeIssue(LaneASU, r.clock)
-	r.scalarPortFree = r.clock
+	dst := in.Ops[1].Reg
+	r.ScalarLoad(dst)
+	if !addrKnown {
+		// The simulator might read anywhere, or fault; refuse rather
+		// than guess.
+		return fmt.Errorf("load from unmodeled address: %w", ErrDataDependent)
+	}
+	if err := r.layout.Check(addr, isa.WordBytes); err != nil {
+		return err
+	}
 	var v int64
 	known := false
 	// A floating-point load produces a real value the fast tier does not
 	// carry; only integer loads read the symbolic cell map.
-	if addrKnown && in.Suffix != isa.SufD && in.Suffix != isa.SufS {
+	if in.Suffix != isa.SufD && in.Suffix != isa.SufS {
 		v, known = r.cellVal(addr)
 	}
-	dst := in.Ops[1].Reg
 	switch dst.Class {
 	case isa.ClassA:
 		r.a[dst.N], r.aKnown[dst.N] = v, known
 	case isa.ClassS:
 		r.s[dst.N], r.sKnown[dst.N] = v, known
-		r.sReady[dst.N] = r.clock
 	default:
 		return fmt.Errorf("bad scalar load destination %s", dst)
 	}
@@ -575,14 +403,14 @@ func (r *replay) scalarStore(in isa.Instr) error {
 	if err != nil {
 		return err
 	}
-	start := r.scalarMemStart()
-	r.clock = start + r.scalarMemLat()
-	r.chargeIssue(LaneASU, r.clock)
-	r.scalarPortFree = r.clock
+	r.ScalarStore()
 	if !addrKnown {
 		// A store to an unresolvable address could alias any integer
 		// cell the replay later reads; refuse rather than guess.
 		return fmt.Errorf("store to unmodeled address: %w", ErrDataDependent)
+	}
+	if err := r.layout.Check(addr, isa.WordBytes); err != nil {
+		return err
 	}
 	src := in.Ops[0].Reg
 	// A floating-point store poisons the cell for integer readers: the
@@ -593,7 +421,7 @@ func (r *replay) scalarStore(in isa.Instr) error {
 		r.setCell(addr, r.a[src.N], r.aKnown[src.N] && !floatStore)
 		return nil
 	case isa.ClassS:
-		r.waitScalar(src)
+		r.WaitScalar(src)
 		r.setCell(addr, r.s[src.N], r.sKnown[src.N] && !floatStore)
 		return nil
 	}
@@ -601,7 +429,7 @@ func (r *replay) scalarStore(in isa.Instr) error {
 }
 
 func (r *replay) scalarALU(in isa.Instr) error {
-	r.tickASU(int64(r.cfg.ScalarOpLat))
+	r.ScalarOp()
 	var dst isa.Reg
 	switch len(in.Ops) {
 	case 2:
@@ -616,11 +444,11 @@ func (r *replay) scalarALU(in isa.Instr) error {
 		// vector-produced scalars) and mark the destination unmodeled.
 		for _, o := range in.Ops[:len(in.Ops)-1] {
 			if o.Kind == isa.KindReg && o.Reg.Class == isa.ClassS {
-				r.waitScalar(o.Reg)
+				r.WaitScalar(o.Reg)
 			}
 		}
 		if len(in.Ops) == 2 && in.Op != isa.OpNeg {
-			r.waitScalar(dst) // two-operand form reads the destination
+			r.WaitScalar(dst) // two-operand form reads the destination
 		}
 		if dst.Class != isa.ClassS {
 			return fmt.Errorf("cannot write float to %s", dst)
@@ -660,48 +488,22 @@ func (r *replay) scalarALU(in isa.Instr) error {
 	if !xk || !yk {
 		return r.setIntReg(dst, 0, false)
 	}
-	v, err := intALU(in.Op, x, y)
+	v, err := vm.IntALU(in.Op, x, y)
 	if err != nil {
 		return err
 	}
 	return r.setIntReg(dst, v, true)
 }
 
-func intALU(op isa.Op, x, y int64) (int64, error) {
-	switch op {
-	case isa.OpAdd:
-		return x + y, nil
-	case isa.OpSub:
-		return x - y, nil
-	case isa.OpMul:
-		return x * y, nil
-	case isa.OpDiv:
-		if y == 0 {
-			return 0, fmt.Errorf("integer division by zero")
-		}
-		return x / y, nil
-	case isa.OpAnd:
-		return x & y, nil
-	case isa.OpOr:
-		return x | y, nil
-	case isa.OpShf:
-		if y >= 0 {
-			return x << uint(y&63), nil
-		}
-		return x >> uint((-y)&63), nil
-	}
-	return 0, fmt.Errorf("no integer form for %s", op)
-}
-
 func (r *replay) scalarCompare(in isa.Instr) error {
 	if len(in.Ops) != 2 {
 		return fmt.Errorf("compare needs 2 operands")
 	}
-	r.tickASU(int64(r.cfg.ScalarOpLat))
+	r.ScalarOp()
 	if in.Suffix == isa.SufD || in.Suffix == isa.SufS {
 		for _, o := range in.Ops {
 			if o.Kind == isa.KindReg && o.Reg.Class == isa.ClassS {
-				r.waitScalar(o.Reg)
+				r.WaitScalar(o.Reg)
 			}
 		}
 		r.tfKnown = false
@@ -719,191 +521,37 @@ func (r *replay) scalarCompare(in isa.Instr) error {
 		r.tfKnown = false
 		return nil
 	}
-	var cmp int
-	switch {
-	case x < y:
-		cmp = -1
-	case x > y:
-		cmp = 1
-	}
-	switch in.Op {
-	case isa.OpLe:
-		r.tf = cmp <= 0
-	case isa.OpLt:
-		r.tf = cmp < 0
-	case isa.OpGt:
-		r.tf = cmp > 0
-	case isa.OpGe:
-		r.tf = cmp >= 0
-	case isa.OpEq:
-		r.tf = cmp == 0
-	case isa.OpNe:
-		r.tf = cmp != 0
-	}
-	r.tfKnown = true
+	r.tf, r.tfKnown = vm.Condition(in.Op, cmp.Compare(x, y)), true
 	return nil
 }
 
-// execVector replays one vector instruction's stream timing under the
-// chime model — the simulator's execVector minus every element.
+// execVector replays one vector instruction: the model times the stream,
+// the interpreter resolves its length, stride and address and range-checks
+// every element it would touch.
 func (r *replay) execVector(in isa.Instr) error {
-	t, ok := isa.VectorTiming(in.Op)
-	if !ok {
-		return fmt.Errorf("no vector form for %s", in.Op)
-	}
-	for _, reg := range in.Sources() {
-		if reg.Class == isa.ClassS {
-			r.waitScalar(reg)
-		}
-	}
-	r.clock += int64(r.cfg.DispatchLat)
-	r.chargeIssue(LaneASU, r.clock)
-	dispatchDone := r.clock
-
 	if !r.vlKnown {
 		return fmt.Errorf("vector length unknown: %w", ErrDataDependent)
 	}
 	vl := r.vl
-	if vl <= 0 {
-		r.clock += int64(t.X)
-		r.chargeStall(LaneASU, r.clock, CauseStartup)
-		return nil
-	}
-
-	if !r.builder.Fits(in) {
-		r.closeChime(false)
-	}
-	newChime := r.builder.Empty()
-	r.builder.Add(in)
-	if vl > r.chimeVL {
-		r.chimeVL = vl
-	}
-
-	// Stream entry time S with chronological attribution checkpoints,
-	// exactly as the simulator computes it.
-	type waitPoint struct {
-		t     int64
-		cause Cause
-	}
-	var wbuf [6]waitPoint
-	waits := wbuf[:0]
-
-	s := dispatchDone + int64(t.X)
-	waits = append(waits,
-		waitPoint{dispatchDone, CauseScalar},
-		waitPoint{s, CauseStartup})
-	pipe := in.Pipe()
-	lane := int(pipe)
-	pf := r.pipeFree[pipe]
-	if r.cfg.Rules.Bubbles && r.pipeUsed[pipe] {
-		pf += int64(t.B)
-		waits = append(waits, waitPoint{pf, CauseBubble})
-	}
-	if pf > s {
-		s = pf
-	}
-	r.pipeUsed[pipe] = true
-	gateCause := CauseChimeSync
-	if r.prevGateSplit {
-		gateCause = CauseChimeSplit
-	}
-	if newChime {
-		waits = append(waits, waitPoint{r.prevGate, gateCause})
-		if r.prevGate > s {
-			s = r.prevGate
-		}
-	} else {
-		waits = append(waits, waitPoint{r.chimeStart, CauseChimeSync})
-		if r.chimeStart > s {
-			s = r.chimeStart
-		}
-	}
-
-	var chainT int64
-	for _, reg := range in.VectorReads() {
-		w := r.vw[reg.N]
-		if !w.valid {
-			continue
-		}
-		if w.chime == r.chimeID && r.cfg.Rules.Chaining {
-			dep := w.start + int64(w.y)
-			if w.z > t.Z {
-				dep += int64(math.Ceil((w.z - t.Z) * float64(vl-1)))
-			}
-			if dep > chainT {
-				chainT = dep
-			}
-			if dep > s {
-				s = dep
-			}
-		} else if w.fin > s {
-			chainT = w.fin
-			s = w.fin
-		}
-	}
-	if chainT > 0 {
-		waits = append(waits, waitPoint{chainT, CauseChain})
-	}
-
-	var stBank, stRefresh, stContention int64
-	if in.IsMemory() {
-		ea, err := r.vectorEA(in)
-		if err != nil {
+	var ea int64
+	if vl > 0 && in.IsMemory() {
+		var err error
+		if ea, err = r.vectorEA(in); err != nil {
 			return err
 		}
-		if r.scalarPortFree > s {
-			r.pred.PortConflicts++
+		if !r.vsKnown {
+			return fmt.Errorf("vector stride unknown: %w", ErrDataDependent)
 		}
-		waits = append(waits, waitPoint{r.scalarPortFree, CausePortArb})
-		if r.scalarPortFree > s {
-			s = r.scalarPortFree
-		}
-		stBank, stRefresh, stContention, err = r.memStreamStall(s, ea, vl)
-		if err != nil {
+		if err := r.layout.CheckStream(ea, r.vs, vl); err != nil {
 			return err
 		}
-		r.chimeMemStall += stBank + stRefresh + stContention
-		r.pred.MemStalls += stBank + stRefresh + stContention
 	}
-	stall := stBank + stRefresh + stContention
-
-	for i := 1; i < len(waits); i++ {
-		for j := i; j > 0 && waits[j].t < waits[j-1].t; j-- {
-			waits[j], waits[j-1] = waits[j-1], waits[j]
-		}
+	if err := r.Vector(in, vl, ea, r.vs); err != nil {
+		return err
 	}
-	for _, w := range waits {
-		wt := w.t
-		if wt > s {
-			wt = s
-		}
-		r.chargeStall(lane, wt, w.cause)
-	}
-
-	if newChime {
-		r.chimeStart = s
-	}
-
-	streamIn := int64(math.Ceil(t.Z * float64(vl)))
-	streamEnd := s + streamIn
-	r.chargeIssue(lane, streamEnd)
-	r.chargeStall(lane, streamEnd+stBank, CauseBankConflict)
-	r.chargeStall(lane, streamEnd+stBank+stRefresh, CauseRefresh)
-	r.chargeStall(lane, streamEnd+stall, CauseContention)
-	r.pipeFree[pipe] = s + streamIn + stall
-	fin := s + int64(t.Y) + streamIn + stall
-	if fin > r.maxEvent {
-		r.maxEvent = fin
-	}
-	if in.IsMemory() && fin > r.vectorPortFree {
-		r.vectorPortFree = fin
-	}
-	if d, ok := in.VectorWrite(); ok {
-		r.vw[d.N] = vwriter{valid: true, chime: r.chimeID, start: s, y: t.Y, z: t.Z, fin: fin}
-	}
-	if in.Op == isa.OpSum {
+	if vl > 0 && in.Op == isa.OpSum {
+		// The reduction's value is floating point.
 		if d, ok := in.Dst(); ok && d.Class == isa.ClassS {
-			r.sReady[d.N] = fin
 			r.s[d.N], r.sKnown[d.N] = 0, false
 		}
 	}
@@ -911,7 +559,7 @@ func (r *replay) execVector(in isa.Instr) error {
 }
 
 // vectorEA resolves the memory operand of a vector load or store; the
-// fast tier needs the exact address for bank-phase math.
+// bank-phase math needs the exact address.
 func (r *replay) vectorEA(in isa.Instr) (int64, error) {
 	for _, o := range in.Ops {
 		if o.Kind == isa.KindMem {
@@ -926,47 +574,4 @@ func (r *replay) vectorEA(in isa.Instr) (int64, error) {
 		}
 	}
 	return 0, fmt.Errorf("vector memory op without memory operand")
-}
-
-// memStreamStall prices one vector memory stream: bank and refresh stalls
-// from the memoized stall table, plus the multi-process contention
-// surcharge. The same decomposition as the simulator's standalone path.
-func (r *replay) memStreamStall(start, base int64, vl int) (bank, refresh, contention int64, err error) {
-	stride := r.vs
-	if !r.vsKnown {
-		if r.cfg.BankConflicts {
-			return 0, 0, 0, fmt.Errorf("vector stride unknown: %w", ErrDataDependent)
-		}
-		stride = isa.WordBytes
-	}
-	if !r.cfg.BankConflicts {
-		stride = isa.WordBytes
-	}
-	if r.stallTab != nil {
-		bank, refresh = r.stallTab.StreamStallParts(start, base, stride, vl)
-	}
-	if r.cfg.MemSlowdown > 1 {
-		contention = int64(math.Ceil((r.cfg.MemSlowdown - 1) * float64(vl)))
-	}
-	return bank, refresh, contention, nil
-}
-
-func clampI64(v, lo, hi int64) int64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func maxI64(vs ...int64) int64 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

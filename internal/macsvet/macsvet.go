@@ -15,11 +15,6 @@
 //   - isatiming: every isa.Op constant appears in the opNames table and
 //     in exactly one of the Table 1 timings map or the scalarOnly set,
 //     so an opcode cannot be added without deciding its vector timing.
-//   - tiermap: the fast tier's stall taxonomy (fasttier.Cause, causeNames)
-//     is a name-and-order bijection with the simulator's (vm.StallCause,
-//     stallNames) — the import graph keeps the packages apart, so the
-//     correspondence is enforced here — and macs.tierNames names every
-//     declared Tier.
 //   - depgraph: internal/depgraph's EdgeKind enum keeps its
 //     macsvet:exhaustive marker and the critical-path solver's
 //     edgeWeight function contains a switch naming every member, so an
@@ -31,11 +26,6 @@
 //     named Must* are exempt: they are documented test-only helpers.
 //   - musttest: module-internal Must* helpers that panic may only be
 //     called from _test.go files (or from other Must* helpers).
-//   - fingerprint: every field of vm.Machine is written into the hash
-//     by its Fingerprint method — the canonical key shared by the
-//     persistent result cache, the fast-tier prediction memo and the
-//     explore engine — so a machine knob cannot be added without
-//     invalidating caches that depend on it.
 //   - spanend: every *obs.Span started via obs.Start in the facade
 //     (package macs) or in internal/service is ended in the statement
 //     list that started it, before any statement that can return out of
@@ -199,9 +189,7 @@ func Run(root string) ([]Finding, error) {
 	var fs []Finding
 	fs = append(fs, checkExhaustive(m)...)
 	fs = append(fs, checkISATiming(m)...)
-	fs = append(fs, checkTierMap(m)...)
 	fs = append(fs, checkDepGraph(m)...)
-	fs = append(fs, checkFingerprint(m)...)
 	fs = append(fs, checkPanics(m)...)
 	fs = append(fs, checkMustCalls(m)...)
 	fs = append(fs, checkSpanEnd(m)...)

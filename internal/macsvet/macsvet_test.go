@@ -19,9 +19,6 @@ func TestFixtureFindings(t *testing.T) {
 		{"caller/caller.go", "musttest", "MustRun panics on error"},
 		{"eng/eng.go", "nopanic", "naked panic in Run"},
 		{"enums/enums.go", "exhaustive", "missing Blue"},
-		{"fixture.go", "tiermap", "tierNames has 1 entries for 2 Tier members"},
-		{"internal/fasttier/cause.go", "tiermap", "must be CauseChain"},
-		{"internal/fasttier/cause.go", "tiermap", `causeNames[1] = "hiccup", stallNames[1] = "bubble"`},
 		{"internal/service/spans.go", "spanend", `span "sp" can leave the function before sp.End()`},
 		{"internal/service/spans.go", "spanend", "discarded and can never be ended"},
 		{"internal/service/spans.go", "spanend", `span "sp" is not ended in the block that starts it`},
@@ -71,35 +68,6 @@ func TestIsMustName(t *testing.T) {
 	}
 }
 
-// TestTierMapMissingMember pins the tiermap rule's missing-member mode:
-// a fast tier that declares fewer Cause members than vm declares
-// StallCauses breaks the bijection, and both the member count and the
-// name-table length surface with real source positions.
-func TestTierMapMissingMember(t *testing.T) {
-	fs, err := Run(filepath.Join("testdata", "src", "tiermiss"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []struct {
-		file, rule, msg string
-	}{
-		{"internal/fasttier/cause.go", "tiermap", "fasttier declares 2 Cause members, vm declares 3"},
-		{"internal/fasttier/cause.go", "tiermap", "causeNames has 2 entries, stallNames has 3"},
-	}
-	if len(fs) != len(want) {
-		t.Fatalf("got %d findings, want %d:\n%v", len(fs), len(want), fs)
-	}
-	for i, w := range want {
-		f := fs[i]
-		if !strings.HasSuffix(filepath.ToSlash(f.Pos.Filename), w.file) {
-			t.Errorf("finding %d in %s, want %s", i, f.Pos.Filename, w.file)
-		}
-		if f.Rule != w.rule || !strings.Contains(f.Message, w.msg) {
-			t.Errorf("finding %d = %s: %s, want %s containing %q", i, f.Rule, f.Message, w.rule, w.msg)
-		}
-	}
-}
-
 // TestDepGraphRule pins the depgraph rule: a CP solver whose edgeWeight
 // switch skips an edge kind, under an enum that lost its exhaustiveness
 // marker, produces both findings.
@@ -128,34 +96,11 @@ func TestDepGraphRule(t *testing.T) {
 	}
 }
 
-// TestFingerprintRule pins the fingerprint rule: a vm.Machine whose
-// Fingerprint method skips fields — including an embedded one — is one
-// finding naming every missing field.
-func TestFingerprintRule(t *testing.T) {
-	fs, err := Run(filepath.Join("testdata", "src", "fpbad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 1 {
-		t.Fatalf("got %d findings, want 1:\n%v", len(fs), fs)
-	}
-	f := fs[0]
-	if f.Rule != "fingerprint" {
-		t.Fatalf("rule = %s, want fingerprint", f.Rule)
-	}
-	if !strings.HasSuffix(filepath.ToSlash(f.Pos.Filename), "internal/vm/machine.go") {
-		t.Errorf("finding in %s, want internal/vm/machine.go", f.Pos.Filename)
-	}
-	if !strings.Contains(f.Message, "MemSlowdown, Geometry") {
-		t.Errorf("message = %q, want the missing fields MemSlowdown, Geometry", f.Message)
-	}
-}
-
 // TestFindingsCarryPositions: every finding from every fixture anchors
 // to a real file:line — the CLI prints file:line:col: rule: message, and
 // token.NoPos would render as "-", breaking that contract.
 func TestFindingsCarryPositions(t *testing.T) {
-	for _, fixture := range []string{"fixture", "tiermiss", "depbad", "fpbad"} {
+	for _, fixture := range []string{"fixture", "depbad"} {
 		fs, err := Run(filepath.Join("testdata", "src", fixture))
 		if err != nil {
 			t.Fatal(err)

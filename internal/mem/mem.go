@@ -6,7 +6,6 @@ package mem
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"macs/internal/isa"
@@ -37,10 +36,8 @@ func DefaultConfig() Config {
 // Memory is the functional storage shared by all CPUs: a flat byte array
 // with bump allocation of named symbols. It carries no timing state.
 type Memory struct {
-	bytes   []byte
-	symbols map[string]int64
-	sizes   map[string]int64
-	next    int64
+	bytes  []byte
+	layout Layout
 	// dirty is the write high-water mark (one past the highest byte ever
 	// written), so Reset can rezero only what a run actually touched
 	// instead of reallocating the whole image.
@@ -49,12 +46,7 @@ type Memory struct {
 
 // New creates a memory of the given size in bytes.
 func New(size int64) *Memory {
-	return &Memory{
-		bytes:   make([]byte, size),
-		symbols: make(map[string]int64),
-		sizes:   make(map[string]int64),
-		next:    64, // keep address 0 unmapped to catch null dereferences
-	}
+	return &Memory{bytes: make([]byte, size), layout: *NewLayout(size)}
 }
 
 // Size returns the memory size in bytes.
@@ -66,9 +58,7 @@ func (m *Memory) Size() int64 { return int64(len(m.bytes)) }
 // kernel run touches kilobytes, not the whole multi-megabyte image.
 func (m *Memory) Reset() {
 	clear(m.bytes[:m.dirty])
-	clear(m.symbols)
-	clear(m.sizes)
-	m.next = 64
+	m.layout.Reset()
 	m.dirty = 0
 }
 
@@ -76,40 +66,14 @@ func (m *Memory) Reset() {
 // its base address. Allocating an existing name returns the existing base
 // (sizes must then match).
 func (m *Memory) Alloc(name string, size int64) (int64, error) {
-	if size < 0 {
-		return 0, errNegativeSize(name)
-	}
-	if addr, ok := m.symbols[name]; ok {
-		if prev := m.sizes[name]; prev != size {
-			return 0, errResize(name, size, prev)
-		}
-		return addr, nil
-	}
-	addr := (m.next + 7) &^ 7
-	// addr > len-size rather than addr+size > len: the latter overflows
-	// int64 for huge sizes and would wrap to a false pass.
-	if size > int64(len(m.bytes)) || addr > int64(len(m.bytes))-size {
-		return 0, fmt.Errorf("mem: out of memory allocating %q (%d bytes)", name, size)
-	}
-	m.symbols[name] = addr
-	m.sizes[name] = size
-	m.next = addr + size
-	return addr, nil
+	return m.layout.Place(name, size)
 }
 
 // SymbolAddr resolves a symbol name to its base address.
-func (m *Memory) SymbolAddr(name string) (int64, bool) {
-	a, ok := m.symbols[name]
-	return a, ok
-}
+func (m *Memory) SymbolAddr(name string) (int64, bool) { return m.layout.Addr(name) }
 
 func (m *Memory) check(addr int64, n int64) error {
-	// addr > len-n rather than addr+n > len: avoids int64 overflow near
-	// the top of the address space.
-	if addr < 0 || n < 0 || n > int64(len(m.bytes)) || addr > int64(len(m.bytes))-n {
-		return fmt.Errorf("mem: access at %d (+%d) out of range [0,%d)", addr, n, len(m.bytes))
-	}
-	return nil
+	return checkRange(addr, n, int64(len(m.bytes)))
 }
 
 // ReadF64 loads a 64-bit float.

@@ -8,7 +8,6 @@ import (
 
 	"macs/internal/calib"
 	"macs/internal/experiments"
-	"macs/internal/fasttier"
 	"macs/internal/isa"
 	"macs/internal/vm"
 )
@@ -262,46 +261,6 @@ func AttributionTable(st vm.Stats) string {
 	}
 	headers = append(headers, "all lanes", "share")
 	return Render(fmt.Sprintf("Stall attribution (%d cycles; per-lane issue + stalls = total)", st.Cycles),
-		headers, rows)
-}
-
-// PredictionTable renders the fast tier's predicted per-lane stall
-// attribution in the same layout as AttributionTable, so the two are
-// directly comparable side by side.
-func PredictionTable(p fasttier.Prediction) string {
-	lanes := []int{fasttier.LaneASU, int(isa.PipeLoadStore), int(isa.PipeAdd), int(isa.PipeMul)}
-	grand := float64(int64(fasttier.NumLanes) * p.Cycles)
-	row := func(name string, get func(l fasttier.LaneLedger) int64) []string {
-		cells := []string{name}
-		var sum int64
-		for _, lane := range lanes {
-			v := get(p.Attr.Lanes[lane])
-			sum += v
-			cells = append(cells, fmt.Sprintf("%d", v))
-		}
-		cells = append(cells, fmt.Sprintf("%d", sum))
-		if grand > 0 {
-			cells = append(cells, pct(float64(sum)/grand))
-		} else {
-			cells = append(cells, pct(0))
-		}
-		return cells
-	}
-	rows := [][]string{row("issue", func(l fasttier.LaneLedger) int64 { return l.Issue })}
-	for _, c := range fasttier.Causes() {
-		c := c
-		if p.Attr.Cause(c) == 0 {
-			continue
-		}
-		rows = append(rows, row(c.String(), func(l fasttier.LaneLedger) int64 { return l.Stalls[c] }))
-	}
-	rows = append(rows, row("total", func(l fasttier.LaneLedger) int64 { return l.Total() }))
-	headers := []string{"cycles"}
-	for _, lane := range lanes {
-		headers = append(headers, fasttier.LaneName(lane))
-	}
-	headers = append(headers, "all lanes", "share")
-	return Render(fmt.Sprintf("Predicted stall attribution (%d cycles; fast tier, no simulation)", p.Cycles),
 		headers, rows)
 }
 

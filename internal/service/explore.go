@@ -45,7 +45,7 @@ type ExploreRequest struct {
 // ExploreResponse is the terminal summary of a sweep — and the unit the
 // result cache stores. Ranked holds only the simulated survivors,
 // best-first; pruned points are counted but not shipped (their scores
-// are reproducible in microseconds).
+// are reproducible by re-running the sweep).
 type ExploreResponse struct {
 	Name      string `json:"name,omitempty"`
 	Swept     int    `json:"swept"`

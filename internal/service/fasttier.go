@@ -3,9 +3,7 @@ package service
 import (
 	"context"
 	"errors"
-	"math"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"macs"
@@ -13,90 +11,27 @@ import (
 )
 
 // This file is the serving side of the analytical fast tier: the
-// tier=fast path answers from the compiled schedule in microseconds,
+// tier=fast path answers from the compiled schedule without simulating,
 // and the tier=auto path serves that answer immediately while an
 // asynchronous exact simulation verifies it, feeding the fast_tier
-// divergence section of /metrics.
+// section of /metrics.
 
-// fastTierTracker aggregates fast-tier serving counters and the
-// predicted-vs-simulated divergence sampled whenever one request ran
-// both tiers, grouped by the prediction's calibration class.
+// fastTierTracker counts fast-tier serving outcomes and the auto tier's
+// verifications.
 type fastTierTracker struct {
-	mu        sync.Mutex
-	served    int64
-	fallbacks int64
-	classes   map[string]*divergenceAgg
-}
-
-type divergenceAgg struct {
-	count  int64
-	sumRel float64
-	maxRel float64
-}
-
-func newFastTierTracker() *fastTierTracker {
-	return &fastTierTracker{classes: make(map[string]*divergenceAgg)}
-}
-
-// recordServed counts one fresh fast-tier computation. Cache hits and
-// singleflight waiters do not call it: a kernel replayed N times is one
-// computation, not N, so the served counter tracks distinct work.
-func (t *fastTierTracker) recordServed() {
-	t.mu.Lock()
-	t.served++
-	t.mu.Unlock()
-}
-
-// recordFallback counts one auto request the fast tier could not answer
-// (data-dependent timing) that was served by the simulator instead.
-func (t *fastTierTracker) recordFallback() {
-	t.mu.Lock()
-	t.fallbacks++
-	t.mu.Unlock()
-}
-
-// recordDivergence folds one predicted-vs-simulated comparison into the
-// per-class aggregate.
-func (t *fastTierTracker) recordDivergence(class string, relErr float64) {
-	if class == "" {
-		class = "unknown"
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	a, ok := t.classes[class]
-	if !ok {
-		a = &divergenceAgg{}
-		t.classes[class] = a
-	}
-	a.count++
-	a.sumRel += relErr
-	if relErr > a.maxRel {
-		a.maxRel = relErr
-	}
+	served     atomic.Int64
+	fallbacks  atomic.Int64
+	verified   atomic.Int64
+	mismatches atomic.Int64
 }
 
 func (t *fastTierTracker) snapshot() FastTierStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := FastTierStats{Served: t.served, Fallbacks: t.fallbacks}
-	if len(t.classes) > 0 {
-		out.Classes = make(map[string]DivergenceStats, len(t.classes))
-		keys := make([]string, 0, len(t.classes))
-		for class := range t.classes {
-			keys = append(keys, class)
-		}
-		sort.Strings(keys)
-		for _, class := range keys {
-			a := t.classes[class]
-			out.Verified += a.count
-			out.Classes[class] = DivergenceStats{
-				Count:      a.count,
-				MeanRelErr: a.sumRel / float64(a.count),
-				MaxRelErr:  a.maxRel,
-			}
-		}
+	return FastTierStats{
+		Served:     t.served.Load(),
+		Fallbacks:  t.fallbacks.Load(),
+		Verified:   t.verified.Load(),
+		Mismatches: t.mismatches.Load(),
 	}
-	return out
 }
 
 // analyzeFast serves one request through the analytical tier only. The
@@ -106,7 +41,7 @@ func (t *fastTierTracker) snapshot() FastTierStats {
 // this call ran a fresh prediction (as opposed to a cache hit or a
 // singleflight attach); the serving counters and the auto tier's
 // verification key off it so a kernel replayed N times lands one served
-// count and one divergence sample, not N.
+// count and one verification, not N.
 func (s *Service) analyzeFast(ctx context.Context, req AnalyzeRequest, tier macs.Tier) (AnalyzeResponse, bool, error) {
 	start := time.Now()
 	key, err := NewKey("analyze-fast", req.Source, s.cfg.Compiler, s.cfg.VM, s.cfg.Rules, req.Iterations, req.Prime)
@@ -129,8 +64,6 @@ func (s *Service) analyzeFast(ctx context.Context, req AnalyzeRequest, tier macs
 		return &AnalyzeResponse{
 			Bounds:         boundsView(res.Analysis),
 			PredictedCPL:   p.CPL,
-			ErrorBand:      p.ErrorBand,
-			Class:          p.Class,
 			Interval:       p.Interval,
 			Paths:          p.Paths,
 			PredictedCPLLo: p.CPLLo,
@@ -151,7 +84,9 @@ func (s *Service) analyzeFast(ctx context.Context, req AnalyzeRequest, tier macs
 	resp.Tier = tier.String()
 	resp.Cached = cached
 	if fresh {
-		s.fastTier.recordServed()
+		// Cache hits and singleflight waiters do not count: a kernel
+		// replayed N times is one computation, not N.
+		s.fastTier.served.Add(1)
 	}
 	return resp, fresh, nil
 }
@@ -160,13 +95,12 @@ func (s *Service) analyzeFast(ctx context.Context, req AnalyzeRequest, tier macs
 // against the simulator asynchronously. A program whose timing the fast
 // tier cannot model falls back to the exact tier inline. Only a fresh
 // prediction spawns a verification: a cached fast answer was already
-// verified when it was computed, so replaying it must not add duplicate
-// divergence samples.
+// verified when it was computed, so replaying it must not count again.
 func (s *Service) analyzeAuto(ctx context.Context, req AnalyzeRequest) (AnalyzeResponse, error) {
 	resp, fresh, err := s.analyzeFast(ctx, req, macs.TierAuto)
 	if err != nil {
 		if errors.Is(err, macs.ErrDataDependent) {
-			s.fastTier.recordFallback()
+			s.fastTier.fallbacks.Add(1)
 			return s.analyzeExact(ctx, req)
 		}
 		return AnalyzeResponse{}, err
@@ -178,14 +112,14 @@ func (s *Service) analyzeAuto(ctx context.Context, req AnalyzeRequest) (AnalyzeR
 }
 
 // verifyAsync runs the exact tier in the background for a fast answer
-// already served, and records the relative divergence between predicted
-// and simulated cycles. The exact run goes through the normal cache and
-// worker pool, so a later tier=exact request for the same source is a
-// cache hit. Registration is gated on the service's closed flag under
-// closeMu: either the verification registers before Close flips the flag
-// (and Close's verifyWG.Wait drains it), or it observes the flag and
-// never starts — verifyWG.Add can no longer race Close's Wait into a
-// closed pool.
+// already served, and counts a mismatch when the simulated cycles differ
+// from the prediction (or, for an interval answer, fall outside it). The
+// exact run goes through the normal cache and worker pool, so a later
+// tier=exact request for the same source is a cache hit. Registration is
+// gated on the service's closed flag under closeMu: either the
+// verification registers before Close flips the flag (and Close's
+// verifyWG.Wait drains it), or it observes the flag and never starts —
+// verifyWG.Add can no longer race Close's Wait into a closed pool.
 func (s *Service) verifyAsync(rctx context.Context, req AnalyzeRequest, fast AnalyzeResponse) {
 	s.closeMu.Lock()
 	if s.closed {
@@ -209,31 +143,18 @@ func (s *Service) verifyAsync(rctx context.Context, req AnalyzeRequest, fast Ana
 			s.log.Warn("fast-tier verification failed", "err", err)
 			return
 		}
-		if exact.Cycles <= 0 {
-			return
-		}
-		rel := math.Abs(float64(fast.Cycles-exact.Cycles)) / float64(exact.Cycles)
-		s.fastTier.recordDivergence(fast.Class, rel)
+		s.fastTier.verified.Add(1)
+		mismatch := exact.Cycles != fast.Cycles
 		if fast.Interval {
-			// Interval answers promise containment, not a point band: the
-			// simulated measurement must land inside [CyclesLo, CyclesHi].
-			if exact.Cycles < fast.CyclesLo || exact.Cycles > fast.CyclesHi {
-				s.log.Warn("fast-tier interval does not contain the simulated measurement",
-					"class", fast.Class,
-					"cycles_lo", fast.CyclesLo,
-					"cycles_hi", fast.CyclesHi,
-					"simulated_cycles", exact.Cycles,
-				)
-			}
-			return
+			mismatch = exact.Cycles < fast.CyclesLo || exact.Cycles > fast.CyclesHi
 		}
-		if fast.ErrorBand > 0 && rel > fast.ErrorBand {
-			s.log.Warn("fast-tier prediction outside its error band",
-				"class", fast.Class,
+		if mismatch {
+			s.fastTier.mismatches.Add(1)
+			s.log.Warn("fast-tier prediction does not match the simulation",
 				"predicted_cycles", fast.Cycles,
+				"cycles_lo", fast.CyclesLo,
+				"cycles_hi", fast.CyclesHi,
 				"simulated_cycles", exact.Cycles,
-				"rel_err", rel,
-				"band", fast.ErrorBand,
 			)
 		}
 	}()

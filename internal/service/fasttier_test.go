@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -53,7 +54,7 @@ func TestAnalyzeFastTier(t *testing.T) {
 	if r1.Tier != "fast" {
 		t.Fatalf("tier = %q, want fast", r1.Tier)
 	}
-	if r1.PredictedCPL <= 0 || r1.ErrorBand <= 0 || r1.Cycles <= 0 {
+	if r1.PredictedCPL <= 0 || r1.Cycles <= 0 {
 		t.Fatalf("implausible fast result: %+v", r1)
 	}
 	if r1.MeasuredCPL != 0 {
@@ -81,8 +82,8 @@ func TestAnalyzeFastTier(t *testing.T) {
 }
 
 // TestAnalyzeAutoTier: an auto request answers with the fast prediction
-// immediately and the asynchronous exact verification lands a divergence
-// sample on /metrics — and warms the exact-tier cache.
+// immediately and the asynchronous exact verification lands on /metrics
+// as one verification and no mismatch — and warms the exact-tier cache.
 func TestAnalyzeAutoTier(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2, QueueSize: 8})
 	req := AnalyzeRequest{
@@ -109,21 +110,13 @@ func TestAnalyzeAutoTier(t *testing.T) {
 	if ft.Verified != 1 {
 		t.Fatalf("fast_tier.verified = %d, want 1", ft.Verified)
 	}
-	d, ok := ft.Classes[r.Class]
-	if !ok {
-		t.Fatalf("fast_tier.classes missing %q: %+v", r.Class, ft.Classes)
-	}
-	if d.Count != 1 {
-		t.Fatalf("class %s divergence count = %d, want 1", r.Class, d.Count)
-	}
-	// The replay ports the simulator's timing equations exactly, so the
-	// divergence must sit inside the stated band (and, today, at zero).
-	if d.MaxRelErr > r.ErrorBand {
-		t.Fatalf("divergence %.4f exceeds the stated band %.4f", d.MaxRelErr, r.ErrorBand)
+	// Both tiers run one timing model, so the verification must match.
+	if ft.Mismatches != 0 {
+		t.Fatalf("fast_tier.mismatches = %d, want 0", ft.Mismatches)
 	}
 
 	// Replaying the same auto request N times serves from the cache and
-	// must not add divergence samples: one kernel is one sample, however
+	// must not add verifications: one kernel is one verification, however
 	// often it is replayed.
 	for i := 0; i < 3; i++ {
 		rr, err := s.Analyze(context.Background(), req)
@@ -138,9 +131,6 @@ func TestAnalyzeAutoTier(t *testing.T) {
 	m = s.Metrics()
 	if m.FastTier.Verified != 1 {
 		t.Fatalf("fast_tier.verified = %d after replays, want 1 (replays must not add samples)", m.FastTier.Verified)
-	}
-	if d := m.FastTier.Classes[r.Class]; d.Count != 1 {
-		t.Fatalf("class %s divergence count = %d after replays, want 1", r.Class, d.Count)
 	}
 	if m.FastTier.Served != 1 {
 		t.Fatalf("fast_tier.served = %d after replays, want 1", m.FastTier.Served)
@@ -278,5 +268,29 @@ func TestAnalyzeTierValidationAndDefault(t *testing.T) {
 	}
 	if r.Tier != "exact" {
 		t.Fatalf("explicit exact tier served as %q", r.Tier)
+	}
+}
+
+// TestAnalyzeFastOutOfRange: a kernel whose data does not fit the
+// simulated memory fails on tier=fast and tier=auto with the simulator's
+// own error, instead of getting a prediction for a run that cannot
+// happen; auto must not fall back to the exact tier and count it.
+func TestAnalyzeFastOutOfRange(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1, QueueSize: 4})
+	src := strings.ReplaceAll(saxpySrc, "2048", "3000000")
+	if src == saxpySrc {
+		t.Fatal("saxpySrc no longer declares 2048-element arrays")
+	}
+	const want = `mem: out of memory allocating "d_X" (24000000 bytes)`
+	for _, tier := range []string{"exact", "fast", "auto"} {
+		_, err := s.Analyze(context.Background(), AnalyzeRequest{
+			Source: src, Iterations: 1000, Prime: Priming{Ints: map[string]int64{"N": 1000}}, Tier: tier,
+		})
+		if err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("tier=%s error = %v, want one ending in %q", tier, err, want)
+		}
+	}
+	if m := s.Metrics(); m.FastTier.Fallbacks != 0 {
+		t.Errorf("fast_tier.fallbacks = %d, want 0", m.FastTier.Fallbacks)
 	}
 }

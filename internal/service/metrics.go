@@ -162,7 +162,7 @@ type Snapshot struct {
 	// runs served by a recycled one.
 	SimPool SimPoolStats `json:"sim_pool"`
 	// FastTier reports the analytical tier: requests served, fallbacks,
-	// and the live predicted-vs-simulated divergence per kernel class.
+	// and the auto tier's verifications and mismatches.
 	FastTier FastTierStats `json:"fast_tier"`
 	// Explore reports the design-space sweep economics: sweeps completed
 	// and grid points scored, pruned and simulated.
@@ -193,19 +193,12 @@ type FastTierStats struct {
 	// Fallbacks counts auto requests whose timing was data-dependent and
 	// were served by the simulator instead.
 	Fallbacks int64 `json:"fallbacks"`
-	// Verified counts completed predicted-vs-simulated comparisons (the
-	// sum of the per-class sample counts).
+	// Verified counts completed auto-tier verifications against the
+	// simulator.
 	Verified int64 `json:"verified"`
-	// Classes is the divergence aggregate per calibration class.
-	Classes map[string]DivergenceStats `json:"classes,omitempty"`
-}
-
-// DivergenceStats summarizes |predicted − simulated| / simulated over
-// the auto-tier requests of one kernel class.
-type DivergenceStats struct {
-	Count      int64   `json:"count"`
-	MeanRelErr float64 `json:"mean_rel_err"`
-	MaxRelErr  float64 `json:"max_rel_err"`
+	// Mismatches counts verifications whose simulated cycles differ from
+	// the prediction, or fall outside its interval.
+	Mismatches int64 `json:"mismatches"`
 }
 
 // SimPoolStats is the simulator-pool section of /metrics.

@@ -93,9 +93,7 @@ func TestRenderPromGolden(t *testing.T) {
 		BatchItems:  map[string]int64{"ok": 3, "error": 1},
 		StallCycles: map[string]int64{"issue": 100, "chime": 40},
 		SimCycles:   1234,
-		FastTier: FastTierStats{Served: 2, Verified: 1, Classes: map[string]DivergenceStats{
-			"saxpy": {Count: 1, MeanRelErr: 0.01, MaxRelErr: 0.02},
-		}},
+		FastTier:    FastTierStats{Served: 2, Verified: 1, Mismatches: 1},
 	}
 	text := string(RenderProm(snap))
 
@@ -119,7 +117,7 @@ func TestRenderPromGolden(t *testing.T) {
 		`macsd_batch_items_total{outcome="ok"} 3`,
 		`macsd_stall_cycles_total{cause="issue"} 100`,
 		"macsd_sim_cycles_total 1234",
-		`macsd_fast_tier_mean_rel_err{class="saxpy"} 0.01`,
+		"macsd_fast_tier_mismatches_total 1",
 		"macsd_uptime_seconds 1.5",
 	} {
 		if !strings.Contains(text, golden+"\n") {

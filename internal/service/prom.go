@@ -10,8 +10,7 @@ import (
 // zero-dependency policy. The inventory mirrors the JSON snapshot:
 // per-endpoint counters and latency histograms, per-stage histograms,
 // batch-item outcomes, both cache levels, queue and simulator-pool
-// gauges, fast-tier divergence per calibration class, stall-cause
-// attribution, and the Go-runtime sample when the sampler is on.
+// gauges, fast-tier verification counters, stall-cause attribution, and the Go-runtime sample when the sampler is on.
 
 // RenderProm renders one metrics snapshot as a Prometheus exposition
 // document. The output always passes obs.ParseProm — the CI scrape gate
@@ -136,22 +135,9 @@ func RenderProm(snap Snapshot) []byte {
 	w.Counter("macsd_fast_tier_verified_total",
 		"Completed predicted-vs-simulated comparisons.",
 		obs.Sample{Value: float64(snap.FastTier.Verified)})
-	if len(snap.FastTier.Classes) > 0 {
-		var counts, means, maxes []obs.Sample
-		for _, class := range obs.SortedLabelKeys(snap.FastTier.Classes) {
-			d := snap.FastTier.Classes[class]
-			lbl := []obs.Label{{Name: "class", Value: class}}
-			counts = append(counts, obs.Sample{Labels: lbl, Value: float64(d.Count)})
-			means = append(means, obs.Sample{Labels: lbl, Value: d.MeanRelErr})
-			maxes = append(maxes, obs.Sample{Labels: lbl, Value: d.MaxRelErr})
-		}
-		w.Counter("macsd_fast_tier_divergence_samples_total",
-			"Divergence samples by calibration class.", counts...)
-		w.Gauge("macsd_fast_tier_mean_rel_err",
-			"Mean |predicted-simulated|/simulated by calibration class.", means...)
-		w.Gauge("macsd_fast_tier_max_rel_err",
-			"Max |predicted-simulated|/simulated by calibration class.", maxes...)
-	}
+	w.Counter("macsd_fast_tier_mismatches_total",
+		"Auto-tier verifications whose simulated cycles differ from the prediction or fall outside its interval.",
+		obs.Sample{Value: float64(snap.FastTier.Mismatches)})
 
 	w.Counter("macsd_explore_sweeps_total", "Completed fresh design-space sweeps.",
 		obs.Sample{Value: float64(snap.Explore.Sweeps)})

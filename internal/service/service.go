@@ -207,8 +207,8 @@ type Service struct {
 	mu      sync.Mutex
 	flights map[Key]*flight
 
-	// fastTier aggregates fast-tier serving counters and the
-	// predicted-vs-simulated divergence sampled by auto-tier requests.
+	// fastTier counts fast-tier serving outcomes and auto-tier
+	// verifications.
 	fastTier *fastTierTracker
 	// closeMu guards closed and orders verifyWG.Add against Close's
 	// verifyWG.Wait: a verification is only registered while the service
@@ -268,7 +268,7 @@ func New(cfg Config) *Service {
 		analyzer:   macs.NewAnalyzer(cfg.VM),
 		explorers:  explore.NewEvaluators(cfg.VM),
 		flights:    make(map[Key]*flight),
-		fastTier:   newFastTierTracker(),
+		fastTier:   &fastTierTracker{},
 		attrTotals: make(map[string]int64),
 		traces:     make(map[string]obs.TraceView),
 	}
@@ -688,9 +688,9 @@ type AnalyzeRequest struct {
 	Iterations int64   `json:"iterations,omitempty"`
 	Prime      Priming `json:"prime,omitempty"`
 	// Tier selects how the request is served: "exact" (cycle-level
-	// simulation, the default), "fast" (analytical prediction only, in
-	// microseconds) or "auto" (fast answer immediately, exact
-	// verification asynchronously, divergence recorded on /metrics). The
+	// simulation, the default), "fast" (analytical prediction only) or
+	// "auto" (fast answer immediately, exact verification asynchronously,
+	// mismatches counted on /metrics). The
 	// ?tier= query parameter overrides it; empty falls back to the
 	// service's configured default.
 	Tier string `json:"tier,omitempty"`
@@ -732,16 +732,12 @@ type AnalyzeResponse struct {
 	Tier        string     `json:"tier"`
 	Bounds      BoundsView `json:"bounds"`
 	MeasuredCPL float64    `json:"measured_cpl"`
-	// PredictedCPL and ErrorBand carry the fast tier's calibrated
-	// prediction and its stated relative error band; Class is the
-	// calibration class the residual resolved through. Exact-tier
-	// responses leave all three zero.
+	// PredictedCPL carries the fast tier's prediction; exact-tier
+	// responses leave it zero.
 	PredictedCPL float64 `json:"predicted_cpl,omitempty"`
-	ErrorBand    float64 `json:"error_band,omitempty"`
-	Class        string  `json:"class,omitempty"`
 	// Interval marks a fast-tier answer obtained by enumerating the
-	// program's data-dependent branch outcomes: PredictedCPLLo/Hi (raw,
-	// uncalibrated) and CyclesLo/Hi bound every admitted execution, and
+	// program's data-dependent branch outcomes: PredictedCPLLo/Hi and
+	// CyclesLo/Hi bound every admitted execution, and
 	// the simulated measurement is guaranteed to land inside. Paths counts
 	// the enumerated executions. Point fields describe the worst case.
 	Interval       bool    `json:"interval,omitempty"`

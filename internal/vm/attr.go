@@ -257,28 +257,3 @@ func stallByName(name string) (StallCause, bool) {
 	}
 	return 0, false
 }
-
-// chargeStall advances a lane's accounted frontier to t, attributing the
-// advance to cause; it is a no-op when t is not ahead of the frontier, so
-// overlapped waits are never double-counted.
-func (c *CPU) chargeStall(lane int, t int64, cause StallCause) {
-	if t > c.laneTime[lane] {
-		c.stats.Attr.Lanes[lane].Stalls[cause] += t - c.laneTime[lane]
-		c.laneTime[lane] = t
-	}
-}
-
-// chargeIssue advances a lane's accounted frontier to t as productive
-// issue cycles.
-func (c *CPU) chargeIssue(lane int, t int64) {
-	if t > c.laneTime[lane] {
-		c.stats.Attr.Lanes[lane].Issue += t - c.laneTime[lane]
-		c.laneTime[lane] = t
-	}
-}
-
-// tickASU advances the ASU clock by n busy cycles and books them as issue.
-func (c *CPU) tickASU(n int64) {
-	c.clock += n
-	c.chargeIssue(LaneASU, c.clock)
-}

@@ -1,115 +1,64 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
 	"macs/internal/asm"
-	"macs/internal/core"
 	"macs/internal/isa"
 	"macs/internal/mem"
 )
 
-// vwriter records the in-flight producer of a vector register for the
-// chaining and completion constraints.
-type vwriter struct {
-	valid bool
-	chime int64
-	start int64
-	y     int
-	z     float64
-	fin   int64
-}
-
-// CPU is one simulated C-240 processor with its timing state. Create with
-// New, load a program with Load, execute with Run.
+// CPU is one simulated C-240 processor: the architectural state and the
+// functional semantics of every instruction, driving the embedded Timing
+// model that charges its cycles. Create with New, load a program with
+// Load, execute with Run.
 type CPU struct {
-	cfg  Config
+	Timing
 	mem  *mem.Memory
 	prog *asm.Program
 
 	// Architectural state.
-	a  [isa.NumARegs]int64
-	s  [isa.NumSRegs]uint64
-	v  [isa.NumVRegs][]float64
-	vl int
-	vs int64
-	tf bool
-	pc int
+	a      [isa.NumARegs]int64
+	s      [isa.NumSRegs]uint64
+	v      [isa.NumVRegs][]float64
+	vl     int
+	vs     int64
+	tf     bool
+	pc     int
+	halted bool
 
-	// Timing state.
-	clock          int64
-	pipeFree       [4]int64 // indexed by isa.Pipe (PipeNone unused)
-	pipeUsed       [4]bool
-	vw             [isa.NumVRegs]vwriter
-	sReady         [isa.NumSRegs]int64
-	vectorPortFree int64
-	scalarPortFree int64
-	builder        *core.ChimeBuilder
-	chimeID        int64
-	chimeStart     int64
-	chimeMemStall  int64
-	chimeVL        int
-	lastChimeStart int64
-	prevGate       int64
-	maxEvent       int64
-	bankCfg        mem.Config
-
-	sharedBank BankReserver
-	halted     bool
-	finished   bool
-
-	// stallTab memoizes vector-stream stall queries across streams and —
-	// because Reset keeps it — across pooled runs. Nil when the config
-	// models neither bank conflicts nor refresh, or when NaiveMemPath
-	// keeps the reference walk in charge.
-	stallTab *mem.StallTable
 	// vscratch is the vector ALU staging buffer (results are computed here
 	// before being copied to the destination register, so aliased operands
 	// read consistent values without a per-instruction allocation).
 	vscratch []float64
-
-	stats Stats
-	trace []TraceEvent
-	ring  *traceRing
-
-	// Attribution state: per-lane accounted frontiers (see attr.go) and
-	// whether the chime that set prevGate was closed by the split rule.
-	laneTime      [NumLanes]int64
-	prevGateSplit bool
 }
 
 // New creates a CPU with the given configuration.
 func New(cfg Config) *CPU {
 	c := &CPU{
-		cfg:     cfg,
-		mem:     mem.New(cfg.MemSize),
-		builder: core.NewChimeBuilder(cfg.Rules),
-		vs:      isa.WordBytes,
-		vl:      cfg.VLMax,
+		Timing: NewTiming(cfg),
+		mem:    mem.New(cfg.MemSize),
+		vs:     isa.WordBytes,
+		vl:     cfg.VLMax,
 	}
 	for i := range c.v {
 		c.v[i] = make([]float64, cfg.VLMax)
 	}
 	c.vscratch = make([]float64, cfg.VLMax)
-	c.bankCfg = cfg.BankConfig()
-	if (cfg.BankConflicts || cfg.RefreshStalls) && !cfg.NaiveMemPath {
-		c.stallTab = mem.NewStallTable(c.bankCfg)
-	}
-	if !cfg.Trace && cfg.TraceRing > 0 {
-		c.ring = newTraceRing(cfg.TraceRing)
-	}
 	return c
 }
 
 // Reset returns the CPU to its freshly-created state without reallocating
 // its memory image, vector registers or chime builder, so a pooled
 // simulator can run back-to-back programs with per-run cost proportional
-// to what the previous run touched. The memoized stream-stall table
-// survives the reset — its answers depend only on the configuration, and
-// keeping it warm is much of the point of pooling. Any shared bank model
-// is detached; re-attach with SetSharedBank if the next run co-simulates.
+// to what the previous run touched. The timing model resets as
+// Timing.Reset describes: its stall table stays warm and any shared bank
+// model is detached; re-attach with SetSharedBank if the next run
+// co-simulates.
 func (c *CPU) Reset() {
+	c.Timing.Reset()
 	c.mem.Reset()
 	c.prog = nil
 	c.a = [isa.NumARegs]int64{}
@@ -121,34 +70,7 @@ func (c *CPU) Reset() {
 	c.vs = isa.WordBytes
 	c.tf = false
 	c.pc = 0
-
-	c.clock = 0
-	c.pipeFree = [4]int64{}
-	c.pipeUsed = [4]bool{}
-	c.vw = [isa.NumVRegs]vwriter{}
-	c.sReady = [isa.NumSRegs]int64{}
-	c.vectorPortFree = 0
-	c.scalarPortFree = 0
-	c.builder.Reset()
-	c.chimeID = 0
-	c.chimeStart = 0
-	c.chimeMemStall = 0
-	c.chimeVL = 0
-	c.lastChimeStart = 0
-	c.prevGate = 0
-	c.maxEvent = 0
-
-	c.sharedBank = nil
 	c.halted = false
-	c.finished = false
-	c.stats = Stats{}
-	// Returned trace slices must survive the next run: drop, don't truncate.
-	c.trace = nil
-	if c.ring != nil {
-		c.ring.reset()
-	}
-	c.laneTime = [NumLanes]int64{}
-	c.prevGateSplit = false
 }
 
 // Memory returns the CPU's functional memory (for priming inputs and
@@ -206,13 +128,6 @@ func (c *CPU) Load(p *asm.Program) error {
 	return nil
 }
 
-// Trace returns the recorded vector timing events (empty unless
-// Config.Trace was set).
-func (c *CPU) Trace() []TraceEvent { return c.trace }
-
-// Stats returns statistics accumulated so far.
-func (c *CPU) Stats() Stats { return c.stats }
-
 // Step executes one instruction. It returns done=true when the program
 // has halted or fallen off the end (finish accounting is applied then).
 func (c *CPU) Step() (done bool, err error) {
@@ -220,23 +135,20 @@ func (c *CPU) Step() (done bool, err error) {
 		return true, fmt.Errorf("vm: no program loaded")
 	}
 	if c.halted || c.pc < 0 || c.pc >= len(c.prog.Instrs) {
-		c.finish()
+		c.Finish()
 		return true, nil
 	}
 	in := c.prog.Instrs[c.pc]
-	c.stats.Instrs++
-	if c.stats.Instrs > c.cfg.MaxInstrs || c.clock > c.cfg.MaxCycles {
-		return true, fmt.Errorf("vm: execution limit exceeded at pc=%d (%s)", c.pc, in)
+	if err := c.Fetch(in, c.pc); err != nil {
+		return true, err
 	}
 	var jumped bool
 	if in.IsVector() {
-		c.stats.VectorInstrs++
 		err = c.execVector(in)
 	} else {
-		c.stats.ScalarInstrs++
 		if in.Op == isa.OpHalt {
 			c.halted = true
-			c.finish()
+			c.Finish()
 			return true, nil
 		}
 		jumped, err = c.execScalar(in)
@@ -249,47 +161,11 @@ func (c *CPU) Step() (done bool, err error) {
 	}
 	if c.pc < 0 || c.pc >= len(c.prog.Instrs) {
 		c.halted = true
-		c.finish()
+		c.Finish()
 		return true, nil
 	}
 	return false, nil
 }
-
-func (c *CPU) finish() {
-	if c.finished {
-		return
-	}
-	c.finished = true
-	c.closeChime(false)
-	c.stats.Cycles = maxI64(c.clock, c.maxEvent, c.prevGate)
-	// Conservation: top every lane's ledger up to the final cycle count.
-	// What remains unaccounted at this point is drain — trailing time a
-	// lane spent with no work left (or, for an unused pipe, the whole
-	// run).
-	for lane := 0; lane < NumLanes; lane++ {
-		c.chargeStall(lane, c.stats.Cycles, StallDrain)
-	}
-}
-
-// Clock returns the ASU's current time in cycles (advances as the
-// program executes; used by the cluster scheduler).
-func (c *CPU) Clock() int64 { return c.clock }
-
-// horizon is the time around which this CPU's next vector stream will
-// enter the shared memory: its chime gate runs ahead of the ASU clock.
-// The cluster scheduler orders CPUs by this so bank reservations happen
-// in (approximately) global stream-time order.
-func (c *CPU) horizon() int64 { return maxI64(c.clock, c.prevGate, c.chimeStart) }
-
-// BankReserver is the timing interface of a shared memory system:
-// reserving an n-element stream returns its stall cycles.
-type BankReserver interface {
-	Stream(start, base, strideBytes int64, n int) int64
-}
-
-// SetSharedBank attaches a shared memory bank model: vector memory
-// streams then contend with other CPUs using the same model.
-func (c *CPU) SetSharedBank(b BankReserver) { c.sharedBank = b }
 
 // Run executes the loaded program until it halts or falls off the end and
 // returns the run statistics.
@@ -331,7 +207,7 @@ func (c *CPU) intVal(o isa.Operand) (int64, error) {
 		case isa.ClassA:
 			return c.a[o.Reg.N], nil
 		case isa.ClassS:
-			c.waitScalar(o.Reg)
+			c.WaitScalar(o.Reg)
 			return int64(c.s[o.Reg.N]), nil
 		case isa.ClassVL:
 			return int64(c.vl), nil
@@ -349,19 +225,11 @@ func (c *CPU) floatVal(o isa.Operand) (float64, error) {
 		return float64(o.Imm), nil
 	case isa.KindReg:
 		if o.Reg.Class == isa.ClassS {
-			c.waitScalar(o.Reg)
+			c.WaitScalar(o.Reg)
 			return math.Float64frombits(c.s[o.Reg.N]), nil
 		}
 	}
 	return 0, fmt.Errorf("operand %s is not a float source", o)
-}
-
-// waitScalar delays the ASU until a vector-produced scalar is available.
-func (c *CPU) waitScalar(r isa.Reg) {
-	if r.Class == isa.ClassS && c.sReady[r.N] > c.clock {
-		c.clock = c.sReady[r.N]
-		c.chargeStall(LaneASU, c.clock, StallChain)
-	}
 }
 
 func (c *CPU) setIntReg(r isa.Reg, v int64) error {
@@ -371,7 +239,7 @@ func (c *CPU) setIntReg(r isa.Reg, v int64) error {
 	case isa.ClassS:
 		c.s[r.N] = uint64(v)
 	case isa.ClassVL:
-		c.vl = int(clampI64(v, 0, int64(c.cfg.VLMax)))
+		c.vl = int(max(0, min(v, int64(c.cfg.VLMax))))
 	case isa.ClassVS:
 		c.vs = v
 	default:
@@ -393,16 +261,16 @@ func (c *CPU) setFloatReg(r isa.Reg, v float64) error {
 func (c *CPU) execScalar(in isa.Instr) (jumped bool, err error) {
 	switch in.Op {
 	case isa.OpNop:
-		c.tickASU(int64(c.cfg.ScalarOpLat))
+		c.ScalarOp()
 		return false, nil
 	case isa.OpMov:
 		if len(in.Ops) != 2 {
 			return false, fmt.Errorf("mov needs 2 operands")
 		}
-		c.tickASU(int64(c.cfg.ScalarOpLat))
+		c.ScalarOp()
 		dst := in.Ops[1].Reg
 		if in.Suffix == isa.SufD && dst.Class == isa.ClassS && in.Ops[0].Kind == isa.KindReg && in.Ops[0].Reg.Class == isa.ClassS {
-			c.waitScalar(in.Ops[0].Reg)
+			c.WaitScalar(in.Ops[0].Reg)
 			c.s[dst.N] = c.s[in.Ops[0].Reg.N]
 			return false, nil
 		}
@@ -420,14 +288,11 @@ func (c *CPU) execScalar(in isa.Instr) (jumped bool, err error) {
 	case isa.OpLe, isa.OpLt, isa.OpGt, isa.OpGe, isa.OpEq, isa.OpNe:
 		return false, c.scalarCompare(in)
 	case isa.OpJmp:
-		c.tickASU(int64(c.cfg.ScalarOpLat + c.cfg.BranchPenalty))
-		// A control transfer ends the forming chime: the ASU cannot keep
-		// filling a chime past a branch (the bound's per-iteration chime
-		// partition relies on this).
-		c.closeChime(false)
+		c.ScalarOp()
+		c.TakenBranch()
 		return true, c.jumpTo(in)
 	case isa.OpJbrs:
-		c.tickASU(int64(c.cfg.ScalarOpLat))
+		c.ScalarOp()
 		take := c.tf
 		if in.Suffix == isa.SufF {
 			take = !take
@@ -435,8 +300,7 @@ func (c *CPU) execScalar(in isa.Instr) (jumped bool, err error) {
 		if !take {
 			return false, nil
 		}
-		c.tickASU(int64(c.cfg.BranchPenalty))
-		c.closeChime(false)
+		c.TakenBranch()
 		return true, c.jumpTo(in)
 	case isa.OpSum, isa.OpSqrt, isa.OpCvt:
 		return false, fmt.Errorf("%s has no scalar form in this subset", in.Op)
@@ -458,29 +322,6 @@ func (c *CPU) jumpTo(in isa.Instr) error {
 	return fmt.Errorf("branch without label")
 }
 
-// scalarMemStart delays a scalar access while vector memory traffic holds
-// the single CPU port, and notifies the chime builder (split rule).
-func (c *CPU) scalarMemStart() int64 {
-	start := c.clock
-	if c.vectorPortFree > start {
-		start = c.vectorPortFree
-		c.stats.PortConflicts++
-		c.chargeStall(LaneASU, start, StallPortArb)
-	}
-	if c.builder.NoteScalarMem() {
-		c.closeChime(true)
-	}
-	return start
-}
-
-func (c *CPU) scalarMemLat() int64 {
-	lat := float64(c.cfg.ScalarLoadLat)
-	if c.cfg.MemSlowdown > 1 {
-		lat *= c.cfg.MemSlowdown
-	}
-	return int64(math.Ceil(lat))
-}
-
 func (c *CPU) scalarLoad(in isa.Instr) error {
 	if len(in.Ops) != 2 {
 		return fmt.Errorf("scalar load needs 2 operands")
@@ -489,11 +330,8 @@ func (c *CPU) scalarLoad(in isa.Instr) error {
 	if err != nil {
 		return err
 	}
-	start := c.scalarMemStart()
-	c.clock = start + c.scalarMemLat()
-	c.chargeIssue(LaneASU, c.clock)
-	c.scalarPortFree = c.clock
 	dst := in.Ops[1].Reg
+	c.ScalarLoad(dst)
 	switch dst.Class {
 	case isa.ClassA:
 		v, err := c.mem.ReadI64(addr)
@@ -507,7 +345,6 @@ func (c *CPU) scalarLoad(in isa.Instr) error {
 			return err
 		}
 		c.s[dst.N] = math.Float64bits(v)
-		c.sReady[dst.N] = c.clock
 	default:
 		return fmt.Errorf("bad scalar load destination %s", dst)
 	}
@@ -522,23 +359,20 @@ func (c *CPU) scalarStore(in isa.Instr) error {
 	if err != nil {
 		return err
 	}
-	start := c.scalarMemStart()
-	c.clock = start + c.scalarMemLat()
-	c.chargeIssue(LaneASU, c.clock)
-	c.scalarPortFree = c.clock
+	c.ScalarStore()
 	src := in.Ops[0].Reg
 	switch src.Class {
 	case isa.ClassA:
 		return c.mem.WriteI64(addr, c.a[src.N])
 	case isa.ClassS:
-		c.waitScalar(src)
+		c.WaitScalar(src)
 		return c.mem.WriteF64(addr, math.Float64frombits(c.s[src.N]))
 	}
 	return fmt.Errorf("bad scalar store source %s", src)
 }
 
 func (c *CPU) scalarALU(in isa.Instr) error {
-	c.tickASU(int64(c.cfg.ScalarOpLat))
+	c.ScalarOp()
 	// Two-operand form: dst = dst OP src (e.g. add.w #1024,a5).
 	// Three-operand form: dst = src1 OP src2.
 	var dst isa.Reg
@@ -617,7 +451,7 @@ func (c *CPU) scalarALU(in isa.Instr) error {
 			return err
 		}
 	}
-	r, err := intALU(in.Op, x, y)
+	r, err := IntALU(in.Op, x, y)
 	if err != nil {
 		return err
 	}
@@ -638,7 +472,9 @@ func floatALU(op isa.Op, x, y float64) (float64, error) {
 	return 0, fmt.Errorf("no scalar float form for %s", op)
 }
 
-func intALU(op isa.Op, x, y int64) (int64, error) {
+// IntALU applies an integer (.w/.l) ALU operation: the ASU's integer
+// semantics, shared with interpreters that track integers symbolically.
+func IntALU(op isa.Op, x, y int64) (int64, error) {
 	switch op {
 	case isa.OpAdd:
 		return x + y, nil
@@ -668,8 +504,8 @@ func (c *CPU) scalarCompare(in isa.Instr) error {
 	if len(in.Ops) != 2 {
 		return fmt.Errorf("compare needs 2 operands")
 	}
-	c.tickASU(int64(c.cfg.ScalarOpLat))
-	var cmp int
+	c.ScalarOp()
+	var order int
 	if in.Suffix == isa.SufD || in.Suffix == isa.SufS {
 		x, err := c.floatVal(in.Ops[0])
 		if err != nil {
@@ -681,9 +517,9 @@ func (c *CPU) scalarCompare(in isa.Instr) error {
 		}
 		switch {
 		case x < y:
-			cmp = -1
+			order = -1
 		case x > y:
-			cmp = 1
+			order = 1
 		}
 	} else {
 		x, err := c.intVal(in.Ops[0])
@@ -694,46 +530,28 @@ func (c *CPU) scalarCompare(in isa.Instr) error {
 		if err != nil {
 			return err
 		}
-		switch {
-		case x < y:
-			cmp = -1
-		case x > y:
-			cmp = 1
-		}
+		order = cmp.Compare(x, y)
 	}
-	switch in.Op {
-	case isa.OpLe:
-		c.tf = cmp <= 0
-	case isa.OpLt:
-		c.tf = cmp < 0
-	case isa.OpGt:
-		c.tf = cmp > 0
-	case isa.OpGe:
-		c.tf = cmp >= 0
-	case isa.OpEq:
-		c.tf = cmp == 0
-	case isa.OpNe:
-		c.tf = cmp != 0
-	}
+	c.tf = Condition(in.Op, order)
 	return nil
 }
 
-func clampI64(v, lo, hi int64) int64 {
-	if v < lo {
-		return lo
+// Condition is the T flag a compare op sets, given the three-way
+// comparison cmp (-1, 0 or +1) of its operands.
+func Condition(op isa.Op, cmp int) bool {
+	switch op {
+	case isa.OpLe:
+		return cmp <= 0
+	case isa.OpLt:
+		return cmp < 0
+	case isa.OpGt:
+		return cmp > 0
+	case isa.OpGe:
+		return cmp >= 0
+	case isa.OpEq:
+		return cmp == 0
+	case isa.OpNe:
+		return cmp != 0
 	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func maxI64(vs ...int64) int64 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
+	return false
 }

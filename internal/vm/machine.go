@@ -14,13 +14,11 @@ import (
 // a particular run is driven (memory image size, instruction budgets,
 // tracing — those stay in Config). Splitting the two is what makes
 // design-space exploration cheap: a sweep varies Machines while sharing
-// one compiled program and one run configuration, and every per-machine
-// cache (the prediction memo, the stream-stall table, the persistent
-// result cache) keys off Fingerprint.
+// one compiled program and one run configuration.
 //
 // The zero value is not a useful machine; use DefaultMachine and adjust.
-// Machine is comparable, so it can key maps directly when a hash is not
-// needed.
+// Machine is comparable, so in-memory per-machine state keys maps on the
+// value; the persistent result cache keys off Fingerprint.
 type Machine struct {
 	// VLMax is the hardware vector length (128 on the C-240).
 	VLMax int
@@ -95,26 +93,10 @@ func (m Machine) BankConfig() mem.Config {
 }
 
 // Fingerprint returns the canonical content hash of the machine
-// description — the one keying scheme shared by the persistent result
-// cache, the fast-tier prediction memo and the explore engine's
-// per-machine state. Every Machine field is written to the hash by name,
-// so two machines collide only when they are the same machine; the
-// macsvet "fingerprint" rule statically verifies that no field can be
-// added to Machine without being folded in here.
+// description: the SHA-256 of its Go-syntax rendering, which names every
+// field — nested Rules included — by construction, so two machines share
+// a fingerprint only when they are the same machine. The persistent
+// result cache keys off it; in-memory maps key on the Machine value.
 func (m Machine) Fingerprint() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "vlmax=%d;", m.VLMax)
-	fmt.Fprintf(h, "rules=%+v;", m.Rules)
-	fmt.Fprintf(h, "banks=%d;", m.Banks)
-	fmt.Fprintf(h, "bankcycle=%d;", m.BankCycle)
-	fmt.Fprintf(h, "refreshperiod=%d;", m.RefreshPeriod)
-	fmt.Fprintf(h, "refreshlen=%d;", m.RefreshLen)
-	fmt.Fprintf(h, "bankconflicts=%t;", m.BankConflicts)
-	fmt.Fprintf(h, "refreshstalls=%t;", m.RefreshStalls)
-	fmt.Fprintf(h, "memslowdown=%g;", m.MemSlowdown)
-	fmt.Fprintf(h, "scalarloadlat=%d;", m.ScalarLoadLat)
-	fmt.Fprintf(h, "scalaroplat=%d;", m.ScalarOpLat)
-	fmt.Fprintf(h, "branchpenalty=%d;", m.BranchPenalty)
-	fmt.Fprintf(h, "dispatchlat=%d;", m.DispatchLat)
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%#v", m))))
 }

@@ -60,9 +60,9 @@ func TestFingerprintDistinguishesEveryField(t *testing.T) {
 // it invalidates every persisted cache entry, so it must only move when
 // the machine description genuinely changes.
 func TestFingerprintStable(t *testing.T) {
-	const want = 13 // fields in Machine; update alongside Fingerprint
+	const want = 13 // fields in Machine
 	if got := reflect.TypeOf(Machine{}).NumField(); got != want {
-		t.Fatalf("Machine has %d fields, test expects %d — update Fingerprint and this pin", got, want)
+		t.Fatalf("Machine has %d fields, test expects %d — update this pin", got, want)
 	}
 	fp := DefaultMachine().Fingerprint()
 	if len(fp) != 64 {

@@ -59,23 +59,23 @@ func (r *traceRing) events() []TraceEvent {
 // TraceEvents returns the recorded vector timing events oldest-first: the
 // unbounded trace when Config.Trace is set, otherwise the contents of the
 // bounded ring buffer (Config.TraceRing), otherwise nil.
-func (c *CPU) TraceEvents() []TraceEvent {
-	if c.cfg.Trace {
-		return c.trace
+func (t *Timing) TraceEvents() []TraceEvent {
+	if t.cfg.Trace {
+		return t.trace
 	}
-	if c.ring != nil {
-		return c.ring.events()
+	if t.ring != nil {
+		return t.ring.events()
 	}
 	return nil
 }
 
 // TraceDropped reports how many events the bounded ring buffer discarded
 // (0 when tracing is unbounded or disabled).
-func (c *CPU) TraceDropped() int64 {
-	if c.ring == nil {
+func (t *Timing) TraceDropped() int64 {
+	if t.ring == nil {
 		return 0
 	}
-	return c.ring.dropped
+	return t.ring.dropped
 }
 
 // LaneEvents converts vector timing events into the generic per-lane

@@ -5,250 +5,25 @@ import (
 	"math"
 
 	"macs/internal/isa"
-	"macs/internal/mem"
 )
 
-// closeChime retires the forming chime: it fixes the gate time before
-// which the next chime may not start streaming (the chime-synchronized
-// serialization the paper's calibration loops observe) and bounds ASU
-// runahead to one chime. split records whether the close was forced by
-// the scalar-memory split rule, so gate waits behind this chime can be
-// attributed to the split rather than ordinary chime serialization.
-func (c *CPU) closeChime(split bool) {
-	cur, ok := c.builder.Flush()
-	if !ok {
-		c.chimeMemStall = 0
-		return
-	}
-	c.stats.Chimes++
-	cost := cur.ZMax * float64(c.chimeVL)
-	if c.cfg.Rules.Bubbles {
-		cost += float64(cur.SumB)
-	}
-	c.prevGate = c.chimeStart + int64(math.Ceil(cost)) + c.chimeMemStall
-	c.prevGateSplit = split
-	if c.prevGate > c.maxEvent {
-		c.maxEvent = c.prevGate
-	}
-	c.lastChimeStart = c.chimeStart
-	if c.clock < c.lastChimeStart {
-		// The ASU cannot run more than one chime ahead of the VP.
-		c.clock = c.lastChimeStart
-		cause := StallChimeSync
-		if split {
-			cause = StallChimeSplit
-		}
-		c.chargeStall(LaneASU, c.clock, cause)
-	}
-	c.chimeID++
-	c.chimeMemStall = 0
-	c.chimeVL = 0
-}
-
-// execVector dispatches one vector instruction: computes its stream timing
-// under the chime model and executes it functionally.
+// execVector times one vector instruction on the embedded Timing model
+// and executes it functionally.
 func (c *CPU) execVector(in isa.Instr) error {
-	t, ok := isa.VectorTiming(in.Op)
-	if !ok {
-		return fmt.Errorf("no vector form for %s", in.Op)
-	}
-	// Vector instructions reading vector-produced scalars wait for them.
-	for _, r := range in.Sources() {
-		if r.Class == isa.ClassS {
-			c.waitScalar(r)
-		}
-	}
-	c.clock += int64(c.cfg.DispatchLat)
-	c.chargeIssue(LaneASU, c.clock)
-	dispatchDone := c.clock
-
 	vl := c.vl
-	if vl <= 0 {
-		// A zero-length vector instruction is a no-op taking only its
-		// startup overhead.
-		c.clock += int64(t.X)
-		c.chargeStall(LaneASU, c.clock, StallStartup)
-		return nil
-	}
-
-	if !c.builder.Fits(in) {
-		c.closeChime(false)
-	}
-	newChime := c.builder.Empty()
-	c.builder.Add(in)
-	if vl > c.chimeVL {
-		c.chimeVL = vl
-	}
-
-	// Stream entry time S, with each constraint kept as an attribution
-	// checkpoint: after S is fixed, the pipe's wait [frontier, S] is
-	// attributed chronologically across the checkpoints in ascending
-	// order, so each cause is charged exactly the span it was binding
-	// beyond all earlier constraints (no double counting, exact
-	// conservation).
-	type waitPoint struct {
-		t     int64
-		cause StallCause
-	}
-	var wbuf [6]waitPoint
-	waits := wbuf[:0]
-
-	// The tailgating bubble applies only when the instruction actually
-	// follows another down the same pipe.
-	s := dispatchDone + int64(t.X)
-	waits = append(waits,
-		waitPoint{dispatchDone, StallScalar},
-		waitPoint{s, StallStartup})
-	pipe := in.Pipe()
-	lane := int(pipe)
-	pf := c.pipeFree[pipe]
-	if c.cfg.Rules.Bubbles && c.pipeUsed[pipe] {
-		pf += int64(t.B)
-		waits = append(waits, waitPoint{pf, StallBubble})
-	}
-	if pf > s {
-		s = pf
-	}
-	c.pipeUsed[pipe] = true
-	gateCause := StallChimeSync
-	if c.prevGateSplit {
-		gateCause = StallChimeSplit
-	}
-	if newChime {
-		waits = append(waits, waitPoint{c.prevGate, gateCause})
-		if c.prevGate > s {
-			s = c.prevGate
-		}
-	} else {
-		waits = append(waits, waitPoint{c.chimeStart, StallChimeSync})
-		if c.chimeStart > s {
-			s = c.chimeStart
-		}
-	}
-
-	// Data dependences on vector registers.
-	var chainT int64
-	for _, r := range in.VectorReads() {
-		w := c.vw[r.N]
-		if !w.valid {
-			continue
-		}
-		if w.chime == c.chimeID && c.cfg.Rules.Chaining {
-			// Chaining: element k is consumed no earlier than the
-			// producer writes it (Figure 2): S >= S_p + Y_p, plus a rate
-			// correction when the producer streams slower.
-			dep := w.start + int64(w.y)
-			if w.z > t.Z {
-				dep += int64(math.Ceil((w.z - t.Z) * float64(vl-1)))
-			}
-			if dep > chainT {
-				chainT = dep
-			}
-			if dep > s {
-				s = dep
-			}
-		} else if w.fin > s {
-			// Cross-chime (or unchained) consumers wait for completion.
-			chainT = w.fin
-			s = w.fin
-		}
-	}
-	if chainT > 0 {
-		waits = append(waits, waitPoint{chainT, StallChain})
-	}
-	// Write-after-write needs no explicit constraint: streams are issued
-	// in order and the pipe input constraint keeps a later writer a full
-	// stream behind an earlier same-pipe writer, which is exactly how the
-	// paper's calibration loops reuse one register across iterations.
-
-	// Memory port and stream stalls.
-	var st memStall
-	var stall int64
 	var ea int64
-	if in.IsMemory() {
+	if vl > 0 && in.IsMemory() {
 		var err error
-		ea, err = c.vectorEA(in)
-		if err != nil {
+		if ea, err = c.vectorEA(in); err != nil {
 			return err
 		}
-		if c.scalarPortFree > s {
-			c.stats.PortConflicts++
-		}
-		waits = append(waits, waitPoint{c.scalarPortFree, StallPortArb})
-		if c.scalarPortFree > s {
-			s = c.scalarPortFree
-		}
-		st = c.memStreamStall(s, ea, vl)
-		stall = st.total()
-		c.chimeMemStall += stall
-		c.stats.MemStalls += stall
 	}
-
-	// Attribute the pipe's pre-stream wait, then its streaming interval.
-	// Stable insertion sort: waits holds at most six checkpoints, and the
-	// sort.Slice closure forced the buffer to escape — a heap allocation
-	// per vector instruction. Same comparison, same tie order.
-	for i := 1; i < len(waits); i++ {
-		for j := i; j > 0 && waits[j].t < waits[j-1].t; j-- {
-			waits[j], waits[j-1] = waits[j-1], waits[j]
-		}
+	if err := c.Vector(in, vl, ea, c.vs); err != nil {
+		return err
 	}
-	for _, w := range waits {
-		wt := w.t
-		if wt > s {
-			wt = s
-		}
-		c.chargeStall(lane, wt, w.cause)
+	if vl <= 0 {
+		return nil
 	}
-
-	if newChime {
-		c.chimeStart = s
-	}
-
-	streamIn := int64(math.Ceil(t.Z * float64(vl)))
-	streamEnd := s + streamIn
-	c.chargeIssue(lane, streamEnd)
-	c.chargeStall(lane, streamEnd+st.bank, StallBankConflict)
-	c.chargeStall(lane, streamEnd+st.bank+st.refresh, StallRefresh)
-	c.chargeStall(lane, streamEnd+stall, StallContention)
-	c.pipeFree[pipe] = s + streamIn + stall
-	c.stats.PipeBusy[pipe] += streamIn + stall
-	fin := s + int64(t.Y) + streamIn + stall
-	if fin > c.maxEvent {
-		c.maxEvent = fin
-	}
-	if in.IsMemory() && fin > c.vectorPortFree {
-		c.vectorPortFree = fin
-	}
-	if d, ok := in.VectorWrite(); ok {
-		c.vw[d.N] = vwriter{valid: true, chime: c.chimeID, start: s, y: t.Y, z: t.Z, fin: fin}
-	}
-	if in.Op == isa.OpSum {
-		// Reduction result lands in a scalar register when the stream
-		// drains.
-		if d, ok := in.Dst(); ok && d.Class == isa.ClassS {
-			c.sReady[d.N] = fin
-		}
-	}
-
-	if c.cfg.Trace || c.ring != nil {
-		ev := TraceEvent{
-			Instr:       in,
-			Chime:       c.chimeID + 1,
-			Dispatch:    dispatchDone,
-			Start:       s,
-			FirstResult: s + int64(t.Y),
-			Finish:      fin,
-			Stall:       stall,
-			VL:          vl,
-		}
-		if c.cfg.Trace {
-			c.trace = append(c.trace, ev)
-		} else {
-			c.ring.push(ev)
-		}
-	}
-
 	return c.execVectorFunc(in, vl, ea)
 }
 
@@ -260,46 +35,6 @@ func (c *CPU) vectorEA(in isa.Instr) (int64, error) {
 		}
 	}
 	return 0, fmt.Errorf("vector memory op without memory operand")
-}
-
-// memStall decomposes one vector stream's stall cycles by mechanism.
-type memStall struct {
-	bank       int64 // bank-busy conflicts (incl. shared-bank contention)
-	refresh    int64 // refresh windows
-	contention int64 // multi-process memory slowdown surcharge
-}
-
-func (m memStall) total() int64 { return m.bank + m.refresh + m.contention }
-
-// memStreamStall returns the stall cycles a vector memory stream suffers
-// from bank conflicts, refresh, and multi-process contention, decomposed
-// by cause. In cluster mode the stream runs against the banks shared with
-// the other CPUs (mutating their state) and the whole shared-bank wait is
-// booked as bank conflict; standalone it probes zero-state bank timing —
-// through the memoized stall table on the fast path, or a fresh naive
-// bank walk when Config.NaiveMemPath keeps the reference implementation
-// in charge (the two are bit-equivalent).
-func (c *CPU) memStreamStall(start, base int64, vl int) memStall {
-	var st memStall
-	stride := c.vs
-	if !c.cfg.BankConflicts {
-		stride = isa.WordBytes // unit stride never conflicts
-	}
-	switch {
-	case c.sharedBank != nil:
-		st.bank = c.sharedBank.Stream(start, base, stride, vl)
-	case c.stallTab != nil:
-		st.bank, st.refresh = c.stallTab.StreamStallParts(start, base, stride, vl)
-	case c.cfg.BankConflicts || c.cfg.RefreshStalls:
-		cfg := c.bankCfg
-		cfg.RefreshEnabled = c.cfg.RefreshStalls
-		bm := mem.NewBankModel(cfg)
-		st.bank, st.refresh = bm.StreamStallParts(start, base, stride, vl)
-	}
-	if c.cfg.MemSlowdown > 1 {
-		st.contention = int64(math.Ceil((c.cfg.MemSlowdown - 1) * float64(vl)))
-	}
-	return st
 }
 
 // vecOperand returns an element accessor for a vector-op operand:

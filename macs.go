@@ -43,7 +43,6 @@ import (
 	"macs/internal/advisor"
 	"macs/internal/asm"
 	"macs/internal/ax"
-	"macs/internal/calib"
 	"macs/internal/compiler"
 	"macs/internal/core"
 	"macs/internal/depgraph"
@@ -103,11 +102,9 @@ type (
 	// Severity grades a checker Diagnostic.
 	Severity = verify.Severity
 	// Prediction is the analytical fast tier's answer for one program:
-	// predicted cycles, calibrated CPL with its error band, and predicted
-	// per-lane stall attribution.
+	// the simulator's Stats (cycles, per-lane stall attribution, ...) from
+	// its own timing model, and the predicted CPL.
 	Prediction = fasttier.Prediction
-	// FastTierConfig configures the analytical fast tier.
-	FastTierConfig = fasttier.Config
 )
 
 // ErrDataDependent marks a program the fast tier cannot predict (its
@@ -117,7 +114,9 @@ var ErrDataDependent = fasttier.ErrDataDependent
 
 // Tier selects how an analysis request is served: cycle-accurate
 // simulation, the analytical fast tier, or both (fast answer first, exact
-// verification after).
+// verification after). The fast tier runs the simulator's timing model
+// without its functional half, so a first-sight prediction costs about
+// one simulation; it is fast when its memo already holds the answer.
 //
 // macsvet:exhaustive
 type Tier int
@@ -125,10 +124,10 @@ type Tier int
 const (
 	// TierExact runs the cycle-level simulator (the default).
 	TierExact Tier = iota
-	// TierFast serves the analytical prediction only, in microseconds.
+	// TierFast serves the analytical prediction only.
 	TierFast
-	// TierAuto serves the fast prediction and verifies against the
-	// simulator (asynchronously in the service), recording divergence.
+	// TierAuto serves the fast prediction and verifies it against the
+	// simulator (asynchronously in the service), counting mismatches.
 	TierAuto
 
 	// NumTiers is the number of serving tiers.
@@ -414,7 +413,7 @@ func NewAnalyzer(cfg VMConfig) *Analyzer {
 	return &Analyzer{
 		cfg:  cfg,
 		pool: vm.NewPool(cfg),
-		pred: fasttier.NewPredictor(calib.FastTierConfig(cfg)),
+		pred: fasttier.NewPredictor(cfg),
 	}
 }
 
@@ -444,8 +443,8 @@ func (a *Analyzer) AnalyzeSourceCtx(ctx context.Context, src string, iterations 
 func (a *Analyzer) PoolStats() (created, returned int64) { return a.pool.Stats() }
 
 // FastResult is the outcome of the analytical fast tier: the same bounds
-// hierarchy as Result, with a calibrated prediction in place of a
-// simulator measurement.
+// hierarchy as Result, with a prediction in place of a simulator
+// measurement.
 type FastResult struct {
 	Analysis   Analysis
 	Program    *Program
@@ -466,9 +465,8 @@ func (r FastResult) Report() string {
 		fmt.Fprintf(&b, "t_CP   = %.3f CPL (dependence critical path)\n", a.TCP)
 	}
 	if r.Prediction.CPL > 0 {
-		fmt.Fprintf(&b, "predicted t_p = %.3f CPL ±%.1f%% (%d cycles, %d iterations, %s)\n",
-			r.Prediction.CPL, 100*r.Prediction.ErrorBand, r.Prediction.Cycles,
-			r.Iterations, calibLabel(r.Prediction))
+		fmt.Fprintf(&b, "predicted t_p = %.3f CPL (%d cycles, %d iterations)\n",
+			r.Prediction.CPL, r.Prediction.Cycles, r.Iterations)
 	}
 	if r.Prediction.Interval {
 		fmt.Fprintf(&b, "interval t_p = [%.3f, %.3f] CPL over %d enumerated paths (cycles [%d, %d])\n",
@@ -476,13 +474,6 @@ func (r FastResult) Report() string {
 			r.Prediction.CyclesLo, r.Prediction.CyclesHi)
 	}
 	return b.String()
-}
-
-func calibLabel(p Prediction) string {
-	if p.Calibrated {
-		return "calibrated: " + p.Class
-	}
-	return "uncalibrated"
 }
 
 // PredictSource serves a source through the analytical fast tier:
@@ -551,7 +542,7 @@ func PredictSource(src string, iterations int64, cfg VMConfig, ints map[string]i
 	}
 	res.Analysis = an
 	res.Iterations = iterations
-	res.Prediction, err = fasttier.Predict(prog, iterations, ints, calib.FastTierConfig(cfg))
+	res.Prediction, err = fasttier.Predict(prog, iterations, ints, cfg)
 	return res, err
 }
 

@@ -184,3 +184,23 @@ func TestExtensionFacades(t *testing.T) {
 		t.Error("ExtendedBoundOf should fail on loop-free code")
 	}
 }
+
+// TestTierNamesRoundTrip: every serving tier has a distinct, non-empty
+// name, and ParseTier maps that name back to the tier — so a tier cannot
+// be added without naming it.
+func TestTierNamesRoundTrip(t *testing.T) {
+	seen := make(map[string]macs.Tier)
+	for tier := macs.Tier(0); tier < macs.NumTiers; tier++ {
+		name := tier.String()
+		if name == "" {
+			t.Errorf("tier %d has an empty name", int(tier))
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("tiers %d and %d share the name %q", int(prev), int(tier), name)
+		}
+		seen[name] = tier
+		if got, err := macs.ParseTier(name); err != nil || got != tier {
+			t.Errorf("ParseTier(%q) = %v, %v; want %v", name, got, err, tier)
+		}
+	}
+}
