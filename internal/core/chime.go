@@ -138,43 +138,53 @@ func (b *ChimeBuilder) Fits(in isa.Instr) bool {
 	if b.Empty() {
 		return true
 	}
-	if b.closed {
+	if b.closed || b.pipesUsed[in.Pipe()] || b.PortSplit(in) {
 		return false
 	}
-	if b.pipesUsed[in.Pipe()] {
-		return false
-	}
-	if b.rules.SplitRule && b.scalarMem && in.IsMemory() {
-		// The chime is terminated just before the later of the scalar and
-		// vector memory references (paper §3.3).
-		return false
-	}
-	for _, r := range in.VectorReads() {
-		w, written := b.writers[r]
-		if !written {
-			continue
-		}
-		if !b.rules.Chaining {
-			// Without chaining a dependent instruction cannot share a chime.
-			return false
-		}
-		if b.rules.NoMemoryChaining && w == isa.OpLd {
-			// Cray-1-like: a load's consumer waits for the next chime.
-			return false
-		}
-	}
-	if b.rules.PairRule {
-		var reads, writes [4]int
-		copy(reads[:], b.pairReads[:])
-		copy(writes[:], b.pairWrites[:])
-		accumulatePairRefs(in, &reads, &writes)
-		for p := 0; p < 4; p++ {
-			if reads[p] > isa.PairMaxReads || writes[p] > isa.PairMaxWrites {
+	// With chaining on and loads chainable, a dependence never splits.
+	if !b.rules.Chaining || b.rules.NoMemoryChaining {
+		for _, r := range in.VectorReads() {
+			w, written := b.writers[r]
+			if !written {
+				continue
+			}
+			if !b.rules.Chaining {
+				// Without chaining a dependent instruction cannot share a chime.
+				return false
+			}
+			if w == isa.OpLd {
+				// Cray-1-like: a load's consumer waits for the next chime.
 				return false
 			}
 		}
 	}
-	return true
+	_, split := b.PairSplit(in)
+	return !split
+}
+
+// PortSplit reports whether the single memory port keeps a vector
+// instruction out of the forming chime: the chime is terminated just
+// before the later of a scalar and a vector memory reference (paper
+// §3.3), so a vector memory access after a scalar one starts a new chime.
+func (b *ChimeBuilder) PortSplit(in isa.Instr) bool {
+	return b.rules.SplitRule && b.scalarMem && in.IsMemory()
+}
+
+// PairSplit reports the first vector register pair on which a vector
+// instruction would exceed the per-chime budget of two reads and one
+// write (paper §3.3), keeping it out of the forming chime.
+func (b *ChimeBuilder) PairSplit(in isa.Instr) (pair int, split bool) {
+	if !b.rules.PairRule {
+		return 0, false
+	}
+	reads, writes := b.pairReads, b.pairWrites
+	accumulatePairRefs(in, &reads, &writes)
+	for p := range reads {
+		if reads[p] > isa.PairMaxReads || writes[p] > isa.PairMaxWrites {
+			return p, true
+		}
+	}
+	return 0, false
 }
 
 // Add places a vector instruction into the forming chime. The caller must

@@ -10,11 +10,13 @@
 //     t_CP is computed with chaining-aware edge weights taken from the
 //     same Table 1 timings the simulator uses (cp.go);
 //   - an interval abstract interpretation over the whole program
-//     (const-prop generalized to value ranges on scalar registers, VL and
-//     VS, with branch-condition refinement and widening) that proves
-//     bank-conflict freedom of vector streams, bounds effective
-//     addresses for the static memory checker, and bounds data-dependent
-//     trip counts (interval.go, facts.go).
+//     (const-prop generalized to value ranges on scalar registers, VL,
+//     VS and the T flag, with branch-condition refinement and widening,
+//     plus a must-defined bit per register) that proves bank-conflict
+//     freedom of vector streams, bounds data-dependent trip counts, and
+//     is the static checker's only dataflow: its use-before-definition,
+//     reachability and memory-bounds findings read it (interval.go,
+//     facts.go).
 //
 // Every bound here is a provable lower bound on machine time: edge
 // weights deliberately under-approximate the enforced stall so that
@@ -92,16 +94,17 @@ type Graph struct {
 	Edges []Edge
 }
 
-// Register slots for dependence tracking: a, s and v registers, VL, VS,
-// and the scalar comparison flag T (set by compares, read by jbrs).
+// Register slots for dependence tracking: a and s registers, VL, VS, the
+// scalar comparison flag T (set by compares, read by jbrs), and the v
+// registers last, since the interval analysis keeps no range for them.
 const (
 	gSlotA  = 0
 	gSlotS  = gSlotA + isa.NumARegs
-	gSlotV  = gSlotS + isa.NumSRegs
-	gSlotVL = gSlotV + isa.NumVRegs
+	gSlotVL = gSlotS + isa.NumSRegs
 	gSlotVS = gSlotVL + 1
 	gSlotT  = gSlotVS + 1
-	numG    = gSlotT + 1
+	gSlotV  = gSlotT + 1
+	numG    = gSlotV + isa.NumVRegs
 )
 
 func gSlot(r isa.Reg) int {
@@ -130,9 +133,9 @@ func gSlotName(s int) string {
 	switch {
 	case s >= gSlotA && s < gSlotS:
 		return fmt.Sprintf("a%d", s-gSlotA)
-	case s >= gSlotS && s < gSlotV:
+	case s >= gSlotS && s < gSlotVL:
 		return fmt.Sprintf("s%d", s-gSlotS)
-	case s >= gSlotV && s < gSlotVL:
+	case s >= gSlotV && s < numG:
 		return fmt.Sprintf("v%d", s-gSlotV)
 	case s == gSlotVL:
 		return "vl"
@@ -148,9 +151,9 @@ func gSlotReg(s int) isa.Reg {
 	switch {
 	case s >= gSlotA && s < gSlotS:
 		return isa.Reg{Class: isa.ClassA, N: s - gSlotA}
-	case s >= gSlotS && s < gSlotV:
+	case s >= gSlotS && s < gSlotVL:
 		return isa.Reg{Class: isa.ClassS, N: s - gSlotS}
-	case s >= gSlotV && s < gSlotVL:
+	case s >= gSlotV && s < numG:
 		return isa.Reg{Class: isa.ClassV, N: s - gSlotV}
 	case s == gSlotVL:
 		return isa.VL()
@@ -160,21 +163,26 @@ func gSlotReg(s int) isa.Reg {
 	return isa.Reg{} // T and memory edges carry the zero register
 }
 
-// useSlots returns the register slots an instruction reads: its explicit
-// and implicit sources, the destination of a two-operand ALU form (which
-// reads its destination), and the T flag for conditional branches.
-func useSlots(in isa.Instr) []int {
-	var out []int
-	for _, r := range in.Sources() {
-		if s := gSlot(r); s >= 0 {
-			out = append(out, s)
-		}
-	}
+// Reads returns the registers an instruction reads: its explicit and
+// implicit sources (isa.Instr.Sources) plus the destination of a
+// two-operand ALU form, which computes dst = dst OP src.
+func Reads(in isa.Instr) []isa.Reg {
+	rs := in.Sources()
 	if isTwoOpALU(in) {
 		if d, ok := in.Dst(); ok {
-			if s := gSlot(d); s >= 0 {
-				out = append(out, s)
-			}
+			rs = append(rs, d)
+		}
+	}
+	return rs
+}
+
+// useSlots returns the register slots an instruction reads: the slots of
+// Reads, and the T flag for conditional branches.
+func useSlots(in isa.Instr) []int {
+	var out []int
+	for _, r := range Reads(in) {
+		if s := gSlot(r); s >= 0 {
+			out = append(out, s)
 		}
 	}
 	if in.Op == isa.OpJbrs {

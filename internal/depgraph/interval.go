@@ -214,61 +214,57 @@ func clamp64(v, lo, hi int64) int64 {
 }
 
 // Env is the abstract state at one program point: one interval per
-// scalar register slot (a, s, vl, vs). Vector registers and the T flag
-// carry no interval.
+// register slot below gSlotV (a, s, vl, vs, and the T flag as 0, 1 or
+// [0,1]; vector registers carry none) and a must-defined bit per slot, v
+// registers and T included.
 type Env struct {
-	regs [gSlotT]Interval // a, s, v (unused), vl, vs
+	regs [gSlotV]Interval
+	def  uint32 // bit s: slot s is assigned on every path from the entry
 	live bool
 }
 
 // Reg returns the interval of one register (top for vector registers).
 func (e *Env) Reg(r isa.Reg) Interval {
 	s := gSlot(r)
-	if s < 0 || s >= gSlotT || r.Class == isa.ClassV {
+	if s < 0 || s >= gSlotV {
 		return Top()
 	}
 	return e.regs[s]
 }
 
-func (e *Env) set(s int, iv Interval) {
-	if s >= 0 && s < gSlotT {
-		e.regs[s] = iv
-	}
+// Defined reports whether every path from the entry to this point
+// assigns r. Registers outside the slot map (out-of-range numbers) count
+// as defined: they have no state to be missing.
+func (e *Env) Defined(r isa.Reg) bool {
+	s := gSlot(r)
+	return s < 0 || e.def&(1<<s) != 0
 }
 
-// join merges src into e; changed reports growth.
-func (e *Env) join(src *Env) (changed bool) {
+// Live reports whether some feasible path from the entry reaches this
+// point.
+func (e *Env) Live() bool { return e.live }
+
+// join merges src into e (intervals by Join, or by Join then Widen
+// against e's old bounds; must-defined bits by AND); changed reports
+// growth.
+func (e *Env) join(src *Env, widen bool) (changed bool) {
 	if !src.live {
 		return false
 	}
 	if !e.live {
 		*e = *src
 		return true
+	}
+	if d := e.def & src.def; d != e.def {
+		e.def, changed = d, true
 	}
 	for i := range e.regs {
 		n := e.regs[i].Join(src.regs[i])
-		if n != e.regs[i] {
-			e.regs[i] = n
-			changed = true
+		if widen {
+			n = n.Widen(e.regs[i])
 		}
-	}
-	return changed
-}
-
-// widen joins src into e with widening on moved bounds.
-func (e *Env) widen(src *Env) (changed bool) {
-	if !src.live {
-		return false
-	}
-	if !e.live {
-		*e = *src
-		return true
-	}
-	for i := range e.regs {
-		n := e.regs[i].Join(src.regs[i]).Widen(e.regs[i])
 		if n != e.regs[i] {
-			e.regs[i] = n
-			changed = true
+			e.regs[i], changed = n, true
 		}
 	}
 	return changed
@@ -276,9 +272,11 @@ func (e *Env) widen(src *Env) (changed bool) {
 
 // IntervalResult carries the converged per-instruction entry states.
 type IntervalResult struct {
-	// Pre[i] is the abstract state before instruction i; Pre[i].live is
-	// false for statically unreachable instructions.
+	// Pre[i] is the abstract state before instruction i; Pre[i].Live()
+	// is false for statically unreachable instructions.
 	Pre []Env
+	// Blocks is the control flow graph the fixpoint ran on.
+	Blocks []Block
 }
 
 // Reg returns the interval of a register before instruction idx.
@@ -299,6 +297,7 @@ const (
 
 // cmpFact remembers the last scalar integer compare of a block so the
 // branch that consumes it can refine operand ranges on its out-edges.
+// The T flag's value itself lives in the Env and crosses blocks.
 type cmpFact struct {
 	valid bool
 	op    isa.Op
@@ -312,59 +311,59 @@ type cmpFact struct {
 // program: a forward fixpoint on its CFG with widening, constants and
 // integer ALU folded to ranges, VL writes clamped to [0, VLMax] like the
 // machine, and compare-plus-branch pairs refining ranges on both edges.
-// Loads and floating-point results are unconstrained.
+// Registers start unknown and undefined, so no answer rests on the
+// machine's zeroed register file. Loads and floating-point results are
+// unconstrained.
 func Intervals(p *asm.Program) *IntervalResult {
 	res := &IntervalResult{Pre: make([]Env, len(p.Instrs))}
 	if len(p.Instrs) == 0 {
 		return res
 	}
 	blocks, entry := buildBlocks(p)
+	res.Blocks = blocks
 	in := make([]Env, len(blocks))
 	joins := make([]int, len(blocks))
-	var e0 Env
-	e0.live = true
-	for i := range e0.regs {
-		// Registers start zeroed, exactly as the machine images them.
-		e0.regs[i] = Point(0)
-	}
+	e0 := Env{live: true}
 	in[entry] = e0
 
 	flow := func(bi int, record bool) (outs []Env, targets []int) {
 		st := in[bi]
 		var cmp cmpFact
 		b := blocks[bi]
-		for i := b.start; i < b.end; i++ {
+		for i := b.Start; i < b.End; i++ {
 			if record {
 				res.Pre[i] = st
 			}
 			stepInterval(&st, p.Instrs[i], &cmp)
 		}
-		if b.end == b.start {
-			return nil, nil
-		}
-		last := p.Instrs[b.end-1]
-		if last.Op == isa.OpJbrs && len(b.succs) > 0 && cmp.valid {
-			// succs = [target, fallthrough?]: refine per edge. The taken
-			// edge asserts the compare (inverted for .f), the
-			// fallthrough edge its negation.
-			takenTrue := last.Suffix != isa.SufF
-			for si, succ := range b.succs {
-				ref := st
-				assert := takenTrue
-				if si == 1 {
-					assert = !assert
+		last := p.Instrs[b.End-1]
+		// A conditional branch with both sides inside the program sends
+		// each side only the states where its outcome holds.
+		cond := last.Op == isa.OpJbrs && b.Taken >= 0 && b.Next >= 0
+		for _, e := range [2]struct {
+			succ  int
+			taken bool
+		}{{b.Taken, true}, {b.Next, false}} {
+			if e.succ < 0 {
+				continue
+			}
+			out := st
+			if cond {
+				// A decided T rules the other side out, and the block's
+				// own compare refines its register operand.
+				holds := e.taken == (last.Suffix != isa.SufF)
+				if t, ok := out.regs[gSlotT].IsPoint(); ok && (t != 0) != holds {
+					continue
 				}
-				refine(&ref, cmp, assert)
-				if ref.live {
-					outs = append(outs, ref)
-					targets = append(targets, succ)
+				if cmp.valid {
+					refine(&out, cmp, holds)
+				}
+				if !out.live {
+					continue
 				}
 			}
-			return outs, targets
-		}
-		for _, succ := range b.succs {
-			outs = append(outs, st)
-			targets = append(targets, succ)
+			outs = append(outs, out)
+			targets = append(targets, e.succ)
 		}
 		return outs, targets
 	}
@@ -378,13 +377,7 @@ func Intervals(p *asm.Program) *IntervalResult {
 		queued[bi] = false
 		outs, targets := flow(bi, false)
 		for i, succ := range targets {
-			var changed bool
-			if joins[succ] >= widenAfter {
-				changed = in[succ].widen(&outs[i])
-			} else {
-				changed = in[succ].join(&outs[i])
-			}
-			if changed {
+			if in[succ].join(&outs[i], joins[succ] >= widenAfter) {
 				joins[succ]++
 				if !queued[succ] {
 					queued[succ] = true
@@ -399,14 +392,14 @@ func Intervals(p *asm.Program) *IntervalResult {
 	// above the least fixpoint keeps every round sound.
 	for round := 0; round < narrowRounds; round++ {
 		next := make([]Env, len(blocks))
-		next[entry].join(&e0)
+		next[entry].join(&e0, false)
 		for bi := range blocks {
 			if !in[bi].live {
 				continue
 			}
 			outs, targets := flow(bi, false)
 			for i, succ := range targets {
-				next[succ].join(&outs[i])
+				next[succ].join(&outs[i], false)
 			}
 		}
 		in = next
@@ -423,7 +416,8 @@ func Intervals(p *asm.Program) *IntervalResult {
 // stepInterval applies one instruction to the abstract state.
 func stepInterval(st *Env, in isa.Instr, cmp *cmpFact) {
 	if isCompare(in.Op) {
-		*cmp = compareFact(st, in)
+		st.regs[gSlotT], *cmp = compare(st, in)
+		st.def |= 1 << gSlotT
 		return
 	}
 	dst, hasDst := in.Dst()
@@ -431,7 +425,11 @@ func stepInterval(st *Env, in isa.Instr, cmp *cmpFact) {
 		return
 	}
 	s := gSlot(dst)
-	if s < 0 || s >= gSlotT || dst.Class == isa.ClassV {
+	if s < 0 {
+		return
+	}
+	st.def |= 1 << s
+	if s >= gSlotV {
 		return
 	}
 	if cmp.valid && s == cmp.slot {
@@ -453,7 +451,7 @@ func stepInterval(st *Env, in isa.Instr, cmp *cmpFact) {
 	if s == gSlotVL {
 		nv = nv.Clamp(0, int64(isa.VLMax))
 	}
-	st.set(s, nv)
+	st.regs[s] = nv
 }
 
 func isScalarIntALUOp(in isa.Instr) bool {
@@ -522,28 +520,37 @@ func aluInterval(st *Env, in isa.Instr) Interval {
 	return Top()
 }
 
-// compareFact extracts a refinable fact from a scalar integer compare:
-// one side a tracked register, the other a known interval.
-func compareFact(st *Env, in isa.Instr) cmpFact {
+// compare evaluates a compare: the T flag it sets (1 or 0 when the
+// operand ranges decide it, [0,1] otherwise) and, when one operand is a
+// tracked register, the fact its branch refines that register with.
+// Floating-point compares read runtime data and decide nothing.
+func compare(st *Env, in isa.Instr) (Interval, cmpFact) {
 	if in.Suffix == isa.SufD || in.Suffix == isa.SufS || len(in.Ops) != 2 {
-		return cmpFact{}
+		return Range(0, 1), cmpFact{}
+	}
+	x, y := operandInterval(st, in.Ops[0]), operandInterval(st, in.Ops[1])
+	t := Range(0, 1)
+	switch {
+	case constrain(x, in.Op, y, false).Empty():
+		t = Point(1)
+	case constrain(x, in.Op, y, true).Empty():
+		t = Point(0)
 	}
 	slotOf := func(o isa.Operand) int {
-		if o.Kind == isa.KindReg && o.Reg.Class != isa.ClassV {
-			if s := gSlot(o.Reg); s >= 0 && s < gSlotT {
+		if o.Kind == isa.KindReg {
+			if s := gSlot(o.Reg); s < gSlotV {
 				return s
 			}
 		}
 		return -1
 	}
-	l, r := slotOf(in.Ops[0]), slotOf(in.Ops[1])
-	if l >= 0 {
-		return cmpFact{valid: true, op: in.Op, slot: l, rhs: operandInterval(st, in.Ops[1])}
+	if s := slotOf(in.Ops[0]); s >= 0 {
+		return t, cmpFact{valid: true, op: in.Op, slot: s, rhs: y}
 	}
-	if r >= 0 {
-		return cmpFact{valid: true, op: flipCmp(in.Op), slot: r, rhs: operandInterval(st, in.Ops[0])}
+	if s := slotOf(in.Ops[1]); s >= 0 {
+		return t, cmpFact{valid: true, op: flipCmp(in.Op), slot: s, rhs: x}
 	}
-	return cmpFact{}
+	return t, cmpFact{}
 }
 
 // flipCmp rewrites "c OP x" as "x OP' c".
@@ -561,85 +568,94 @@ func flipCmp(op isa.Op) isa.Op {
 	return op // Eq, Ne are symmetric
 }
 
-// refine narrows the compared register's range along one branch edge.
-// assert=true keeps states where "slot OP rhs" holds, false its negation.
-func refine(st *Env, cmp cmpFact, assert bool) {
-	op := cmp.op
-	if !assert {
-		switch op {
-		case isa.OpLe:
-			op = isa.OpGt
-		case isa.OpLt:
-			op = isa.OpGe
-		case isa.OpGt:
-			op = isa.OpLe
-		case isa.OpGe:
-			op = isa.OpLt
-		case isa.OpEq:
-			op = isa.OpNe
-		case isa.OpNe:
-			op = isa.OpEq
-		}
-	}
-	cur := st.regs[cmp.slot]
-	var ref Interval
+// negateCmp rewrites "x OP c" as its negation "x OP' c".
+func negateCmp(op isa.Op) isa.Op {
 	switch op {
 	case isa.OpLe:
-		if !cmp.rhs.HiBnd {
-			return
-		}
-		ref = cur.Meet(AtMost(cmp.rhs.Hi))
+		return isa.OpGt
 	case isa.OpLt:
-		if !cmp.rhs.HiBnd || cmp.rhs.Hi == math.MinInt64 {
-			return
-		}
-		ref = cur.Meet(AtMost(cmp.rhs.Hi - 1))
-	case isa.OpGe:
-		if !cmp.rhs.LoBnd {
-			return
-		}
-		ref = cur.Meet(AtLeast(cmp.rhs.Lo))
+		return isa.OpGe
 	case isa.OpGt:
-		if !cmp.rhs.LoBnd || cmp.rhs.Lo == math.MaxInt64 {
-			return
-		}
-		ref = cur.Meet(AtLeast(cmp.rhs.Lo + 1))
+		return isa.OpLe
+	case isa.OpGe:
+		return isa.OpLt
 	case isa.OpEq:
-		ref = cur.Meet(cmp.rhs)
+		return isa.OpNe
 	case isa.OpNe:
-		// Only a point can be excluded, and only at a boundary.
-		p, ok := cmp.rhs.IsPoint()
-		if !ok {
-			return
-		}
-		ref = cur
-		if ref.LoBnd && ref.Lo == p {
-			ref.Lo++
-		}
-		if ref.HiBnd && ref.Hi == p {
-			ref.Hi--
-		}
-	default:
-		return
+		return isa.OpEq
 	}
+	return op
+}
+
+// refine narrows the compared register's range along one branch edge.
+// assert=true keeps states where "slot OP rhs" holds, false its negation;
+// an edge no value admits is dead.
+func refine(st *Env, cmp cmpFact, assert bool) {
+	ref := constrain(st.regs[cmp.slot], cmp.op, cmp.rhs, assert)
 	if ref.Empty() {
 		st.live = false
 		return
 	}
-	st.set(cmp.slot, ref)
+	st.regs[cmp.slot] = ref
 }
 
-// iblock is one basic block of the interval CFG.
-type iblock struct {
-	start, end int
-	// succs lists successor block indices: for a conditional branch the
-	// taken target first, then the fallthrough.
-	succs []int
+// constrain narrows x to the values for which "x OP rhs" holds (assert)
+// or fails (!assert). The result is Empty when no value of x admits the
+// outcome, and x itself when the outcome does not narrow it.
+func constrain(x Interval, op isa.Op, rhs Interval, assert bool) Interval {
+	if !assert {
+		op = negateCmp(op)
+	}
+	switch op {
+	case isa.OpLe:
+		if rhs.HiBnd {
+			return x.Meet(AtMost(rhs.Hi))
+		}
+	case isa.OpLt:
+		if rhs.HiBnd && rhs.Hi != math.MinInt64 {
+			return x.Meet(AtMost(rhs.Hi - 1))
+		}
+	case isa.OpGe:
+		if rhs.LoBnd {
+			return x.Meet(AtLeast(rhs.Lo))
+		}
+	case isa.OpGt:
+		if rhs.LoBnd && rhs.Lo != math.MaxInt64 {
+			return x.Meet(AtLeast(rhs.Lo + 1))
+		}
+	case isa.OpEq:
+		return x.Meet(rhs)
+	case isa.OpNe:
+		// Only a point can be excluded, and only at a boundary.
+		p, ok := rhs.IsPoint()
+		if !ok {
+			break
+		}
+		if v, ok := x.IsPoint(); ok && v == p {
+			return Range(1, 0)
+		}
+		if x.LoBnd && x.Lo == p {
+			x.Lo++
+		}
+		if x.HiBnd && x.Hi == p {
+			x.Hi--
+		}
+	}
+	return x
 }
 
-// buildBlocks partitions a program into basic blocks (the same shape the
-// verifier uses; duplicated here to keep the import graph acyclic).
-func buildBlocks(p *asm.Program) (blocks []iblock, entry int) {
+// Block is one basic block [Start, End) of a program's control flow
+// graph.
+type Block struct {
+	Start, End int
+	// Taken is the block a branch ending this one jumps to and Next the
+	// block control falls through to; -1 where there is none.
+	Taken, Next int
+}
+
+// buildBlocks partitions a program into basic blocks. entry is the block
+// started by the load entry point (label "main" if present, else 0).
+func buildBlocks(p *asm.Program) (blocks []Block, entry int) {
 	n := len(p.Instrs)
 	entryPC := 0
 	if idx, ok := p.Labels["main"]; ok && idx >= 0 && idx < n {
@@ -659,36 +675,27 @@ func buildBlocks(p *asm.Program) (blocks []iblock, entry int) {
 			leader[i+1] = true
 		}
 	}
-	startOf := make(map[int]int)
+	startOf := make([]int, n+1) // instr index -> block index, at leaders
 	for i := 0; i < n; i++ {
 		if leader[i] {
 			startOf[i] = len(blocks)
-			blocks = append(blocks, iblock{start: i})
+			blocks = append(blocks, Block{Start: i, Taken: -1, Next: -1})
 		}
 	}
 	for bi := range blocks {
-		end := n
+		b := &blocks[bi]
+		b.End = n
 		if bi+1 < len(blocks) {
-			end = blocks[bi+1].start
+			b.End = blocks[bi+1].Start
 		}
-		blocks[bi].end = end
-		if end == blocks[bi].start {
-			continue
-		}
-		last := p.Instrs[end-1]
-		switch {
-		case last.Op == isa.OpHalt:
-		case last.IsBranch():
+		last := p.Instrs[b.End-1]
+		if last.IsBranch() {
 			if t, ok := labelTarget(p, last); ok && t < n {
-				blocks[bi].succs = append(blocks[bi].succs, startOf[t])
+				b.Taken = startOf[t]
 			}
-			if last.Op == isa.OpJbrs && end < n {
-				blocks[bi].succs = append(blocks[bi].succs, startOf[end])
-			}
-		default:
-			if end < n {
-				blocks[bi].succs = append(blocks[bi].succs, startOf[end])
-			}
+		}
+		if b.End < n && last.Op != isa.OpHalt && last.Op != isa.OpJmp {
+			b.Next = startOf[b.End]
 		}
 	}
 	return blocks, startOf[entryPC]

@@ -158,9 +158,3 @@ func (p *Predictor) memoized(key memoKey, predict func(*replay) (Prediction, err
 	p.mu.Unlock()
 	return pred, nil
 }
-
-// Predict is the one-shot form of Predictor.Predict for callers without a
-// predictor to pool state in.
-func Predict(prog *asm.Program, iterations int64, ints map[string]int64, cfg vm.Config) (Prediction, error) {
-	return newReplay(cfg).predict(prog, iterations, ints)
-}

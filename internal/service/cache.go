@@ -66,6 +66,17 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
+// peek returns the cached value for k without touching its recency or
+// the hit/miss counters.
+func (c *Cache) peek(k Key) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		return el.Value.(*cacheEntry).val, true
+	}
+	return nil, false
+}
+
 // Get returns the cached value for k, marking it most recently used.
 func (c *Cache) Get(k Key) (any, bool) {
 	c.mu.Lock()

@@ -43,8 +43,10 @@ type Config struct {
 	CacheDir string
 	// RequestTimeout bounds one request end to end (queue wait included).
 	RequestTimeout time.Duration
-	// Compiler, VM and Rules configure the pipeline for every request
-	// and are part of every cache key.
+	// Compiler, VM and Rules are part of every cache key. VM is the
+	// machine every endpoint answers for: its VLMax sets the compile-time
+	// strip length (Analyzer.CompilerOptions) and its Rules form the
+	// chimes. Compiler seeds the explore engine's per-machine compiles.
 	Compiler macs.CompilerOptions
 	VM       macs.VMConfig
 	Rules    macs.Rules
@@ -486,6 +488,12 @@ func (s *Service) do(ctx context.Context, key Key, dec decodeFunc, fn func() (an
 		sp.End()
 		return v, false, false, err
 	}
+	// A flight that landed since the lookup above has already cached its
+	// value: flights cache before they leave s.flights.
+	if v, ok := s.cache.peek(key); ok {
+		s.mu.Unlock()
+		return v, true, false, nil
+	}
 	// Lead a new flight. Its context is detached from this request so a
 	// single waiter's timeout cannot kill a computation others share; it
 	// is cancelled only when every waiter has gone away.
@@ -503,6 +511,9 @@ func (s *Service) do(ctx context.Context, key Key, dec decodeFunc, fn func() (an
 			executed = true
 			v, jerr = fn()
 		}
+		if jerr == nil {
+			s.cache.Put(key, v)
+		}
 		s.mu.Lock()
 		f.val, f.err = v, jerr
 		if s.flights[key] == f {
@@ -510,7 +521,6 @@ func (s *Service) do(ctx context.Context, key Key, dec decodeFunc, fn func() (an
 		}
 		s.mu.Unlock()
 		if jerr == nil {
-			s.cache.Put(key, v)
 			s.diskPut(key, dec, v)
 		}
 		cancel()
@@ -853,7 +863,7 @@ func (s *Service) Bound(ctx context.Context, req BoundRequest) (BoundResponse, e
 		return BoundResponse{}, err
 	}
 	v, cached, _, err := s.do(ctx, key, decodeJSON[BoundResponse](), func() (any, error) {
-		a, err := macs.BoundSourceCtx(ctx, req.Source)
+		a, err := s.analyzer.BoundSourceCtx(ctx, req.Source)
 		if err != nil {
 			return nil, err
 		}
@@ -899,7 +909,7 @@ func (s *Service) Check(ctx context.Context, req CheckRequest) (CheckResponse, e
 		return CheckResponse{}, err
 	}
 	v, cached, _, err := s.do(ctx, key, decodeJSON[CheckResponse](), func() (any, error) {
-		p, err := macs.Compile(req.Source, s.cfg.Compiler)
+		p, err := macs.Compile(req.Source, s.analyzer.CompilerOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -954,7 +964,7 @@ func (s *Service) AX(ctx context.Context, req AXRequest) (AXResponse, error) {
 		return AXResponse{}, err
 	}
 	v, cached, _, err := s.do(ctx, key, decodeJSON[AXResponse](), func() (any, error) {
-		p, err := macs.Compile(req.Source, s.cfg.Compiler)
+		p, err := macs.Compile(req.Source, s.analyzer.CompilerOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -1009,7 +1019,7 @@ func (s *Service) LFK(ctx context.Context, id int) (LFKResponse, error) {
 		}
 		cfg := macs.DefaultExperimentConfig()
 		cfg.VM = s.cfg.VM
-		cfg.Compiler = s.cfg.Compiler
+		cfg.Compiler = s.analyzer.CompilerOptions()
 		r, err := macs.RunKernel(k, cfg)
 		if err != nil {
 			return nil, err

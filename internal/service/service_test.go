@@ -501,3 +501,48 @@ func TestSingleflightWaiterAttachedBeforeLeaderTimeout(t *testing.T) {
 		t.Fatal("surviving waiter hung")
 	}
 }
+
+// TestEndpointsShareServiceMachine: every endpoint answers for the
+// service's configured machine, not the default one. On a VLMax-64
+// machine without chaining, bound must report the hierarchy analyze
+// reports, ax must time the program analyze simulates, and LFK1 must
+// still validate — which it cannot when compiled at VL 128 and run with
+// every strip clamped to 64 elements.
+func TestEndpointsShareServiceMachine(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers, cfg.QueueSize = 2, 8
+	cfg.VM.VLMax = 64
+	cfg.VM.Rules.Chaining = false
+	s := newTestService(t, cfg)
+	ctx := context.Background()
+	prime := Priming{Ints: map[string]int64{"N": 2048}, Reals: map[string]float64{"A": 2.5}}
+
+	an, err := s.Analyze(ctx, AnalyzeRequest{Source: saxpySrc, Iterations: 2048, Prime: prime})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if an.Bounds.VL != 64 {
+		t.Fatalf("analyze bounded at VL %d, want the machine's 64", an.Bounds.VL)
+	}
+	b, err := s.Bound(ctx, BoundRequest{Source: saxpySrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Bounds != an.Bounds {
+		t.Errorf("bound = %+v, analyze = %+v", b.Bounds, an.Bounds)
+	}
+	ax, err := s.AX(ctx, AXRequest{Source: saxpySrc, Prime: prime})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ax.TP != an.Cycles {
+		t.Errorf("ax t_p = %d cycles, analyze simulated %d", ax.TP, an.Cycles)
+	}
+	lfk, err := s.LFK(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lfk.Validated {
+		t.Errorf("LFK1 does not validate on the service's machine: %+v", lfk)
+	}
+}

@@ -4,14 +4,17 @@ import (
 	"fmt"
 
 	"macs/internal/asm"
+	"macs/internal/core"
 	"macs/internal/isa"
 )
 
-// resources walks the inner vectorized loop (the code the MACS model
-// bounds) replaying the C-240 chime-formation rules, and warns where the
-// single memory port or the register-pair limits force a chime split —
-// legal programs that will run slower than their instruction mix
-// suggests, the paper's LFK8 signature.
+// resources forms the chimes of the inner vectorized loop (the code the
+// MACS model bounds) with the same core.ChimeBuilder the simulator and
+// the bound use, and warns where the single memory port or the
+// register-pair limits force a chime split — legal programs that will
+// run slower than their instruction mix suggests, the paper's LFK8
+// signature. A split because a pipe is taken is ordinary chime
+// formation, not a finding.
 func resources(p *asm.Program) []Diagnostic {
 	loop, ok := asm.InnerVectorLoop(p)
 	if !ok {
@@ -21,77 +24,29 @@ func resources(p *asm.Program) []Diagnostic {
 	warn := func(i int, msg string) {
 		ds = append(ds, Diagnostic{SevWarning, loop.Start + i, msg})
 	}
-
-	var (
-		pipesUsed  [4]bool
-		pairReads  [4]int
-		pairWrites [4]int
-		hasMem     bool
-		scalarMem  bool
-		members    int
-	)
-	reset := func() {
-		pipesUsed = [4]bool{}
-		pairReads = [4]int{}
-		pairWrites = [4]int{}
-		hasMem, scalarMem, members = false, false, 0
-	}
-	reset()
-
+	b := core.NewChimeBuilder(core.DefaultRules())
 	for i, in := range loop.Body {
 		if !in.IsVector() {
-			if in.IsMemory() {
-				if hasMem {
-					warn(i, "single memory port: scalar memory access splits a chime carrying vector memory traffic")
-					reset()
-				} else {
-					scalarMem = true
-				}
+			if in.IsMemory() && b.NoteScalarMem() {
+				warn(i, "single memory port: scalar memory access splits a chime carrying vector memory traffic")
+				b.Flush()
 			}
 			continue
 		}
 		if _, ok := isa.VectorTiming(in.Op); !ok {
 			continue // structural pass reports the missing timing
 		}
-		split := false
-		if members > 0 {
-			if pipesUsed[in.Pipe()] {
-				split = true // ordinary chime formation, not a finding
-			}
-			if scalarMem && in.IsMemory() {
+		if !b.Fits(in) {
+			if b.PortSplit(in) {
 				warn(i, "single memory port: vector memory access follows a scalar memory access and starts a new chime")
-				split = true
 			}
-			var r, w [4]int
-			r, w = pairReads, pairWrites
-			accumulatePairs(in, &r, &w)
-			for pr := 0; pr < 4; pr++ {
-				if r[pr] > isa.PairMaxReads || w[pr] > isa.PairMaxWrites {
-					warn(i, fmt.Sprintf("register pair pressure on {v%d,v%d}: more than %d reads or %d write per chime forces a split",
-						pr, pr+4, isa.PairMaxReads, isa.PairMaxWrites))
-					split = true
-					break
-				}
+			if pr, ok := b.PairSplit(in); ok {
+				warn(i, fmt.Sprintf("register pair pressure on {v%d,v%d}: more than %d reads or %d write per chime forces a split",
+					pr, pr+4, isa.PairMaxReads, isa.PairMaxWrites))
 			}
+			b.Flush()
 		}
-		if split {
-			reset()
-		}
-		members++
-		pipesUsed[in.Pipe()] = true
-		if in.IsMemory() {
-			hasMem = true
-		}
-		accumulatePairs(in, &pairReads, &pairWrites)
+		b.Add(in)
 	}
 	return ds
-}
-
-func accumulatePairs(in isa.Instr, reads, writes *[4]int) {
-	for _, r := range in.VectorReads() {
-		reads[r.Pair()]++
-	}
-	if w, ok := in.VectorWrite(); ok {
-		writes[w.Pair()]++
-	}
 }

@@ -10,16 +10,19 @@
 //   - structural legality: operand shapes per opcode mirroring the
 //     simulator's execution contract, register ranges, branch targets,
 //     vector forms with no Table 1 timing;
-//   - forward dataflow (must-defined analysis with constant propagation
-//     over a/s registers, VL and VS): use before definition, vector
+//   - dataflow, read from depgraph's interval fixpoint (value ranges of
+//     the a/s registers, VL, VS and the T flag, plus must-defined bits
+//     for every register): use before definition over depgraph.Reads
+//     (two-operand ALU forms read their destination), vector
 //     instructions before VL/VS are set, unreachable code;
-//   - static memory bounds: every statically resolvable effective address
-//     (absolute operands, or bases with propagated constants) checked
-//     against its DataDef size, vector streams checked over their whole
-//     VL×VS span;
-//   - resource conflicts on the inner vector loop: single-memory-port
-//     chime splits, register-pair pressure, and bank-conflict strides
-//     (stride ≡ 0 mod the 32 memory banks serializes the stream).
+//   - static memory bounds: every effective address the intervals
+//     resolve (a point interval is a known constant) checked against its
+//     DataDef size, vector streams checked over their whole VL×VS span;
+//   - resource conflicts on the inner vector loop, found by forming its
+//     chimes with core.ChimeBuilder and asking it why an instruction
+//     splits: single-memory-port chime splits, register-pair pressure,
+//     and bank-conflict strides (stride ≡ 0 mod the 32 memory banks
+//     serializes the stream).
 //
 // Findings are Diagnostics; Must converts error-severity findings into an
 // *Error so callers (the macs facade, the service, macs check) can gate.

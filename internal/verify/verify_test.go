@@ -2,6 +2,7 @@ package verify_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,9 +17,10 @@ import (
 // compiled form of every case-study kernel passes the checker with zero
 // errors, and the resource pass reproduces the paper's narrative — LFK8
 // suffers register-pair pressure, LFK8 and LFK9 single-memory-port chime
-// splits.
+// splits, at exactly the instructions where chime formation splits.
 func TestLFKKernelsVerifyClean(t *testing.T) {
 	warnings := map[int][]string{}
+	warnAt := map[int][]int{}
 	for _, k := range lfk.All() {
 		p, err := compiler.Compile(k.Source, compiler.DefaultOptions())
 		if err != nil {
@@ -31,6 +33,7 @@ func TestLFKKernelsVerifyClean(t *testing.T) {
 			}
 			if d.Severity == verify.SevWarning {
 				warnings[k.ID] = append(warnings[k.ID], d.Message)
+				warnAt[k.ID] = append(warnAt[k.ID], d.Instr)
 			}
 		}
 		if err := verify.Must(p); err != nil {
@@ -48,6 +51,15 @@ func TestLFKKernelsVerifyClean(t *testing.T) {
 	wantWarn(8, "register pair pressure")
 	wantWarn(8, "single memory port")
 	wantWarn(9, "single memory port")
+	wantAt := map[int][]int{
+		8: {65, 70, 76, 80, 84, 86, 88, 90, 92, 94, 98},
+		9: {34, 38, 44},
+	}
+	for _, k := range lfk.All() {
+		if !slices.Equal(warnAt[k.ID], wantAt[k.ID]) {
+			t.Errorf("LFK%d warns at instrs %v, want %v", k.ID, warnAt[k.ID], wantAt[k.ID])
+		}
+	}
 }
 
 // badCase is one crafted bad program and the diagnostics it must
@@ -78,63 +90,79 @@ func wants(pairs ...any) []struct {
 	return out
 }
 
+// badCorpus is the crafted bad-program corpus: each program and the
+// diagnostics it must produce.
+var badCorpus = []badCase{
+	{
+		name: "use-before-def",
+		src:  "add s0,s1,s2\nhalt\n",
+		want: wants(
+			verify.SevError, "use of s0 before definition",
+			verify.SevError, "use of s1 before definition",
+		),
+	},
+	{
+		name: "vl-unset",
+		src:  "mov #8,vs\nld.d d_X,v0\nhalt\n.data d_X 1024\n",
+		want: wants(verify.SevError, "vector instruction before vl is set"),
+	},
+	{
+		name: "vs-unset",
+		src:  "mov #4,vl\nld.d d_X,v0\nhalt\n.data d_X 1024\n",
+		want: wants(verify.SevError, "vector memory access before vs is set"),
+	},
+	{
+		name: "oob-vector-store",
+		src: "mov #1,s0\nmov #8,vl\nmov #8,vs\nmov s0,v0\n" +
+			"st.d v0,d_Y\nhalt\n.data d_Y 32\n",
+		want: wants(verify.SevError,
+			"vector store spans [0,64) of d_Y (32 bytes): out of bounds for 8 elements, stride 8"),
+	},
+	{
+		name: "oob-scalar-load",
+		src:  "ld.l d_X+64,s0\nhalt\n.data d_X 64\n",
+		want: wants(verify.SevError,
+			"scalar access at d_X+64 is out of bounds (d_X is 64 bytes)"),
+	},
+	{
+		name: "bank-conflict-stride",
+		src: "mov #1,s0\nmov #4,vl\nmov #256,vs\nmov s0,v0\n" +
+			"ld.d d_X,v0\nhalt\n.data d_X 2048\n",
+		want: wants(verify.SevWarning,
+			"stride 256 bytes ≡ 0 mod 32 banks: every element hits the same memory bank"),
+	},
+	{
+		name: "vector-compare-untimed",
+		src:  "mov #4,vl\nle.d v0,v1\nhalt\n",
+		want: wants(verify.SevError, "le has no vector form (no Table 1 timing)"),
+	},
+	{
+		name: "unreachable-code",
+		src:  "jmp out\nmov #1,s0\nout:\n  halt\n",
+		want: wants(verify.SevInfo, "unreachable code"),
+	},
+	{
+		name: "vl-zero-noop",
+		src:  "mov #0,s0\nmov s0,vl\nmov s0,v0\nhalt\n",
+		want: wants(verify.SevInfo, "vector instruction with vl=0 is a no-op"),
+	},
+	{
+		name: "two-op-dst-read",
+		src:  "add.w #1,a0\nhalt\n",
+		want: wants(verify.SevError, "use of a0 before definition"),
+	},
+	{
+		name: "two-op-fp-dst-read",
+		src:  "add.d s1,s2\nhalt\n",
+		want: wants(
+			verify.SevError, "use of s1 before definition",
+			verify.SevError, "use of s2 before definition",
+		),
+	},
+}
+
 func TestBadProgramCorpus(t *testing.T) {
-	cases := []badCase{
-		{
-			name: "use-before-def",
-			src:  "add s0,s1,s2\nhalt\n",
-			want: wants(
-				verify.SevError, "use of s0 before definition",
-				verify.SevError, "use of s1 before definition",
-			),
-		},
-		{
-			name: "vl-unset",
-			src:  "mov #8,vs\nld.d d_X,v0\nhalt\n.data d_X 1024\n",
-			want: wants(verify.SevError, "vector instruction before vl is set"),
-		},
-		{
-			name: "vs-unset",
-			src:  "mov #4,vl\nld.d d_X,v0\nhalt\n.data d_X 1024\n",
-			want: wants(verify.SevError, "vector memory access before vs is set"),
-		},
-		{
-			name: "oob-vector-store",
-			src: "mov #1,s0\nmov #8,vl\nmov #8,vs\nmov s0,v0\n" +
-				"st.d v0,d_Y\nhalt\n.data d_Y 32\n",
-			want: wants(verify.SevError,
-				"vector store spans [0,64) of d_Y (32 bytes): out of bounds for 8 elements, stride 8"),
-		},
-		{
-			name: "oob-scalar-load",
-			src:  "ld.l d_X+64,s0\nhalt\n.data d_X 64\n",
-			want: wants(verify.SevError,
-				"scalar access at d_X+64 is out of bounds (d_X is 64 bytes)"),
-		},
-		{
-			name: "bank-conflict-stride",
-			src: "mov #1,s0\nmov #4,vl\nmov #256,vs\nmov s0,v0\n" +
-				"ld.d d_X,v0\nhalt\n.data d_X 2048\n",
-			want: wants(verify.SevWarning,
-				"stride 256 bytes ≡ 0 mod 32 banks: every element hits the same memory bank"),
-		},
-		{
-			name: "vector-compare-untimed",
-			src:  "mov #4,vl\nle.d v0,v1\nhalt\n",
-			want: wants(verify.SevError, "le has no vector form (no Table 1 timing)"),
-		},
-		{
-			name: "unreachable-code",
-			src:  "jmp out\nmov #1,s0\nout:\n  halt\n",
-			want: wants(verify.SevInfo, "unreachable code"),
-		},
-		{
-			name: "vl-zero-noop",
-			src:  "mov #0,s0\nmov s0,vl\nmov s0,v0\nhalt\n",
-			want: wants(verify.SevInfo, "vector instruction with vl=0 is a no-op"),
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range badCorpus {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := asm.Parse(tc.src)
 			if err != nil {
@@ -179,6 +207,55 @@ halt
 	}
 	if !hasDiag(ds, verify.SevInfo, "unreachable code") {
 		t.Errorf("pruned branch side not reported unreachable:\n%s", renderAll(ds, p))
+	}
+}
+
+// TestConstBranchFoldingForms pins two compare forms the T folding
+// decides: a compare separated from its jbrs by a block boundary (the
+// label is a branch target, so T crosses blocks), and a compare of two
+// immediates. In both the always-taken branch defines a1 on the only
+// feasible path, so no use-before-def may be reported and the other side
+// is unreachable.
+func TestConstBranchFoldingForms(t *testing.T) {
+	cases := []struct{ name, src string }{
+		{"label-between-compare-and-branch", `mov #0,a0
+eq.w #0,a0
+Lchk:
+jbrs.t Ldef
+jmp Luse
+Ldef:
+mov #7,a1
+Luse:
+st.l a1,d_out
+halt
+jmp Lchk
+.data d_out 8
+`},
+		{"immediate-operands", `lt.w #1,#2
+jbrs.t Ldef
+jmp Luse
+Ldef:
+mov #7,a1
+Luse:
+st.l a1,d_out
+halt
+.data d_out 8
+`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := asm.Parse(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds := verify.Check(p)
+			if hasDiag(ds, verify.SevError, "before definition") {
+				t.Errorf("spurious use-before-def via an infeasible branch path:\n%s", renderAll(ds, p))
+			}
+			if !hasDiag(ds, verify.SevInfo, "unreachable code") {
+				t.Errorf("pruned branch side not reported unreachable:\n%s", renderAll(ds, p))
+			}
+		})
 	}
 }
 

@@ -420,6 +420,19 @@ func NewAnalyzer(cfg VMConfig) *Analyzer {
 // Config returns the analyzer's simulator configuration.
 func (a *Analyzer) Config() VMConfig { return a.cfg }
 
+// CompilerOptions returns the options every analyzer path compiles
+// with: the defaults, strip-mined at the machine's VLMax.
+func (a *Analyzer) CompilerOptions() CompilerOptions { return compilerOptionsFor(a.cfg) }
+
+// BoundSourceCtx is BoundSourceCtx on the analyzer's machine: the source
+// is compiled with CompilerOptions and bounded at the configuration's
+// VLMax under its chime rules, so the hierarchy equals the one
+// AnalyzeSourceCtx reports.
+func (a *Analyzer) BoundSourceCtx(ctx context.Context, src string) (Analysis, error) {
+	_, an, err := boundSource(ctx, src, a.CompilerOptions(), a.cfg.VLMax, a.cfg.Rules)
+	return an, err
+}
+
 // AnalyzeSource runs the full pipeline — compile, bound, simulate — on a
 // pooled simulator. Results are identical to AnalyzeSourceVM with the
 // analyzer's configuration (the fast-path differential tests gate on it).
@@ -456,14 +469,7 @@ type FastResult struct {
 // analogue of Result.Report.
 func (r FastResult) Report() string {
 	var b strings.Builder
-	a := r.Analysis
-	fmt.Fprintf(&b, "MA workload:  %s  -> t_MA  = %.3f CPL\n", a.MA, a.TMA)
-	fmt.Fprintf(&b, "MAC workload: %s  -> t_MAC = %.3f CPL\n", a.MAC, a.TMAC)
-	fmt.Fprintf(&b, "t_MACS = %.3f CPL over %d chimes (t_MACS^f %.3f, t_MACS^m %.3f)\n",
-		a.MACS.CPL, len(a.MACS.Chimes), a.MACSF.CPL, a.MACSM.CPL)
-	if a.TCP > 0 {
-		fmt.Fprintf(&b, "t_CP   = %.3f CPL (dependence critical path)\n", a.TCP)
-	}
+	writeHierarchy(&b, r.Analysis)
 	if r.Prediction.CPL > 0 {
 		fmt.Fprintf(&b, "predicted t_p = %.3f CPL (%d cycles, %d iterations)\n",
 			r.Prediction.CPL, r.Prediction.Cycles, r.Iterations)
@@ -531,21 +537,6 @@ func (a *Analyzer) PredictSourceIntervalCtx(ctx context.Context, src string, ite
 	return res, err
 }
 
-// PredictSource is the one-shot form of Analyzer.PredictSource under a
-// simulator configuration's machine parameters.
-func PredictSource(src string, iterations int64, cfg VMConfig, ints map[string]int64) (FastResult, error) {
-	var res FastResult
-	prog, an, err := boundSource(context.Background(), src, compilerOptionsFor(cfg), cfg.VLMax, cfg.Rules)
-	res.Program = prog
-	if err != nil {
-		return res, err
-	}
-	res.Analysis = an
-	res.Iterations = iterations
-	res.Prediction, err = fasttier.Predict(prog, iterations, ints, cfg)
-	return res, err
-}
-
 // ChromeTrace renders vector timing events (Result.Trace) as a Chrome
 // trace_event JSON document for chrome://tracing or Perfetto.
 func ChromeTrace(events []TraceEvent) ([]byte, error) { return vm.ChromeTrace(events) }
@@ -559,19 +550,25 @@ func LaneEvents(events []TraceEvent) []obs.LaneEvent { return vm.LaneEvents(even
 // Report renders the hierarchy of one Result as text.
 func (r Result) Report() string {
 	var b strings.Builder
-	a := r.Analysis
-	fmt.Fprintf(&b, "MA workload:  %s  -> t_MA  = %.3f CPL\n", a.MA, a.TMA)
-	fmt.Fprintf(&b, "MAC workload: %s  -> t_MAC = %.3f CPL\n", a.MAC, a.TMAC)
-	fmt.Fprintf(&b, "t_MACS = %.3f CPL over %d chimes (t_MACS^f %.3f, t_MACS^m %.3f)\n",
-		a.MACS.CPL, len(a.MACS.Chimes), a.MACSF.CPL, a.MACSM.CPL)
-	if a.TCP > 0 {
-		fmt.Fprintf(&b, "t_CP   = %.3f CPL (dependence critical path)\n", a.TCP)
-	}
+	writeHierarchy(&b, r.Analysis)
 	if r.MeasuredCPL > 0 {
 		fmt.Fprintf(&b, "measured t_p = %.3f CPL (%d cycles, %d iterations)\n",
 			r.MeasuredCPL, r.Stats.Cycles, r.Iterations)
 	}
 	return b.String()
+}
+
+// writeHierarchy writes the bound lines both reports share: the MA and
+// MAC workloads with their bounds, t_MACS with its chimes and variants,
+// and t_CP when the dependence graph yields one.
+func writeHierarchy(b *strings.Builder, a Analysis) {
+	fmt.Fprintf(b, "MA workload:  %s  -> t_MA  = %.3f CPL\n", a.MA, a.TMA)
+	fmt.Fprintf(b, "MAC workload: %s  -> t_MAC = %.3f CPL\n", a.MAC, a.TMAC)
+	fmt.Fprintf(b, "t_MACS = %.3f CPL over %d chimes (t_MACS^f %.3f, t_MACS^m %.3f)\n",
+		a.MACS.CPL, len(a.MACS.Chimes), a.MACSF.CPL, a.MACSM.CPL)
+	if a.TCP > 0 {
+		fmt.Fprintf(b, "t_CP   = %.3f CPL (dependence critical path)\n", a.TCP)
+	}
 }
 
 // MeasureAX generates and runs the A-process and X-process codes of a
