@@ -1,7 +1,11 @@
 package service
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"macs"
@@ -111,6 +115,29 @@ func TestKeySensitivity(t *testing.T) {
 	r.Bubbles = !r.Bubbles
 	variants["rules.Bubbles"] = mk("analyze", src, opts, cfg, r, 0, Priming{})
 
+	// Priming cases a binary encoding must tell apart.
+	two := math.Float64frombits(math.Float64bits(2) ^ 1)
+	// Eight-byte names make an array's tail line up with the next name's
+	// length and bytes, which only the array's own length tells apart.
+	word := func(s string) float64 { return math.Float64frombits(binary.LittleEndian.Uint64([]byte(s))) }
+	eight := math.Float64frombits(8)
+	for name, p := range map[string]Priming{
+		"prime.boundaryEarly": {Arrays: map[string][]float64{"AAAAAAAA": {1}, "BBBBBBBB": {2, eight, word("CCCCCCCC"), 3}}},
+		"prime.boundaryLate":  {Arrays: map[string][]float64{"AAAAAAAA": {1, eight, word("BBBBBBBB"), 2}, "CCCCCCCC": {3}}},
+		"prime.arrayLastBit":  {Arrays: map[string][]float64{"A": {1, two}}},
+		"prime.arrayWhole":    {Arrays: map[string][]float64{"A": {1, 2}}},
+		"prime.arraySplit":    {Arrays: map[string][]float64{"A": {1}, "B": {2}}},
+		"prime.namePrefix":    {Arrays: map[string][]float64{"A": {1}}},
+		"prime.nameLonger":    {Arrays: map[string][]float64{"AB": {1}}},
+		"prime.intBits":       {Ints: map[string]int64{"A": int64(math.Float64bits(2.5))}},
+		"prime.realBits":      {Reals: map[string]float64{"A": 2.5}},
+		"prime.realZero":      {Reals: map[string]float64{"A": 0}},
+		"prime.realNegZero":   {Reals: map[string]float64{"A": math.Copysign(0, -1)}},
+		"prime.emptyArray":    {Arrays: map[string][]float64{"A": {}}},
+	} {
+		variants[name] = mk("analyze", src, opts, cfg, rules, 0, p)
+	}
+
 	seen := map[Key]string{base: "base"}
 	for name, k := range variants {
 		if prev, dup := seen[k]; dup {
@@ -126,12 +153,70 @@ func TestKeySensitivity(t *testing.T) {
 	if k1 != k2 {
 		t.Fatal("identical requests hashed to different keys")
 	}
+	// An empty section is no section: omitempty drops both on the wire.
+	if mk("analyze", src, opts, cfg, rules, 0, Priming{Ints: map[string]int64{}}) != base {
+		t.Fatal("an empty ints map moved the key")
+	}
 }
 
-// TestCacheConcurrent hammers one cache from many goroutines under
-// -race; correctness here is "no race, no panic, counters consistent".
+// TestCacheRawAliases: an alias answers with its stored bytes and counts
+// a hit on its entry; an entry keeps at most maxAliasesPerEntry aliases,
+// and eviction or a replaced value takes them all.
+func TestCacheRawAliases(t *testing.T) {
+	c := NewCache(2)
+	rk := func(i int) rawKey { return newRawKey("/v1/bound", "", []byte(fmt.Sprint(i))) }
+	c.addAlias("a", rk(0), "bound", []byte("A0"))
+	if _, _, ok := c.getRaw(rk(0)); ok {
+		t.Fatal("alias registered for an absent entry")
+	}
+	c.Put("a", 1)
+	c.Put("b", 2)
+	c.addAlias("a", rk(0), "bound", []byte("A0"))
+	c.addAlias("a", rk(0), "bound", []byte("dup"))
+	ep, body, ok := c.getRaw(rk(0))
+	if !ok || ep != "bound" || string(body) != "A0" {
+		t.Fatalf("getRaw = %q, %q, %v; want bound, A0, true", ep, body, ok)
+	}
+	if _, _, ok := c.getRaw(rk(99)); ok {
+		t.Fatal("unknown digest hit")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("stats %+v; want the alias hit counted and the unknown digest not", st)
+	}
+	// The alias hit touched "a", so "b" is evicted next.
+	c.Put("c", 3)
+	if _, ok := c.peek("b"); ok {
+		t.Fatal("raw hit did not mark its entry recently used")
+	}
+
+	for i := 1; i <= maxAliasesPerEntry; i++ {
+		c.addAlias("a", rk(i), "bound", []byte(fmt.Sprint("A", i)))
+	}
+	if _, _, ok := c.getRaw(rk(0)); ok {
+		t.Fatal("oldest alias kept past the per-entry bound")
+	}
+	if len(c.aliases) != maxAliasesPerEntry {
+		t.Fatalf("%d aliases, want %d", len(c.aliases), maxAliasesPerEntry)
+	}
+
+	c.Put("a", 10)
+	if len(c.aliases) != 0 {
+		t.Fatalf("replacing the value left %d aliases", len(c.aliases))
+	}
+	c.addAlias("c", rk(7), "check", []byte("C"))
+	c.Put("d", 4) // evicts "a"
+	c.Put("e", 5) // evicts "c" and its alias
+	if _, _, ok := c.getRaw(rk(7)); ok || len(c.aliases) != 0 {
+		t.Fatalf("alias outlived its entry: %d left", len(c.aliases))
+	}
+}
+
+// TestCacheConcurrent hammers one cache, raw aliases included, from many
+// goroutines under -race; correctness here is "no race, no panic,
+// counters consistent, no alias outliving its entry".
 func TestCacheConcurrent(t *testing.T) {
 	c := NewCache(8)
+	var rawHits atomic.Int64
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func(g int) {
@@ -140,6 +225,15 @@ func TestCacheConcurrent(t *testing.T) {
 				k := Key(fmt.Sprintf("k%d", (g+i)%16))
 				if _, ok := c.Get(k); !ok {
 					c.Put(k, i)
+				}
+				rk := newRawKey("/v1/bound", fmt.Sprint(i%3), []byte(k))
+				if _, body, ok := c.getRaw(rk); ok {
+					rawHits.Add(1)
+					if string(body) != string(k) {
+						t.Errorf("alias of %s answered %q", k, body)
+					}
+				} else {
+					c.addAlias(k, rk, "bound", []byte(k))
 				}
 			}
 		}(g)
@@ -151,7 +245,13 @@ func TestCacheConcurrent(t *testing.T) {
 	if s.Entries > 8 {
 		t.Fatalf("cache over capacity: %d entries", s.Entries)
 	}
-	if s.Hits+s.Misses != 8*200 {
-		t.Fatalf("lookups = %d; want %d", s.Hits+s.Misses, 8*200)
+	if s.Hits+s.Misses != 8*200+rawHits.Load() {
+		t.Fatalf("lookups = %d; want %d", s.Hits+s.Misses, 8*200+rawHits.Load())
+	}
+	for rk, a := range c.aliases {
+		e := a.el.Value.(*cacheEntry)
+		if c.items[e.key] != a.el || !slices.Contains(e.aliases, rk) {
+			t.Fatalf("alias of %s outlived or left its entry", e.key)
+		}
 	}
 }

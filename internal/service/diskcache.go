@@ -22,9 +22,10 @@ import (
 
 const (
 	// diskCacheVersion is baked into every segment header through the
-	// config fingerprint. Bump it whenever a persisted response schema
-	// changes shape; old segments then self-invalidate on open.
-	diskCacheVersion = 1
+	// config fingerprint. Bump it whenever a persisted response schema or
+	// the content-key format changes; old segments then self-invalidate
+	// on open instead of lingering as unreachable bytes.
+	diskCacheVersion = 2
 
 	// diskSegmentMaxBytes rotates the active segment once it grows past
 	// this size, keeping any single file cheap to scan on open.

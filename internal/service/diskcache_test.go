@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -85,6 +86,29 @@ func TestDiskCacheFingerprintInvalidation(t *testing.T) {
 	}
 	if len(segs) != 0 {
 		t.Fatalf("stale segment files left behind: %v", segs)
+	}
+}
+
+// TestDiskCacheVersionInvalidation: a segment written under an older
+// store version self-invalidates even when its fingerprint matches, so
+// content keys of an older format never linger unreachable on disk.
+func TestDiskCacheVersionInvalidation(t *testing.T) {
+	dir := t.TempDir()
+	fp, err := configFingerprint(Config{}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := fmt.Sprintf(`{"magic":%q,"version":1,"fingerprint":%q}`+"\n"+`{"k":"k1","v":1}`+"\n", diskMagic, fp)
+	if err := os.WriteFile(filepath.Join(dir, "seg-000001.log"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenDiskCache(dir, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if st := c.Stats(); st.Invalidated != 1 || st.Entries != 0 {
+		t.Fatalf("version-1 segment: %+v, want invalidated 1 and no entries", st)
 	}
 }
 

@@ -114,8 +114,7 @@ func (s *Service) Explore(ctx context.Context, req ExploreRequest, emit func(Exp
 		return err
 	}
 
-	key, err := NewKey("explore", req.Source, s.cfg.Compiler, s.cfg.VM, s.cfg.Rules,
-		req.Iterations, req.Prime, req.Grid, req.TopFrac, req.MinTop)
+	key, err := s.key("explore", req.Source, req.Iterations, req.Prime, req.Grid, req.TopFrac, req.MinTop)
 	if err != nil {
 		s.observe("explore", start, false, err)
 		return err

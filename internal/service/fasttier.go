@@ -44,12 +44,12 @@ func (t *fastTierTracker) snapshot() FastTierStats {
 // count and one verification, not N.
 func (s *Service) analyzeFast(ctx context.Context, req AnalyzeRequest, tier macs.Tier) (AnalyzeResponse, bool, error) {
 	start := time.Now()
-	key, err := NewKey("analyze-fast", req.Source, s.cfg.Compiler, s.cfg.VM, s.cfg.Rules, req.Iterations, req.Prime)
+	key, err := s.key("analyze-fast", req.Source, req.Iterations, req.Prime)
 	if err != nil {
 		s.observe("analyze-fast", start, false, err)
 		return AnalyzeResponse{}, false, err
 	}
-	v, cached, fresh, err := s.do(ctx, key, decodeJSON[AnalyzeResponse](), func() (any, error) {
+	v, cached, fresh, err := s.do(ctx, "analyze-fast", key, decodeJSON[AnalyzeResponse](), func() (any, error) {
 		res, err := s.analyzer.PredictSourceCtx(ctx, req.Source, req.Iterations, req.Prime.fastInts())
 		if err != nil && errors.Is(err, macs.ErrDataDependent) {
 			// The single-path replay refused: try the path enumerator,

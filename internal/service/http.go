@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"time"
 
 	"macs"
@@ -18,6 +20,15 @@ import (
 // maxBodyBytes bounds request bodies; kernel sources are tiny, priming
 // arrays are at most a few thousand floats.
 const maxBodyBytes = 4 << 20
+
+// maxPooledBody caps the body buffers kept for reuse, so one near-limit
+// body does not pin maxBodyBytes in the pool.
+const maxPooledBody = 1 << 20
+
+// bodyBufs recycles the buffers request bodies are read into: every body
+// is read whole before it is hashed or decoded, and a fresh buffer per
+// request would allocate the body's size each time.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // NewHandler wires the service into an http.Handler:
 //
@@ -44,18 +55,17 @@ const maxBodyBytes = 4 << 20
 //
 // Every analysis request runs under the service's RequestTimeout, is
 // logged structurally (endpoint, status, duration, trace ID) and carries
-// its trace ID in the X-Macs-Trace response header.
+// its trace ID in the X-Macs-Trace response header. A body must be
+// exactly one JSON value: anything but whitespace after it is a 400.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", traced(s, "analyze", func(w http.ResponseWriter, r *http.Request) {
-		tier := r.URL.Query().Get("tier")
-		wantTrace := r.URL.Query().Get("trace") == "1"
 		handleJSON(s, w, r, func(ctx context.Context, req AnalyzeRequest) (AnalyzeResponse, error) {
-			if tier != "" {
+			if tier := r.URL.Query().Get("tier"); tier != "" {
 				req.Tier = tier
 			}
 			resp, err := s.Analyze(ctx, req)
-			if err == nil && wantTrace {
+			if err == nil && wantsTrace(r) {
 				if tr := obs.FromContext(ctx); tr != nil {
 					v := tr.View()
 					resp.Trace = &v
@@ -146,30 +156,131 @@ func traced(s *Service, endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// handleJSON decodes a JSON body, applies the request timeout, runs the
-// endpoint and writes the JSON response or mapped error.
+// handleJSON reads the body once, answers it from a raw alias when an
+// earlier cache hit already answered these exact bytes, and otherwise
+// decodes it, applies the request timeout, runs the endpoint and writes
+// the JSON response or mapped error. When that run was exactly one cache
+// hit, the bytes it wrote become an alias of the hit entry, so the next
+// identical request costs one body hash. Errors and ?trace=1 answers are
+// never aliased: a trace belongs to one request.
 func handleJSON[Req, Resp any](s *Service, w http.ResponseWriter, r *http.Request, fn func(context.Context, Req) (Resp, error)) {
+	buf, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	rk, served := s.serveRaw(w, r, buf.Bytes())
+	if served {
+		releaseBody(buf)
+		return
+	}
 	var req Req
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	ok = decodeBody(w, buf.Bytes(), &req)
+	releaseBody(buf)
+	if !ok {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	resp, err := fn(ctx, req)
+	slot := new(hitSlot)
+	resp, err := fn(context.WithValue(ctx, slotKey{}, slot), req)
 	if err != nil {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	b, err := encodeJSON(resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBody(w, http.StatusOK, b)
+	if endpoint, key, ok := slot.single(); ok && !wantsTrace(r) {
+		s.cache.addAlias(key, rk, endpoint, b)
+	}
+}
+
+// serveRaw answers a request whose exact bytes (endpoint path, raw query
+// and body) an earlier cache hit answered: one digest lookup and one copy
+// of the stored response, with no decode, no content key and no encode.
+// It is a hit like any other: the cache counts it and touches the entry,
+// the trace gets its cache-lookup span, and the endpoint metrics record
+// it under the label the registering hit used. It returns the digest and
+// false, having written nothing, when no alias matches or the service is
+// closed; the keyed path then decides the answer.
+func (s *Service) serveRaw(w http.ResponseWriter, r *http.Request, body []byte) (rawKey, bool) {
+	start := time.Now()
+	rk := newRawKey(r.URL.Path, r.URL.RawQuery, body)
+	if s.acceptGate() != nil {
+		return rk, false
+	}
+	_, sp := obs.Start(r.Context(), "cache-lookup")
+	endpoint, resp, ok := s.cache.getRaw(rk)
+	sp.End()
+	if !ok {
+		return rk, false
+	}
+	writeBody(w, http.StatusOK, resp)
+	s.observe(endpoint, start, true, nil)
+	return rk, true
+}
+
+// wantsTrace reports whether the request asked for its trace in the
+// response.
+func wantsTrace(r *http.Request) bool { return r.URL.Query().Get("trace") == "1" }
+
+// readBody reads the whole request body, bounded by maxBodyBytes, into a
+// pooled buffer the caller hands back with releaseBody. On failure it
+// answers 413 (too large) or 400 and returns false.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		releaseBody(buf)
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
+			return nil, false
+		}
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return nil, false
+	}
+	return buf, true
+}
+
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyBufs.Put(buf)
+	}
+}
+
+// decodeBody decodes body into v as exactly one JSON value: unknown
+// fields and anything but whitespace after the value answer 400, and
+// decodeBody returns false.
+func decodeBody(w http.ResponseWriter, body []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if end := dec.InputOffset(); len(bytes.TrimLeft(body[end:], " \t\r\n")) > 0 {
+			err = fmt.Errorf("data after the JSON value at offset %d", end)
+		}
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return false
+	}
+	return true
+}
+
+// readJSON reads and decodes a body in one step, for the streaming
+// endpoints, which have no raw aliases.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	buf, ok := readBody(w, r)
+	if !ok {
+		return false
+	}
+	defer releaseBody(buf)
+	return decodeBody(w, buf.Bytes(), v)
 }
 
 // handleBatch decodes a batch request and streams per-item results back
@@ -179,16 +290,7 @@ func handleJSON[Req, Resp any](s *Service, w http.ResponseWriter, r *http.Reques
 // starts; per-item failures are lines inside the stream.
 func handleBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !readJSON(w, r, &req) {
 		return
 	}
 	if tier := r.URL.Query().Get("tier"); tier != "" {
@@ -229,16 +331,7 @@ func handleBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 // stream starts; a failure mid-sweep becomes a terminal "error" line.
 func handleExplore(s *Service, w http.ResponseWriter, r *http.Request) {
 	var req ExploreRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !readJSON(w, r, &req) {
 		return
 	}
 	// Validate before committing to a 200 stream: once the NDJSON body
@@ -291,11 +384,30 @@ func writeServiceError(w http.ResponseWriter, err error) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := encodeJSON(v)
+	if err != nil {
+		// writeError's string map always encodes, so this recurses once.
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBody(w, status, b)
+}
+
+// encodeJSON renders a response body: indented JSON and a newline.
+func encodeJSON(v any) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
+func writeBody(w http.ResponseWriter, status int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away
+	w.Write(b) //nolint:errcheck // client went away
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

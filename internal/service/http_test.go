@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -254,6 +255,16 @@ func TestHTTPRecoverPanic(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "internal error") {
 		t.Fatalf("500 body = %q", rec.Body.String())
+	}
+}
+
+// TestWriteJSONUnencodable: a value JSON cannot encode answers 500 with
+// the encoder's error, not a 200 with an empty body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"cpl": math.NaN()})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "unsupported value") {
+		t.Fatalf("status %d, body %q; want 500 with the encode error", rec.Code, rec.Body.String())
 	}
 }
 

@@ -8,29 +8,25 @@ import (
 	"macs/internal/obs"
 )
 
-// latencyBucketsMS are the upper bounds (milliseconds, inclusive) of the
-// endpoint latency histogram buckets; an implicit +Inf bucket follows.
-var latencyBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
-
-// stageBucketsMS bound the per-stage histograms: pipeline stages run in
-// microseconds to low milliseconds, an order of magnitude under whole
-// requests, so they get their own finer scale.
-var stageBucketsMS = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250}
+// latencyBucketsMS are the upper bounds (milliseconds, inclusive) of
+// every latency histogram, endpoints and stages alike; an implicit +Inf
+// bucket follows. The first bucket (50 µs) tells a raw cache hit from a
+// cold request (~1 ms); the last reaches seconds.
+var latencyBucketsMS = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
 // histogram is a fixed-bucket latency histogram in milliseconds.
 type histogram struct {
-	buckets []float64 // upper bounds; an implicit +Inf bucket follows
-	counts  []int64   // len(buckets)+1, last is +Inf
-	sumMS   float64
-	maxMS   float64
+	counts []int64 // len(latencyBucketsMS)+1, last is +Inf
+	sumMS  float64
+	maxMS  float64
 }
 
-func newHistogram(buckets []float64) *histogram {
-	return &histogram{buckets: buckets, counts: make([]int64, len(buckets)+1)}
+func newHistogram() *histogram {
+	return &histogram{counts: make([]int64, len(latencyBucketsMS)+1)}
 }
 
 func (h *histogram) observe(ms float64) {
-	i := sort.SearchFloat64s(h.buckets, ms)
+	i := sort.SearchFloat64s(latencyBucketsMS, ms)
 	h.counts[i]++
 	h.sumMS += ms
 	if ms > h.maxMS {
@@ -82,7 +78,7 @@ func (m *Metrics) Observe(endpoint string, d time.Duration, failed bool) {
 	defer m.mu.Unlock()
 	e, ok := m.endpoints[endpoint]
 	if !ok {
-		e = &endpointMetrics{hist: newHistogram(latencyBucketsMS)}
+		e = &endpointMetrics{hist: newHistogram()}
 		m.endpoints[endpoint] = e
 	}
 	e.count++
@@ -99,7 +95,7 @@ func (m *Metrics) ObserveStage(stage string, d time.Duration) {
 	defer m.mu.Unlock()
 	st, ok := m.stages[stage]
 	if !ok {
-		st = &stageMetrics{hist: newHistogram(stageBucketsMS)}
+		st = &stageMetrics{hist: newHistogram()}
 		m.stages[stage] = st
 	}
 	st.count++
@@ -217,8 +213,8 @@ func latencySnapshot(h *histogram, count int64) LatencySnapshot {
 	for i, n := range h.counts {
 		cum += n
 		le := -1.0 // +Inf
-		if i < len(h.buckets) {
-			le = h.buckets[i]
+		if i < len(latencyBucketsMS) {
+			le = latencyBucketsMS[i]
 		}
 		ls.Buckets = append(ls.Buckets, BucketCount{LEMS: le, Count: cum})
 	}

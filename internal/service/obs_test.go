@@ -71,6 +71,27 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 	}
 }
 
+// TestEndpointHistogramSeesRawHit: endpoint and stage histograms share
+// one scale whose first bucket is under a raw cache hit's cost, so a
+// 30 µs request does not share a bucket with a 0.9 ms one.
+func TestEndpointHistogramSeesRawHit(t *testing.T) {
+	m := NewMetrics()
+	m.Observe("analyze", 30*time.Microsecond, false)
+	m.Observe("analyze", 900*time.Microsecond, false)
+	m.ObserveStage("cache-lookup", 30*time.Microsecond)
+	for name, lat := range map[string]LatencySnapshot{
+		"endpoint": m.snapshotEndpoints()["analyze"].Latency,
+		"stage":    m.snapshotStages()["cache-lookup"].Latency,
+	} {
+		if b := lat.Buckets[0]; b.LEMS != 0.05 || b.Count != 1 {
+			t.Errorf("%s first bucket = %+v, want le_ms 0.05 holding the 30 µs observation", name, b)
+		}
+	}
+	if b := m.snapshotEndpoints()["analyze"].Latency.Buckets; len(b) != len(latencyBucketsMS)+1 || b[len(b)-2].LEMS != 5000 {
+		t.Errorf("endpoint buckets %+v, want 0.05 ms up to 5000 ms and +Inf", b)
+	}
+}
+
 // TestRenderPromGolden pins the exposition rendering: HELP/TYPE
 // comments, label escaping (round-tripped through the validating
 // parser), histogram bucket structure, and bucket monotonicity.

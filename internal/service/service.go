@@ -43,7 +43,8 @@ type Config struct {
 	CacheDir string
 	// RequestTimeout bounds one request end to end (queue wait included).
 	RequestTimeout time.Duration
-	// Compiler, VM and Rules are part of every cache key. VM is the
+	// Compiler, VM and Rules are part of every cache key, through one
+	// digest taken when the service is built. VM is the
 	// machine every endpoint answers for: its VLMax sets the compile-time
 	// strip length (Analyzer.CompilerOptions) and its Rules form the
 	// chimes. Compiler seeds the explore engine's per-machine compiles.
@@ -206,6 +207,13 @@ type Service struct {
 	// allocating a fresh multi-megabyte CPU per request.
 	analyzer *macs.Analyzer
 
+	// config is configFingerprint(cfg), taken once in New: every content
+	// key and every persistent segment header carries it, so no request
+	// re-encodes the configuration. configErr is its failure, which every
+	// keyed request then returns.
+	config    string
+	configErr error
+
 	mu      sync.Mutex
 	flights map[Key]*flight
 
@@ -277,10 +285,11 @@ func New(cfg Config) *Service {
 	if cfg.RuntimeSample > 0 {
 		s.sampler = obs.StartRuntimeSampler(cfg.RuntimeSample)
 	}
+	s.config, s.configErr = configFingerprint(cfg)
 	if cfg.CacheDir != "" {
-		fp, err := configFingerprint(cfg)
+		err := s.configErr
 		if err == nil {
-			s.disk, err = OpenDiskCache(cfg.CacheDir, fp)
+			s.disk, err = OpenDiskCache(cfg.CacheDir, s.config)
 		}
 		if err != nil {
 			s.log.Warn("persistent cache disabled", "dir", cfg.CacheDir, "err", err)
@@ -307,6 +316,15 @@ func configFingerprint(cfg Config) (string, error) {
 	k, err := NewKey("cache-fingerprint", fmt.Sprintf("v%d", diskCacheVersion),
 		cfg.Compiler, cfg.VM.Machine.Fingerprint(), run, cfg.Rules)
 	return string(k), err
+}
+
+// key is the content address of one request under the service's
+// configuration: the request's own parts behind the configuration digest.
+func (s *Service) key(kind, source string, parts ...any) (Key, error) {
+	if s.configErr != nil {
+		return "", s.configErr
+	}
+	return NewKey(kind, source, append([]any{s.config}, parts...)...)
 }
 
 // recordAttr merges one run's lane-summed stall attribution into the
@@ -455,6 +473,40 @@ func decodeJSON[T any]() decodeFunc {
 	}
 }
 
+// hitSlot records what one HTTP request's keyed path did in do, so
+// handleJSON can tell whether its answer may be served again by raw
+// body. Only a path that was exactly one cache hit qualifies: one do
+// call served from memory or disk, with no pipeline run and no flight.
+// Anything else (a miss, a fallback that tried two keys) must run again
+// to keep its counters and side effects. The mutex covers an auto-tier
+// verification, which inherits the request's context values and may
+// call do after the request has returned.
+type hitSlot struct {
+	mu       sync.Mutex
+	calls    int
+	hit      bool
+	endpoint string
+	key      Key
+}
+
+// slotKey is the context key of a request's *hitSlot.
+type slotKey struct{}
+
+func (sl *hitSlot) record(endpoint string, key Key, hit bool) {
+	sl.mu.Lock()
+	sl.calls++
+	sl.endpoint, sl.key, sl.hit = endpoint, key, hit
+	sl.mu.Unlock()
+}
+
+// single returns the endpoint label and key of the one cache hit the
+// request's path was, or ok false.
+func (sl *hitSlot) single() (endpoint string, key Key, ok bool) {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	return sl.endpoint, sl.key, sl.calls == 1 && sl.hit
+}
+
 // do is the heart of the service: memory-cache lookup, persistent-cache
 // fill, singleflight attach or lead, pool submission with backpressure,
 // and context-bounded waiting. It returns (value, servedFromCache,
@@ -462,8 +514,13 @@ func decodeJSON[T any]() decodeFunc {
 // level, fresh is true only when this call actually executed fn (cache
 // hits and dedup waiters report false) — the fast-tier counters key off
 // it so replayed requests are not double-counted. dec may be nil for
-// results that should not persist.
-func (s *Service) do(ctx context.Context, key Key, dec decodeFunc, fn func() (any, error)) (any, bool, bool, error) {
+// results that should not persist. endpoint is the caller's metrics
+// label; do records it, the key and the outcome in the request's
+// hitSlot, if it carries one.
+func (s *Service) do(ctx context.Context, endpoint string, key Key, dec decodeFunc, fn func() (any, error)) (v any, cached, fresh bool, err error) {
+	if sl, ok := ctx.Value(slotKey{}).(*hitSlot); ok {
+		defer func() { sl.record(endpoint, key, cached && err == nil) }()
+	}
 	_, sp := obs.Start(ctx, "cache-lookup")
 	v, hit := s.cache.Get(key)
 	sp.End()
@@ -503,7 +560,7 @@ func (s *Service) do(ctx context.Context, key Key, dec decodeFunc, fn func() (an
 	s.mu.Unlock()
 
 	executed := false
-	err := s.pool.Submit(fctx, func(jctx context.Context) {
+	err = s.pool.Submit(fctx, func(jctx context.Context) {
 		var v any
 		var jerr error
 		if jerr = jctx.Err(); jerr == nil {
@@ -805,12 +862,12 @@ func (s *Service) Analyze(ctx context.Context, req AnalyzeRequest) (AnalyzeRespo
 // analyzeExact is the simulated path: compile, bound, simulate.
 func (s *Service) analyzeExact(ctx context.Context, req AnalyzeRequest) (AnalyzeResponse, error) {
 	start := time.Now()
-	key, err := NewKey("analyze", req.Source, s.cfg.Compiler, s.cfg.VM, s.cfg.Rules, req.Iterations, req.Prime)
+	key, err := s.key("analyze", req.Source, req.Iterations, req.Prime)
 	if err != nil {
 		s.observe("analyze", start, false, err)
 		return AnalyzeResponse{}, err
 	}
-	v, cached, _, err := s.do(ctx, key, decodeJSON[AnalyzeResponse](), func() (any, error) {
+	v, cached, _, err := s.do(ctx, "analyze", key, decodeJSON[AnalyzeResponse](), func() (any, error) {
 		// The request context rides into the closure for its trace values
 		// only; cancellation is governed by the flight context the worker
 		// checks before calling this.
@@ -857,12 +914,12 @@ func (s *Service) Bound(ctx context.Context, req BoundRequest) (BoundResponse, e
 		return BoundResponse{}, err
 	}
 	start := time.Now()
-	key, err := NewKey("bound", req.Source, s.cfg.Compiler, s.cfg.VM, s.cfg.Rules, int64(0))
+	key, err := s.key("bound", req.Source)
 	if err != nil {
 		s.observe("bound", start, false, err)
 		return BoundResponse{}, err
 	}
-	v, cached, _, err := s.do(ctx, key, decodeJSON[BoundResponse](), func() (any, error) {
+	v, cached, _, err := s.do(ctx, "bound", key, decodeJSON[BoundResponse](), func() (any, error) {
 		a, err := s.analyzer.BoundSourceCtx(ctx, req.Source)
 		if err != nil {
 			return nil, err
@@ -903,12 +960,12 @@ func (s *Service) Check(ctx context.Context, req CheckRequest) (CheckResponse, e
 		return CheckResponse{}, err
 	}
 	start := time.Now()
-	key, err := NewKey("check", req.Source, s.cfg.Compiler, s.cfg.VM, s.cfg.Rules, int64(0))
+	key, err := s.key("check", req.Source)
 	if err != nil {
 		s.observe("check", start, false, err)
 		return CheckResponse{}, err
 	}
-	v, cached, _, err := s.do(ctx, key, decodeJSON[CheckResponse](), func() (any, error) {
+	v, cached, _, err := s.do(ctx, "check", key, decodeJSON[CheckResponse](), func() (any, error) {
 		p, err := macs.Compile(req.Source, s.analyzer.CompilerOptions())
 		if err != nil {
 			return nil, err
@@ -958,12 +1015,12 @@ func (s *Service) AX(ctx context.Context, req AXRequest) (AXResponse, error) {
 		return AXResponse{}, err
 	}
 	start := time.Now()
-	key, err := NewKey("ax", req.Source, s.cfg.Compiler, s.cfg.VM, s.cfg.Rules, int64(0), req.Prime)
+	key, err := s.key("ax", req.Source, req.Prime)
 	if err != nil {
 		s.observe("ax", start, false, err)
 		return AXResponse{}, err
 	}
-	v, cached, _, err := s.do(ctx, key, decodeJSON[AXResponse](), func() (any, error) {
+	v, cached, _, err := s.do(ctx, "ax", key, decodeJSON[AXResponse](), func() (any, error) {
 		p, err := macs.Compile(req.Source, s.analyzer.CompilerOptions())
 		if err != nil {
 			return nil, err
@@ -1007,12 +1064,12 @@ func (s *Service) LFK(ctx context.Context, id int) (LFKResponse, error) {
 		return LFKResponse{}, err
 	}
 	start := time.Now()
-	key, err := NewKey("lfk", fmt.Sprintf("%d", id), s.cfg.Compiler, s.cfg.VM, s.cfg.Rules, int64(0))
+	key, err := s.key("lfk", fmt.Sprintf("%d", id))
 	if err != nil {
 		s.observe("lfk", start, false, err)
 		return LFKResponse{}, err
 	}
-	v, cached, _, err := s.do(ctx, key, decodeJSON[LFKResponse](), func() (any, error) {
+	v, cached, _, err := s.do(ctx, "lfk", key, decodeJSON[LFKResponse](), func() (any, error) {
 		k, err := macs.KernelByID(id)
 		if err != nil {
 			return nil, err
