@@ -12,13 +12,9 @@
 //	macs bound   <kernel.f>        print the bounds hierarchy
 //	macs sim     <kernel.f> [-n N] compile and simulate (N inner iterations
 //	                               for the CPL conversion)
-//	macs analyze <kernel.f> [-tier exact|fast|auto] [-n N] [-ints N=1001]
-//	             [-trace out.json]
-//	                               serve through a selectable tier: exact
-//	                               simulates, fast predicts through the
-//	                               simulator's timing model without its
-//	                               functional half, auto does both and
-//	                               checks they agree; -trace writes the
+//	macs analyze <kernel.f> [-n N] [-ints N=1001] [-trace out.json]
+//	                               compile, bound and simulate with primed
+//	                               integer inputs; -trace writes the
 //	                               pipeline spans merged with the simulator
 //	                               lanes as one Chrome trace_event timeline
 //	macs attr    <kernel.f> [-n N] [-trace out.json] [-ring N]
@@ -31,7 +27,7 @@
 //	                               interval analysis proved about each
 //	                               vector memory stream
 //	macs ax      <kernel.f>        print the A-process and X-process codes
-//	macs batch [-addr URL] [-tier T] [-n N] [-ints N=1001] k1.f k2.f ...
+//	macs batch [-addr URL] [-n N] [-ints N=1001] k1.f k2.f ...
 //	                               analyze many kernels in one batch and
 //	                               stream per-kernel NDJSON results; with
 //	                               -addr they go through a running macsd's
@@ -41,8 +37,9 @@
 //	             [-top F] [-losers N] [-attr] [-params]
 //	                               design-space exploration: compile the
 //	                               kernel once, sweep a grid of machine
-//	                               variants, fast-tier score every point and
-//	                               simulate only the top fraction; prints the
+//	                               variants, score every point with the
+//	                               predictor and simulate only the top
+//	                               fraction; prints the
 //	                               ranked table (and the winner's stall
 //	                               attribution with -attr)
 //	macs lfk <id>                  analyze one case-study kernel
@@ -55,7 +52,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -271,12 +267,10 @@ func cmdSim(w io.Writer, args []string) error {
 	return nil
 }
 
-// cmdAnalyze serves a kernel through a selectable tier: "exact" simulates
-// (like sim), "fast" predicts analytically, "auto" serves the fast
-// prediction and then verifies it against the simulator.
+// cmdAnalyze runs the full pipeline on a kernel — compile, bound,
+// simulate — with integer inputs primed by name.
 func cmdAnalyze(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
-	tierName := fs.String("tier", "exact", "serving tier: exact, fast or auto")
 	n := fs.Int64("n", 0, "inner-loop iterations for CPL conversion")
 	ints := fs.String("ints", "", "integer inputs to prime, e.g. N=1001,LOOP=20")
 	traceOut := fs.String("trace", "", "write the pipeline trace merged with the simulator lanes as Chrome trace_event JSON to this file")
@@ -285,10 +279,6 @@ func cmdAnalyze(w io.Writer, args []string) error {
 		file, args = args[0], args[1:]
 	}
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	tier, err := macs.ParseTier(*tierName)
-	if err != nil {
 		return err
 	}
 	src, err := readSource([]string{file})
@@ -303,94 +293,36 @@ func cmdAnalyze(w io.Writer, args []string) error {
 	// With -trace, every pipeline stage records a span on tr and the
 	// simulated run's lane events merge into the same timeline.
 	ctx := context.Background()
+	cfg := macs.DefaultVMConfig()
 	var tr *obs.Trace
 	if *traceOut != "" {
 		tr = obs.NewTrace("")
 		ctx = obs.NewContext(ctx, tr)
+		cfg.Trace = true
 	}
 	ctx, root := obs.Start(ctx, "analyze")
-
-	runFast := func() (macs.FastResult, error) {
-		start := time.Now()
-		fr, err := macs.NewAnalyzer(macs.DefaultVMConfig()).PredictSourceCtx(ctx, src, *n, primeInts)
-		if err != nil {
-			return fr, err
-		}
-		fmt.Fprintf(w, "tier: fast (%s)\n", time.Since(start).Round(time.Microsecond))
-		fmt.Fprint(w, fr.Report())
-		fmt.Fprintln(w)
-		fmt.Fprint(w, report.AttributionTable(fr.Prediction.Stats))
-		return fr, nil
+	start := time.Now()
+	res, err := macs.AnalyzeSourceVMCtx(ctx, src, *n, cfg, primeFunc(primeInts))
+	root.End()
+	if err != nil {
+		return err
 	}
-	runExact := func() (macs.Result, error) {
-		start := time.Now()
-		cfg := macs.DefaultVMConfig()
-		if tr != nil {
-			cfg.Trace = true
-		}
-		res, err := macs.AnalyzeSourceVMCtx(ctx, src, *n, cfg, primeFunc(primeInts))
-		if err != nil {
-			return res, err
-		}
-		fmt.Fprintf(w, "tier: exact (%s)\n", time.Since(start).Round(time.Microsecond))
-		fmt.Fprint(w, res.Report())
-		return res, nil
-	}
-	writeTrace := func() error {
-		root.End()
-		if tr == nil {
-			return nil
-		}
-		v := tr.View()
-		b, err := obs.ChromeTrace(v)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*traceOut, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "trace %s: %d spans, %d lane events -> %s\n",
-			v.ID, len(v.Spans), len(v.Lanes), *traceOut)
+	fmt.Fprintf(w, "tier: exact (%s)\n", time.Since(start).Round(time.Microsecond))
+	fmt.Fprint(w, res.Report())
+	if tr == nil {
 		return nil
 	}
-
-	switch tier {
-	case macs.TierFast:
-		if _, err := runFast(); err != nil {
-			return err
-		}
-		return writeTrace()
-	case macs.TierExact:
-		if _, err := runExact(); err != nil {
-			return err
-		}
-		return writeTrace()
-	case macs.TierAuto:
-		fr, err := runFast()
-		if err != nil {
-			if errors.Is(err, macs.ErrDataDependent) {
-				fmt.Fprintf(w, "fast tier declined (%v); falling back to exact\n\n", err)
-				if _, err = runExact(); err != nil {
-					return err
-				}
-				return writeTrace()
-			}
-			return err
-		}
-		fmt.Fprintln(w)
-		res, err := runExact()
-		if err != nil {
-			return err
-		}
-		verdict := "match"
-		if res.Stats.Cycles != fr.Prediction.Cycles {
-			verdict = "MISMATCH"
-		}
-		fmt.Fprintf(w, "verification: predicted %d cycles, simulated %d (%s)\n",
-			fr.Prediction.Cycles, res.Stats.Cycles, verdict)
-		return writeTrace()
+	v := tr.View()
+	b, err := obs.ChromeTrace(v)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("unhandled tier %v", tier)
+	if err := os.WriteFile(*traceOut, b, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "trace %s: %d spans, %d lane events -> %s\n",
+		v.ID, len(v.Spans), len(v.Lanes), *traceOut)
+	return nil
 }
 
 // parseInts parses "N=1001,LOOP=20" into a data-symbol priming map.
@@ -434,7 +366,6 @@ func parseIntsRaw(s string) (map[string]int64, error) {
 func cmdBatch(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ExitOnError)
 	addr := fs.String("addr", "", "macsd base URL (e.g. http://localhost:8723); empty runs in-process")
-	tierName := fs.String("tier", "", "serving tier for every kernel: exact, fast or auto")
 	n := fs.Int64("n", 0, "inner-loop iterations for CPL conversion, applied to every kernel")
 	ints := fs.String("ints", "", "integer inputs to prime every kernel, e.g. N=1001,LOOP=20")
 	if err := fs.Parse(args); err != nil {
@@ -443,11 +374,6 @@ func cmdBatch(w io.Writer, args []string) error {
 	files := fs.Args()
 	if len(files) == 0 {
 		return fmt.Errorf("missing kernel files")
-	}
-	if *tierName != "" {
-		if _, err := macs.ParseTier(*tierName); err != nil {
-			return err
-		}
 	}
 	primeInts, err := parseIntsRaw(*ints)
 	if err != nil {
@@ -464,7 +390,6 @@ func cmdBatch(w io.Writer, args []string) error {
 			Source:     src,
 			Iterations: *n,
 			Prime:      service.Priming{Ints: primeInts},
-			Tier:       *tierName,
 		})
 	}
 	if *addr != "" {
@@ -534,7 +459,7 @@ func batchRemote(w io.Writer, addr string, req service.BatchRequest) error {
 }
 
 // primeFunc turns a data-symbol priming map into the simulator priming
-// hook AnalyzeSource takes, so both tiers see the same inputs.
+// hook AnalyzeSource takes.
 func primeFunc(ints map[string]int64) func(*macs.CPU) error {
 	if len(ints) == 0 {
 		return nil

@@ -7,7 +7,7 @@
 //
 //	macsd [-addr :8723] [-workers N] [-queue N] [-cache N]
 //	      [-cache-dir DIR] [-timeout 30s] [-drain 30s]
-//	      [-log text|json] [-tier exact] [-pprof]
+//	      [-log text|json] [-pprof]
 //	      [-runtime-sample 10s]
 //
 // -pprof mounts net/http/pprof under /debug/pprof/ on the same listener
@@ -24,19 +24,18 @@
 // Endpoints:
 //
 //	POST /v1/analyze   {"source": "...", "iterations": N, "prime": {...}};
-//	                   ?tier=exact|fast|auto picks the serving tier
-//	                   (fast: analytical prediction, no simulation;
-//	                   auto: fast answer now, exact verification async
-//	                   with mismatches counted on /metrics)
+//	                   compile, bound and simulate
 //	POST /v1/batch     {"items": [{...}, ...]}; per-kernel results
 //	                   stream back as NDJSON in completion order
+//	POST /v1/explore   {"source": "...", "grid": {...}}; a machine-parameter
+//	                   sweep, streamed back as NDJSON events
 //	POST /v1/bound     {"source": "..."}
+//	POST /v1/check     {"source": "..."}; static verification only
 //	POST /v1/ax        {"source": "...", "prime": {...}}
 //	GET  /v1/lfk/{id}  one case-study kernel (1,2,3,4,6,7,8,9,10,12)
 //	GET  /v1/trace/{id} one request trace as Chrome trace_event JSON
 //	GET  /healthz      liveness
-//	GET  /metrics      counters, cache/queue stats, latency histograms,
-//	                   fast-tier verifications and mismatches
+//	GET  /metrics      counters, cache/queue stats, latency histograms
 //	                   (?format=prom: Prometheus text exposition)
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, drains
@@ -57,7 +56,6 @@ import (
 	"syscall"
 	"time"
 
-	"macs"
 	"macs/internal/service"
 )
 
@@ -70,15 +68,9 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout, queue wait included")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	logFormat := flag.String("log", "text", "log format: text or json")
-	tier := flag.String("tier", "exact", "default serving tier for requests that name none: exact, fast or auto")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ and enable the runtime sampler")
 	runtimeSample := flag.Duration("runtime-sample", 10*time.Second, "Go-runtime sampling interval (with -pprof; 0 disables)")
 	flag.Parse()
-
-	if _, err := macs.ParseTier(*tier); err != nil {
-		fmt.Fprintln(os.Stderr, "macsd:", err)
-		os.Exit(2)
-	}
 
 	var handler slog.Handler
 	if *logFormat == "json" {
@@ -94,7 +86,6 @@ func main() {
 		CacheSize:      *cacheSize,
 		CacheDir:       *cacheDir,
 		RequestTimeout: *timeout,
-		DefaultTier:    *tier,
 		Logger:         log,
 	}
 	if *pprofOn {

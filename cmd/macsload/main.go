@@ -20,7 +20,7 @@
 // Usage:
 //
 //	macsload [-addr http://localhost:8723] [-n 200] [-c 8] [-kernels 4]
-//	         [-tier exact|fast|auto] [-batch B]
+//	         [-batch B]
 //	         [-slo-p50 5ms] [-slo-p99 50ms]
 //	         [-hist] [-prom-out FILE]
 //
@@ -56,7 +56,6 @@ func main() {
 	n := flag.Int("n", 200, "hot-phase request budget (each is issued exactly once)")
 	c := flag.Int("c", 8, "concurrent clients")
 	nk := flag.Int("kernels", 4, "distinct kernels in the workload (max 10)")
-	tier := flag.String("tier", "", "serving tier for every request: exact, fast or auto (server default when empty)")
 	batch := flag.Int("batch", 0, "batch mode: items per /v1/batch request (0 = single /v1/analyze requests)")
 	sloP50 := flag.Duration("slo-p50", 0, "fail (exit 1) if hot-phase p50 exceeds this (0 disables)")
 	sloP99 := flag.Duration("slo-p99", 0, "fail (exit 1) if hot-phase p99 exceeds this (0 disables)")
@@ -64,7 +63,7 @@ func main() {
 	promOut := flag.String("prom-out", "", "write client-side results as a Prometheus textfile to this path")
 	flag.Parse()
 
-	if err := run(*addr, *n, *c, *nk, *tier, *batch, *sloP50, *sloP99, *hist, *promOut); err != nil {
+	if err := run(*addr, *n, *c, *nk, *batch, *sloP50, *sloP99, *hist, *promOut); err != nil {
 		fmt.Fprintln(os.Stderr, "macsload:", err)
 		os.Exit(1)
 	}
@@ -90,7 +89,7 @@ func (ct *counters) record(d time.Duration) {
 	ct.mu.Unlock()
 }
 
-func run(addr string, n, c, nk int, tier string, batch int, sloP50, sloP99 time.Duration, hist bool, promOut string) error {
+func run(addr string, n, c, nk, batch int, sloP50, sloP99 time.Duration, hist bool, promOut string) error {
 	kernels := macs.Kernels()
 	if nk < 1 {
 		nk = 1
@@ -109,7 +108,6 @@ func run(addr string, n, c, nk int, tier string, batch int, sloP50, sloP99 time.
 				Reals:  k.Reals,
 				Arrays: k.Arrays,
 			},
-			Tier: tier,
 		}
 		body, err := json.Marshal(reqs[i])
 		if err != nil {
@@ -159,7 +157,7 @@ func run(addr string, n, c, nk int, tier string, batch int, sloP50, sloP99 time.
 				}
 				ct.attempted.Add(1)
 				if batch > 0 {
-					hotBatch(client, addr, tier, bodies, reqs, int(i), batch, &ct)
+					hotBatch(client, addr, reqs, int(i), batch, &ct)
 				} else {
 					hotOne(client, addr, bodies[i%int64(len(bodies))], &ct)
 				}
@@ -262,7 +260,7 @@ func hotOne(client *http.Client, addr string, body []byte, ct *counters) {
 // NDJSON stream to completion. Latency covers the whole stream (the
 // last kernel's completion); a per-item error inside the stream counts
 // the batch as errored.
-func hotBatch(client *http.Client, addr, tier string, bodies [][]byte, reqs []service.AnalyzeRequest, seq, size int, ct *counters) {
+func hotBatch(client *http.Client, addr string, reqs []service.AnalyzeRequest, seq, size int, ct *counters) {
 	items := make([]service.AnalyzeRequest, size)
 	for j := 0; j < size; j++ {
 		items[j] = reqs[(seq*size+j)%len(reqs)]

@@ -1,10 +1,10 @@
 // Command macsvet runs the repo's custom static analyzers (see
 // internal/macsvet): exhaustive switches over marked enums, the
-// opcode/timing-table invariant of internal/isa, the fast-tier/simulator
-// stall-taxonomy bijection (and a named entry for every serving tier),
-// the dependence-edge taxonomy handled exhaustively in the critical-path
-// solver, no naked panics in packages reachable from service request
-// handling, and Must* panicking helpers confined to test files.
+// opcode/timing-table invariant of internal/isa, the dependence-edge
+// taxonomy handled exhaustively in the critical-path solver, no naked
+// panics in packages reachable from service request handling, Must*
+// panicking helpers confined to test files, and every pipeline span
+// ended in the statement list that started it.
 //
 // Exit codes: 0 clean, 1 findings, 2 analysis failure. Every finding
 // prints with a real file:line:col anchor.

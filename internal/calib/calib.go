@@ -279,7 +279,7 @@ func HalfPerformanceLength(op isa.Op) (cold, steady float64, err error) {
 	return float64(t.X+t.Y) / t.Z, float64(t.B) / t.Z, nil
 }
 
-// FastTierConfig is the fast tier's configuration for a simulator
-// configuration: the same vm.Config, since both tiers run one timing
-// model.
+// FastTierConfig is the explore predictor's configuration for a
+// simulator configuration: the same vm.Config, since the predictor and
+// the simulator run one timing model.
 func FastTierConfig(cfg vm.Config) vm.Config { return cfg }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -154,6 +155,81 @@ func TestSweepShortVLDifferential(t *testing.T) {
 		if !reflect.DeepEqual(*p.Stats, res.Stats) {
 			t.Errorf("lfk%d: stats diverge:\nexplore: %+v\nanalyze: %+v", k.ID, *p.Stats, res.Stats)
 		}
+	}
+}
+
+// TestSweepDataDependentFallback: a kernel that branches on floating-point
+// data cannot be scored by the predictor, so the sweep falls back to
+// simulating every point. Nothing is pruned, no point carries a
+// prediction, every point measures what a fresh simulation of its
+// machine measures, and rank 1 is the fastest of them.
+func TestSweepDataDependentFallback(t *testing.T) {
+	const src = `
+PROGRAM DATADEP
+REAL X(128), S
+INTEGER N, K
+DO K = 1, N
+  X(K) = X(K) + S
+ENDDO
+IF (S .LT. 1.0) GOTO 10
+10 CONTINUE
+END
+`
+	prime := func(c *vm.CPU) error {
+		base, ok := c.Memory().SymbolAddr("d_N")
+		if !ok {
+			return fmt.Errorf("no symbol d_N")
+		}
+		return c.Memory().WriteI64(base, 16)
+	}
+	// The slowest machine (few banks, long bank cycle) is point 0, so a
+	// ranking that kept grid order would crown the wrong point.
+	grid := Grid{Axes: []Axis{
+		{Param: "banks", Values: []float64{8, 32}},
+		{Param: "bank-cycle", Values: []float64{16, 4}},
+	}}
+	eng, err := New(grid, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := eng.Sweep(context.Background(), Request{
+		Source:     src,
+		Iterations: 16,
+		Ints:       map[string]int64{"d_N": 16},
+		Prime:      prime,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sw.Fallback || sw.Simulated != sw.Swept || sw.Pruned != 0 {
+		t.Fatalf("fallback %v, simulated %d of %d, pruned %d; want fallback with every point simulated",
+			sw.Fallback, sw.Simulated, sw.Swept, sw.Pruned)
+	}
+	fastest := -1
+	var fastestCycles int64
+	for i, p := range sw.Points {
+		if p.PredictedCycles != 0 || p.PredictedCPL != 0 {
+			t.Errorf("point %d carries a prediction: %d cycles, %g CPL", i, p.PredictedCycles, p.PredictedCPL)
+		}
+		cfg := vm.DefaultConfig()
+		cfg.Machine = p.Machine
+		res, err := macs.AnalyzeSourceVM(src, 16, cfg, prime)
+		if err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		if !p.Simulated || p.Cycles != res.Stats.Cycles {
+			t.Errorf("point %d: simulated %v, %d cycles; fresh run %d", i, p.Simulated, p.Cycles, res.Stats.Cycles)
+		}
+		if fastest < 0 || res.Stats.Cycles < fastestCycles {
+			fastest, fastestCycles = i, res.Stats.Cycles
+		}
+	}
+	if fastest == 0 {
+		t.Fatalf("point 0 is the fastest; the grid no longer tells the ranking from grid order")
+	}
+	if best := sw.Best(); best.Index != fastest || best.Cycles != fastestCycles {
+		t.Errorf("rank 1 is point %d (%d cycles), fastest fresh run is point %d (%d cycles)",
+			best.Index, best.Cycles, fastest, fastestCycles)
 	}
 }
 

@@ -1,6 +1,7 @@
-// Package fasttier is the analytical serving tier: it predicts a compiled
-// program's cycle count, CPL and per-lane stall attribution without a
-// memory image and without any floating-point work.
+// Package fasttier is the explore engine's stage-1 scorer: it predicts
+// a compiled program's cycle count, CPL and per-lane stall attribution
+// without a memory image and without any floating-point work, so a grid
+// sweep can rank every machine before simulating the top fraction.
 //
 // The predictor steps the program through vm.Timing — the simulator's own
 // timing model, not a copy of it — so every chime, chaining wait, bubble,
@@ -12,9 +13,7 @@
 // placement and every access are range-checked against the configured
 // memory size, so a program the simulator would reject is rejected here
 // too. A program whose control flow depends on floating-point data or
-// unprimed inputs is refused with ErrDataDependent, or answered with an
-// interval when its data-dependent branches are boundedly enumerable
-// (PredictInterval).
+// unprimed inputs is refused with ErrDataDependent.
 //
 // Cost: a first-sight prediction costs about one simulation of the same
 // program, because the timing equations are the same work either way.
@@ -32,13 +31,13 @@ import (
 	"macs/internal/vm"
 )
 
-// ErrDataDependent marks a program the fast tier cannot predict: its
+// ErrDataDependent marks a program the predictor cannot score: its
 // control flow (or a vector length / stride / address) depends on
-// floating-point data or on memory the caller did not prime. The exact
-// tier handles such programs.
+// floating-point data or on memory the caller did not prime. Explore
+// simulates every point of such a program.
 var ErrDataDependent = errors.New("fasttier: control flow depends on data the fast tier does not model")
 
-// Prediction is the fast tier's answer for one program.
+// Prediction is the predictor's answer for one program.
 type Prediction struct {
 	// Stats is the predicted run as the simulator's timing model counts
 	// it: cycles, instruction and chime counts, memory stalls, port
@@ -49,26 +48,10 @@ type Prediction struct {
 	// CPL is Cycles divided by the caller's iteration count (0 when no
 	// iteration count was given).
 	CPL float64
-
-	// Interval reports that this prediction came from bounded enumeration
-	// of data-dependent branch outcomes rather than a single bit-exact
-	// replay. CyclesLo/CyclesHi bound the run length over every admitted
-	// outcome vector; because each enumerated path is itself bit-exact and
-	// the real execution follows one of them, the simulator's measurement
-	// is guaranteed to land inside [CyclesLo, CyclesHi]. CPLLo/CPLHi are
-	// the per-iteration forms of those bounds. Paths counts the complete
-	// paths enumerated; the point fields (Cycles, CPL, Attr, ...) describe
-	// the worst-case path.
-	Interval bool
-	Paths    int
-	CyclesLo int64
-	CyclesHi int64
-	CPLLo    float64
-	CPLHi    float64
 }
 
-// Predictor is the pooled front door to the fast tier: it recycles
-// symbolic interpreters — most importantly their memoized stream-stall tables —
+// Predictor is the package's front door: it recycles symbolic
+// interpreters — most importantly their memoized stream-stall tables —
 // across predictions, and memoizes finished predictions. It is safe for
 // concurrent use.
 type Predictor struct {
@@ -89,7 +72,6 @@ type memoKey struct {
 	prog       *asm.Program
 	iterations int64
 	ints       string // canonical fingerprint of the primed integers
-	interval   bool   // interval (path-enumerated) predictions keyed apart
 }
 
 // memoCap bounds the prediction memo; on overflow the memo is dropped
@@ -124,20 +106,14 @@ func NewPredictor(cfg vm.Config) *Predictor {
 	return p
 }
 
-// Predict steps prog through the timing model and returns the fast-tier
+// Predict steps prog through the timing model and returns the
 // prediction. iterations converts predicted cycles to CPL (0 skips the
 // conversion); ints primes integer inputs by data-symbol name (e.g.
 // "d_N") — the values that drive trip counts and addresses. It returns
 // ErrDataDependent (wrapped) when the program's timing depends on data
-// the fast tier does not model. Identical requests are memoized.
+// the predictor does not model. Identical requests are memoized.
 func (p *Predictor) Predict(prog *asm.Program, iterations int64, ints map[string]int64) (Prediction, error) {
-	return p.memoized(memoKey{prog: prog, iterations: iterations, ints: intsFingerprint(ints)},
-		func(r *replay) (Prediction, error) { return r.predict(prog, iterations, ints) })
-}
-
-// memoized answers key from the memo, or runs predict on a pooled interpreter
-// and memoizes its successful answer.
-func (p *Predictor) memoized(key memoKey, predict func(*replay) (Prediction, error)) (Prediction, error) {
+	key := memoKey{prog: prog, iterations: iterations, ints: intsFingerprint(ints)}
 	p.mu.Lock()
 	pred, ok := p.memo[key]
 	p.mu.Unlock()
@@ -145,7 +121,7 @@ func (p *Predictor) memoized(key memoKey, predict func(*replay) (Prediction, err
 		return pred, nil
 	}
 	r := p.pool.Get().(*replay)
-	pred, err := predict(r)
+	pred, err := r.predict(prog, iterations, ints)
 	p.pool.Put(r)
 	if err != nil {
 		return pred, err

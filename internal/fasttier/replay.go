@@ -2,7 +2,6 @@ package fasttier
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 
 	"macs/internal/asm"
@@ -15,9 +14,7 @@ import (
 // embedded vm.Timing; what it adds is only what the simulator would need
 // a memory image and floating-point values for: a symbolic integer
 // machine (registers and memory words with known bits) that resolves trip
-// counts and addresses, a layout that range-checks every access, and —
-// in interval mode — scripted outcomes for branches on data it does not
-// model.
+// counts and addresses, and a layout that range-checks every access.
 type replay struct {
 	vm.Timing
 	cfg    vm.Config
@@ -46,21 +43,7 @@ type replay struct {
 	// simulator's zeroed memory image.
 	cells        map[int64]int64
 	unknownCells map[int64]bool
-
-	// Interval (path-enumeration) mode. When forking is true, a branch on
-	// an unmodeled comparison consumes the next scripted outcome from
-	// decisions instead of failing with ErrDataDependent; when the script
-	// is exhausted the replay stops with errNeedDecision so the
-	// enumerator can extend the script both ways and try again.
-	forking     bool
-	decisions   []bool
-	decisionIdx int
 }
-
-// errNeedDecision reports that a forking replay reached a branch on an
-// unmodeled comparison with no scripted outcome left. It never escapes
-// the package: predictInterval catches it and deepens the script.
-var errNeedDecision = errors.New("fasttier: undecided data-dependent branch")
 
 // newReplay creates an interpreter for cfg. Predictions record no timing
 // events, whatever cfg's tracing settings.
@@ -96,23 +79,11 @@ func (r *replay) reset() {
 	r.tf, r.tfKnown = false, true
 	r.pc = 0
 	r.halted = false
-
-	r.forking = false
-	r.decisions = nil
-	r.decisionIdx = 0
 }
 
 // predict replays one program. See Predictor.Predict for the contract.
 func (r *replay) predict(prog *asm.Program, iterations int64, ints map[string]int64) (Prediction, error) {
-	return r.run(prog, iterations, ints, nil, false)
-}
-
-// run replays one program, optionally under a branch-decision script
-// (forking mode). See predict and predictInterval.
-func (r *replay) run(prog *asm.Program, iterations int64, ints map[string]int64, decisions []bool, forking bool) (Prediction, error) {
 	r.reset()
-	r.forking = forking
-	r.decisions = decisions
 	if err := prog.Validate(); err != nil {
 		return Prediction{}, err
 	}
@@ -319,16 +290,7 @@ func (r *replay) execScalar(in isa.Instr) (jumped bool, err error) {
 	case isa.OpJbrs:
 		r.ScalarOp()
 		if !r.tfKnown {
-			if !r.forking {
-				return false, fmt.Errorf("branch on unmodeled comparison: %w", ErrDataDependent)
-			}
-			if r.decisionIdx >= len(r.decisions) {
-				return false, errNeedDecision
-			}
-			// Adopt the scripted outcome as the T value so later branches
-			// on the same (unrewritten) flag stay path-consistent.
-			r.tf, r.tfKnown = r.decisions[r.decisionIdx], true
-			r.decisionIdx++
+			return false, fmt.Errorf("branch on unmodeled comparison: %w", ErrDataDependent)
 		}
 		take := r.tf
 		if in.Suffix == isa.SufF {

@@ -5,9 +5,9 @@ import "fmt"
 // Layout assigns symbol base addresses within a memory of a given size —
 // bump allocation from address 64, 8-byte aligned — and range-checks
 // accesses against that size. Memory keeps its symbols in one; the
-// analytical fast tier uses one without a byte image, so the addresses it
-// predicts and the accesses it rejects are the simulator's by
-// construction.
+// explore engine's predictor (internal/fasttier) uses one without a byte
+// image, so the addresses it predicts and the accesses it rejects are
+// the simulator's by construction.
 type Layout struct {
 	symbols map[string]int64
 	sizes   map[string]int64
@@ -58,6 +58,12 @@ func (l *Layout) Place(name string, size int64) (int64, error) {
 func (l *Layout) Addr(name string) (int64, bool) {
 	a, ok := l.symbols[name]
 	return a, ok
+}
+
+// SizeOf resolves a placed symbol to its size in bytes.
+func (l *Layout) SizeOf(name string) (int64, bool) {
+	n, ok := l.sizes[name]
+	return n, ok
 }
 
 // Reset forgets every placement, reusing the maps.

@@ -72,6 +72,9 @@ func (m *Memory) Alloc(name string, size int64) (int64, error) {
 // SymbolAddr resolves a symbol name to its base address.
 func (m *Memory) SymbolAddr(name string) (int64, bool) { return m.layout.Addr(name) }
 
+// SymbolSize resolves a symbol name to its allocated size in bytes.
+func (m *Memory) SymbolSize(name string) (int64, bool) { return m.layout.SizeOf(name) }
+
 func (m *Memory) check(addr int64, n int64) error {
 	return checkRange(addr, n, int64(len(m.bytes)))
 }

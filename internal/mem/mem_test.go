@@ -35,6 +35,16 @@ func TestAllocAndSymbols(t *testing.T) {
 	if _, ok := m.SymbolAddr("zz"); ok {
 		t.Error("SymbolAddr(zz) should fail")
 	}
+	if got, ok := m.SymbolSize("x"); !ok || got != 1024 {
+		t.Errorf("SymbolSize(x) = %d,%v, want 1024,true", got, ok)
+	}
+	if _, ok := m.SymbolSize("zz"); ok {
+		t.Error("SymbolSize(zz) should fail")
+	}
+	m.Reset()
+	if _, ok := m.SymbolSize("x"); ok {
+		t.Error("SymbolSize(x) survived Reset")
+	}
 }
 
 func TestAllocOutOfMemory(t *testing.T) {

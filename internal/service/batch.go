@@ -23,8 +23,8 @@ import (
 const maxBatchItems = 256
 
 // BatchRequest asks for many analyses in one request. Each item is a
-// full AnalyzeRequest (source, iterations, priming, tier); the ?tier=
-// query parameter, when present, overrides every item's tier just as it
+// full AnalyzeRequest (source, iterations, priming); the ?tier= query
+// parameter, when present, overrides every item's tier just as it
 // overrides a single analyze request's.
 type BatchRequest struct {
 	Items []AnalyzeRequest `json:"items"`
@@ -41,7 +41,7 @@ type BatchItemResult struct {
 }
 
 // AnalyzeBatch runs every item of a batch through the normal analyze
-// path — tier selection, cache, singleflight, worker pool — fanning out
+// path — cache, singleflight, worker pool — fanning out
 // at most Workers items concurrently via par.ForEach, and calls emit
 // with each item's result as it completes (emit is serialized; results
 // arrive in completion order, identified by Index). Per-item failures

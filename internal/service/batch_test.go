@@ -183,9 +183,10 @@ func TestHTTPBatchNDJSON(t *testing.T) {
 	}
 }
 
-// TestHTTPBatchTierOverrideAndErrors: the ?tier= query parameter
-// overrides every item, malformed bodies fail before the stream starts,
-// and an in-stream invalid kernel is one error line.
+// TestHTTPBatchTierOverrideAndErrors: an old client's ?tier=fast still
+// parses and every item gets the exact answer, malformed bodies fail
+// before the stream starts, and an in-stream invalid kernel is one error
+// line.
 func TestHTTPBatchTierOverrideAndErrors(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2, QueueSize: 16})
 	srv := httptest.NewServer(NewHandler(s))
@@ -221,8 +222,8 @@ func TestHTTPBatchTierOverrideAndErrors(t *testing.T) {
 			}
 		case item.Result != nil:
 			okLines++
-			if item.Result.Tier != "fast" {
-				t.Fatalf("?tier=fast not applied to item %d: tier = %q", item.Index, item.Result.Tier)
+			if item.Result.Tier != "exact" {
+				t.Fatalf("?tier=fast item %d served as tier %q, want exact", item.Index, item.Result.Tier)
 			}
 		default:
 			t.Fatalf("empty line: %+v", item)

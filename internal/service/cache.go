@@ -135,8 +135,9 @@ func newRawKey(path, query string, body []byte) rawKey {
 
 // maxAliasesPerEntry bounds the raw-body aliases one cache entry keeps,
 // so the bytes stored with them stay a small multiple of the entries.
-// Four covers an entry reached as tier=fast and tier=auto, by body and by
-// query, without letting a client that varies its spacing grow it.
+// Four covers a few spellings of one request (body formatting, a ?tier=
+// an old client still sends) without letting a client that varies its
+// spacing grow it.
 const maxAliasesPerEntry = 4
 
 // Cache is a bounded LRU over completed analysis results, keyed by

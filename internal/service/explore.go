@@ -11,7 +11,7 @@ import (
 
 // This file is the design-space half of the serving layer: POST
 // /v1/explore accepts a kernel and a machine-parameter grid, sweeps the
-// grid through the two-stage explore engine (fast-tier score every
+// grid through the two-stage explore engine (predictor score every
 // point, simulate the top fraction), and streams each simulated survivor
 // back as an NDJSON event as its measurement completes. Whole sweeps are
 // cached — memory LRU plus the persistent disk cache — under a key that

@@ -32,13 +32,12 @@ var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // NewHandler wires the service into an http.Handler:
 //
-//	POST /v1/analyze   full pipeline; ?tier=exact|fast|auto selects the
-//	                   serving tier (auto: fast answer now, exact
-//	                   verification async); ?trace=1 embeds the request's
-//	                   span/lane trace in the response
+//	POST /v1/analyze   full pipeline: compile, bound, simulate; ?trace=1
+//	                   embeds the request's span/lane trace in the
+//	                   response (?tier= is accepted for old clients and
+//	                   changes nothing)
 //	POST /v1/batch     many kernels in one request; per-kernel results
 //	                   stream back as NDJSON lines in completion order
-//	                   (?tier= overrides every item's tier)
 //	POST /v1/explore   design-space sweep: a machine-parameter grid over one
 //	                   kernel; each simulated survivor streams back as an
 //	                   NDJSON "point" event, then a "done" event carries the

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -340,51 +341,160 @@ func TestHTTPAnalyzeAttribution(t *testing.T) {
 	}
 }
 
-// TestHTTPAnalyzeTierQueryParam: ?tier= selects the serving tier over
-// HTTP, overrides the body, and the fast_tier metrics section reflects
-// the auto-tier verification.
+// TestHTTPAnalyzeTierQueryParam: old clients' tier names still parse and
+// change nothing. A tier of fast or auto — in the body, as ?tier= on
+// analyze (overriding the body), or as batch's ?tier= — answers exactly
+// what the same request without a tier answers, from the one exact cache
+// entry: the whole sequence costs one pipeline run. Any other name is a
+// 422 with the message the tiered service gave.
 func TestHTTPAnalyzeTierQueryParam(t *testing.T) {
-	s, srv := newTestServer(t, Config{Workers: 2, QueueSize: 8})
+	s := newTestService(t, Config{Workers: 2, QueueSize: 8})
+	h := NewHandler(s)
 	req := AnalyzeRequest{Source: saxpySrc, Iterations: 32,
-		Prime: Priming{Ints: map[string]int64{"N": 32}}, Tier: "exact"}
+		Prime: Priming{Ints: map[string]int64{"N": 32}}}
+	tiered := func(tier string) AnalyzeRequest { r := req; r.Tier = tier; return r }
 
-	resp := postJSON(t, srv.URL+"/v1/analyze?tier=fast", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("tier=fast status = %d", resp.StatusCode)
+	if rec := serveBody(h, http.MethodPost, "/v1/analyze", mustJSON(t, req)); rec.Code != http.StatusOK {
+		t.Fatalf("untiered status %d: %s", rec.Code, rec.Body.Bytes())
 	}
-	r := decode[AnalyzeResponse](t, resp)
-	if r.Tier != "fast" {
-		t.Fatalf("tier = %q, want fast (query param overrides body)", r.Tier)
-	}
-	if r.PredictedCPL <= 0 {
-		t.Fatalf("fast response missing prediction: %+v", r)
-	}
-
-	// A different iteration count is a different cache key, so the auto
-	// request runs a fresh prediction and spawns one verification.
-	autoReq := req
-	autoReq.Iterations = 64
-	resp = postJSON(t, srv.URL+"/v1/analyze?tier=auto", autoReq)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("tier=auto status = %d", resp.StatusCode)
-	}
-	if r = decode[AnalyzeResponse](t, resp); r.Tier != "auto" {
-		t.Fatalf("tier = %q, want auto", r.Tier)
-	}
-	s.verifyWG.Wait()
-
-	mresp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
+	want := serveBody(h, http.MethodPost, "/v1/analyze", mustJSON(t, req)).Body.Bytes()
+	var wantResp AnalyzeResponse
+	if err := json.Unmarshal(want, &wantResp); err != nil {
 		t.Fatal(err)
 	}
-	m := decode[Snapshot](t, mresp)
-	if m.FastTier.Served != 2 || m.FastTier.Verified != 1 || m.FastTier.Mismatches != 0 {
-		t.Fatalf("fast_tier = %+v, want served = 2, verified = 1, mismatches = 0", m.FastTier)
+	if wantResp.Tier != "exact" || !wantResp.Cached || wantResp.Cycles <= 0 {
+		t.Fatalf("untiered repeat: tier %q, cached %v, %d cycles", wantResp.Tier, wantResp.Cached, wantResp.Cycles)
 	}
 
-	resp = postJSON(t, srv.URL+"/v1/analyze?tier=warp", req)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("unknown tier status = %d, want 422", resp.StatusCode)
+	for _, c := range []struct {
+		target string
+		body   AnalyzeRequest
+	}{
+		{"/v1/analyze", tiered("fast")},
+		{"/v1/analyze", tiered("auto")},
+		{"/v1/analyze", tiered("exact")},
+		{"/v1/analyze?tier=fast", req},
+		{"/v1/analyze?tier=auto", req},
+		{"/v1/analyze?tier=fast", tiered("warp")}, // the query overrides the body
+	} {
+		rec := serveBody(h, http.MethodPost, c.target, mustJSON(t, c.body))
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("%s tier %q: status %d, body\n%s\nwant\n%s", c.target, c.body.Tier, rec.Code, rec.Body.Bytes(), want)
+		}
 	}
-	resp.Body.Close()
+
+	batch := mustJSON(t, BatchRequest{Items: []AnalyzeRequest{req, tiered("auto")}})
+	rec := serveBody(h, http.MethodPost, "/v1/batch?tier=fast", batch)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("batch returned %d lines, want 2:\n%s", len(lines), rec.Body.Bytes())
+	}
+	for _, line := range lines {
+		var item BatchItemResult
+		if err := json.Unmarshal([]byte(line), &item); err != nil {
+			t.Fatal(err)
+		}
+		if item.Result == nil || !reflect.DeepEqual(*item.Result, wantResp) {
+			t.Errorf("batch ?tier=fast item %d: %+v, want %+v", item.Index, item, wantResp)
+		}
+	}
+	if got := s.PipelineRuns(); got != 1 {
+		t.Errorf("pipeline ran %d times, want 1", got)
+	}
+
+	const unknown = `macs: unknown tier "warp" (want exact, fast or auto)`
+	for _, c := range []struct {
+		target string
+		body   AnalyzeRequest
+	}{
+		{"/v1/analyze", tiered("warp")},
+		{"/v1/analyze?tier=warp", req},
+	} {
+		rec := serveBody(h, http.MethodPost, c.target, mustJSON(t, c.body))
+		var e map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusUnprocessableEntity || e["error"] != unknown {
+			t.Errorf("%s tier %q: status %d, body %s; want 422 %q", c.target, c.body.Tier, rec.Code, rec.Body.Bytes(), unknown)
+		}
+	}
+	rec = serveBody(h, http.MethodPost, "/v1/batch?tier=warp", batch)
+	var item BatchItemResult
+	if err := json.Unmarshal(bytes.SplitN(rec.Body.Bytes(), []byte("\n"), 2)[0], &item); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || item.Error != unknown {
+		t.Errorf("batch ?tier=warp: status %d, first line %+v; want an error line %q", rec.Code, item, unknown)
+	}
+}
+
+// TestPrimingArrayLongerThanDeclaration: an array primed with more
+// elements than its declaration holds is refused — analyze and ax answer
+// 422 naming the variable and both lengths, explore ends its stream with
+// an error event — instead of being written on over the variables placed
+// after it. A fitting array still runs.
+func TestPrimingArrayLongerThanDeclaration(t *testing.T) {
+	const src = "PROGRAM SAXPY\nREAL X(64), Y(64), A\nINTEGER N, K\nDO K = 1, N\n  Y(K) = Y(K) + A*X(K)\nENDDO\nEND\n"
+	prime := func(name string, n int) Priming {
+		return Priming{Ints: map[string]int64{"N": 64}, Arrays: map[string][]float64{name: make([]float64, n)}}
+	}
+	s := newTestService(t, Config{Workers: 2, QueueSize: 8})
+	h := NewHandler(s)
+
+	if rec := serveBody(h, http.MethodPost, "/v1/analyze", mustJSON(t, AnalyzeRequest{
+		Source: src, Iterations: 64, Prime: prime("X", 64)})); rec.Code != http.StatusOK {
+		t.Fatalf("fitting array: status %d: %s", rec.Code, rec.Body.Bytes())
+	} else if r := decodeRec[AnalyzeResponse](t, rec); r.Cycles != 263 {
+		t.Errorf("fitting array: %d cycles, want 263", r.Cycles)
+	}
+
+	for _, c := range []struct {
+		name  string
+		elems int
+	}{
+		{"X", 65},
+		{"X", 100}, // overwrites Y and A
+		{"X", 129},
+		{"X", 130}, // overwrites N too: the run reported 20 cycles
+		{"Y", 65},
+	} {
+		want := fmt.Sprintf("service: priming array %q has %d elements but is declared with 64", c.name, c.elems)
+		p := prime(c.name, c.elems)
+		for _, req := range []struct {
+			target string
+			body   any
+		}{
+			{"/v1/analyze", AnalyzeRequest{Source: src, Iterations: 64, Prime: p}},
+			{"/v1/ax", AXRequest{Source: src, Prime: p}},
+		} {
+			rec := serveBody(h, http.MethodPost, req.target, mustJSON(t, req.body))
+			if e := decodeRec[map[string]any](t, rec); rec.Code != http.StatusUnprocessableEntity || e["error"] != want {
+				t.Errorf("%s %s(%d): status %d, body %s; want 422 %q", req.target, c.name, c.elems, rec.Code, rec.Body.Bytes(), want)
+			}
+		}
+
+		rec := serveBody(h, http.MethodPost, "/v1/explore", mustJSON(t, ExploreRequest{Source: src, Iterations: 64, Prime: p}))
+		lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+		var last ExploreEvent
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+			t.Fatalf("explore %s(%d): %v in %s", c.name, c.elems, err, rec.Body.Bytes())
+		}
+		if last.Type != "error" || !strings.HasSuffix(last.Error, want) {
+			t.Errorf("explore %s(%d): last event %+v, want an error ending in %q", c.name, c.elems, last, want)
+		}
+	}
+}
+
+// decodeRec decodes a recorded JSON response body.
+func decodeRec[T any](t *testing.T, rec *httptest.ResponseRecorder) T {
+	t.Helper()
+	var v T
+	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+		t.Fatalf("%v in %s", err, rec.Body.Bytes())
+	}
+	return v
 }

@@ -157,9 +157,6 @@ type Snapshot struct {
 	// SimPool reports the analyzer's simulator pool: CPUs created versus
 	// runs served by a recycled one.
 	SimPool SimPoolStats `json:"sim_pool"`
-	// FastTier reports the analytical tier: requests served, fallbacks,
-	// and the auto tier's verifications and mismatches.
-	FastTier FastTierStats `json:"fast_tier"`
 	// Explore reports the design-space sweep economics: sweeps completed
 	// and grid points scored, pruned and simulated.
 	Explore ExploreStats `json:"explore"`
@@ -178,23 +175,6 @@ type Snapshot struct {
 type StageSnapshot struct {
 	Count   int64           `json:"count"`
 	Latency LatencySnapshot `json:"latency"`
-}
-
-// FastTierStats is the fast_tier section of /metrics.
-type FastTierStats struct {
-	// Served counts fresh fast-tier computations (tier=fast and the fast
-	// half of tier=auto). Cache hits and singleflight waiters are
-	// excluded, so a kernel replayed N times counts once.
-	Served int64 `json:"served"`
-	// Fallbacks counts auto requests whose timing was data-dependent and
-	// were served by the simulator instead.
-	Fallbacks int64 `json:"fallbacks"`
-	// Verified counts completed auto-tier verifications against the
-	// simulator.
-	Verified int64 `json:"verified"`
-	// Mismatches counts verifications whose simulated cycles differ from
-	// the prediction, or fall outside its interval.
-	Mismatches int64 `json:"mismatches"`
 }
 
 // SimPoolStats is the simulator-pool section of /metrics.

@@ -114,7 +114,6 @@ func TestRenderPromGolden(t *testing.T) {
 		BatchItems:  map[string]int64{"ok": 3, "error": 1},
 		StallCycles: map[string]int64{"issue": 100, "chime": 40},
 		SimCycles:   1234,
-		FastTier:    FastTierStats{Served: 2, Verified: 1, Mismatches: 1},
 	}
 	text := string(RenderProm(snap))
 
@@ -138,7 +137,6 @@ func TestRenderPromGolden(t *testing.T) {
 		`macsd_batch_items_total{outcome="ok"} 3`,
 		`macsd_stall_cycles_total{cause="issue"} 100`,
 		"macsd_sim_cycles_total 1234",
-		"macsd_fast_tier_mismatches_total 1",
 		"macsd_uptime_seconds 1.5",
 	} {
 		if !strings.Contains(text, golden+"\n") {
@@ -197,7 +195,7 @@ func TestRenderPromEmptySnapshot(t *testing.T) {
 	}
 	for _, want := range []string{
 		"macsd_uptime_seconds", "macsd_cache_hits_total", "macsd_queue_workers",
-		"macsd_pipeline_runs_total", "macsd_sim_cycles_total", "macsd_fast_tier_served_total",
+		"macsd_pipeline_runs_total", "macsd_sim_cycles_total", "macsd_explore_sweeps_total",
 	} {
 		if !names[want] {
 			t.Errorf("empty snapshot missing family %s", want)

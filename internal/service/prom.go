@@ -10,7 +10,8 @@ import (
 // zero-dependency policy. The inventory mirrors the JSON snapshot:
 // per-endpoint counters and latency histograms, per-stage histograms,
 // batch-item outcomes, both cache levels, queue and simulator-pool
-// gauges, fast-tier verification counters, stall-cause attribution, and the Go-runtime sample when the sampler is on.
+// gauges, stall-cause attribution, explore sweep counters, and the
+// Go-runtime sample when the sampler is on.
 
 // RenderProm renders one metrics snapshot as a Prometheus exposition
 // document. The output always passes obs.ParseProm — the CI scrape gate
@@ -127,22 +128,10 @@ func RenderProm(snap Snapshot) []byte {
 	w.Counter("macsd_sim_pool_recycled_total", "Analyses served by a recycled simulator.",
 		obs.Sample{Value: float64(snap.SimPool.Recycled)})
 
-	w.Counter("macsd_fast_tier_served_total", "Fresh fast-tier computations.",
-		obs.Sample{Value: float64(snap.FastTier.Served)})
-	w.Counter("macsd_fast_tier_fallbacks_total",
-		"Auto requests served by the simulator after a data-dependent refusal.",
-		obs.Sample{Value: float64(snap.FastTier.Fallbacks)})
-	w.Counter("macsd_fast_tier_verified_total",
-		"Completed predicted-vs-simulated comparisons.",
-		obs.Sample{Value: float64(snap.FastTier.Verified)})
-	w.Counter("macsd_fast_tier_mismatches_total",
-		"Auto-tier verifications whose simulated cycles differ from the prediction or fall outside its interval.",
-		obs.Sample{Value: float64(snap.FastTier.Mismatches)})
-
 	w.Counter("macsd_explore_sweeps_total", "Completed fresh design-space sweeps.",
 		obs.Sample{Value: float64(snap.Explore.Sweeps)})
 	w.Counter("macsd_explore_points_swept_total",
-		"Grid points scored by the fast tier across all sweeps.",
+		"Grid points scored by the explore predictor across all sweeps.",
 		obs.Sample{Value: float64(snap.Explore.Swept)})
 	w.Counter("macsd_explore_points_pruned_total",
 		"Grid points answered analytically without simulation.",

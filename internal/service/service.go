@@ -51,9 +51,6 @@ type Config struct {
 	Compiler macs.CompilerOptions
 	VM       macs.VMConfig
 	Rules    macs.Rules
-	// DefaultTier serves analyze requests that do not name a tier:
-	// "exact" (empty), "fast" or "auto".
-	DefaultTier string
 	// RuntimeSample, when > 0, starts a periodic Go-runtime sampler (heap,
 	// GC, goroutines) at that interval and surfaces the latest sample on
 	// /metrics in both formats. Zero leaves the sampler off.
@@ -217,17 +214,9 @@ type Service struct {
 	mu      sync.Mutex
 	flights map[Key]*flight
 
-	// fastTier counts fast-tier serving outcomes and auto-tier
-	// verifications.
-	fastTier *fastTierTracker
-	// closeMu guards closed and orders verifyWG.Add against Close's
-	// verifyWG.Wait: a verification is only registered while the service
-	// is accepting work, so Wait can never miss a late Add.
+	// closeMu guards closed, the accept gate Close flips.
 	closeMu sync.Mutex
 	closed  bool
-	// verifyWG tracks in-flight asynchronous exact verifications spawned
-	// by auto-tier requests, so Close drains them.
-	verifyWG sync.WaitGroup
 
 	// explorers is the shared per-machine evaluator registry behind
 	// /v1/explore: simulator pools and fast-tier prediction memos keyed by
@@ -278,7 +267,6 @@ func New(cfg Config) *Service {
 		analyzer:   macs.NewAnalyzer(cfg.VM),
 		explorers:  explore.NewEvaluators(cfg.VM),
 		flights:    make(map[Key]*flight),
-		fastTier:   &fastTierTracker{},
 		attrTotals: make(map[string]int64),
 		traces:     make(map[string]obs.TraceView),
 	}
@@ -354,16 +342,13 @@ func (s *Service) stallCycles() map[string]int64 {
 }
 
 // Close drains the service: the accept gate flips first, so no new
-// request or asynchronous verification can register afterwards, then
-// every already-accepted queued and in-flight job — including the exact
-// verifications spawned by auto-tier requests — runs to completion
-// before Close returns. Requests arriving after Close fail with
-// ErrClosed.
+// request is accepted afterwards, then every already-accepted queued and
+// in-flight job runs to completion before Close returns. Requests
+// arriving after Close fail with ErrClosed.
 func (s *Service) Close() {
 	s.closeMu.Lock()
 	s.closed = true
 	s.closeMu.Unlock()
-	s.verifyWG.Wait()
 	s.pool.Close()
 	if s.disk != nil {
 		s.disk.Close()
@@ -406,10 +391,9 @@ func (s *Service) TraceByID(id string) (obs.TraceView, bool) {
 }
 
 // acceptGate rejects work arriving after Close flipped the closed flag.
-// Checking it at every public entry point (rather than relying on the
-// pool's own closed state) keeps shutdown an accept-gate + drain: an
-// in-flight auto-tier request can no longer spawn a verification into a
-// pool that is about to close.
+// Every public entry point checks it, so a closed service answers
+// ErrClosed before it decodes, keys or queues anything — including the
+// raw-hit path, which never reaches the pool.
 func (s *Service) acceptGate() error {
 	s.closeMu.Lock()
 	defer s.closeMu.Unlock()
@@ -432,7 +416,6 @@ func (s *Service) Metrics() Snapshot {
 		PipelineRuns:  s.pipelineRuns.Load(),
 		StallCycles:   s.stallCycles(),
 		SimPool:       s.simPool(),
-		FastTier:      s.fastTier.snapshot(),
 		Explore:       s.exploreStats(),
 		Persistent:    s.diskStats(),
 		SimCycles:     s.simCycles.Load(),
@@ -475,15 +458,12 @@ func decodeJSON[T any]() decodeFunc {
 
 // hitSlot records what one HTTP request's keyed path did in do, so
 // handleJSON can tell whether its answer may be served again by raw
-// body. Only a path that was exactly one cache hit qualifies: one do
-// call served from memory or disk, with no pipeline run and no flight.
-// Anything else (a miss, a fallback that tried two keys) must run again
-// to keep its counters and side effects. The mutex covers an auto-tier
-// verification, which inherits the request's context values and may
-// call do after the request has returned.
+// body. Only a cache hit qualifies: the request's one do call served
+// from memory or disk, with no pipeline run and no flight. Anything else
+// (a miss, an error, a request refused before its do call) must run
+// again to keep its counters and side effects. Only the request's own
+// goroutine touches its slot.
 type hitSlot struct {
-	mu       sync.Mutex
-	calls    int
 	hit      bool
 	endpoint string
 	key      Key
@@ -493,31 +473,23 @@ type hitSlot struct {
 type slotKey struct{}
 
 func (sl *hitSlot) record(endpoint string, key Key, hit bool) {
-	sl.mu.Lock()
-	sl.calls++
 	sl.endpoint, sl.key, sl.hit = endpoint, key, hit
-	sl.mu.Unlock()
 }
 
-// single returns the endpoint label and key of the one cache hit the
+// single returns the endpoint label and key of the cache hit the
 // request's path was, or ok false.
 func (sl *hitSlot) single() (endpoint string, key Key, ok bool) {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.endpoint, sl.key, sl.calls == 1 && sl.hit
+	return sl.endpoint, sl.key, sl.hit
 }
 
 // do is the heart of the service: memory-cache lookup, persistent-cache
 // fill, singleflight attach or lead, pool submission with backpressure,
 // and context-bounded waiting. It returns (value, servedFromCache,
-// fresh, error): cached is true when the value came from either cache
-// level, fresh is true only when this call actually executed fn (cache
-// hits and dedup waiters report false) — the fast-tier counters key off
-// it so replayed requests are not double-counted. dec may be nil for
-// results that should not persist. endpoint is the caller's metrics
-// label; do records it, the key and the outcome in the request's
-// hitSlot, if it carries one.
-func (s *Service) do(ctx context.Context, endpoint string, key Key, dec decodeFunc, fn func() (any, error)) (v any, cached, fresh bool, err error) {
+// error): cached is true when the value came from either cache level.
+// dec may be nil for results that should not persist. endpoint is the
+// caller's metrics label; do records it, the key and the outcome in the
+// request's hitSlot, if it carries one.
+func (s *Service) do(ctx context.Context, endpoint string, key Key, dec decodeFunc, fn func() (any, error)) (v any, cached bool, err error) {
 	if sl, ok := ctx.Value(slotKey{}).(*hitSlot); ok {
 		defer func() { sl.record(endpoint, key, cached && err == nil) }()
 	}
@@ -525,14 +497,14 @@ func (s *Service) do(ctx context.Context, endpoint string, key Key, dec decodeFu
 	v, hit := s.cache.Get(key)
 	sp.End()
 	if hit {
-		return v, true, false, nil
+		return v, true, nil
 	}
 	_, sp = obs.Start(ctx, "disk-lookup")
 	v, hit = s.diskGet(key, dec)
 	sp.End()
 	if hit {
 		s.cache.Put(key, v)
-		return v, true, false, nil
+		return v, true, nil
 	}
 
 	s.mu.Lock()
@@ -543,13 +515,13 @@ func (s *Service) do(ctx context.Context, endpoint string, key Key, dec decodeFu
 		_, sp = obs.Start(ctx, "singleflight-wait")
 		v, err := s.wait(ctx, f)
 		sp.End()
-		return v, false, false, err
+		return v, false, err
 	}
 	// A flight that landed since the lookup above has already cached its
 	// value: flights cache before they leave s.flights.
 	if v, ok := s.cache.peek(key); ok {
 		s.mu.Unlock()
-		return v, true, false, nil
+		return v, true, nil
 	}
 	// Lead a new flight. Its context is detached from this request so a
 	// single waiter's timeout cannot kill a computation others share; it
@@ -559,13 +531,11 @@ func (s *Service) do(ctx context.Context, endpoint string, key Key, dec decodeFu
 	s.flights[key] = f
 	s.mu.Unlock()
 
-	executed := false
 	err = s.pool.Submit(fctx, func(jctx context.Context) {
 		var v any
 		var jerr error
 		if jerr = jctx.Err(); jerr == nil {
 			s.pipelineRuns.Add(1)
-			executed = true
 			v, jerr = fn()
 		}
 		if jerr == nil {
@@ -595,7 +565,7 @@ func (s *Service) do(ctx context.Context, endpoint string, key Key, dec decodeFu
 		s.mu.Unlock()
 		cancel()
 		close(f.done)
-		return nil, false, false, err
+		return nil, false, err
 	}
 	// The flight-wait span covers queue time plus compute time as seen by
 	// the leading request; the compute closure's own stage spans nest as
@@ -604,13 +574,7 @@ func (s *Service) do(ctx context.Context, endpoint string, key Key, dec decodeFu
 	_, sp = obs.Start(ctx, "flight-wait")
 	v, err = s.wait(ctx, f)
 	sp.End()
-	if err != nil {
-		// executed must not be read here: on a waiter timeout the worker
-		// may still be writing it. A successful wait happens-after the
-		// flight's close(done), which orders the write.
-		return nil, false, false, err
-	}
-	return v, false, executed, nil
+	return v, false, err
 }
 
 // diskGet consults the persistent cache and rehydrates a hit through the
@@ -687,6 +651,8 @@ type Priming struct {
 }
 
 // primeFunc renders a Priming into the prime callback the facade takes.
+// An array longer than its declaration is an error: written on from the
+// symbol's base, it would overwrite the variables placed after it.
 func (p Priming) primeFunc() func(*macs.CPU) error {
 	if len(p.Ints) == 0 && len(p.Reals) == 0 && len(p.Arrays) == 0 {
 		return nil
@@ -723,6 +689,10 @@ func (p Priming) primeFunc() func(*macs.CPU) error {
 			if err != nil {
 				return err
 			}
+			size, _ := m.SymbolSize(compiler.DataSym(name))
+			if int64(len(vals)) > size/8 {
+				return fmt.Errorf("service: priming array %q has %d elements but is declared with %d", name, len(vals), size/8)
+			}
 			for i, v := range vals {
 				if err := m.WriteF64(base+int64(i)*8, v); err != nil {
 					return err
@@ -734,9 +704,9 @@ func (p Priming) primeFunc() func(*macs.CPU) error {
 }
 
 // fastInts rekeys the integer primings by data symbol, the shape the
-// fast tier's predictor reads. Reals and arrays are irrelevant to it:
-// float data never steers the timing model (a program whose schedule
-// depends on it is data-dependent and falls back to the simulator).
+// explore engine's predictor reads. Reals and arrays are irrelevant to
+// it: float data never steers the timing model (a program whose schedule
+// depends on it is data-dependent, and explore simulates every point).
 func (p Priming) fastInts() map[string]int64 {
 	if len(p.Ints) == 0 {
 		return nil
@@ -754,13 +724,20 @@ type AnalyzeRequest struct {
 	// Iterations converts measured cycles to CPL; 0 skips the conversion.
 	Iterations int64   `json:"iterations,omitempty"`
 	Prime      Priming `json:"prime,omitempty"`
-	// Tier selects how the request is served: "exact" (cycle-level
-	// simulation, the default), "fast" (analytical prediction only) or
-	// "auto" (fast answer immediately, exact verification asynchronously,
-	// mismatches counted on /metrics). The
-	// ?tier= query parameter overrides it; empty falls back to the
-	// service's configured default.
+	// Tier is accepted for old clients only: every analysis simulates.
+	// "", "exact", "fast" and "auto" all get the exact answer; any other
+	// name is an error. The ?tier= query parameter overrides it.
 	Tier string `json:"tier,omitempty"`
+}
+
+// checkTier accepts the tier names old clients send. None changes the
+// answer: every analysis simulates.
+func checkTier(name string) error {
+	switch name {
+	case "", "exact", "fast", "auto":
+		return nil
+	}
+	return fmt.Errorf("macs: unknown tier %q (want exact, fast or auto)", name)
 }
 
 // BoundsView is the MA/MAC/MACS hierarchy in CPL, JSON-shaped.
@@ -792,31 +769,13 @@ func boundsView(a macs.Analysis) BoundsView {
 
 // AnalyzeResponse is the outcome of POST /v1/analyze.
 type AnalyzeResponse struct {
-	// Tier reports how the response was actually served: "exact", "fast"
-	// or "auto" (fast answer, exact verification in flight). An auto
-	// request whose program is data-dependent falls back and reports
-	// "exact".
+	// Tier is always "exact": every analysis simulates.
 	Tier        string     `json:"tier"`
 	Bounds      BoundsView `json:"bounds"`
 	MeasuredCPL float64    `json:"measured_cpl"`
-	// PredictedCPL carries the fast tier's prediction; exact-tier
-	// responses leave it zero.
-	PredictedCPL float64 `json:"predicted_cpl,omitempty"`
-	// Interval marks a fast-tier answer obtained by enumerating the
-	// program's data-dependent branch outcomes: PredictedCPLLo/Hi and
-	// CyclesLo/Hi bound every admitted execution, and
-	// the simulated measurement is guaranteed to land inside. Paths counts
-	// the enumerated executions. Point fields describe the worst case.
-	Interval       bool    `json:"interval,omitempty"`
-	Paths          int     `json:"paths,omitempty"`
-	PredictedCPLLo float64 `json:"predicted_cpl_lo,omitempty"`
-	PredictedCPLHi float64 `json:"predicted_cpl_hi,omitempty"`
-	CyclesLo       int64   `json:"cycles_lo,omitempty"`
-	CyclesHi       int64   `json:"cycles_hi,omitempty"`
-	Cycles         int64   `json:"cycles"`
-	Iterations     int64   `json:"iterations"`
-	// Stats carries the full simulator statistics; fast-tier responses,
-	// which run no simulator, omit it.
+	Cycles      int64      `json:"cycles"`
+	Iterations  int64      `json:"iterations"`
+	// Stats carries the full simulator statistics.
 	Stats  *macs.Stats `json:"stats,omitempty"`
 	Report string      `json:"report"`
 	// Attribution is the run's lane-summed stall attribution by cause
@@ -832,42 +791,23 @@ type AnalyzeResponse struct {
 	Trace *obs.TraceView `json:"trace,omitempty"`
 }
 
-// Analyze runs (or recalls) the pipeline for one kernel source, under
-// the tier the request (or the service default) selects.
+// Analyze runs (or recalls) the pipeline for one kernel source: compile,
+// bound, simulate.
 func (s *Service) Analyze(ctx context.Context, req AnalyzeRequest) (AnalyzeResponse, error) {
 	if err := s.acceptGate(); err != nil {
 		return AnalyzeResponse{}, err
 	}
-	name := req.Tier
-	if name == "" {
-		name = s.cfg.DefaultTier
-	}
-	tier, err := macs.ParseTier(name)
-	if err != nil {
-		s.observe("analyze", time.Now(), false, err)
-		return AnalyzeResponse{}, err
-	}
-	switch tier {
-	case macs.TierExact:
-		return s.analyzeExact(ctx, req)
-	case macs.TierFast:
-		resp, _, err := s.analyzeFast(ctx, req, macs.TierFast)
-		return resp, err
-	case macs.TierAuto:
-		return s.analyzeAuto(ctx, req)
-	}
-	return AnalyzeResponse{}, fmt.Errorf("service: unhandled tier %v", tier)
-}
-
-// analyzeExact is the simulated path: compile, bound, simulate.
-func (s *Service) analyzeExact(ctx context.Context, req AnalyzeRequest) (AnalyzeResponse, error) {
 	start := time.Now()
-	key, err := s.key("analyze", req.Source, req.Iterations, req.Prime)
+	err := checkTier(req.Tier)
+	var key Key
+	if err == nil {
+		key, err = s.key("analyze", req.Source, req.Iterations, req.Prime)
+	}
 	if err != nil {
 		s.observe("analyze", start, false, err)
 		return AnalyzeResponse{}, err
 	}
-	v, cached, _, err := s.do(ctx, "analyze", key, decodeJSON[AnalyzeResponse](), func() (any, error) {
+	v, cached, err := s.do(ctx, "analyze", key, decodeJSON[AnalyzeResponse](), func() (any, error) {
 		// The request context rides into the closure for its trace values
 		// only; cancellation is governed by the flight context the worker
 		// checks before calling this.
@@ -919,7 +859,7 @@ func (s *Service) Bound(ctx context.Context, req BoundRequest) (BoundResponse, e
 		s.observe("bound", start, false, err)
 		return BoundResponse{}, err
 	}
-	v, cached, _, err := s.do(ctx, "bound", key, decodeJSON[BoundResponse](), func() (any, error) {
+	v, cached, err := s.do(ctx, "bound", key, decodeJSON[BoundResponse](), func() (any, error) {
 		a, err := s.analyzer.BoundSourceCtx(ctx, req.Source)
 		if err != nil {
 			return nil, err
@@ -965,7 +905,7 @@ func (s *Service) Check(ctx context.Context, req CheckRequest) (CheckResponse, e
 		s.observe("check", start, false, err)
 		return CheckResponse{}, err
 	}
-	v, cached, _, err := s.do(ctx, "check", key, decodeJSON[CheckResponse](), func() (any, error) {
+	v, cached, err := s.do(ctx, "check", key, decodeJSON[CheckResponse](), func() (any, error) {
 		p, err := macs.Compile(req.Source, s.analyzer.CompilerOptions())
 		if err != nil {
 			return nil, err
@@ -1020,7 +960,7 @@ func (s *Service) AX(ctx context.Context, req AXRequest) (AXResponse, error) {
 		s.observe("ax", start, false, err)
 		return AXResponse{}, err
 	}
-	v, cached, _, err := s.do(ctx, "ax", key, decodeJSON[AXResponse](), func() (any, error) {
+	v, cached, err := s.do(ctx, "ax", key, decodeJSON[AXResponse](), func() (any, error) {
 		p, err := macs.Compile(req.Source, s.analyzer.CompilerOptions())
 		if err != nil {
 			return nil, err
@@ -1069,7 +1009,7 @@ func (s *Service) LFK(ctx context.Context, id int) (LFKResponse, error) {
 		s.observe("lfk", start, false, err)
 		return LFKResponse{}, err
 	}
-	v, cached, _, err := s.do(ctx, "lfk", key, decodeJSON[LFKResponse](), func() (any, error) {
+	v, cached, err := s.do(ctx, "lfk", key, decodeJSON[LFKResponse](), func() (any, error) {
 		k, err := macs.KernelByID(id)
 		if err != nil {
 			return nil, err

@@ -273,12 +273,11 @@ END
 `, dim, dim)
 }
 
-// TestCloseRacesAutoTierRequests is the regression test for the
-// Service.Close shutdown race: verifyWG.Wait used to run with nothing
-// stopping an in-flight auto-tier request from calling verifyWG.Add
-// after Wait returned, leaking a verification into a closed pool (and
-// racing the WaitGroup). With the accept gate the interleaving is safe:
-// run under -race.
+// TestCloseRacesAutoTierRequests: Close racing a stream of fresh
+// analyses that old clients tag tier=auto (served exactly, like any
+// other) is an accept gate plus a drain. Every request completes, sheds
+// with ErrQueueFull or is refused with ErrClosed, and nothing is
+// accepted after Close returns. Run under -race.
 func TestCloseRacesAutoTierRequests(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		s := New(Config{Workers: 4, QueueSize: 64})
@@ -291,8 +290,8 @@ func TestCloseRacesAutoTierRequests(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for j := 0; j < 50; j++ {
-					// Distinct sources force fresh fast computations, so
-					// every successful request tries to spawn a verification.
+					// Distinct sources force fresh pipeline runs, so every
+					// accepted request reaches the worker pool.
 					req := AnalyzeRequest{
 						Source: saxpyVariant(64 + round*1000 + g*100 + j),
 						Tier:   "auto",
@@ -303,7 +302,7 @@ func TestCloseRacesAutoTierRequests(t *testing.T) {
 						return
 					}
 					if err != nil && !errors.Is(err, ErrQueueFull) {
-						t.Errorf("auto analyze: %v", err)
+						t.Errorf("analyze: %v", err)
 						return
 					}
 				}

@@ -278,58 +278,6 @@ L1:
 	}
 }
 
-func TestChromeTraceJSON(t *testing.T) {
-	src := `
-.data a 65536
-	mov #8,vs
-	mov #128,s1
-	mov s1,vl
-	ld.l a(a0),v0
-	mul.d v0,v1,v2
-	add.d v2,v3,v4
-`
-	cfg := DefaultConfig()
-	cfg.Trace = true
-	cpu, _ := run(t, cfg, src, nil)
-	b, err := ChromeTrace(cpu.TraceEvents())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			TID  int    `json:"tid"`
-			Dur  int64  `json:"dur"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("ChromeTrace produced invalid JSON: %v", err)
-	}
-	var x, m int
-	for _, e := range doc.TraceEvents {
-		switch e.Ph {
-		case "X":
-			x++
-			if e.Dur <= 0 {
-				t.Errorf("event %q has non-positive dur %d", e.Name, e.Dur)
-			}
-		case "M":
-			m++
-		}
-	}
-	if x != 3 {
-		t.Errorf("ChromeTrace has %d X events, want 3", x)
-	}
-	if m != 3 {
-		t.Errorf("ChromeTrace has %d pipe metadata events, want 3", m)
-	}
-	// Empty input still yields a valid document.
-	if _, err := ChromeTrace(nil); err != nil {
-		t.Errorf("ChromeTrace(nil): %v", err)
-	}
-}
-
 // TestAttrConservationProperty sweeps VL, stride, refresh and slowdown to
 // stress the invariant across timing paths.
 func TestAttrConservationProperty(t *testing.T) {

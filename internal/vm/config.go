@@ -54,7 +54,7 @@ type Config struct {
 	// TraceRing, when > 0 and Trace is off, records the most recent
 	// TraceRing vector timing events in a bounded ring buffer — cheap
 	// always-on tracing for long runs. Retrieve with CPU.TraceEvents,
-	// export with ChromeTrace.
+	// export with macs.ChromeTrace.
 	TraceRing int
 }
 

@@ -1,10 +1,8 @@
 package vm
 
 import (
-	"encoding/json"
 	"fmt"
 
-	"macs/internal/isa"
 	"macs/internal/obs"
 )
 
@@ -81,7 +79,8 @@ func (t *Timing) TraceDropped() int64 {
 // LaneEvents converts vector timing events into the generic per-lane
 // shape the observability layer's merged Chrome export takes: one row
 // per VP pipe, one interval per vector instruction (stream entry to last
-// element), timestamps in clock cycles. The args mirror ChromeTrace's.
+// element), timestamps in clock cycles, with chime, VL, stall and
+// dispatch cycles in the args.
 func LaneEvents(events []TraceEvent) []obs.LaneEvent {
 	if len(events) == 0 {
 		return nil
@@ -107,65 +106,4 @@ func LaneEvents(events []TraceEvent) []obs.LaneEvent {
 		})
 	}
 	return out
-}
-
-// chromeEvent is one entry of the Chrome trace_event format ("X" complete
-// events plus "M" metadata events naming the pipe rows).
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	TS   int64          `json:"ts,omitempty"`
-	Dur  int64          `json:"dur,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-// ChromeTrace renders vector timing events as a Chrome trace_event JSON
-// document (load it in chrome://tracing or Perfetto): one row per VP pipe,
-// one complete event per vector instruction spanning stream entry to last
-// element, with chime, VL and stall cycles in the args. Timestamps are in
-// clock cycles (displayed as microseconds by the viewer).
-func ChromeTrace(events []TraceEvent) ([]byte, error) {
-	doc := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
-	used := map[int]bool{}
-	for _, e := range events {
-		used[int(e.Instr.Pipe())] = true
-	}
-	for _, p := range []isa.Pipe{isa.PipeLoadStore, isa.PipeAdd, isa.PipeMul} {
-		if !used[int(p)] {
-			continue
-		}
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: 0, TID: int(p),
-			Args: map[string]any{"name": fmt.Sprintf("%s pipe", p)},
-		})
-	}
-	for _, e := range events {
-		dur := e.Finish - e.Start
-		if dur <= 0 {
-			dur = 1
-		}
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: e.Instr.String(),
-			Ph:   "X",
-			PID:  0,
-			TID:  int(e.Instr.Pipe()),
-			TS:   e.Start,
-			Dur:  dur,
-			Args: map[string]any{
-				"chime":        e.Chime,
-				"vl":           e.VL,
-				"stall":        e.Stall,
-				"dispatch":     e.Dispatch,
-				"first_result": e.FirstResult,
-			},
-		})
-	}
-	return json.MarshalIndent(doc, "", " ")
 }

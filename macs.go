@@ -25,10 +25,11 @@
 //
 // The same pipeline is also available as a long-running HTTP service:
 // cmd/macsd serves POST /v1/analyze, /v1/batch (many kernels per request,
-// per-kernel NDJSON streaming), /v1/bound, /v1/ax and GET /v1/lfk/{id}
-// through internal/service, with a worker pool, a content-addressed result
-// cache (optionally persisted across restarts via -cache-dir) and JSON
-// metrics on /metrics (see the README's "macsd" section).
+// per-kernel NDJSON streaming), /v1/explore (machine-parameter grid
+// sweeps), /v1/bound, /v1/check, /v1/ax and GET /v1/lfk/{id} through
+// internal/service, with a worker pool, a content-addressed result cache
+// (optionally persisted across restarts via -cache-dir) and JSON metrics
+// on /metrics (see the README's "macsd" section).
 //
 // The subsystems are exposed through type aliases so the whole machinery
 // remains one import for downstream users; power users can reach the
@@ -47,7 +48,6 @@ import (
 	"macs/internal/core"
 	"macs/internal/depgraph"
 	"macs/internal/experiments"
-	"macs/internal/fasttier"
 	"macs/internal/ftn"
 	"macs/internal/lfk"
 	"macs/internal/obs"
@@ -101,60 +101,21 @@ type (
 	VerifyError = verify.Error
 	// Severity grades a checker Diagnostic.
 	Severity = verify.Severity
-	// Prediction is the analytical fast tier's answer for one program:
-	// the simulator's Stats (cycles, per-lane stall attribution, ...) from
-	// its own timing model, and the predicted CPL.
-	Prediction = fasttier.Prediction
 )
 
-// ErrDataDependent marks a program the fast tier cannot predict (its
-// timing depends on data the tier does not model); callers fall back to
-// the exact tier. Test with errors.Is.
-var ErrDataDependent = fasttier.ErrDataDependent
-
-// Tier selects how an analysis request is served: cycle-accurate
-// simulation, the analytical fast tier, or both (fast answer first, exact
-// verification after). The fast tier runs the simulator's timing model
-// without its functional half, so a first-sight prediction costs about
-// one simulation; it is fast when its memo already holds the answer.
-//
-// macsvet:exhaustive
+// Tier names how an analysis was served. Every analysis simulates, so
+// TierExact is the only tier; the service still labels its responses
+// with it.
 type Tier int
 
-const (
-	// TierExact runs the cycle-level simulator (the default).
-	TierExact Tier = iota
-	// TierFast serves the analytical prediction only.
-	TierFast
-	// TierAuto serves the fast prediction and verifies it against the
-	// simulator (asynchronously in the service), counting mismatches.
-	TierAuto
-
-	// NumTiers is the number of serving tiers.
-	NumTiers
-)
-
-var tierNames = [NumTiers]string{"exact", "fast", "auto"}
+// TierExact runs the cycle-level simulator.
+const TierExact Tier = 0
 
 func (t Tier) String() string {
-	if t < 0 || t >= NumTiers {
+	if t != TierExact {
 		return fmt.Sprintf("tier(%d)", int(t))
 	}
-	return tierNames[t]
-}
-
-// ParseTier parses a tier name ("exact", "fast", "auto"); the empty
-// string selects TierExact.
-func ParseTier(s string) (Tier, error) {
-	switch s {
-	case "", "exact":
-		return TierExact, nil
-	case "fast":
-		return TierFast, nil
-	case "auto":
-		return TierAuto, nil
-	}
-	return TierExact, fmt.Errorf("macs: unknown tier %q (want exact, fast or auto)", s)
+	return "exact"
 }
 
 // Diagnostic severities, least to most severe.
@@ -183,7 +144,7 @@ func Compile(src string, opts CompilerOptions) (*Program, error) {
 func ParseAsm(src string) (*Program, error) { return asm.Parse(src) }
 
 // DataSymbol maps a source-level variable name to its compiled data
-// symbol ("N" becomes "d_N") — the key space of fast-tier priming maps.
+// symbol ("N" becomes "d_N") — the names Memory.SymbolAddr looks up.
 func DataSymbol(name string) string { return compiler.DataSym(name) }
 
 // Verify statically checks a program (use-before-def, VL/VS discipline,
@@ -405,16 +366,11 @@ func analyzeOn(ctx context.Context, cpu *vm.CPU, src string, iterations int64, c
 type Analyzer struct {
 	cfg  VMConfig
 	pool *vm.Pool
-	pred *fasttier.Predictor
 }
 
 // NewAnalyzer creates an Analyzer for one simulator configuration.
 func NewAnalyzer(cfg VMConfig) *Analyzer {
-	return &Analyzer{
-		cfg:  cfg,
-		pool: vm.NewPool(cfg),
-		pred: fasttier.NewPredictor(cfg),
-	}
+	return &Analyzer{cfg: cfg, pool: vm.NewPool(cfg)}
 }
 
 // Config returns the analyzer's simulator configuration.
@@ -455,91 +411,13 @@ func (a *Analyzer) AnalyzeSourceCtx(ctx context.Context, src string, iterations 
 // PoolStats reports the analyzer pool's created and recycled CPU counts.
 func (a *Analyzer) PoolStats() (created, returned int64) { return a.pool.Stats() }
 
-// FastResult is the outcome of the analytical fast tier: the same bounds
-// hierarchy as Result, with a prediction in place of a simulator
-// measurement.
-type FastResult struct {
-	Analysis   Analysis
-	Program    *Program
-	Prediction Prediction
-	Iterations int64
-}
-
-// Report renders the hierarchy and prediction as text, the fast-tier
-// analogue of Result.Report.
-func (r FastResult) Report() string {
-	var b strings.Builder
-	writeHierarchy(&b, r.Analysis)
-	if r.Prediction.CPL > 0 {
-		fmt.Fprintf(&b, "predicted t_p = %.3f CPL (%d cycles, %d iterations)\n",
-			r.Prediction.CPL, r.Prediction.Cycles, r.Iterations)
-	}
-	if r.Prediction.Interval {
-		fmt.Fprintf(&b, "interval t_p = [%.3f, %.3f] CPL over %d enumerated paths (cycles [%d, %d])\n",
-			r.Prediction.CPLLo, r.Prediction.CPLHi, r.Prediction.Paths,
-			r.Prediction.CyclesLo, r.Prediction.CyclesHi)
-	}
-	return b.String()
-}
-
-// PredictSource serves a source through the analytical fast tier:
-// compile, bound, and predict cycles/CPL/attribution from the compiled
-// schedule without simulating. ints primes integer inputs by data-symbol
-// name (see Kernel.DataInts); iterations converts predicted cycles to
-// CPL. Programs whose timing depends on unmodeled data return
-// ErrDataDependent (wrapped) — fall back to AnalyzeSource.
-func (a *Analyzer) PredictSource(src string, iterations int64, ints map[string]int64) (FastResult, error) {
-	return a.PredictSourceCtx(context.Background(), src, iterations, ints)
-}
-
-// PredictSourceCtx is PredictSource under a context: the compile, verify
-// and bound stages plus a "predict" span land on the trace riding ctx.
-func (a *Analyzer) PredictSourceCtx(ctx context.Context, src string, iterations int64, ints map[string]int64) (FastResult, error) {
-	var res FastResult
-	prog, an, err := boundSource(ctx, src, compilerOptionsFor(a.cfg), a.cfg.VLMax, a.cfg.Rules)
-	res.Program = prog
-	if err != nil {
-		return res, err
-	}
-	res.Analysis = an
-	res.Iterations = iterations
-	_, sp := obs.Start(ctx, "predict")
-	res.Prediction, err = a.pred.Predict(prog, iterations, ints)
-	sp.End()
-	return res, err
-}
-
-// PredictSourceInterval serves a source whose timing depends on
-// unmodeled data through the fast tier's path enumerator: every admitted
-// branch outcome is replayed bit-exactly and the prediction carries the
-// [CyclesLo, CyclesHi] envelope over all of them (the simulated run is
-// guaranteed to land inside). Programs whose data-dependent control flow
-// is not boundedly enumerable still return ErrDataDependent (wrapped).
-func (a *Analyzer) PredictSourceInterval(src string, iterations int64, ints map[string]int64) (FastResult, error) {
-	return a.PredictSourceIntervalCtx(context.Background(), src, iterations, ints)
-}
-
-// PredictSourceIntervalCtx is PredictSourceInterval under a context: the
-// compile, verify and bound stages plus a "predict-interval" span land on
-// the trace riding ctx.
-func (a *Analyzer) PredictSourceIntervalCtx(ctx context.Context, src string, iterations int64, ints map[string]int64) (FastResult, error) {
-	var res FastResult
-	prog, an, err := boundSource(ctx, src, compilerOptionsFor(a.cfg), a.cfg.VLMax, a.cfg.Rules)
-	res.Program = prog
-	if err != nil {
-		return res, err
-	}
-	res.Analysis = an
-	res.Iterations = iterations
-	_, sp := obs.Start(ctx, "predict-interval")
-	res.Prediction, err = a.pred.PredictInterval(prog, iterations, ints)
-	sp.End()
-	return res, err
-}
-
 // ChromeTrace renders vector timing events (Result.Trace) as a Chrome
-// trace_event JSON document for chrome://tracing or Perfetto.
-func ChromeTrace(events []TraceEvent) ([]byte, error) { return vm.ChromeTrace(events) }
+// trace_event JSON document for chrome://tracing or Perfetto: one row per
+// VP pipe on the "simulator lanes (1 cycle = 1us)" track, one complete
+// event per vector instruction from stream entry to last element.
+func ChromeTrace(events []TraceEvent) ([]byte, error) {
+	return obs.ChromeTrace(obs.TraceView{Lanes: vm.LaneEvents(events)})
+}
 
 // LaneEvents converts vector timing events into the generic per-lane
 // shape obs.ChromeTrace merges with pipeline spans — use it to attach a
@@ -547,28 +425,24 @@ func ChromeTrace(events []TraceEvent) ([]byte, error) { return vm.ChromeTrace(ev
 // this automatically.
 func LaneEvents(events []TraceEvent) []obs.LaneEvent { return vm.LaneEvents(events) }
 
-// Report renders the hierarchy of one Result as text.
+// Report renders the hierarchy of one Result as text: the MA and MAC
+// workloads with their bounds, t_MACS with its chimes and variants, t_CP
+// when the dependence graph yields one, and the measured t_p.
 func (r Result) Report() string {
 	var b strings.Builder
-	writeHierarchy(&b, r.Analysis)
+	a := r.Analysis
+	fmt.Fprintf(&b, "MA workload:  %s  -> t_MA  = %.3f CPL\n", a.MA, a.TMA)
+	fmt.Fprintf(&b, "MAC workload: %s  -> t_MAC = %.3f CPL\n", a.MAC, a.TMAC)
+	fmt.Fprintf(&b, "t_MACS = %.3f CPL over %d chimes (t_MACS^f %.3f, t_MACS^m %.3f)\n",
+		a.MACS.CPL, len(a.MACS.Chimes), a.MACSF.CPL, a.MACSM.CPL)
+	if a.TCP > 0 {
+		fmt.Fprintf(&b, "t_CP   = %.3f CPL (dependence critical path)\n", a.TCP)
+	}
 	if r.MeasuredCPL > 0 {
 		fmt.Fprintf(&b, "measured t_p = %.3f CPL (%d cycles, %d iterations)\n",
 			r.MeasuredCPL, r.Stats.Cycles, r.Iterations)
 	}
 	return b.String()
-}
-
-// writeHierarchy writes the bound lines both reports share: the MA and
-// MAC workloads with their bounds, t_MACS with its chimes and variants,
-// and t_CP when the dependence graph yields one.
-func writeHierarchy(b *strings.Builder, a Analysis) {
-	fmt.Fprintf(b, "MA workload:  %s  -> t_MA  = %.3f CPL\n", a.MA, a.TMA)
-	fmt.Fprintf(b, "MAC workload: %s  -> t_MAC = %.3f CPL\n", a.MAC, a.TMAC)
-	fmt.Fprintf(b, "t_MACS = %.3f CPL over %d chimes (t_MACS^f %.3f, t_MACS^m %.3f)\n",
-		a.MACS.CPL, len(a.MACS.Chimes), a.MACSF.CPL, a.MACSM.CPL)
-	if a.TCP > 0 {
-		fmt.Fprintf(b, "t_CP   = %.3f CPL (dependence critical path)\n", a.TCP)
-	}
 }
 
 // MeasureAX generates and runs the A-process and X-process codes of a

@@ -1,6 +1,7 @@
 package macs_test
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -185,22 +186,65 @@ func TestExtensionFacades(t *testing.T) {
 	}
 }
 
-// TestTierNamesRoundTrip: every serving tier has a distinct, non-empty
-// name, and ParseTier maps that name back to the tier — so a tier cannot
-// be added without naming it.
-func TestTierNamesRoundTrip(t *testing.T) {
-	seen := make(map[string]macs.Tier)
-	for tier := macs.Tier(0); tier < macs.NumTiers; tier++ {
-		name := tier.String()
-		if name == "" {
-			t.Errorf("tier %d has an empty name", int(tier))
+// TestChromeTraceJSON: a traced run exports as Chrome trace_event JSON
+// with one complete event per vector timing event, each of positive
+// duration, on the labelled simulator-lane track (timestamps are cycles);
+// nil input still yields a valid document.
+func TestChromeTraceJSON(t *testing.T) {
+	cfg := macs.DefaultVMConfig()
+	cfg.Trace = true
+	res, err := macs.AnalyzeSourceVM(quickSrc, 256, cfg, func(c *macs.CPU) error {
+		nb, _ := c.Memory().SymbolAddr("d_N")
+		return c.Memory().WriteI64(nb, 256)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Trace) == 0 {
+		t.Fatal("traced run recorded no events")
+	}
+	b, err := macs.ChromeTrace(res.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			PID  int            `json:"pid"`
+			Dur  int64          `json:"dur"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("ChromeTrace produced invalid JSON: %v", err)
+	}
+	lanePID, x := -1, 0
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "M" && e.Name == "process_name" && e.Args["name"] == "simulator lanes (1 cycle = 1us)" {
+			lanePID = e.PID
 		}
-		if prev, dup := seen[name]; dup {
-			t.Errorf("tiers %d and %d share the name %q", int(prev), int(tier), name)
+	}
+	if lanePID < 0 {
+		t.Fatalf("no labelled simulator-lane track:\n%s", b)
+	}
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "X" {
+			continue
 		}
-		seen[name] = tier
-		if got, err := macs.ParseTier(name); err != nil || got != tier {
-			t.Errorf("ParseTier(%q) = %v, %v; want %v", name, got, err, tier)
+		x++
+		if e.PID != lanePID {
+			t.Errorf("event %q on pid %d, want the lane track %d", e.Name, e.PID, lanePID)
 		}
+		if e.Dur <= 0 {
+			t.Errorf("event %q has non-positive dur %d", e.Name, e.Dur)
+		}
+	}
+	if x != len(res.Trace) {
+		t.Errorf("ChromeTrace has %d X events, want %d (one per trace event)", x, len(res.Trace))
+	}
+	b, err = macs.ChromeTrace(nil)
+	if err != nil || !json.Valid(b) {
+		t.Errorf("ChromeTrace(nil) = %s, %v; want a valid document", b, err)
 	}
 }
