@@ -248,14 +248,14 @@ func BenchmarkAblationScalarBaseline(b *testing.B) {
 	}
 }
 
-// Per-kernel simulation benches: how fast the simulator itself runs.
-// BenchmarkLFK is the fast path (pooled simulator, memoized stream-stall
-// table); BenchmarkLFKNaive is the reference path (fresh simulator per
-// run, naive bank walk). Both report the simulation rate in simulated
-// cycles per wall-clock second; the benchgate regression tool tracks the
-// fast path's aggregate rate.
+// Per-kernel simulation benches: how fast the simulator itself runs,
+// priming included, on a fresh simulator per run. BenchmarkLFK is the
+// fast path (memoized stream-stall table); BenchmarkLFKNaive is the
+// reference path (naive bank walk). Both report the simulation rate in
+// simulated cycles per wall-clock second; the benchgate regression tool
+// tracks the fast path's aggregate rate.
 func BenchmarkLFK(b *testing.B) {
-	pool := vm.NewPool(vm.DefaultConfig())
+	cfg := vm.DefaultConfig()
 	for _, k := range lfk.All() {
 		k := k
 		b.Run(fmt.Sprintf("lfk%d", k.ID), func(b *testing.B) {
@@ -267,9 +267,7 @@ func BenchmarkLFK(b *testing.B) {
 			var cycles, total int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cpu := pool.Get()
-				st, err := c.RunOn(cpu)
-				pool.Put(cpu)
+				st, _, err := c.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -285,9 +283,8 @@ func BenchmarkLFK(b *testing.B) {
 	}
 }
 
-// BenchmarkLFKNaive runs the same kernels over a fresh simulator and the
-// naive bank walk every iteration: the before picture the fast path is
-// measured against.
+// BenchmarkLFKNaive runs the same kernels over the naive bank walk: the
+// before picture the stream-stall memo is measured against.
 func BenchmarkLFKNaive(b *testing.B) {
 	cfg := vm.DefaultConfig()
 	cfg.NaiveMemPath = true
@@ -320,7 +317,7 @@ func BenchmarkLFKNaive(b *testing.B) {
 // repeated identical requests over one predictor: after an untimed first
 // sight, every timed request is a prediction-memo hit. Compile is outside
 // the timer like BenchmarkLFK. The per-kernel ratio of BenchmarkLFK ns/op
-// to BenchmarkFastTier ns/op is therefore the memo's speedup over pooled
+// to BenchmarkFastTier ns/op is therefore the memo's speedup over
 // simulation, not the prediction engine's; benchgate gates its floor.
 // BenchmarkFastTierCold is the first-sight cost, about one simulation.
 func BenchmarkFastTier(b *testing.B) {
@@ -377,8 +374,7 @@ func BenchmarkFastTierCold(b *testing.B) {
 }
 
 // BenchmarkAnalyzeSourceVM measures the service's cold path — compile,
-// bound, simulate — one-shot (fresh simulator per call) and pooled
-// (Analyzer), on LFK1 source.
+// verify, bound, simulate on a fresh simulator — on LFK1 source.
 func BenchmarkAnalyzeSourceVM(b *testing.B) {
 	k := lfk.All()[0]
 	cfg := macs.DefaultVMConfig()
@@ -386,15 +382,6 @@ func BenchmarkAnalyzeSourceVM(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := macs.AnalyzeSourceVM(k.Source, int64(k.Elements), cfg, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		an := macs.NewAnalyzer(cfg)
-		for i := 0; i < b.N; i++ {
-			if _, err := an.AnalyzeSource(k.Source, int64(k.Elements), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -521,7 +508,7 @@ func BenchmarkExplore(b *testing.B) {
 		{Param: "vlmax", Values: []float64{32, 64, 96, 128}},
 	}}
 	// One shared evaluator registry: repeated sweeps keep per-machine
-	// simulator pools and prediction memos warm, the serving steady state.
+	// prediction memos warm, the serving steady state.
 	evals := explore.NewEvaluators(vm.DefaultConfig())
 	for _, k := range lfk.All() {
 		k := k
@@ -539,9 +526,9 @@ func BenchmarkExplore(b *testing.B) {
 			}
 			ctx := context.Background()
 			// One untimed warm-up sweep builds this kernel's per-machine
-			// prediction memos and simulator pools; the timed loop then
-			// measures the serving steady state (cold-start cost is what
-			// BenchmarkLFKNaive and BenchmarkFastTierCold cover).
+			// prediction memos; the timed loop then measures the serving
+			// steady state (cold-start cost is what BenchmarkLFKNaive and
+			// BenchmarkFastTierCold cover).
 			if _, err := eng.Sweep(ctx, req); err != nil {
 				b.Fatal(err)
 			}

@@ -1,16 +1,17 @@
 // Command benchgate guards the simulation engine's fast path, the
 // analytical fast tier and the design-space exploration engine against
 // performance regressions. It runs the per-kernel benchmarks
-// (BenchmarkLFK, the pooled/memoized simulation path; BenchmarkLFKNaive,
-// the fresh-simulator reference; BenchmarkFastTier, repeated fast-tier
-// predictions answered by the prediction memo; and BenchmarkExplore, the
-// two-stage grid sweep), writes a
-// machine-readable report, and compares against a committed baseline.
+// (BenchmarkLFK, the memoized simulation path; BenchmarkLFKNaive, the
+// naive-walk reference, both on a fresh simulator per run;
+// BenchmarkFastTier, repeated fast-tier predictions answered by the
+// prediction memo; and BenchmarkExplore, the two-stage grid sweep),
+// writes a machine-readable report, and compares against a committed
+// baseline.
 //
 // Absolute rates vary with hardware, so most gates are on
 // machine-neutral quantities measured in the same process: the
 // fast/naive simulation speedup ratio, the fast path's allocations per
-// run, the memoized fast tier's speedup over pooled simulation, and the
+// run, the memoized fast tier's speedup over simulation, and the
 // explore engine's pruning ratio (points swept per point simulated). Two
 // absolute floors ride along — every kernel's memo hit must answer at
 // least 100x faster than it simulates (a first-sight prediction costs
@@ -62,7 +63,7 @@ type Aggregate struct {
 	Speedup     float64 `json:"speedup"`
 	FastAllocs  float64 `json:"fast_allocs_per_sweep"`
 	NaiveAllocs float64 `json:"naive_allocs_per_sweep"`
-	// FastTierSpeedup is the whole-sweep ratio of pooled-simulation time
+	// FastTierSpeedup is the whole-sweep ratio of simulation time
 	// to fast-tier prediction time; FastTierMinKernelSpeedup is the worst
 	// per-kernel ratio, gated against the 100x floor.
 	FastTierSpeedup          float64 `json:"fast_tier_speedup"`
@@ -78,8 +79,8 @@ type Aggregate struct {
 }
 
 // fastTierFloor is the per-kernel speedup a fast-tier memo hit must keep
-// over pooled simulation: each LFK's repeated prediction must answer at
-// least this many times faster than it simulates.
+// over simulation: each LFK's repeated prediction must answer at least
+// this many times faster than it simulates.
 const fastTierFloor = 100.0
 
 // exploreFloor is the sweep throughput every kernel must clear: grid
@@ -344,7 +345,7 @@ func gate(rep Report, baseline string, tolerance float64) error {
 			rep.Aggregate.FastAllocs, base.Aggregate.FastAllocs, tolerance*100)
 	}
 	if rep.Aggregate.FastTierMinKernelSpeedup < fastTierFloor {
-		return fmt.Errorf("fast-tier floor broken: worst kernel predicts only %.0fx faster than pooled simulation (floor %.0fx)",
+		return fmt.Errorf("fast-tier floor broken: worst kernel predicts only %.0fx faster than simulation (floor %.0fx)",
 			rep.Aggregate.FastTierMinKernelSpeedup, fastTierFloor)
 	}
 	if base.Aggregate.FastTierSpeedup > 0 {

@@ -1,7 +1,9 @@
 package macs_test
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"macs"
@@ -11,88 +13,94 @@ import (
 )
 
 // TestFastPathBitEquivalence is the gate on the fast simulation engine:
-// for all ten LFKs, a pooled simulator using the memoized stream-stall
+// for all ten LFKs, a fresh simulator using the memoized stream-stall
 // table must produce Stats (attribution ledger included) identical to a
-// fresh simulator running the naive reference walk. The pool is reused
-// across kernels, so later kernels run on state dirtied by earlier ones —
-// exactly the service's steady state.
+// fresh simulator running the naive reference walk, and compute the
+// kernel's reference results.
 func TestFastPathBitEquivalence(t *testing.T) {
 	fastCfg := vm.DefaultConfig()
 	naiveCfg := vm.DefaultConfig()
 	naiveCfg.NaiveMemPath = true
 
-	// The naive reference runs each build a fresh 16 MB simulator; run
-	// them all before the pooled loop, so the GCs they trigger cannot
-	// empty the pool between kernels and fake a reuse failure.
-	kernels := lfk.All()
-	compiled := make([]*lfk.Compiled, len(kernels))
-	naive := make([]vm.Stats, len(kernels))
-	for i, k := range kernels {
+	for _, k := range lfk.All() {
 		c, err := lfk.Compile(k, compiler.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		compiled[i] = c
-		if naive[i], _, err = c.Run(naiveCfg); err != nil {
+		naive, _, err := c.Run(naiveCfg)
+		if err != nil {
 			t.Fatalf("lfk%d naive: %v", k.ID, err)
 		}
-	}
-
-	pool := vm.NewPool(fastCfg)
-	for i, k := range kernels {
-		c := compiled[i]
-		cpu := pool.Get()
-		fastStats, err := c.RunOn(cpu)
+		fast, cpu, err := c.Run(fastCfg)
 		if err != nil {
 			t.Fatalf("lfk%d fast: %v", k.ID, err)
 		}
 		if err := c.Validate(cpu); err != nil {
 			t.Fatalf("lfk%d fast path numerical validation: %v", k.ID, err)
 		}
-		pool.Put(cpu)
-
-		if !reflect.DeepEqual(fastStats, naive[i]) {
+		if !reflect.DeepEqual(fast, naive) {
 			t.Fatalf("lfk%d: fast-path stats diverge from naive reference:\nfast  %+v\nnaive %+v",
-				k.ID, fastStats, naive[i])
+				k.ID, fast, naive)
 		}
-		if err := fastStats.Attr.Conserved(fastStats.Cycles); err != nil {
+		if err := fast.Attr.Conserved(fast.Cycles); err != nil {
 			t.Fatalf("lfk%d: %v", k.ID, err)
 		}
-	}
-
-	if created, returned := pool.Stats(); returned == 0 || created > 2 {
-		t.Fatalf("pool reuse broken: created=%d returned=%d", created, returned)
 	}
 }
 
-// TestAnalyzerMatchesAnalyzeSourceVM checks the pooled facade front door
+// TestAnalyzerMatchesAnalyzeSourceVM checks the facade's Analyzer
 // against the one-shot path: same bounds, same simulator outcome, same
-// measured CPL — on repeated calls, so the second run exercises a warm
-// pool and memo table.
+// measured CPL — with one Analyzer shared by 8 goroutines, each
+// analyzing every kernel twice, so the race detector sees concurrent
+// use.
 func TestAnalyzerMatchesAnalyzeSourceVM(t *testing.T) {
 	cfg := macs.DefaultVMConfig()
 	an := macs.NewAnalyzer(cfg)
-	for _, k := range lfk.All() {
-		want, err := macs.AnalyzeSourceVM(k.Source, int64(k.Elements), cfg, nil)
-		if err != nil {
+	kernels := lfk.All()
+	want := make([]macs.Result, len(kernels))
+	for i, k := range kernels {
+		var err error
+		if want[i], err = macs.AnalyzeSourceVM(k.Source, int64(k.Elements), cfg, nil); err != nil {
 			t.Fatalf("lfk%d: %v", k.ID, err)
 		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- analyzeAll(an, kernels, want)
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// analyzeAll analyzes every kernel twice on an and compares each answer
+// with want.
+func analyzeAll(an *macs.Analyzer, kernels []*lfk.Kernel, want []macs.Result) error {
+	for i, k := range kernels {
 		for round := 0; round < 2; round++ {
 			got, err := an.AnalyzeSource(k.Source, int64(k.Elements), nil)
-			if err != nil {
-				t.Fatalf("lfk%d round %d: %v", k.ID, round, err)
-			}
-			if !reflect.DeepEqual(got.Stats, want.Stats) {
-				t.Fatalf("lfk%d round %d: pooled Stats diverge:\ngot  %+v\nwant %+v",
-					k.ID, round, got.Stats, want.Stats)
-			}
-			if !reflect.DeepEqual(got.Analysis, want.Analysis) {
-				t.Fatalf("lfk%d round %d: pooled Analysis diverges", k.ID, round)
-			}
-			if got.MeasuredCPL != want.MeasuredCPL {
-				t.Fatalf("lfk%d round %d: MeasuredCPL %v, want %v",
-					k.ID, round, got.MeasuredCPL, want.MeasuredCPL)
+			switch {
+			case err != nil:
+				return fmt.Errorf("lfk%d round %d: %w", k.ID, round, err)
+			case !reflect.DeepEqual(got.Stats, want[i].Stats):
+				return fmt.Errorf("lfk%d round %d: Stats diverge:\ngot  %+v\nwant %+v",
+					k.ID, round, got.Stats, want[i].Stats)
+			case !reflect.DeepEqual(got.Analysis, want[i].Analysis):
+				return fmt.Errorf("lfk%d round %d: Analysis diverges", k.ID, round)
+			case got.MeasuredCPL != want[i].MeasuredCPL:
+				return fmt.Errorf("lfk%d round %d: MeasuredCPL %v, want %v",
+					k.ID, round, got.MeasuredCPL, want[i].MeasuredCPL)
 			}
 		}
 	}
+	return nil
 }

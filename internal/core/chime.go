@@ -93,7 +93,7 @@ func (b *ChimeBuilder) reset() {
 }
 
 // Reset discards any forming chime and returns the builder to its initial
-// state, reusing its allocations (for pooled simulator reuse).
+// state, reusing its allocations (for a reused timing model).
 func (b *ChimeBuilder) Reset() { b.reset() }
 
 // Empty reports whether the forming chime has no members.
@@ -190,6 +190,10 @@ func (b *ChimeBuilder) PairSplit(in isa.Instr) (pair int, split bool) {
 // Add places a vector instruction into the forming chime. The caller must
 // have checked Fits (or flushed).
 func (b *ChimeBuilder) Add(in isa.Instr) {
+	if b.cur.Members == nil {
+		// One allocation per chime: it holds at most one member per pipe.
+		b.cur.Members = make([]isa.Instr, 0, isa.PipeMul)
+	}
 	b.cur.Members = append(b.cur.Members, in)
 	b.pipesUsed[in.Pipe()] = true
 	if in.IsMemory() {

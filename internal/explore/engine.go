@@ -38,33 +38,27 @@ type Options struct {
 	MinTop int
 	// Workers bounds sweep concurrency; <1 uses all cores.
 	Workers int
-	// Evaluators, when non-nil, shares per-machine state (simulator pools,
-	// fast-tier predictors) with other engines — the serving layer holds
-	// one registry across requests so repeated sweeps keep their stall
-	// tables and prediction memos warm. Nil gives the engine its own.
+	// Evaluators, when non-nil, shares per-machine fast-tier predictors
+	// with other engines — the serving layer holds one registry across
+	// requests so repeated sweeps keep their prediction memos warm. Nil
+	// gives the engine its own.
 	Evaluators *Evaluators
 }
 
-// evaluator is the per-machine state of a sweep: the concrete run
-// configuration, the fast-tier predictor (with its memo and pooled
-// interpreters) and the pooled exact simulators. Machines are recognized by
-// value, so two grids naming the same machine share one evaluator.
-type evaluator struct {
-	cfg  vm.Config
-	pred *fasttier.Predictor
-	pool *vm.Pool
-}
-
-// Evaluators is a machine-keyed registry of per-machine evaluators,
-// safe for concurrent use and shareable between engines. It also caches
-// compiled programs by (source, compiler options): the fast tier's
-// prediction memo is keyed by program pointer, so handing repeated
-// sweeps the same *Program is what lets a warm sweep skip the schedule
-// replay for every machine it has already scored.
+// Evaluators is a machine-keyed registry of per-machine fast-tier
+// predictors (each with its memo and pooled interpreters), safe for
+// concurrent use and shareable between engines. Machines are recognized
+// by value, so two grids naming the same machine share one predictor.
+// It also caches compiled programs by (source, compiler options): the
+// fast tier's prediction memo is keyed by program pointer, so handing
+// repeated sweeps the same *Program is what lets a warm sweep skip the
+// schedule replay for every machine it has already scored.
 type Evaluators struct {
+	// run is the run template every point's configuration stamps its
+	// machine over, for prediction and exact simulation alike.
 	run vm.Config
 	mu  sync.Mutex
-	m   map[vm.Machine]*evaluator
+	m   map[vm.Machine]*fasttier.Predictor
 
 	progMu sync.Mutex
 	progs  map[progKey]*macs.Program
@@ -81,35 +75,43 @@ type progKey struct {
 // (compiles are cheap to redo, eviction bookkeeping is not).
 const progCap = 128
 
+// evaluatorCap bounds the machine registry the same way. It holds the
+// largest grid the benchmarks sweep repeatedly (120 machines), so a warm
+// steady state keeps its memos; a service swept over ever-new machines
+// stays bounded instead of pinning a prediction memo per machine ever
+// seen.
+const evaluatorCap = 256
+
 // NewEvaluators creates a shared evaluator registry over one run
 // template. The template's own Machine field is irrelevant — it is
-// replaced by each requested machine.
+// replaced by each requested machine — and its tracing is switched off,
+// because a sweep reads no timing events.
 func NewEvaluators(run vm.Config) *Evaluators {
 	if run == (vm.Config{}) {
 		run = vm.DefaultConfig()
 	}
+	run.Trace, run.TraceRing = false, 0
 	return &Evaluators{
 		run:   run,
-		m:     make(map[vm.Machine]*evaluator),
+		m:     make(map[vm.Machine]*fasttier.Predictor),
 		progs: make(map[progKey]*macs.Program),
 	}
 }
 
-// get returns (creating on first sight) the evaluator for one machine.
-func (e *Evaluators) get(m vm.Machine) *evaluator {
+// predictor returns (creating on first sight) the predictor for one
+// machine.
+func (e *Evaluators) predictor(m vm.Machine) *fasttier.Predictor {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ev, ok := e.m[m]; ok {
-		return ev
+	if p, ok := e.m[m]; ok {
+		return p
 	}
-	cfg := e.run.WithMachine(m)
-	ev := &evaluator{
-		cfg:  cfg,
-		pred: fasttier.NewPredictor(cfg),
-		pool: vm.NewPool(cfg),
+	if len(e.m) >= evaluatorCap {
+		e.m = make(map[vm.Machine]*fasttier.Predictor)
 	}
-	e.m[m] = ev
-	return ev
+	p := fasttier.NewPredictor(e.run.WithMachine(m))
+	e.m[m] = p
+	return p
 }
 
 // program returns the compiled and verified program for one source at
@@ -138,8 +140,8 @@ func (e *Evaluators) program(src string, opts macs.CompilerOptions) (*macs.Progr
 	return prog, nil
 }
 
-// Machines reports how many distinct machines the registry has built
-// state for.
+// Machines reports how many distinct machines the registry holds a
+// predictor for (at most evaluatorCap).
 func (e *Evaluators) Machines() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -381,7 +383,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 			Fingerprint: m.Fingerprint(),
 			Bounds:      boundsOf[boundsKey{e.effVL(m), m.Rules}],
 		}
-		pred, err := e.evals.get(m).pred.Predict(progOf[e.effVL(m)], req.Iterations, req.Ints)
+		pred, err := e.evals.predictor(m).Predict(progOf[e.effVL(m)], req.Iterations, req.Ints)
 		switch {
 		case errors.Is(err, fasttier.ErrDataDependent):
 			dataDependent.Do(func() { fallback = true })
@@ -436,9 +438,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 	err = par.ForEachCtx(ctx, e.opts.Workers, len(survivors), func(j int) error {
 		i := survivors[j]
 		p := &sw.Points[i]
-		ev := e.evals.get(p.Machine)
-		cpu := ev.pool.Get()
-		defer ev.pool.Put(cpu)
+		cpu := vm.New(e.evals.run.WithMachine(p.Machine))
 		if err := cpu.Load(progOf[e.effVL(p.Machine)]); err != nil {
 			return fmt.Errorf("explore: point %d: %w", i, err)
 		}

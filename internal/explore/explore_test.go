@@ -434,3 +434,52 @@ func TestSharedEvaluators(t *testing.T) {
 		t.Fatalf("shared registry holds %d machines, want 2", got)
 	}
 }
+
+// TestEvaluatorRegistryBounded sweeps more distinct machines than the
+// registry holds: it stays within evaluatorCap, and every sweep's rank-1
+// answer equals the one a fresh registry gives.
+func TestEvaluatorRegistryBounded(t *testing.T) {
+	k, err := lfk.ByID(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{
+		Source: k.Source, Iterations: int64(k.Elements),
+		Ints: k.DataInts(), Prime: k.PrimeFunc(),
+	}
+	shared := NewEvaluators(vm.DefaultConfig())
+	const perSweep = 12
+	sweeps := evaluatorCap/perSweep + 2
+	for i := 0; i < sweeps; i++ {
+		periods := make([]float64, perSweep)
+		for j := range periods {
+			periods[j] = float64(200 + i*perSweep + j)
+		}
+		g := Grid{Axes: []Axis{{Param: "refresh-period", Values: periods}}}
+		eng, err := New(g, Options{Evaluators: shared})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Sweep(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := shared.Machines(); n > evaluatorCap {
+			t.Fatalf("sweep %d: registry holds %d machines, cap %d", i, n, evaluatorCap)
+		}
+		fresh, err := New(g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Sweep(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Best(), want.Best()) {
+			t.Fatalf("sweep %d: rank-1 %+v, fresh registry %+v", i, got.Best(), want.Best())
+		}
+	}
+	if n := shared.Machines(); n >= sweeps*perSweep {
+		t.Fatalf("registry holds all %d machines swept", n)
+	}
+}

@@ -243,7 +243,8 @@ func (in Instr) Dst() (Reg, bool) {
 // base registers and, for vector memory operations, the implicit VL and VS
 // registers. Order is assembly order.
 func (in Instr) Sources() []Reg {
-	var srcs []Reg
+	// One allocation: every operand plus the implicit VL and VS.
+	srcs := make([]Reg, 0, len(in.Ops)+2)
 	n := len(in.Ops)
 	for i, o := range in.Ops {
 		switch o.Kind {
@@ -276,8 +277,9 @@ func (in Instr) Sources() []Reg {
 // register written (ok=false if none). These drive chaining and the
 // register-pair chime rule.
 func (in Instr) VectorReads() []Reg {
-	var rs []Reg
-	for _, r := range in.Sources() {
+	srcs := in.Sources()
+	rs := srcs[:0] // filtered in place: srcs is this call's own
+	for _, r := range srcs {
 		if r.Class == ClassV {
 			rs = append(rs, r)
 		}

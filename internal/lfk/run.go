@@ -34,8 +34,8 @@ func (c *Compiled) NewCPU(cfg vm.Config) (*vm.CPU, error) {
 	return cpu, nil
 }
 
-// Prime loads the kernel's program into a ready (fresh or pooled-and-
-// reset) simulator and writes its input scalars and arrays into memory.
+// Prime loads the kernel's program into a fresh simulator and writes its
+// input scalars and arrays into memory.
 func (c *Compiled) Prime(cpu *vm.CPU) error {
 	if err := cpu.Load(c.Program); err != nil {
 		return err
@@ -111,20 +111,6 @@ func (c *Compiled) Run(cfg vm.Config) (vm.Stats, *vm.CPU, error) {
 		return st, cpu, fmt.Errorf("lfk%d: %w", c.Kernel.ID, err)
 	}
 	return st, cpu, nil
-}
-
-// RunOn primes the kernel into an existing simulator (typically one from
-// a vm.Pool, already Reset) and runs it: the fast path of the per-kernel
-// benchmarks and the parallel sweep runner.
-func (c *Compiled) RunOn(cpu *vm.CPU) (vm.Stats, error) {
-	if err := c.Prime(cpu); err != nil {
-		return vm.Stats{}, err
-	}
-	st, err := cpu.Run()
-	if err != nil {
-		return st, fmt.Errorf("lfk%d: %w", c.Kernel.ID, err)
-	}
-	return st, nil
 }
 
 // Validate compares the simulator's memory against the kernel's Go

@@ -1,4 +1,4 @@
-// Package mem implements the Convex C-240 memory subsystem: flat functional
+// Package mem implements the Convex C-240 memory subsystem: paged functional
 // storage with symbol allocation, a 32-bank interleaved timing model with
 // periodic refresh, and a five-port arbiter (four CPUs plus I/O) used for
 // the multi-process contention experiments (paper §2, §3.2, §4.2).
@@ -33,34 +33,33 @@ func DefaultConfig() Config {
 	}
 }
 
-// Memory is the functional storage shared by all CPUs: a flat byte array
-// with bump allocation of named symbols. It carries no timing state.
+// Memory is the functional storage shared by all CPUs: a byte-addressed
+// image of Size bytes with bump allocation of named symbols. It carries
+// no timing state. Storage is paged: a page is allocated on its first
+// write, and memory never written reads as zero, so a run costs what its
+// program touches rather than the whole image.
 type Memory struct {
-	bytes  []byte
+	// pages holds the written pages by page number; a nil or missing
+	// entry is a page never written. It grows to the highest page written.
+	pages  []*page
 	layout Layout
-	// dirty is the write high-water mark (one past the highest byte ever
-	// written), so Reset can rezero only what a run actually touched
-	// instead of reallocating the whole image.
-	dirty int64
 }
+
+// pageShift sets the 4 KB page size.
+const pageShift = 12
+
+type page [1 << pageShift]byte
+
+// offMask extracts an address's offset within its page.
+const offMask = len(page{}) - 1
 
 // New creates a memory of the given size in bytes.
 func New(size int64) *Memory {
-	return &Memory{bytes: make([]byte, size), layout: *NewLayout(size)}
+	return &Memory{layout: *NewLayout(size)}
 }
 
 // Size returns the memory size in bytes.
-func (m *Memory) Size() int64 { return int64(len(m.bytes)) }
-
-// Reset restores the memory to its freshly-created state — all bytes zero,
-// no symbols — without reallocating. Only the written region is rezeroed,
-// which is what makes pooled simulator reuse cheap: a reset after a
-// kernel run touches kilobytes, not the whole multi-megabyte image.
-func (m *Memory) Reset() {
-	clear(m.bytes[:m.dirty])
-	m.layout.Reset()
-	m.dirty = 0
-}
+func (m *Memory) Size() int64 { return m.layout.size }
 
 // Alloc reserves size bytes for a named symbol, 8-byte aligned, and returns
 // its base address. Allocating an existing name returns the existing base
@@ -75,48 +74,89 @@ func (m *Memory) SymbolAddr(name string) (int64, bool) { return m.layout.Addr(na
 // SymbolSize resolves a symbol name to its allocated size in bytes.
 func (m *Memory) SymbolSize(name string) (int64, bool) { return m.layout.SizeOf(name) }
 
-func (m *Memory) check(addr int64, n int64) error {
-	return checkRange(addr, n, int64(len(m.bytes)))
+// load reads the 8 bytes at an in-range addr as a little-endian word.
+func (m *Memory) load(addr int64) uint64 {
+	if off := int(addr) & offMask; off <= offMask-7 {
+		if p := m.lookup(addr); p != nil {
+			return binary.LittleEndian.Uint64(p[off:])
+		}
+		return 0
+	}
+	var b [8]byte // the word straddles two pages
+	for i := range b {
+		a := addr + int64(i)
+		if p := m.lookup(a); p != nil {
+			b[i] = p[int(a)&offMask]
+		}
+	}
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// store writes v at an in-range addr as a little-endian word.
+func (m *Memory) store(addr int64, v uint64) {
+	if off := int(addr) & offMask; off <= offMask-7 {
+		binary.LittleEndian.PutUint64(m.page(addr)[off:], v)
+		return
+	}
+	var b [8]byte // the word straddles two pages
+	binary.LittleEndian.PutUint64(b[:], v)
+	for i, x := range b {
+		a := addr + int64(i)
+		m.page(a)[int(a)&offMask] = x
+	}
+}
+
+// lookup returns the page holding addr, nil if it was never written.
+func (m *Memory) lookup(addr int64) *page {
+	if n := addr >> pageShift; n < int64(len(m.pages)) {
+		return m.pages[n]
+	}
+	return nil
+}
+
+// page returns the page holding addr, allocating it on first write.
+func (m *Memory) page(addr int64) *page {
+	n := int(addr >> pageShift)
+	if n >= len(m.pages) {
+		m.pages = append(m.pages, make([]*page, n+1-len(m.pages))...)
+	}
+	if m.pages[n] == nil {
+		m.pages[n] = new(page)
+	}
+	return m.pages[n]
 }
 
 // ReadF64 loads a 64-bit float.
 func (m *Memory) ReadF64(addr int64) (float64, error) {
-	if err := m.check(addr, 8); err != nil {
+	if err := m.layout.Check(addr, 8); err != nil {
 		return 0, err
 	}
-	bits := binary.LittleEndian.Uint64(m.bytes[addr:])
-	return math.Float64frombits(bits), nil
+	return math.Float64frombits(m.load(addr)), nil
 }
 
 // WriteF64 stores a 64-bit float.
 func (m *Memory) WriteF64(addr int64, v float64) error {
-	if err := m.check(addr, 8); err != nil {
+	if err := m.layout.Check(addr, 8); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(m.bytes[addr:], math.Float64bits(v))
-	if addr+8 > m.dirty {
-		m.dirty = addr + 8
-	}
+	m.store(addr, math.Float64bits(v))
 	return nil
 }
 
 // ReadI64 loads a 64-bit integer.
 func (m *Memory) ReadI64(addr int64) (int64, error) {
-	if err := m.check(addr, 8); err != nil {
+	if err := m.layout.Check(addr, 8); err != nil {
 		return 0, err
 	}
-	return int64(binary.LittleEndian.Uint64(m.bytes[addr:])), nil
+	return int64(m.load(addr)), nil
 }
 
 // WriteI64 stores a 64-bit integer.
 func (m *Memory) WriteI64(addr int64, v int64) error {
-	if err := m.check(addr, 8); err != nil {
+	if err := m.layout.Check(addr, 8); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(m.bytes[addr:], uint64(v))
-	if addr+8 > m.dirty {
-		m.dirty = addr + 8
-	}
+	m.store(addr, uint64(v))
 	return nil
 }
 

@@ -41,10 +41,6 @@ func TestAllocAndSymbols(t *testing.T) {
 	if _, ok := m.SymbolSize("zz"); ok {
 		t.Error("SymbolSize(zz) should fail")
 	}
-	m.Reset()
-	if _, ok := m.SymbolSize("x"); ok {
-		t.Error("SymbolSize(x) survived Reset")
-	}
 }
 
 func TestAllocOutOfMemory(t *testing.T) {
@@ -179,6 +175,88 @@ func TestReadWriteI64(t *testing.T) {
 	v, err := m.ReadI64(addr)
 	if err != nil || v != -42 {
 		t.Fatalf("ReadI64 = %v,%v, want -42", v, err)
+	}
+}
+
+// TestUnwrittenMemoryReadsZero: memory never written reads 0 everywhere,
+// including the pages beside a written one.
+func TestUnwrittenMemoryReadsZero(t *testing.T) {
+	m := New(16 << 20)
+	if err := m.WriteI64(40000, -1); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []int64{0, 64, 4088, 4092, 39992, 40008, 1 << 20, m.Size() - 8} {
+		if v, err := m.ReadI64(addr); err != nil || v != 0 {
+			t.Errorf("ReadI64(%d) = %d, %v; want 0, nil", addr, v, err)
+		}
+		if v, err := m.ReadF64(addr); err != nil || v != 0 {
+			t.Errorf("ReadF64(%d) = %v, %v; want 0, nil", addr, v, err)
+		}
+	}
+}
+
+// TestUnalignedWriteAcrossPage: an 8-byte access straddling a page
+// boundary round-trips, whichever of its two pages exist already.
+func TestUnalignedWriteAcrossPage(t *testing.T) {
+	m := New(1 << 16)
+	page := int64(len(page{}))
+	for _, addr := range []int64{page - 3, 3*page - 1, 2*page - 7} {
+		if err := m.WriteI64(addr, 0x0102030405060708); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := m.ReadI64(addr); err != nil || v != 0x0102030405060708 {
+			t.Errorf("ReadI64(%d) = %#x, %v after write", addr, v, err)
+		}
+		if err := m.WriteF64(addr, -2.75); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := m.ReadF64(addr); err != nil || v != -2.75 {
+			t.Errorf("ReadF64(%d) = %v, %v after write", addr, v, err)
+		}
+	}
+	// The neighbours of a straddling word are untouched.
+	if err := m.WriteI64(5*page-4, -1); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []int64{5*page - 12, 5*page + 4} {
+		if v, _ := m.ReadI64(addr); v != 0 {
+			t.Errorf("ReadI64(%d) = %#x, want 0 beside a straddling write", addr, v)
+		}
+	}
+	if v, _ := m.ReadI64(5*page - 8); v != -1<<32 {
+		t.Errorf("ReadI64 over the straddling word's low half = %#x, want %#x", v, int64(-1<<32))
+	}
+}
+
+// TestRangeBoundIsMemSize: the last whole word is addressable, and an
+// access past the end or below zero fails with the range error text.
+func TestRangeBoundIsMemSize(t *testing.T) {
+	const size = 16 << 20
+	m := New(size)
+	if err := m.WriteF64(size-8, 1.5); err != nil {
+		t.Fatalf("write at MemSize-8: %v", err)
+	}
+	if v, err := m.ReadF64(size - 8); err != nil || v != 1.5 {
+		t.Fatalf("ReadF64(MemSize-8) = %v, %v", v, err)
+	}
+	for _, tt := range []struct {
+		addr int64
+		want string
+	}{
+		{size - 7, "mem: access at 16777209 (+8) out of range [0,16777216)"},
+		{size, "mem: access at 16777216 (+8) out of range [0,16777216)"},
+		{-8, "mem: access at -8 (+8) out of range [0,16777216)"},
+		{-1, "mem: access at -1 (+8) out of range [0,16777216)"},
+	} {
+		_, rf := m.ReadF64(tt.addr)
+		wf := m.WriteF64(tt.addr, 1)
+		_, ri := m.ReadI64(tt.addr)
+		wi := m.WriteI64(tt.addr, 1)
+		for _, err := range []error{rf, wf, ri, wi} {
+			if err == nil || err.Error() != tt.want {
+				t.Errorf("access at %d: error %v, want %q", tt.addr, err, tt.want)
+			}
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -45,10 +46,24 @@ type Trace struct {
 
 	mu    sync.Mutex
 	spans []spanRecord
-	lanes []LaneEvent
-	// laneAnchor is the index of the span whose start anchors the lane
-	// events' cycle timestamps (-1: none).
-	laneAnchor int
+	lanes *laneSet // nil until AddLanes
+}
+
+// laneSet is one run's lane events, built on first use. The builder runs
+// outside the trace's lock, and once however many Views race for it.
+type laneSet struct {
+	once   sync.Once
+	build  func() []LaneEvent
+	events []LaneEvent
+	built  atomic.Bool
+}
+
+func (l *laneSet) get() []LaneEvent {
+	l.once.Do(func() {
+		l.events, l.build = l.build(), nil
+		l.built.Store(true)
+	})
+	return l.events
 }
 
 // spanRecord is the immutable part of a span kept on the trace.
@@ -98,7 +113,7 @@ func NewTrace(id string) *Trace {
 	if id == "" {
 		id = NewID()
 	}
-	return &Trace{id: id, start: time.Now(), laneAnchor: -1}
+	return &Trace{id: id, start: time.Now()}
 }
 
 // ID returns the trace's identifier.
@@ -132,22 +147,31 @@ func (s *Span) End() {
 	t.mu.Unlock()
 }
 
-// AddLanes attaches simulator lane events to the trace, anchored at the
-// given span (cycle 0 of the events maps to the span's start in the
-// merged Chrome timeline). Later calls replace earlier ones — a trace
-// carries the lanes of its one simulated run.
-func (t *Trace) AddLanes(anchor *Span, events []LaneEvent) {
-	if t == nil || len(events) == 0 {
+// AddLanes attaches simulator lane events to the trace; the Chrome
+// export anchors their cycle 0 at the start of the trace's "simulate"
+// span. The events come from build, which View runs at most once and
+// only when the trace is viewed, so a trace nobody reads never pays for
+// its lanes. Later calls replace earlier ones — a trace carries the
+// lanes of its one simulated run.
+func (t *Trace) AddLanes(build func() []LaneEvent) {
+	if t == nil || build == nil {
 		return
 	}
-	idx := -1
-	if anchor != nil && anchor.trace == t {
-		idx = anchor.idx
+	t.mu.Lock()
+	t.lanes = &laneSet{build: build}
+	t.mu.Unlock()
+}
+
+// LanesPending reports whether lanes attached with AddLanes await their
+// first View, their builder not yet run.
+func (t *Trace) LanesPending() bool {
+	if t == nil {
+		return false
 	}
 	t.mu.Lock()
-	t.lanes = append(t.lanes[:0], events...)
-	t.laneAnchor = idx
+	l := t.lanes
 	t.mu.Unlock()
+	return l != nil && !l.built.Load()
 }
 
 // SpanView is one completed span in a trace snapshot: its name, start
@@ -179,7 +203,6 @@ func (t *Trace) View() TraceView {
 		return TraceView{}
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	v := TraceView{ID: t.id, Spans: make([]SpanView, len(t.spans))}
 	for i, r := range t.spans {
 		d := r.dur
@@ -194,8 +217,10 @@ func (t *Trace) View() TraceView {
 			Complete: r.ended,
 		}
 	}
-	if len(t.lanes) > 0 {
-		v.Lanes = append(v.Lanes, t.lanes...)
+	l := t.lanes
+	t.mu.Unlock()
+	if l != nil {
+		v.Lanes = append(v.Lanes, l.get()...)
 	}
 	return v
 }

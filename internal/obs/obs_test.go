@@ -144,14 +144,65 @@ func TestNewIDShapeAndUniqueness(t *testing.T) {
 	}
 }
 
+// TestLaneBuilderRunsOnceFromView: attached lanes are built by the first
+// View and only then — span work and StageDurations never build them —
+// and Views racing for them, or coming later, reuse the built events.
+func TestLaneBuilderRunsOnceFromView(t *testing.T) {
+	tr := NewTrace("")
+	ctx := NewContext(context.Background(), tr)
+	_, sim := Start(ctx, "simulate")
+	builds := 0
+	tr.AddLanes(func() []LaneEvent {
+		builds++
+		return []LaneEvent{{Lane: "add pipe", Name: "add.d v0,v1,v2", Start: 3, Dur: 128}}
+	})
+	sim.End()
+	tr.StageDurations()
+	if builds != 0 || !tr.LanesPending() {
+		t.Fatalf("lanes built %d times before any View", builds)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v := tr.View(); len(v.Lanes) != 1 || v.Lanes[0].Start != 3 {
+				t.Errorf("view lanes = %+v", v.Lanes)
+			}
+		}()
+	}
+	wg.Wait()
+	if v := tr.View(); len(v.Lanes) != 1 {
+		t.Fatalf("later view lanes = %+v", v.Lanes)
+	}
+	if builds != 1 || tr.LanesPending() {
+		t.Fatalf("lane builder ran %d times over nine Views, want 1", builds)
+	}
+	// A later attachment replaces the built lanes and waits for a View.
+	tr.AddLanes(func() []LaneEvent { builds++; return nil })
+	if !tr.LanesPending() {
+		t.Fatal("replaced lanes are not pending before a View")
+	}
+	if v := tr.View(); len(v.Lanes) != 0 || builds != 2 {
+		t.Fatalf("replacement view lanes %+v after %d builds", v.Lanes, builds)
+	}
+	var nilTrace *Trace
+	nilTrace.AddLanes(func() []LaneEvent { builds++; return nil })
+	if nilTrace.LanesPending() || builds != 2 {
+		t.Fatal("a nil trace ran or reported a lane builder")
+	}
+}
+
 func TestChromeTraceMergesLanes(t *testing.T) {
 	tr := NewTrace("deadbeef00000000")
 	ctx := NewContext(context.Background(), tr)
 	ctx, root := Start(ctx, "analyze")
 	_, sim := Start(ctx, "simulate")
-	tr.AddLanes(sim, []LaneEvent{
-		{Lane: "add pipe", Name: "vadd", Start: 0, Dur: 10, Args: map[string]any{"vl": 128}},
-		{Lane: "load/store pipe", Name: "vload", Start: 2, Dur: 12},
+	tr.AddLanes(func() []LaneEvent {
+		return []LaneEvent{
+			{Lane: "add pipe", Name: "vadd", Start: 0, Dur: 10, Args: map[string]any{"vl": 128}},
+			{Lane: "load/store pipe", Name: "vload", Start: 2, Dur: 12},
+		}
 	})
 	sim.End()
 	root.End()

@@ -16,9 +16,8 @@ import (
 // back as an NDJSON event as its measurement completes. Whole sweeps are
 // cached — memory LRU plus the persistent disk cache — under a key that
 // includes the grid, so a repeated sweep replays its events without
-// running anything; the per-machine simulator pools and prediction memos
-// live in one shared evaluator registry so even cold sweeps reuse warm
-// machine state.
+// running anything; the per-machine prediction memos live in one shared
+// evaluator registry so even cold sweeps reuse warm machine state.
 
 // maxExplorePoints bounds one sweep request. 4096 points keep a single
 // request's wall time and response size sane; larger spaces should be
@@ -198,7 +197,7 @@ type ExploreStats struct {
 	Pruned    int64 `json:"points_pruned"`
 	Simulated int64 `json:"points_simulated"`
 	// Machines is the number of distinct machine descriptions with warm
-	// evaluator state (simulator pool + prediction memo).
+	// evaluator state (a prediction memo); the registry is bounded.
 	Machines int `json:"machines"`
 }
 

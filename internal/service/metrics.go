@@ -154,9 +154,6 @@ type Snapshot struct {
 	// StallCycles aggregates simulated cycle attribution by cause (issue
 	// cycles under "issue") over every fresh pipeline run.
 	StallCycles map[string]int64 `json:"stall_cycles"`
-	// SimPool reports the analyzer's simulator pool: CPUs created versus
-	// runs served by a recycled one.
-	SimPool SimPoolStats `json:"sim_pool"`
 	// Explore reports the design-space sweep economics: sweeps completed
 	// and grid points scored, pruned and simulated.
 	Explore ExploreStats `json:"explore"`
@@ -175,12 +172,6 @@ type Snapshot struct {
 type StageSnapshot struct {
 	Count   int64           `json:"count"`
 	Latency LatencySnapshot `json:"latency"`
-}
-
-// SimPoolStats is the simulator-pool section of /metrics.
-type SimPoolStats struct {
-	Created  int64 `json:"created"`
-	Recycled int64 `json:"recycled"`
 }
 
 // latencySnapshot renders one histogram's distribution summary.

@@ -322,7 +322,7 @@ func TestHTTPAnalyzeTraceE2E(t *testing.T) {
 		spans[sp.Name] = true
 	}
 	for _, stage := range []string{"analyze", "cache-lookup", "compile", "verify", "bound",
-		"pool-checkout", "load", "prime", "simulate"} {
+		"load", "prime", "simulate"} {
 		if !spans[stage] {
 			t.Errorf("trace missing span %q (have %v)", stage, spans)
 		}
@@ -394,6 +394,53 @@ func TestHTTPAnalyzeTraceE2E(t *testing.T) {
 	nf.Body.Close()
 	if nf.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown trace status = %d, want 404", nf.StatusCode)
+	}
+}
+
+// TestPlainAnalyzeDefersLanes: a cold analyze without ?trace=1 attaches
+// its simulator lanes to the retained trace but never builds them; GET
+// /v1/trace/{id} builds them on demand and exports them.
+func TestPlainAnalyzeDefersLanes(t *testing.T) {
+	s, srv := newTestServer(t, Config{Workers: 2, QueueSize: 8})
+	req := AnalyzeRequest{Source: saxpySrc, Iterations: 32,
+		Prime: Priming{Ints: map[string]int64{"N": 32}}}
+	resp := postJSON(t, srv.URL+"/v1/analyze", req)
+	id := resp.Header.Get("X-Macs-Trace")
+	if r := decode[AnalyzeResponse](t, resp); r.Cached || r.Trace != nil {
+		t.Fatalf("plain analyze: cached=%v trace=%v, want a fresh run without a trace block", r.Cached, r.Trace)
+	}
+	// The handler retains the trace after writing the response, so the
+	// client may read the body first: wait for the retention.
+	var tr *obs.Trace
+	for deadline := time.Now().Add(5 * time.Second); tr == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("trace %q not retained", id)
+		}
+		s.traceMu.Lock()
+		tr = s.traces[id]
+		s.traceMu.Unlock()
+	}
+	if !tr.LanesPending() {
+		t.Fatal("serving a plain analyze built its lane events")
+	}
+
+	cresp := mustGet(t, srv.URL+"/v1/trace/"+id)
+	var doc chromeExport
+	if err := json.NewDecoder(cresp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	cresp.Body.Close()
+	lanes := 0
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" && e.PID == 1 {
+			lanes++
+		}
+	}
+	if lanes == 0 {
+		t.Error("trace export of a plain analyze has no simulator lane events")
+	}
+	if tr.LanesPending() {
+		t.Error("trace export left the lanes unbuilt")
 	}
 }
 

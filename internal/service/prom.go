@@ -9,9 +9,9 @@ import (
 // writer in internal/obs — no client library, per the repo's
 // zero-dependency policy. The inventory mirrors the JSON snapshot:
 // per-endpoint counters and latency histograms, per-stage histograms,
-// batch-item outcomes, both cache levels, queue and simulator-pool
-// gauges, stall-cause attribution, explore sweep counters, and the
-// Go-runtime sample when the sampler is on.
+// batch-item outcomes, both cache levels, queue gauges, stall-cause
+// attribution, explore sweep counters, and the Go-runtime sample when
+// the sampler is on.
 
 // RenderProm renders one metrics snapshot as a Prometheus exposition
 // document. The output always passes obs.ParseProm — the CI scrape gate
@@ -122,11 +122,6 @@ func RenderProm(snap Snapshot) []byte {
 		w.Counter("macsd_stall_cycles_total",
 			"Simulated cycle attribution by cause (issue cycles under \"issue\").", stalls...)
 	}
-
-	w.Counter("macsd_sim_pool_created_total", "Simulator CPUs built by the pool.",
-		obs.Sample{Value: float64(snap.SimPool.Created)})
-	w.Counter("macsd_sim_pool_recycled_total", "Analyses served by a recycled simulator.",
-		obs.Sample{Value: float64(snap.SimPool.Recycled)})
 
 	w.Counter("macsd_explore_sweeps_total", "Completed fresh design-space sweeps.",
 		obs.Sample{Value: float64(snap.Explore.Sweeps)})

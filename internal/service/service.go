@@ -199,9 +199,7 @@ type Service struct {
 	disk    *DiskCache // nil when Config.CacheDir is empty or unusable
 	metrics *Metrics
 	log     *slog.Logger
-	// analyzer recycles simulator state (memory image, vector registers,
-	// memoized stream-stall tables) across cache-miss analyses instead of
-	// allocating a fresh multi-megabyte CPU per request.
+	// analyzer runs every cache-miss analysis on the service's machine.
 	analyzer *macs.Analyzer
 
 	// config is configFingerprint(cfg), taken once in New: every content
@@ -219,8 +217,8 @@ type Service struct {
 	closed  bool
 
 	// explorers is the shared per-machine evaluator registry behind
-	// /v1/explore: simulator pools and fast-tier prediction memos keyed by
-	// canonical machine fingerprint, kept warm across sweep requests.
+	// /v1/explore: fast-tier prediction memos keyed by machine, kept warm
+	// across sweep requests.
 	explorers *explore.Evaluators
 	// explore sweep economics: grid points scored, answered analytically,
 	// and simulated exactly, across every fresh sweep.
@@ -242,7 +240,7 @@ type Service struct {
 	// traceMu guards traces, a bounded FIFO of completed request traces
 	// keyed for GET /v1/trace/{id}.
 	traceMu    sync.Mutex
-	traces     map[string]obs.TraceView
+	traces     map[string]*obs.Trace
 	traceOrder []string
 
 	// attrMu guards attrTotals, the service-wide aggregate of simulated
@@ -268,7 +266,7 @@ func New(cfg Config) *Service {
 		explorers:  explore.NewEvaluators(cfg.VM),
 		flights:    make(map[Key]*flight),
 		attrTotals: make(map[string]int64),
-		traces:     make(map[string]obs.TraceView),
+		traces:     make(map[string]*obs.Trace),
 	}
 	if cfg.RuntimeSample > 0 {
 		s.sampler = obs.StartRuntimeSampler(cfg.RuntimeSample)
@@ -357,8 +355,9 @@ func (s *Service) Close() {
 }
 
 // finishTrace folds a completed request trace into the per-stage latency
-// histograms and retains its snapshot for GET /v1/trace/{id}, evicting
-// the oldest once TraceKeep is exceeded.
+// histograms and retains it for GET /v1/trace/{id}, evicting the oldest
+// once TraceKeep is exceeded. The trace is kept as it is: its snapshot,
+// simulator lanes included, is built only if someone asks for it.
 func (s *Service) finishTrace(tr *obs.Trace) {
 	if tr == nil {
 		return
@@ -366,15 +365,12 @@ func (s *Service) finishTrace(tr *obs.Trace) {
 	for stage, d := range tr.StageDurations() {
 		s.metrics.ObserveStage(stage, d)
 	}
-	v := tr.View()
-	if v.ID == "" {
-		return
-	}
+	id := tr.ID()
 	s.traceMu.Lock()
-	if _, ok := s.traces[v.ID]; !ok {
-		s.traceOrder = append(s.traceOrder, v.ID)
+	if _, ok := s.traces[id]; !ok {
+		s.traceOrder = append(s.traceOrder, id)
 	}
-	s.traces[v.ID] = v
+	s.traces[id] = tr
 	for len(s.traceOrder) > s.cfg.TraceKeep {
 		delete(s.traces, s.traceOrder[0])
 		s.traceOrder = s.traceOrder[1:]
@@ -382,12 +378,15 @@ func (s *Service) finishTrace(tr *obs.Trace) {
 	s.traceMu.Unlock()
 }
 
-// TraceByID returns the retained snapshot of one completed request trace.
+// TraceByID returns the snapshot of one retained request trace.
 func (s *Service) TraceByID(id string) (obs.TraceView, bool) {
 	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	v, ok := s.traces[id]
-	return v, ok
+	tr, ok := s.traces[id]
+	s.traceMu.Unlock()
+	if !ok {
+		return obs.TraceView{}, false
+	}
+	return tr.View(), true
 }
 
 // acceptGate rejects work arriving after Close flipped the closed flag.
@@ -415,7 +414,6 @@ func (s *Service) Metrics() Snapshot {
 		DedupShared:   s.dedupShared.Load(),
 		PipelineRuns:  s.pipelineRuns.Load(),
 		StallCycles:   s.stallCycles(),
-		SimPool:       s.simPool(),
 		Explore:       s.exploreStats(),
 		Persistent:    s.diskStats(),
 		SimCycles:     s.simCycles.Load(),
@@ -433,11 +431,6 @@ func (s *Service) diskStats() DiskCacheStats {
 // PipelineRuns reports how many times the underlying pipeline actually
 // executed — the dedup and cache tests assert on it.
 func (s *Service) PipelineRuns() int64 { return s.pipelineRuns.Load() }
-
-func (s *Service) simPool() SimPoolStats {
-	created, recycled := s.analyzer.PoolStats()
-	return SimPoolStats{Created: created, Recycled: recycled}
-}
 
 // decodeFunc rehydrates one persisted JSON value into the concrete
 // response type its cache key stores; each endpoint passes its own.

@@ -35,7 +35,9 @@ type CPU struct {
 	vscratch []float64
 }
 
-// New creates a CPU with the given configuration.
+// New creates a CPU with the given configuration. A CPU runs one
+// program: build a fresh one per run. Its memory allocates pages as the
+// program writes them, so a CPU costs what its program touches.
 func New(cfg Config) *CPU {
 	c := &CPU{
 		Timing: NewTiming(cfg),
@@ -43,34 +45,13 @@ func New(cfg Config) *CPU {
 		vs:     isa.WordBytes,
 		vl:     cfg.VLMax,
 	}
+	// One backing array for the vector registers and the staging buffer.
+	regs := make([]float64, (len(c.v)+1)*cfg.VLMax)
 	for i := range c.v {
-		c.v[i] = make([]float64, cfg.VLMax)
+		c.v[i] = regs[i*cfg.VLMax : (i+1)*cfg.VLMax : (i+1)*cfg.VLMax]
 	}
-	c.vscratch = make([]float64, cfg.VLMax)
+	c.vscratch = regs[len(c.v)*cfg.VLMax:]
 	return c
-}
-
-// Reset returns the CPU to its freshly-created state without reallocating
-// its memory image, vector registers or chime builder, so a pooled
-// simulator can run back-to-back programs with per-run cost proportional
-// to what the previous run touched. The timing model resets as
-// Timing.Reset describes: its stall table stays warm and any shared bank
-// model is detached; re-attach with SetSharedBank if the next run
-// co-simulates.
-func (c *CPU) Reset() {
-	c.Timing.Reset()
-	c.mem.Reset()
-	c.prog = nil
-	c.a = [isa.NumARegs]int64{}
-	c.s = [isa.NumSRegs]uint64{}
-	for i := range c.v {
-		clear(c.v[i])
-	}
-	c.vl = c.cfg.VLMax
-	c.vs = isa.WordBytes
-	c.tf = false
-	c.pc = 0
-	c.halted = false
 }
 
 // Memory returns the CPU's functional memory (for priming inputs and

@@ -1,68 +1,22 @@
 package vm
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// Pool recycles CPUs of one configuration. A fresh CPU carries a
-// multi-megabyte memory image and per-register vector buffers; under a
-// busy service every cache-miss analysis was paying that allocation. A
-// pooled CPU instead pays a Reset proportional to what the previous run
-// wrote, and keeps its memoized stream-stall table warm across runs.
+// Pool is a deprecated shim kept for the benchmark module's traced
+// re-enactment of the service, which still calls NewPool, Get and Put:
+// simulators are not pooled, because a fresh CPU costs what its program
+// touches. Get returns New(cfg) and Put drops the CPU. ROADMAP item 3,
+// which replaces that re-enactment with the service's own spans,
+// deletes it.
 //
-// Get returns a CPU ready to Load; Put resets it and makes it available
-// again. The pool is safe for concurrent use; each CPU must still be used
-// by one goroutine at a time.
-type Pool struct {
-	cfg    Config
-	p      sync.Pool
-	news   atomic.Int64
-	reuses atomic.Int64
-}
+// Deprecated: call New once per run.
+type Pool struct{ cfg Config }
 
-// NewPool creates a pool of CPUs with the given configuration.
-func NewPool(cfg Config) *Pool {
-	pl := &Pool{cfg: cfg}
-	pl.p.New = func() any {
-		pl.news.Add(1)
-		return New(cfg)
-	}
-	return pl
-}
+// NewPool returns the shim for one configuration.
+//
+// Deprecated: call New once per run.
+func NewPool(cfg Config) *Pool { return &Pool{cfg: cfg} }
 
-// Config returns the pool's CPU configuration.
-func (p *Pool) Config() Config { return p.cfg }
+// Get returns a fresh CPU.
+func (p *Pool) Get() *CPU { return New(p.cfg) }
 
-// Get returns a reset CPU, creating one if the pool is empty.
-func (p *Pool) Get() *CPU {
-	c, ok := p.p.Get().(*CPU)
-	if !ok {
-		// Unreachable: the pool only ever holds *CPU. Fail safe with a
-		// fresh simulator rather than panicking in a serving path.
-		return New(p.cfg)
-	}
-	if c.prog != nil || c.halted {
-		// Defensive: a CPU returned without Reset (Put always resets, so
-		// only a foreign Put could cause this).
-		c.Reset()
-	}
-	return c
-}
-
-// Put resets a CPU and returns it to the pool. Putting nil is a no-op. The
-// CPU must not be used after Put.
-func (p *Pool) Put(c *CPU) {
-	if c == nil {
-		return
-	}
-	c.Reset()
-	p.reuses.Add(1)
-	p.p.Put(c)
-}
-
-// Stats reports how many CPUs the pool has created and how many Puts have
-// returned one for reuse.
-func (p *Pool) Stats() (created, returned int64) {
-	return p.news.Load(), p.reuses.Load()
-}
+// Put drops the CPU.
+func (p *Pool) Put(*CPU) {}

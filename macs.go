@@ -286,8 +286,7 @@ func AnalyzeSource(src string, iterations int64, prime func(*CPU) error) (Result
 // configuration: use it to enable tracing (Trace/TraceRing), model memory
 // contention (MemSlowdown) or change the machine. The bounds are computed
 // with the configuration's chime rules and vector length. Every call
-// builds a fresh simulator; callers on a hot path should hold an Analyzer
-// instead, which recycles simulator state through a pool.
+// runs on a fresh simulator.
 func AnalyzeSourceVM(src string, iterations int64, cfg VMConfig, prime func(*CPU) error) (Result, error) {
 	return AnalyzeSourceVMCtx(context.Background(), src, iterations, cfg, prime)
 }
@@ -309,16 +308,9 @@ func compilerOptionsFor(cfg VMConfig) CompilerOptions {
 // AnalyzeSourceVMCtx is AnalyzeSourceVM under a context: every pipeline
 // stage (compile, verify, bound, load, prime, simulate) records a span on
 // the trace riding ctx, and the run's vector timing events are attached
-// to the trace as simulator lanes. Without a trace on ctx the overhead is
-// a handful of nil checks.
+// to the trace as simulator lanes, converted only if the trace is viewed.
+// Without a trace on ctx the overhead is a handful of nil checks.
 func AnalyzeSourceVMCtx(ctx context.Context, src string, iterations int64, cfg VMConfig, prime func(*CPU) error) (Result, error) {
-	return analyzeOn(ctx, vm.New(cfg), src, iterations, cfg, prime)
-}
-
-// analyzeOn runs the full pipeline on a ready (fresh or pooled-and-reset)
-// simulator: the shared back half of AnalyzeSourceVM and
-// Analyzer.AnalyzeSource.
-func analyzeOn(ctx context.Context, cpu *vm.CPU, src string, iterations int64, cfg VMConfig, prime func(*CPU) error) (Result, error) {
 	var res Result
 	prog, a, err := boundSource(ctx, src, compilerOptionsFor(cfg), cfg.VLMax, cfg.Rules)
 	res.Program = prog
@@ -326,6 +318,7 @@ func analyzeOn(ctx context.Context, cpu *vm.CPU, src string, iterations int64, c
 		return res, err
 	}
 	res.Analysis = a
+	cpu := vm.New(cfg)
 	_, sp := obs.Start(ctx, "load")
 	err = cpu.Load(prog)
 	sp.End()
@@ -344,7 +337,8 @@ func analyzeOn(ctx context.Context, cpu *vm.CPU, src string, iterations int64, c
 	res.Stats, err = cpu.Run()
 	res.Trace = cpu.TraceEvents()
 	if tr := obs.FromContext(ctx); tr != nil && len(res.Trace) > 0 {
-		tr.AddLanes(sim, vm.LaneEvents(res.Trace))
+		events := res.Trace
+		tr.AddLanes(func() []obs.LaneEvent { return vm.LaneEvents(events) })
 	}
 	sim.End()
 	if err != nil {
@@ -357,20 +351,17 @@ func analyzeOn(ctx context.Context, cpu *vm.CPU, src string, iterations int64, c
 	return res, nil
 }
 
-// Analyzer is the pooled front door to the full pipeline: it behaves
-// exactly like AnalyzeSourceVM with a fixed configuration, but recycles
-// simulator state (memory image, vector registers, memoized stream-stall
-// tables) across calls instead of allocating megabytes per analysis. It
-// is safe for concurrent use — the analysis service holds one per
-// configuration and shares it across its worker pool.
+// Analyzer is the full pipeline on one machine: it answers exactly as
+// AnalyzeSourceVM does with its configuration, and its BoundSourceCtx and
+// CompilerOptions use that machine's vector length and chime rules. It
+// holds no simulator state, so it is safe for concurrent use.
 type Analyzer struct {
-	cfg  VMConfig
-	pool *vm.Pool
+	cfg VMConfig
 }
 
 // NewAnalyzer creates an Analyzer for one simulator configuration.
 func NewAnalyzer(cfg VMConfig) *Analyzer {
-	return &Analyzer{cfg: cfg, pool: vm.NewPool(cfg)}
+	return &Analyzer{cfg: cfg}
 }
 
 // Config returns the analyzer's simulator configuration.
@@ -390,26 +381,16 @@ func (a *Analyzer) BoundSourceCtx(ctx context.Context, src string) (Analysis, er
 }
 
 // AnalyzeSource runs the full pipeline — compile, bound, simulate — on a
-// pooled simulator. Results are identical to AnalyzeSourceVM with the
-// analyzer's configuration (the fast-path differential tests gate on it).
+// fresh simulator of the analyzer's configuration.
 func (a *Analyzer) AnalyzeSource(src string, iterations int64, prime func(*CPU) error) (Result, error) {
 	return a.AnalyzeSourceCtx(context.Background(), src, iterations, prime)
 }
 
-// AnalyzeSourceCtx is AnalyzeSource under a context: stage spans (plus a
-// pool-checkout span covering simulator acquisition) land on the trace
-// riding ctx, and the run's vector timing events are attached as
-// simulator lanes.
+// AnalyzeSourceCtx is AnalyzeSource under a context, traced as
+// AnalyzeSourceVMCtx is.
 func (a *Analyzer) AnalyzeSourceCtx(ctx context.Context, src string, iterations int64, prime func(*CPU) error) (Result, error) {
-	_, sp := obs.Start(ctx, "pool-checkout")
-	cpu := a.pool.Get()
-	sp.End()
-	defer a.pool.Put(cpu)
-	return analyzeOn(ctx, cpu, src, iterations, a.cfg, prime)
+	return AnalyzeSourceVMCtx(ctx, src, iterations, a.cfg, prime)
 }
-
-// PoolStats reports the analyzer pool's created and recycled CPU counts.
-func (a *Analyzer) PoolStats() (created, returned int64) { return a.pool.Stats() }
 
 // ChromeTrace renders vector timing events (Result.Trace) as a Chrome
 // trace_event JSON document for chrome://tracing or Perfetto: one row per
