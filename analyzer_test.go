@@ -7,46 +7,8 @@ import (
 	"testing"
 
 	"macs"
-	"macs/internal/compiler"
 	"macs/internal/lfk"
-	"macs/internal/vm"
 )
-
-// TestFastPathBitEquivalence is the gate on the fast simulation engine:
-// for all ten LFKs, a fresh simulator using the memoized stream-stall
-// table must produce Stats (attribution ledger included) identical to a
-// fresh simulator running the naive reference walk, and compute the
-// kernel's reference results.
-func TestFastPathBitEquivalence(t *testing.T) {
-	fastCfg := vm.DefaultConfig()
-	naiveCfg := vm.DefaultConfig()
-	naiveCfg.NaiveMemPath = true
-
-	for _, k := range lfk.All() {
-		c, err := lfk.Compile(k, compiler.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		naive, _, err := c.Run(naiveCfg)
-		if err != nil {
-			t.Fatalf("lfk%d naive: %v", k.ID, err)
-		}
-		fast, cpu, err := c.Run(fastCfg)
-		if err != nil {
-			t.Fatalf("lfk%d fast: %v", k.ID, err)
-		}
-		if err := c.Validate(cpu); err != nil {
-			t.Fatalf("lfk%d fast path numerical validation: %v", k.ID, err)
-		}
-		if !reflect.DeepEqual(fast, naive) {
-			t.Fatalf("lfk%d: fast-path stats diverge from naive reference:\nfast  %+v\nnaive %+v",
-				k.ID, fast, naive)
-		}
-		if err := fast.Attr.Conserved(fast.Cycles); err != nil {
-			t.Fatalf("lfk%d: %v", k.ID, err)
-		}
-	}
-}
 
 // TestAnalyzerMatchesAnalyzeSourceVM checks the facade's Analyzer
 // against the one-shot path: same bounds, same simulator outcome, same

@@ -1,26 +1,24 @@
-// Command benchgate guards the simulation engine's fast path, the
-// analytical fast tier and the design-space exploration engine against
-// performance regressions. It runs the per-kernel benchmarks
-// (BenchmarkLFK, the memoized simulation path; BenchmarkLFKNaive, the
-// naive-walk reference, both on a fresh simulator per run;
-// BenchmarkFastTier, repeated fast-tier predictions answered by the
-// prediction memo; and BenchmarkExplore, the two-stage grid sweep),
-// writes a machine-readable report, and compares against a committed
-// baseline.
+// Command benchgate guards the simulator, the analytical fast tier and
+// the design-space exploration engine against performance regressions.
+// It runs the per-kernel benchmarks (BenchmarkLFK, one simulation on a
+// fresh simulator per run; BenchmarkFastTier, repeated fast-tier
+// predictions answered by the prediction memo; and BenchmarkExplore, the
+// two-stage grid sweep), writes a machine-readable report, and compares
+// against a committed baseline.
 //
-// Absolute rates vary with hardware, so most gates are on
-// machine-neutral quantities measured in the same process: the
-// fast/naive simulation speedup ratio, the fast path's allocations per
-// run, the memoized fast tier's speedup over simulation, and the
-// explore engine's pruning ratio (points swept per point simulated). Two
-// absolute floors ride along — every kernel's memo hit must answer at
-// least 100x faster than it simulates (a first-sight prediction costs
-// about one simulation; see BenchmarkFastTierCold), and every kernel's
-// sweep must clear 1000
-// grid points per second with at least 10x fewer simulations than an
-// exhaustive sweep — plus a relative gate on sweep throughput against
-// the committed baseline. A >10% drop in a gated ratio or rate,
-// allocation growth beyond tolerance, or a broken floor fails the gate.
+// Absolute rates vary with hardware, so most gates are on quantities
+// that do not: each kernel's allocations per simulation (deterministic
+// for a given Go release), the memoized fast tier's speedup over
+// simulation measured in the same process, and the explore engine's
+// pruning ratio (points swept per point simulated). Two absolute floors
+// ride along — every kernel's memo hit must answer at least 100x faster
+// than it simulates (a first-sight prediction costs about one
+// simulation; see BenchmarkFastTierCold), and every kernel's sweep must
+// clear 1000 grid points per second with at least 10x fewer simulations
+// than an exhaustive sweep — plus a relative gate on sweep throughput
+// against the committed baseline. A kernel allocating more than its
+// baseline allows, a >10% drop in a gated ratio or rate, or a broken
+// floor fails the gate.
 //
 // Usage:
 //
@@ -32,6 +30,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -54,15 +53,11 @@ type KernelBench struct {
 }
 
 // Aggregate summarizes a whole pass: total simulated cycles divided by
-// total wall time, and summed allocations for one run of every kernel.
+// total wall time, and summed allocations for one run of every kernel
+// (reported; the gate holds each kernel's allocations separately).
 type Aggregate struct {
-	FastCyclesPerSec  float64 `json:"fast_cycles_per_sec"`
-	NaiveCyclesPerSec float64 `json:"naive_cycles_per_sec"`
-	// Speedup is the machine-neutral gate metric: fast aggregate rate
-	// over naive aggregate rate, both measured in this process.
-	Speedup     float64 `json:"speedup"`
-	FastAllocs  float64 `json:"fast_allocs_per_sweep"`
-	NaiveAllocs float64 `json:"naive_allocs_per_sweep"`
+	FastCyclesPerSec float64 `json:"fast_cycles_per_sec"`
+	FastAllocs       float64 `json:"fast_allocs_per_sweep"`
 	// FastTierSpeedup is the whole-sweep ratio of simulation time
 	// to fast-tier prediction time; FastTierMinKernelSpeedup is the worst
 	// per-kernel ratio, gated against the 100x floor.
@@ -95,7 +90,6 @@ const pruneFloor = 10.0
 // Report is the BENCH_10.json document.
 type Report struct {
 	Fast     map[string]KernelBench `json:"fast"`
-	Naive    map[string]KernelBench `json:"naive"`
 	FastTier map[string]KernelBench `json:"fasttier"`
 	Explore  map[string]KernelBench `json:"explore"`
 	// Aggregate holds the machine-neutral gate metrics.
@@ -151,7 +145,7 @@ func run(baseline, out string, update bool, tolerance float64, count int, dir st
 func measure(count int, dir string) (Report, error) {
 	simArgs := []string{
 		"test", "-run", "^$",
-		"-bench", "^(BenchmarkLFK|BenchmarkLFKNaive)$",
+		"-bench", "^BenchmarkLFK$",
 		"-benchtime", "1x", "-benchmem",
 		"-count", strconv.Itoa(count),
 		".",
@@ -187,7 +181,6 @@ func measure(count int, dir string) (Report, error) {
 	}
 	rep := Report{
 		Fast:     map[string]KernelBench{},
-		Naive:    map[string]KernelBench{},
 		FastTier: map[string]KernelBench{},
 		Explore:  map[string]KernelBench{},
 	}
@@ -199,8 +192,6 @@ func measure(count int, dir string) (Report, error) {
 		kernel := name[strings.Index(name, "/")+1:]
 		var into map[string]KernelBench
 		switch {
-		case strings.HasPrefix(name, "BenchmarkLFKNaive/"):
-			into = rep.Naive
 		case strings.HasPrefix(name, "BenchmarkFastTier/"):
 			into = rep.FastTier
 		case strings.HasPrefix(name, "BenchmarkExplore/"):
@@ -222,7 +213,7 @@ func measure(count int, dir string) (Report, error) {
 			into[kernel] = kb
 		}
 	}
-	if len(rep.Fast) == 0 || len(rep.Naive) == 0 || len(rep.FastTier) == 0 || len(rep.Explore) == 0 {
+	if len(rep.Fast) == 0 || len(rep.FastTier) == 0 || len(rep.Explore) == 0 {
 		return rep, fmt.Errorf("no benchmark lines parsed from go test output:\n%s", outBytes)
 	}
 	rep.Aggregate = aggregate(rep)
@@ -269,23 +260,15 @@ func parseBenchLine(line string) (string, KernelBench, bool) {
 // aggregate computes whole-sweep rates: per-kernel simulated cycles are
 // recovered from rate × time, then totals are divided.
 func aggregate(rep Report) Aggregate {
-	rate := func(m map[string]KernelBench) (cps, allocs float64) {
-		var cycles, ns float64
-		for _, kb := range m {
-			cycles += kb.CyclesPerSec * kb.NsPerOp / 1e9
-			ns += kb.NsPerOp
-			allocs += kb.AllocsPerOp
-		}
-		if ns == 0 {
-			return 0, allocs
-		}
-		return cycles / (ns / 1e9), allocs
-	}
 	var a Aggregate
-	a.FastCyclesPerSec, a.FastAllocs = rate(rep.Fast)
-	a.NaiveCyclesPerSec, a.NaiveAllocs = rate(rep.Naive)
-	if a.NaiveCyclesPerSec > 0 {
-		a.Speedup = a.FastCyclesPerSec / a.NaiveCyclesPerSec
+	var cycles, ns float64
+	for _, kb := range rep.Fast {
+		cycles += kb.CyclesPerSec * kb.NsPerOp / 1e9
+		ns += kb.NsPerOp
+		a.FastAllocs += kb.AllocsPerOp
+	}
+	if ns > 0 {
+		a.FastCyclesPerSec = cycles / (ns / 1e9)
 	}
 	var simNs, tierNs float64
 	for kernel, sim := range rep.Fast {
@@ -334,44 +317,51 @@ func gate(rep Report, baseline string, tolerance float64) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("baseline %s: %w", baseline, err)
 	}
-	floor := base.Aggregate.Speedup * (1 - tolerance)
-	if rep.Aggregate.Speedup < floor {
-		return fmt.Errorf("sim-rate regression: fast/naive speedup %.2fx is below %.2fx (baseline %.2fx - %.0f%%)",
-			rep.Aggregate.Speedup, floor, base.Aggregate.Speedup, tolerance*100)
-	}
-	ceil := base.Aggregate.FastAllocs * (1 + tolerance)
-	if base.Aggregate.FastAllocs > 0 && rep.Aggregate.FastAllocs > ceil {
-		return fmt.Errorf("allocation regression: fast sweep allocates %.0f objects, baseline %.0f (+%.0f%% allowed)",
-			rep.Aggregate.FastAllocs, base.Aggregate.FastAllocs, tolerance*100)
+	// Every gate is checked, so one run reports all that failed.
+	var errs []error
+	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	for _, k := range sortedKernels(base.Fast) {
+		want := base.Fast[k].AllocsPerOp
+		got, ok := rep.Fast[k]
+		switch {
+		case !ok:
+			fail("allocation gate: BenchmarkLFK/%s did not run", k)
+		case want > 0 && got.AllocsPerOp > want*(1+tolerance):
+			fail("allocation regression: BenchmarkLFK/%s allocates %.0f objects per run, baseline %.0f (+%.0f%% allowed)",
+				k, got.AllocsPerOp, want, tolerance*100)
+		}
 	}
 	if rep.Aggregate.FastTierMinKernelSpeedup < fastTierFloor {
-		return fmt.Errorf("fast-tier floor broken: worst kernel predicts only %.0fx faster than simulation (floor %.0fx)",
+		fail("fast-tier floor broken: worst kernel predicts only %.0fx faster than simulation (floor %.0fx)",
 			rep.Aggregate.FastTierMinKernelSpeedup, fastTierFloor)
 	}
 	if base.Aggregate.FastTierSpeedup > 0 {
 		tierFloor := base.Aggregate.FastTierSpeedup * (1 - tolerance)
 		if rep.Aggregate.FastTierSpeedup < tierFloor {
-			return fmt.Errorf("fast-tier regression: prediction speedup %.0fx is below %.0fx (baseline %.0fx - %.0f%%)",
+			fail("fast-tier regression: prediction speedup %.0fx is below %.0fx (baseline %.0fx - %.0f%%)",
 				rep.Aggregate.FastTierSpeedup, tierFloor, base.Aggregate.FastTierSpeedup, tolerance*100)
 		}
 	}
 	if rep.Aggregate.ExploreMinKernelPointsPerSec < exploreFloor {
-		return fmt.Errorf("explore floor broken: worst kernel sweeps only %.0f points/sec (floor %.0f)",
+		fail("explore floor broken: worst kernel sweeps only %.0f points/sec (floor %.0f)",
 			rep.Aggregate.ExploreMinKernelPointsPerSec, exploreFloor)
 	}
 	if rep.Aggregate.ExploreMinPruneRatio < pruneFloor {
-		return fmt.Errorf("explore prune floor broken: worst kernel simulates 1 in %.1f points (floor 1 in %.0f)",
+		fail("explore prune floor broken: worst kernel simulates 1 in %.1f points (floor 1 in %.0f)",
 			rep.Aggregate.ExploreMinPruneRatio, pruneFloor)
 	}
 	if base.Aggregate.ExplorePointsPerSec > 0 {
 		expFloor := base.Aggregate.ExplorePointsPerSec * (1 - tolerance)
 		if rep.Aggregate.ExplorePointsPerSec < expFloor {
-			return fmt.Errorf("explore regression: sweep rate %.0f points/sec is below %.0f (baseline %.0f - %.0f%%)",
+			fail("explore regression: sweep rate %.0f points/sec is below %.0f (baseline %.0f - %.0f%%)",
 				rep.Aggregate.ExplorePointsPerSec, expFloor, base.Aggregate.ExplorePointsPerSec, tolerance*100)
 		}
 	}
-	fmt.Printf("gate ok: sim speedup %.2fx (baseline %.2fx, floor %.2fx), sweep allocs %.0f (ceiling %.0f), fast-tier speedup %.0fx (min kernel %.0fx, floor %.0fx), explore %.0f points/sec (min kernel %.0f, floor %.0f; prune %.0fx)\n",
-		rep.Aggregate.Speedup, base.Aggregate.Speedup, floor, rep.Aggregate.FastAllocs, ceil,
+	if len(errs) > 0 {
+		return errors.Join(errs...)
+	}
+	fmt.Printf("gate ok: every kernel within its allocation ceiling (sweep %.0f, baseline %.0f), fast-tier speedup %.0fx (min kernel %.0fx, floor %.0fx), explore %.0f points/sec (min kernel %.0f, floor %.0f; prune %.0fx)\n",
+		rep.Aggregate.FastAllocs, base.Aggregate.FastAllocs,
 		rep.Aggregate.FastTierSpeedup, rep.Aggregate.FastTierMinKernelSpeedup, fastTierFloor,
 		rep.Aggregate.ExplorePointsPerSec, rep.Aggregate.ExploreMinKernelPointsPerSec, exploreFloor,
 		rep.Aggregate.ExploreMinPruneRatio)
@@ -387,32 +377,33 @@ func writeReport(path string, rep Report) error {
 }
 
 func printReport(rep Report) {
-	kernels := make([]string, 0, len(rep.Fast))
-	for k := range rep.Fast {
+	fmt.Printf("%-8s %15s %12s %12s %10s %12s %9s\n",
+		"kernel", "sim cyc/s", "allocs/op", "tier ns/op", "tier-x", "explore p/s", "prune-x")
+	for _, k := range sortedKernels(rep.Fast) {
+		f, t, e := rep.Fast[k], rep.FastTier[k], rep.Explore[k]
+		tsp := 0.0
+		if t.NsPerOp > 0 {
+			tsp = f.NsPerOp / t.NsPerOp
+		}
+		fmt.Printf("%-8s %15.0f %12.0f %12.0f %9.0fx %12.0f %8.0fx\n",
+			k, f.CyclesPerSec, f.AllocsPerOp, t.NsPerOp, tsp, e.PointsPerSec, e.PruneRatio)
+	}
+	a := rep.Aggregate
+	fmt.Printf("%-8s %15.0f %12.0f %12s %9.0fx %12.0f %8.0fx\n",
+		"all", a.FastCyclesPerSec, a.FastAllocs, "", a.FastTierSpeedup,
+		a.ExplorePointsPerSec, a.ExploreMinPruneRatio)
+}
+
+// sortedKernels lists a family's kernels in kernel order.
+func sortedKernels(m map[string]KernelBench) []string {
+	kernels := make([]string, 0, len(m))
+	for k := range m {
 		kernels = append(kernels, k)
 	}
 	sort.Slice(kernels, func(i, j int) bool {
 		return kernelOrd(kernels[i]) < kernelOrd(kernels[j])
 	})
-	fmt.Printf("%-8s %15s %15s %10s %12s %12s %10s %12s %9s\n",
-		"kernel", "fast cyc/s", "naive cyc/s", "speedup", "allocs/op", "tier ns/op", "tier-x", "explore p/s", "prune-x")
-	for _, k := range kernels {
-		f, n, t, e := rep.Fast[k], rep.Naive[k], rep.FastTier[k], rep.Explore[k]
-		sp := 0.0
-		if n.CyclesPerSec > 0 {
-			sp = f.CyclesPerSec / n.CyclesPerSec
-		}
-		tsp := 0.0
-		if t.NsPerOp > 0 {
-			tsp = f.NsPerOp / t.NsPerOp
-		}
-		fmt.Printf("%-8s %15.0f %15.0f %9.1fx %12.0f %12.0f %9.0fx %12.0f %8.0fx\n",
-			k, f.CyclesPerSec, n.CyclesPerSec, sp, f.AllocsPerOp, t.NsPerOp, tsp, e.PointsPerSec, e.PruneRatio)
-	}
-	a := rep.Aggregate
-	fmt.Printf("%-8s %15.0f %15.0f %9.1fx %12.0f %12s %9.0fx %12.0f %8.0fx\n",
-		"all", a.FastCyclesPerSec, a.NaiveCyclesPerSec, a.Speedup, a.FastAllocs, "", a.FastTierSpeedup,
-		a.ExplorePointsPerSec, a.ExploreMinPruneRatio)
+	return kernels
 }
 
 // kernelOrd sorts lfk2 before lfk10.

@@ -612,8 +612,7 @@ func cmdLFK(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	shape := macs.LoopShape{Elements: k.Elements, Entries: k.Entries, OuterScalarOps: 30}
-	if ext, err := macs.ExtendedBoundOf(prog, shape, macs.DefaultRules()); err == nil {
+	if ext, err := macs.ExtendedBoundOf(prog, k.Shape(), macs.DefaultRules()); err == nil {
 		fmt.Fprintf(w, "  t_MACS+ = %7.3f CPL (extended: strips, startup, reductions, scalar)\n", ext)
 	}
 	if d, err := macs.MACSDBoundOf(prog, 128, macs.DefaultRules()); err == nil {

@@ -92,10 +92,6 @@ func (b *ChimeBuilder) reset() {
 	b.closed = false
 }
 
-// Reset discards any forming chime and returns the builder to its initial
-// state, reusing its allocations (for a reused timing model).
-func (b *ChimeBuilder) Reset() { b.reset() }
-
 // Empty reports whether the forming chime has no members.
 func (b *ChimeBuilder) Empty() bool { return len(b.cur.Members) == 0 }
 

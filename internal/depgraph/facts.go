@@ -18,8 +18,8 @@ type StreamFact struct {
 	// VL is the inferred vector length range at the instruction.
 	VL Interval
 	// ConflictFree is true when every stride the range admits is
-	// provably conflict-free against the bank layout (the stall table's
-	// closed-form path applies with zero bank stalls).
+	// provably conflict-free against the bank layout (the bank model's
+	// closed form prices it with zero bank stalls).
 	ConflictFree bool
 	// Conflicting is true when every admitted stride provably revisits a
 	// bank within its cycle time (stride ≡ 0 mod banks·word guarantees

@@ -21,10 +21,6 @@ type ExtendedRow struct {
 	PctMACS, PctPlus     float64 // bound / measured
 }
 
-// outerScalarEstimate is the scalar-op budget charged per inner-loop
-// entry by the extended bound (count computation, base setup, epilogue).
-const outerScalarEstimate = 30
-
 // RunExtended computes the extension table for every kernel.
 func RunExtended(cfg Config) ([]ExtendedRow, error) {
 	results, err := RunAll(cfg)
@@ -42,8 +38,7 @@ func RunExtended(cfg Config) ([]ExtendedRow, error) {
 		if !ok {
 			return nil, fmt.Errorf("lfk%d: no vector loop", k.ID)
 		}
-		shape := core.LoopShape{Elements: k.Elements, Entries: k.Entries, EntryLengths: k.EntryLengths, OuterScalarOps: outerScalarEstimate}
-		ext := core.ExtendedBound(loop.Body, shape, cfg.VM.Rules)
+		ext := core.ExtendedBound(loop.Body, k.Shape(), cfg.VM.Rules)
 		tp := k.CPL(r.Cycles)
 		row := ExtendedRow{
 			ID:    k.ID,

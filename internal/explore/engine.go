@@ -46,9 +46,9 @@ type Options struct {
 }
 
 // Evaluators is a machine-keyed registry of per-machine fast-tier
-// predictors (each with its memo and pooled interpreters), safe for
-// concurrent use and shareable between engines. Machines are recognized
-// by value, so two grids naming the same machine share one predictor.
+// predictors (each with its prediction memo), safe for concurrent use
+// and shareable between engines. Machines are recognized by value, so
+// two grids naming the same machine share one predictor.
 // It also caches compiled programs by (source, compiler options): the
 // fast tier's prediction memo is keyed by program pointer, so handing
 // repeated sweeps the same *Program is what lets a warm sweep skip the

@@ -16,9 +16,11 @@
 // unprimed inputs is refused with ErrDataDependent.
 //
 // Cost: a first-sight prediction costs about one simulation of the same
-// program, because the timing equations are the same work either way.
-// The sub-microsecond answers come from the Predictor's memo — a repeated
-// request for a program already predicted — not from a cheaper model.
+// program, because the timing equations are the same work either way: it
+// runs on a fresh interpreter whose timing state lives for that one
+// prediction, as a simulator's lives for one run. The sub-microsecond
+// answers come from the Predictor's memo — a repeated request for a
+// program already predicted — not from a cheaper model.
 package fasttier
 
 import (
@@ -50,12 +52,12 @@ type Prediction struct {
 	CPL float64
 }
 
-// Predictor is the package's front door: it recycles symbolic
-// interpreters — most importantly their memoized stream-stall tables —
-// across predictions, and memoizes finished predictions. It is safe for
+// Predictor is the package's front door: it replays each program it has
+// not seen on a fresh symbolic interpreter, whose timing state lives for
+// that one prediction, and memoizes finished predictions. It is safe for
 // concurrent use.
 type Predictor struct {
-	pool sync.Pool
+	cfg vm.Config
 
 	// memo caches finished predictions by (program, iterations, inputs).
 	// A compiled program is immutable, so identical requests answer from
@@ -101,9 +103,7 @@ func intsFingerprint(ints map[string]int64) string {
 
 // NewPredictor creates a Predictor for one simulator configuration.
 func NewPredictor(cfg vm.Config) *Predictor {
-	p := &Predictor{memo: make(map[memoKey]Prediction)}
-	p.pool.New = func() any { return newReplay(cfg) }
-	return p
+	return &Predictor{cfg: cfg, memo: make(map[memoKey]Prediction)}
 }
 
 // Predict steps prog through the timing model and returns the
@@ -120,9 +120,7 @@ func (p *Predictor) Predict(prog *asm.Program, iterations int64, ints map[string
 	if ok {
 		return pred, nil
 	}
-	r := p.pool.Get().(*replay)
-	pred, err := r.predict(prog, iterations, ints)
-	p.pool.Put(r)
+	pred, err := newReplay(p.cfg).predict(prog, iterations, ints)
 	if err != nil {
 		return pred, err
 	}

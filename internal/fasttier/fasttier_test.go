@@ -195,7 +195,7 @@ func TestPredictDataDependent(t *testing.T) {
 
 // TestPredictorConcurrent: several goroutines share one Predictor over
 // the ten LFKs — each on its own compiles (first sight, so every call
-// replays on a pooled interpreter) and on one shared set (memo hits racing
+// replays on a fresh interpreter) and on one shared set (memo hits racing
 // first sights) — and every answer equals its golden. Run under -race.
 func TestPredictorConcurrent(t *testing.T) {
 	const goroutines = 4

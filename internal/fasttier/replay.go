@@ -45,45 +45,35 @@ type replay struct {
 	unknownCells map[int64]bool
 }
 
-// newReplay creates an interpreter for cfg. Predictions record no timing
-// events, whatever cfg's tracing settings.
+// newReplay creates the interpreter of one prediction under cfg, in the
+// simulator's reset state: registers zero and known, VL at its maximum,
+// unit stride, nothing placed. Predictions record no timing events,
+// whatever cfg's tracing settings.
 func newReplay(cfg vm.Config) *replay {
 	cfg.Trace, cfg.TraceRing = false, 0
-	return &replay{
+	r := &replay{
 		Timing:       vm.NewTiming(cfg),
 		cfg:          cfg,
 		layout:       mem.NewLayout(cfg.MemSize),
 		cells:        make(map[int64]int64),
 		unknownCells: make(map[int64]bool),
+		vl:           cfg.VLMax,
+		vlKnown:      true,
+		vs:           isa.WordBytes,
+		vsKnown:      true,
+		tfKnown:      true,
 	}
-}
-
-// reset prepares the interpreter for the next prediction; the timing model
-// keeps its memoized stream-stall table warm across pooled predictions.
-func (r *replay) reset() {
-	r.Timing.Reset()
-	r.prog = nil
-	r.layout.Reset()
-	clear(r.cells)
-	clear(r.unknownCells)
-	r.a = [isa.NumARegs]int64{}
-	r.s = [isa.NumSRegs]int64{}
 	for i := range r.aKnown {
 		r.aKnown[i] = true
 	}
 	for i := range r.sKnown {
 		r.sKnown[i] = true
 	}
-	r.vl, r.vlKnown = r.cfg.VLMax, true
-	r.vs, r.vsKnown = isa.WordBytes, true
-	r.tf, r.tfKnown = false, true
-	r.pc = 0
-	r.halted = false
+	return r
 }
 
 // predict replays one program. See Predictor.Predict for the contract.
 func (r *replay) predict(prog *asm.Program, iterations int64, ints map[string]int64) (Prediction, error) {
-	r.reset()
 	if err := prog.Validate(); err != nil {
 		return Prediction{}, err
 	}

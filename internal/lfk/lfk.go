@@ -50,6 +50,23 @@ type PaperRow struct {
 	MA core.Workload
 }
 
+// outerScalarOps is the scalar-op budget the extended bound charges per
+// inner-loop entry (count computation, base setup, epilogue).
+const outerScalarOps = 30
+
+// Shape returns the loop shape the extended bound t_MACS+ prices the
+// kernel with: its elements, entries and per-entry lengths, and the
+// outer-loop scalar budget. Every t_MACS+ reported for an LFK is built
+// from it.
+func (k *Kernel) Shape() core.LoopShape {
+	return core.LoopShape{
+		Elements:       k.Elements,
+		Entries:        k.Entries,
+		EntryLengths:   k.EntryLengths,
+		OuterScalarOps: outerScalarOps,
+	}
+}
+
 // FlopsPerIteration returns the high-level flop count per inner-loop
 // iteration (f_a + f_m of the MA workload).
 func (k *Kernel) FlopsPerIteration() int { return k.Paper.MA.Flops() }

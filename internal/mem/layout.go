@@ -66,13 +66,6 @@ func (l *Layout) SizeOf(name string) (int64, bool) {
 	return n, ok
 }
 
-// Reset forgets every placement, reusing the maps.
-func (l *Layout) Reset() {
-	clear(l.symbols)
-	clear(l.sizes)
-	l.next = layoutBase
-}
-
 // Check reports an n-byte access at addr that falls outside the memory,
 // with the error Memory's accessors return for it.
 func (l *Layout) Check(addr, n int64) error { return checkRange(addr, n, l.size) }

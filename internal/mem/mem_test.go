@@ -130,8 +130,9 @@ func TestStreamStallPartsSumToStall(t *testing.T) {
 		if bank < 0 || refresh < 0 {
 			t.Errorf("StreamStallParts(%+v) negative parts: %d, %d", tt, bank, refresh)
 		}
-		if sum, want := bank+refresh, b.StreamStall(tt.start, tt.base, tt.stride, tt.n); sum != want {
-			t.Errorf("StreamStallParts(%+v) sum = %d, want StreamStall %d", tt, sum, want)
+		wb, wr := walkOnIdleBanks(cfg, tt.start, tt.base, tt.stride, tt.n)
+		if sum, want := bank+refresh, wb+wr; sum != want {
+			t.Errorf("StreamStallParts(%+v) sum = %d, want the walk's %d", tt, sum, want)
 		}
 	}
 	// With refresh on and a same-bank stride the refresh component is
@@ -320,31 +321,39 @@ func TestBankModelAccess(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RefreshEnabled = false
 	b := NewBankModel(cfg)
-	// First access proceeds immediately; a second access to the same bank
-	// one cycle later waits for the bank cycle.
-	if got := b.Access(0, 10); got != 10 {
-		t.Errorf("first access at %d, want 10", got)
-	}
-	if got := b.Access(0, 11); got != 18 {
-		t.Errorf("same-bank access at %d, want 18 (10+8)", got)
+	// A stream's first access proceeds at once; a second access to the
+	// same bank, wanted one cycle later, waits out the bank cycle (10+8).
+	sameBank := int64(cfg.Banks * 8)
+	if bank, refresh := b.StreamStallParts(10, 0, sameBank, 2); bank != 7 || refresh != 0 {
+		t.Errorf("same-bank pair stalls (%d,%d), want (7,0): second access at 18", bank, refresh)
 	}
 	// A different bank is free.
-	if got := b.Access(8, 11); got != 11 {
-		t.Errorf("other-bank access at %d, want 11", got)
+	if bank, refresh := b.StreamStallParts(10, 0, 8, 2); bank != 0 || refresh != 0 {
+		t.Errorf("other-bank pair stalls (%d,%d), want (0,0)", bank, refresh)
 	}
-	b.Reset()
-	if got := b.Access(0, 0); got != 0 {
-		t.Errorf("after Reset access at %d, want 0", got)
+	// Every stream starts on idle banks.
+	if bank, _ := b.StreamStallParts(0, 0, sameBank, 1); bank != 0 {
+		t.Errorf("lone access stalls %d, want 0", bank)
 	}
 }
 
 func TestBankModelRefreshStall(t *testing.T) {
 	cfg := DefaultConfig()
 	b := NewBankModel(cfg)
-	// An access landing inside the refresh window waits for its end.
-	if got := b.Access(0, 402); got != 408 {
-		t.Errorf("access during refresh at %d, want 408", got)
+	// An access landing inside the refresh window waits for its end (408),
+	// whether the closed form (unit stride) or the walk (same-bank stride)
+	// prices it.
+	for _, stride := range []int64{8, int64(cfg.Banks * 8)} {
+		if bank, refresh := b.StreamStallParts(402, 0, stride, 1); bank != 0 || refresh != 6 {
+			t.Errorf("stride %d: access during refresh stalls (%d,%d), want (0,6)", stride, bank, refresh)
+		}
 	}
+}
+
+// streamStall is StreamStallParts summed over both mechanisms.
+func streamStall(b *BankModel, start, base, stride int64, n int) int64 {
+	bank, refresh := b.StreamStallParts(start, base, stride, n)
+	return bank + refresh
 }
 
 func TestStreamStallUnitStride(t *testing.T) {
@@ -352,14 +361,14 @@ func TestStreamStallUnitStride(t *testing.T) {
 	cfg.RefreshEnabled = false
 	b := NewBankModel(cfg)
 	// Unit stride never revisits a bank within its busy time: no stalls.
-	if got := b.StreamStall(0, 0, 8, 128); got != 0 {
+	if got := streamStall(b, 0, 0, 8, 128); got != 0 {
 		t.Errorf("unit-stride stall = %d, want 0", got)
 	}
 	// Stride 2 and 4 words are still conflict-free on 32 banks.
-	if got := b.StreamStall(0, 0, 16, 128); got != 0 {
+	if got := streamStall(b, 0, 0, 16, 128); got != 0 {
 		t.Errorf("stride-2 stall = %d, want 0", got)
 	}
-	if got := b.StreamStall(0, 0, 32, 128); got != 0 {
+	if got := streamStall(b, 0, 0, 32, 128); got != 0 {
 		t.Errorf("stride-4 stall = %d, want 0", got)
 	}
 }
@@ -371,13 +380,13 @@ func TestStreamStallBankConflicts(t *testing.T) {
 	// Stride 32 words hits the same bank every access: each access after
 	// the first stalls BankCycle-1 cycles.
 	n := 16
-	got := b.StreamStall(0, 0, 32*8, n)
+	got := streamStall(b, 0, 0, 32*8, n)
 	want := int64((n - 1) * (cfg.BankCycle - 1))
 	if got != want {
 		t.Errorf("same-bank stream stall = %d, want %d", got, want)
 	}
 	// Stride 8 words revisits each bank every 4 cycles: 4 stall cycles each.
-	got = b.StreamStall(0, 0, 8*8, 8)
+	got = streamStall(b, 0, 0, 8*8, 8)
 	if got <= 0 {
 		t.Errorf("stride-8-words stream should stall, got %d", got)
 	}
@@ -407,11 +416,15 @@ func TestUnitStrideConflictFree(t *testing.T) {
 func TestStreamStallDoesNotDisturbState(t *testing.T) {
 	cfg := DefaultConfig()
 	b := NewBankModel(cfg)
-	b.Access(0, 20)
-	before := b.busyUntil[0]
-	b.StreamStall(0, 0, 8, 64)
-	if b.busyUntil[0] != before {
-		t.Error("StreamStall mutated bank state")
+	want := streamStall(b, 0, 0, 32*8, 64)
+	// Streams priced in between leave no bank busy for the next one.
+	streamStall(b, 20, 0, 32*8, 128)
+	streamStall(b, 3, 8, 8*8, 96)
+	if got := streamStall(b, 0, 0, 32*8, 64); got != want {
+		t.Errorf("repeated query stalls %d, first answer %d", got, want)
+	}
+	if got := streamStall(NewBankModel(cfg), 0, 0, 32*8, 64); got != want {
+		t.Errorf("fresh model stalls %d, reused model %d", got, want)
 	}
 }
 

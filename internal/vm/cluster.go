@@ -12,21 +12,22 @@ import (
 // §4.2 studies what contention does in practice).
 //
 // Each CPU runs its own program against its own functional memory; the
-// banks are shared for timing only, via a common BankModel that every
-// vector memory stream reserves cycles in. The scheduler always advances
-// the CPU with the smallest local clock, so streams enter the shared
-// banks in global time order.
+// banks are shared for timing only, via a common mem.SharedBanks that
+// every vector memory stream reserves cycles in. The scheduler always
+// advances the CPU with the smallest local clock, so streams enter the
+// shared banks in global time order.
 type Cluster struct {
 	cpus   []*CPU
 	shared *mem.SharedBanks
 }
 
-// NewCluster builds a cluster of len(cfgs) CPUs sharing one bank model.
-// Refresh is modeled in the shared banks.
+// NewCluster builds a cluster of len(cfgs) CPUs sharing one set of
+// banks, whose geometry and refresh schedule are the first CPU's
+// machine's.
 func NewCluster(cfgs []Config) *Cluster {
 	bankCfg := mem.DefaultConfig()
 	if len(cfgs) > 0 {
-		bankCfg.RefreshEnabled = cfgs[0].RefreshStalls
+		bankCfg = cfgs[0].BankConfig()
 	}
 	cl := &Cluster{shared: mem.NewSharedBanks(bankCfg)}
 	for _, cfg := range cfgs {

@@ -182,3 +182,34 @@ func TestClusterStaggeredCompletion(t *testing.T) {
 		t.Errorf("long program (%d) should outlast short (%d)", stats[1].Cycles, stats[0].Cycles)
 	}
 }
+
+// TestClusterUsesMachineBanks checks that the shared banks take the
+// machine's geometry: a stride-2-word load pair conflicts on 8 banks
+// (each bank revisited every 4 cycles, under its 8-cycle busy time) but
+// not on 32, in a cluster as on a solo CPU.
+func TestClusterUsesMachineBanks(t *testing.T) {
+	src := `
+.data a 4096
+	mov #16,vs
+	mov #128,s1
+	mov s1,vl
+	ld.l a(a0),v0
+	ld.l a+8(a0),v1
+`
+	stalls := func(banks int) int64 {
+		cfg := DefaultConfig()
+		cfg.Banks = banks
+		cl := NewCluster([]Config{cfg})
+		if err := cl.CPU(0).Load(asm.MustParse(src)); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := cl.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats[0].MemStalls
+	}
+	if s8, s32 := stalls(8), stalls(32); s8 <= s32 {
+		t.Errorf("cluster memory stalls: %d on 8 banks, %d on 32; want more on 8", s8, s32)
+	}
+}

@@ -31,8 +31,7 @@ import (
 // Config controls one simulation: the Machine being simulated (embedded,
 // so the machine knobs read as cfg.VLMax, cfg.Banks, ... exactly as
 // before the split) plus the run-bound settings — memory image size,
-// runaway budgets, the memory-path selector and tracing. Use
-// DefaultConfig and adjust.
+// runaway budgets and tracing. Use DefaultConfig and adjust.
 type Config struct {
 	// Machine describes the simulated hardware; see vm.Machine. Its
 	// fields are promoted, and it marshals flat, so the wire and cache-key
@@ -43,12 +42,6 @@ type Config struct {
 	// MaxCycles and MaxInstrs abort runaway programs.
 	MaxCycles int64
 	MaxInstrs int64
-	// NaiveMemPath disables the memoized stream-stall table and answers
-	// every vector memory stream with the naive per-element bank walk. The
-	// two paths are bit-equivalent (the fast-path differential tests gate
-	// on it); this flag exists to keep the reference implementation alive
-	// and selectable.
-	NaiveMemPath bool
 	// Trace records per-vector-instruction timing events (Figure 2).
 	Trace bool
 	// TraceRing, when > 0 and Trace is off, records the most recent

@@ -12,18 +12,19 @@ import (
 // Timing is the C-240 timing model, the one implementation of the
 // equations the paper's hierarchy explains t_p with: chime formation and
 // gates, pipe tailgates and bubbles, chaining, the single memory port,
-// stream-stall pricing (bank conflicts, refresh, shared-bank and
-// multi-process contention), the per-lane stall attribution, and the
-// final drain. It carries no architectural values: its caller executes
-// each instruction's semantics and tells Timing what the instruction was —
-// CPU does so with real values, the analytical fast tier with symbolic
-// integers and no floating point at all — so both charge exactly the
-// same cycles for the same schedule.
+// stream-stall pricing (one mem.BankModel on the CPU's own banks, or the
+// banks a cluster shares, plus multi-process contention), the per-lane
+// stall attribution, and the final drain. It carries no architectural
+// values: its caller executes each instruction's semantics and tells
+// Timing what the instruction was — CPU does so with real values, the
+// explore engine's predictor (internal/fasttier) with symbolic integers
+// and no floating point at all — so both charge exactly the same cycles
+// for the same schedule.
 //
-// The caller calls Fetch once per instruction, then the methods naming the
-// instruction's timing class (ScalarOp, ScalarLoad, ScalarStore,
-// TakenBranch, WaitScalar, Vector), and Finish when the program ends.
-// Create with NewTiming.
+// A Timing lives for one run. The caller calls Fetch once per
+// instruction, then the methods naming the instruction's timing class
+// (ScalarOp, ScalarLoad, ScalarStore, TakenBranch, WaitScalar, Vector),
+// and Finish when the program ends. Create with NewTiming.
 type Timing struct {
 	cfg Config
 
@@ -48,13 +49,10 @@ type Timing struct {
 	maxEvent      int64
 	finished      bool
 
-	bankCfg    mem.Config
 	sharedBank BankReserver
-	// stallTab memoizes vector-stream stall queries across the run's
-	// streams (and, since Reset keeps it, across a reused Timing's runs).
-	// Nil when the config models neither bank conflicts nor refresh, or
-	// when NaiveMemPath keeps the reference walk in charge.
-	stallTab *mem.StallTable
+	// banks prices vector-stream stalls on this CPU's own banks; nil when
+	// the config models neither bank conflicts nor refresh.
+	banks *mem.BankModel
 
 	stats Stats
 	trace []TraceEvent
@@ -79,47 +77,14 @@ func NewTiming(cfg Config) Timing {
 	t := Timing{
 		cfg:     cfg,
 		builder: core.NewChimeBuilder(cfg.Rules),
-		bankCfg: cfg.BankConfig(),
 	}
-	if (cfg.BankConflicts || cfg.RefreshStalls) && !cfg.NaiveMemPath {
-		t.stallTab = mem.NewStallTable(t.bankCfg)
+	if cfg.BankConflicts || cfg.RefreshStalls {
+		t.banks = mem.NewBankModel(cfg.BankConfig())
 	}
 	if !cfg.Trace && cfg.TraceRing > 0 {
 		t.ring = newTraceRing(cfg.TraceRing)
 	}
 	return t
-}
-
-// Reset returns the timing state to time zero for the next run, for a
-// caller that reuses one Timing (the explore predictor's interpreters).
-// The memoized stream-stall table survives: its answers depend only on
-// the configuration. Any shared bank model is detached.
-func (t *Timing) Reset() {
-	t.clock = 0
-	t.pipeFree = [4]int64{}
-	t.pipeUsed = [4]bool{}
-	t.vw = [isa.NumVRegs]vwriter{}
-	t.sReady = [isa.NumSRegs]int64{}
-	t.vectorPortFree = 0
-	t.scalarPortFree = 0
-	t.builder.Reset()
-	t.chimeID = 0
-	t.chimeStart = 0
-	t.chimeMemStall = 0
-	t.chimeVL = 0
-	t.lastChimeStart = 0
-	t.prevGate = 0
-	t.prevGateSplit = false
-	t.maxEvent = 0
-	t.finished = false
-	t.sharedBank = nil
-	t.stats = Stats{}
-	// Returned trace slices must survive the next run: drop, don't truncate.
-	t.trace = nil
-	if t.ring != nil {
-		t.ring.reset()
-	}
-	t.laneTime = [NumLanes]int64{}
 }
 
 // Stats returns statistics accumulated so far.
@@ -470,10 +435,8 @@ func (m memStall) total() int64 { return m.bank + m.refresh + m.contention }
 // from bank conflicts, refresh, and multi-process contention, decomposed
 // by cause. In cluster mode the stream runs against the banks shared with
 // the other CPUs (mutating their state) and the whole shared-bank wait is
-// booked as bank conflict; standalone it probes zero-state bank timing —
-// through the memoized stall table on the fast path, or a fresh naive
-// bank walk when Config.NaiveMemPath keeps the reference implementation
-// in charge (the two are bit-equivalent).
+// booked as bank conflict; standalone the bank model prices it on idle
+// banks.
 func (t *Timing) memStreamStall(start, base, stride int64, vl int) memStall {
 	var st memStall
 	if !t.cfg.BankConflicts {
@@ -482,13 +445,8 @@ func (t *Timing) memStreamStall(start, base, stride int64, vl int) memStall {
 	switch {
 	case t.sharedBank != nil:
 		st.bank = t.sharedBank.Stream(start, base, stride, vl)
-	case t.stallTab != nil:
-		st.bank, st.refresh = t.stallTab.StreamStallParts(start, base, stride, vl)
-	case t.cfg.BankConflicts || t.cfg.RefreshStalls:
-		cfg := t.bankCfg
-		cfg.RefreshEnabled = t.cfg.RefreshStalls
-		bm := mem.NewBankModel(cfg)
-		st.bank, st.refresh = bm.StreamStallParts(start, base, stride, vl)
+	case t.banks != nil:
+		st.bank, st.refresh = t.banks.StreamStallParts(start, base, stride, vl)
 	}
 	if t.cfg.MemSlowdown > 1 {
 		st.contention = int64(math.Ceil((t.cfg.MemSlowdown - 1) * float64(vl)))

@@ -22,15 +22,6 @@ func newTraceRing(capacity int) *traceRing {
 	return &traceRing{capacity: capacity}
 }
 
-// reset empties the ring for reuse (events() copies out, so the buffer
-// itself is never aliased by returned slices).
-func (r *traceRing) reset() {
-	r.buf = r.buf[:0]
-	r.pos = 0
-	r.full = false
-	r.dropped = 0
-}
-
 func (r *traceRing) push(e TraceEvent) {
 	if r.capacity == 0 {
 		r.dropped++
