@@ -1,7 +1,7 @@
 // Command macsd is the MACS analysis daemon: a long-lived HTTP/JSON
 // server over the compile → bound → simulate → A/X → diagnose pipeline,
 // with a bounded worker pool, a content-addressed result cache with
-// singleflight deduplication, and JSON metrics.
+// singleflight deduplication, and metrics in JSON and Prometheus text.
 //
 // Usage:
 //
@@ -35,8 +35,10 @@
 //	GET  /v1/lfk/{id}  one case-study kernel (1,2,3,4,6,7,8,9,10,12)
 //	GET  /v1/trace/{id} one request trace as Chrome trace_event JSON
 //	GET  /healthz      liveness
-//	GET  /metrics      counters, cache/queue stats, latency histograms
-//	                   (?format=prom: Prometheus text exposition)
+//	GET  /metrics      every metric family (requests, stage latencies,
+//	                   cache, queue, simulation, explore) as one JSON
+//	                   object keyed by family name, in seconds;
+//	                   ?format=prom: the same families as Prometheus text
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, drains
 // in-flight and queued jobs, then exits.

@@ -196,22 +196,36 @@ func run(addr string, n, c, nk, batch int, sloP50, sloP99 time.Duration, hist bo
 		fmt.Printf("wrote Prometheus textfile: %s\n", promOut)
 	}
 
-	// Server-side view: cache effectiveness from /metrics.
+	// Server-side view: cache effectiveness from /metrics, whose JSON
+	// document is keyed by family name.
 	resp, err := client.Get(addr + "/metrics")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	var snap service.Snapshot
+	var snap struct {
+		Hits        float64 `json:"macsd_cache_hits_total"`
+		Misses      float64 `json:"macsd_cache_misses_total"`
+		Evictions   float64 `json:"macsd_cache_evictions_total"`
+		Runs        float64 `json:"macsd_pipeline_runs_total"`
+		Deduped     float64 `json:"macsd_dedup_shared_total"`
+		Persistent  float64 `json:"macsd_persistent_cache_enabled"`
+		DiskEntries float64 `json:"macsd_persistent_cache_entries"`
+		DiskHits    float64 `json:"macsd_persistent_cache_hits_total"`
+		DiskWrites  float64 `json:"macsd_persistent_cache_writes_total"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		return err
 	}
-	fmt.Printf("server: cache %d/%d hit (%.1f%%), %d evictions, %d pipeline runs, %d deduped\n",
-		snap.Cache.Hits, snap.Cache.Hits+snap.Cache.Misses, 100*snap.Cache.HitRate,
-		snap.Cache.Evictions, snap.PipelineRuns, snap.DedupShared)
-	if snap.Persistent.Enabled {
-		fmt.Printf("        persistent cache: %d entries, %d hits, %d writes\n",
-			snap.Persistent.Entries, snap.Persistent.Hits, snap.Persistent.Writes)
+	hitRate := 0.0
+	if lookups := snap.Hits + snap.Misses; lookups > 0 {
+		hitRate = snap.Hits / lookups
+	}
+	fmt.Printf("server: cache %.0f/%.0f hit (%.1f%%), %.0f evictions, %.0f pipeline runs, %.0f deduped\n",
+		snap.Hits, snap.Hits+snap.Misses, 100*hitRate, snap.Evictions, snap.Runs, snap.Deduped)
+	if snap.Persistent == 1 {
+		fmt.Printf("        persistent cache: %.0f entries, %.0f hits, %.0f writes\n",
+			snap.DiskEntries, snap.DiskHits, snap.DiskWrites)
 	}
 
 	// SLO gate.
@@ -392,31 +406,28 @@ func printHist(w io.Writer, sorted []time.Duration) {
 // text exposition format (textfile-collector shaped), self-validated
 // with the same parser the CI scrape gate uses.
 func writePromText(path string, ct *counters, sorted []time.Duration, hotDur time.Duration) error {
-	w := obs.NewPromWriter()
-	w.Counter("macsload_requests_total", "Hot-phase requests by outcome.",
-		obs.Sample{Labels: []obs.Label{{Name: "outcome", Value: "completed"}}, Value: float64(ct.completed.Load())},
-		obs.Sample{Labels: []obs.Label{{Name: "outcome", Value: "errored"}}, Value: float64(ct.errored.Load())},
-	)
-	w.Counter("macsload_retries_total", "Requests retried after a 429.",
-		obs.Sample{Value: float64(ct.retries.Load())})
-	w.Gauge("macsload_hot_duration_seconds", "Wall-clock duration of the hot phase.",
-		obs.Sample{Value: hotDur.Seconds()})
-	var sum float64
+	r := obs.NewRegistry()
+	reqs := r.Counter("macsload_requests_total", "Hot-phase requests by outcome.", "outcome")
+	retries := r.Counter("macsload_retries_total", "Requests retried after a 429.", "")
+	r.GaugeFunc("macsload_hot_duration_seconds", "Wall-clock duration of the hot phase.",
+		func() float64 { return hotDur.Seconds() })
+	buckets := make([]float64, len(histBucketsMS))
+	for i, ms := range histBucketsMS {
+		buckets[i] = ms / 1e3
+	}
+	lat := r.Histogram("macsload_request_duration_seconds", "Hot-phase request latency.", "", buckets)
+
+	reqs.Add("completed", float64(ct.completed.Load()))
+	reqs.Add("errored", float64(ct.errored.Load()))
+	retries.Add("", float64(ct.retries.Load()))
 	for _, d := range sorted {
-		sum += d.Seconds()
+		lat.Observe("", d.Seconds())
 	}
-	h := obs.HistSample{Count: int64(len(sorted)), Sum: sum}
-	for i, cumCount := range bucketize(sorted) {
-		if i >= len(histBucketsMS) {
-			break // +Inf: the writer appends it from Count
-		}
-		h.Buckets = append(h.Buckets, obs.Bucket{LE: histBucketsMS[i] / 1e3, CumCount: cumCount})
-	}
-	w.Histogram("macsload_request_duration_seconds", "Hot-phase request latency.", h)
-	if _, err := obs.ParseProm(string(w.Bytes())); err != nil {
+	text := r.Prom()
+	if _, err := obs.ParseProm(string(text)); err != nil {
 		return fmt.Errorf("generated exposition invalid: %w", err)
 	}
-	return os.WriteFile(path, w.Bytes(), 0o644)
+	return os.WriteFile(path, text, 0o644)
 }
 
 func pct(sorted []time.Duration, p int) time.Duration {

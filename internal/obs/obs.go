@@ -1,6 +1,7 @@
 // Package obs is the observability layer of the serving stack: request
-// traces built from lightweight context-propagated spans, a hand-rolled
-// Prometheus text-exposition writer and validating parser, a Chrome
+// traces built from lightweight context-propagated spans, a metrics
+// registry that renders each family it declares as Prometheus text
+// exposition or JSON, a validating exposition parser, a Chrome
 // trace_event exporter that merges pipeline spans with the simulator's
 // per-lane timing rows, and a periodic Go-runtime sampler.
 //
@@ -147,6 +148,22 @@ func (s *Span) End() {
 	t.mu.Unlock()
 }
 
+// Duration reports how long the span ran: its final length once End has
+// run, its length so far before. Zero on a nil span.
+func (s *Span) Duration() time.Duration {
+	if s == nil {
+		return 0
+	}
+	t := s.trace
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r := t.spans[s.idx]
+	if !r.ended {
+		return time.Since(r.start)
+	}
+	return r.dur
+}
+
 // AddLanes attaches simulator lane events to the trace; the Chrome
 // export anchors their cycle 0 at the start of the trace's "simulate"
 // span. The events come from build, which View runs at most once and
@@ -226,10 +243,16 @@ func (t *Trace) View() TraceView {
 }
 
 // StageDurations folds the trace's completed spans into a per-name
-// duration sum — what the service feeds its per-stage latency
-// histograms. Nested spans each contribute their own time (the caller's
-// histogram semantics are per-stage, not exclusive-time).
-func (t *Trace) StageDurations() map[string]time.Duration {
+// duration sum. Nested spans each contribute their own time (the
+// caller's histogram semantics are per-stage, not exclusive-time).
+func (t *Trace) StageDurations() map[string]time.Duration { return t.durations(true) }
+
+// NestedDurations is StageDurations over the spans that have a parent:
+// a request's stages without the request's own root span — what the
+// service feeds its per-stage latency histogram.
+func (t *Trace) NestedDurations() map[string]time.Duration { return t.durations(false) }
+
+func (t *Trace) durations(roots bool) map[string]time.Duration {
 	if t == nil {
 		return nil
 	}
@@ -240,7 +263,7 @@ func (t *Trace) StageDurations() map[string]time.Duration {
 	}
 	out := make(map[string]time.Duration, len(t.spans))
 	for _, r := range t.spans {
-		if r.ended {
+		if r.ended && (roots || r.parent >= 0) {
 			out[r.name] += r.dur
 		}
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -96,6 +97,19 @@ func TestStageDurations(t *testing.T) {
 	}
 	if _, ok := d["item"]; !ok {
 		t.Fatalf("completed spans missing from stage durations: %v", d)
+	}
+
+	// NestedDurations leaves out root spans: a root and a stage nested
+	// under it that share a name fold to the stage's time alone.
+	rctx, root := Start(ctx, "bound")
+	_, stage := Start(rctx, "bound")
+	stage.End()
+	root.End()
+	if got, want := tr.NestedDurations(), map[string]time.Duration{"bound": stage.Duration()}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("nested durations = %v, want %v", got, want)
+	}
+	if all := tr.StageDurations()["bound"]; all != root.Duration()+stage.Duration() || root.Duration() < stage.Duration() {
+		t.Fatalf("stage durations fold bound to %v, want root %v + stage %v", all, root.Duration(), stage.Duration())
 	}
 }
 

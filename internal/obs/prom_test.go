@@ -1,32 +1,31 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// TestPromWriterGolden pins the exposition text byte for byte: HELP/TYPE
-// ordering, label rendering, escaping, histogram bucket + sum/count
-// series and value formatting.
+// TestPromWriterGolden pins the registry's exposition byte for byte:
+// declaration order, HELP/TYPE headers, sorted label values, escaping,
+// histogram bucket + sum/count series and value formatting. Families
+// with no series yet (a labeled one nobody updated) are left out.
 func TestPromWriterGolden(t *testing.T) {
-	w := NewPromWriter()
-	w.Counter("macsd_requests_total", "Requests by endpoint.",
-		Sample{Labels: []Label{{"endpoint", "analyze"}}, Value: 42},
-		Sample{Labels: []Label{{"endpoint", "batch"}}, Value: 7},
-	)
-	w.Gauge("macsd_queue_depth", "Jobs waiting in the queue.", Sample{Value: 3})
-	w.Counter("macsd_odd_labels_total", `Escaping: backslash \ quote " newline.`,
-		Sample{Labels: []Label{{"path", "a\\b\"c\nd"}}, Value: 1},
-	)
-	w.Histogram("macsd_request_duration_seconds", "Request latency.",
-		HistSample{
-			Labels:  []Label{{"endpoint", "analyze"}},
-			Buckets: []Bucket{{LE: 0.001, CumCount: 2}, {LE: 0.01, CumCount: 5}},
-			Sum:     0.0325,
-			Count:   6,
-		},
-	)
+	r := NewRegistry()
+	reqs := r.Counter("macsd_requests_total", "Requests by endpoint.", "endpoint")
+	r.GaugeFunc("macsd_queue_depth", "Jobs waiting in the queue.", func() float64 { return 3 })
+	odd := r.Counter("macsd_odd_labels_total", `Escaping: backslash \ quote " newline.`, "path")
+	r.Counter("macsd_unused_total", "Never updated.", "cause")
+	dur := r.Histogram("macsd_request_duration_seconds", "Request latency.", "endpoint", []float64{0.001, 0.01})
+	reqs.Add("batch", 7)
+	reqs.Add("analyze", 42)
+	odd.Add("a\\b\"c\nd", 1)
+	for _, v := range []float64{0.0005, 0.001, 0.002, 0.004, 0.005, 0.02} {
+		dur.Observe("analyze", v)
+	}
 
 	want := strings.Join([]string{
 		`# HELP macsd_requests_total Requests by endpoint.`,
@@ -48,14 +47,14 @@ func TestPromWriterGolden(t *testing.T) {
 		`macsd_request_duration_seconds_count{endpoint="analyze"} 6`,
 		``,
 	}, "\n")
-	if got := string(w.Bytes()); got != want {
+	if got := string(r.Prom()); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 
-	// And the validator must accept its own writer's output.
-	fams, err := ParseProm(string(w.Bytes()))
+	// And the validator must accept the registry's output.
+	fams, err := ParseProm(string(r.Prom()))
 	if err != nil {
-		t.Fatalf("parser rejected writer output: %v", err)
+		t.Fatalf("parser rejected registry output: %v", err)
 	}
 	if len(fams) != 4 {
 		t.Fatalf("got %d families, want 4", len(fams))
@@ -63,15 +62,158 @@ func TestPromWriterGolden(t *testing.T) {
 }
 
 func TestParsePromRoundTripsEscapes(t *testing.T) {
-	w := NewPromWriter()
+	r := NewRegistry()
 	odd := "a\\b\"c\nd"
-	w.Counter("x_total", "h", Sample{Labels: []Label{{"l", odd}}, Value: 1})
-	fams, err := ParseProm(string(w.Bytes()))
+	r.Counter("x_total", "h", "l").Add(odd, 1)
+	fams, err := ParseProm(string(r.Prom()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := fams[0].Samples[0].Labels["l"]; got != odd {
 		t.Fatalf("label round trip: got %q want %q", got, odd)
+	}
+}
+
+// TestRegistryJSONMatchesProm: rendered from one registry with no
+// updates in between, the JSON document and the exposition carry the
+// same families with the same values — JSON histograms carry the
+// finite buckets, and their count is the +Inf bucket.
+func TestRegistryJSONMatchesProm(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("g", "gauge", func() float64 { return 1.5 })
+	r.CounterFunc("cf_total", "owned counter", func() float64 { return 9 })
+	c := r.Counter("c_total", "counter", "")
+	lc := r.Counter("lc_total", "labeled counter", "k")
+	r.Counter("empty_total", "no series yet", "k")
+	h := r.Histogram("h_seconds", "histogram", "", []float64{0.1, 1})
+	lh := r.Histogram("lh_seconds", "labeled histogram", "stage", []float64{0.1, 1})
+	c.Add("", 2)
+	lc.Add("x", 3)
+	lc.Add("y", 0)
+	for _, v := range []float64{0.05, 0.5, 5} {
+		h.Observe("", v)
+		lh.Observe("compile", v)
+	}
+	lh.Observe("simulate", 0.1)
+
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseProm(string(r.Prom()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc) != len(fams) || len(fams) != 6 {
+		t.Fatalf("JSON has %d families, exposition %d; want 6 each\n%s", len(doc), len(fams), b)
+	}
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			v, ok := doc[f.Name]
+			if lv, labeled := s.Labels[labelOf(s)]; labeled {
+				v = v.(map[string]any)[lv]
+			}
+			switch suffix := strings.TrimPrefix(s.Name, f.Name); suffix {
+			case "":
+			case "_bucket":
+				h := v.(map[string]any)
+				if s.Labels["le"] == "+Inf" {
+					v = h["count"]
+					break
+				}
+				ok = false
+				for _, bk := range h["buckets"].([]any) {
+					bk := bk.(map[string]any)
+					if formatValue(bk["le"].(float64)) == s.Labels["le"] {
+						v, ok = bk["count"], true
+					}
+				}
+			default:
+				v = v.(map[string]any)[suffix[1:]]
+			}
+			if !ok || v != s.Value {
+				t.Errorf("%s%v = %v in the exposition, %v in JSON", s.Name, s.Labels, s.Value, v)
+			}
+		}
+	}
+}
+
+// labelOf names a sample's family label: its one label other than le,
+// or "" when it has none.
+func labelOf(s PromSample) string {
+	for k := range s.Labels {
+		if k != "le" {
+			return k
+		}
+	}
+	return ""
+}
+
+// TestRegistryConcurrent storms one registry's counters and histograms
+// from many goroutines while others render both formats — under -race
+// the proof of the registry's locking — and then checks that no update
+// was lost.
+func TestRegistryConcurrent(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("c_total", "counter", "k")
+	h := r.Histogram("h_seconds", "histogram", "k", []float64{0.5})
+	const writers, each = 8, 500
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := ParseProm(string(r.Prom())); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := json.Marshal(r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var ws sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		ws.Add(1)
+		go func(w int) {
+			defer ws.Done()
+			for i := 0; i < each; i++ {
+				c.Add("a", 1)
+				h.Observe(fmt.Sprint(w%2), float64(i%2))
+			}
+		}(w)
+	}
+	ws.Wait()
+	close(stop)
+	readers.Wait()
+	want := map[string]float64{
+		`c_total{k="a"}`:                   writers * each,
+		`h_seconds_count{k="0"}`:           writers / 2 * each,
+		`h_seconds_bucket{k="1",le="0.5"}`: writers / 2 * each / 2,
+	}
+	for _, line := range strings.Split(string(r.Prom()), "\n") {
+		if k, v, ok := strings.Cut(line, " "); ok && want[k] != 0 {
+			if v != formatValue(want[k]) {
+				t.Errorf("%s = %s, want %v", k, v, want[k])
+			}
+			delete(want, k)
+		}
+	}
+	if len(want) > 0 {
+		t.Errorf("series missing: %v", want)
 	}
 }
 

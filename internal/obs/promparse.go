@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the independent validator for the text exposition format
-// the PromWriter emits: the golden tests parse what the writer wrote,
+// the Registry emits: the golden tests parse what the registry wrote,
 // and CI scrapes a running macsd's /metrics?format=prom through it. It
 // deliberately checks the rules a hand-rolled writer is most likely to
 // break — header ordering, family grouping, label escaping, histogram
@@ -360,7 +360,7 @@ func validateFamily(f *PromFamily) error {
 		for i := 1; i < len(a.cums); i++ {
 			if a.cums[i] < a.cums[i-1] {
 				return fmt.Errorf("family %q{%s}: bucket counts decrease at le=%s",
-					f.Name, sig, formatLE(a.les[i]))
+					f.Name, sig, formatValue(a.les[i]))
 			}
 		}
 		if !a.hasInf {

@@ -10,14 +10,14 @@ import (
 // capacity dashboard watches (heap, GC, goroutines). Zero value means
 // "never sampled".
 type RuntimeStats struct {
-	SampledAt        time.Time `json:"sampled_at"`
-	Goroutines       int       `json:"goroutines"`
-	HeapAllocBytes   uint64    `json:"heap_alloc_bytes"`
-	HeapSysBytes     uint64    `json:"heap_sys_bytes"`
-	HeapObjects      uint64    `json:"heap_objects"`
-	GCRuns           uint32    `json:"gc_runs"`
-	GCPauseTotalSecs float64   `json:"gc_pause_total_seconds"`
-	LastGCPauseSecs  float64   `json:"last_gc_pause_seconds"`
+	SampledAt        time.Time
+	Goroutines       int
+	HeapAllocBytes   uint64
+	HeapSysBytes     uint64
+	HeapObjects      uint64
+	GCRuns           uint32
+	GCPauseTotalSecs float64
+	LastGCPauseSecs  float64
 }
 
 // sampleRuntime reads the runtime counters once.

@@ -50,7 +50,7 @@ type BatchItemResult struct {
 func (s *Service) AnalyzeBatch(ctx context.Context, req BatchRequest, emit func(BatchItemResult)) error {
 	start := time.Now()
 	if err := s.checkBatch(req); err != nil {
-		s.observe("batch", start, false, err)
+		s.logRequest("batch", start, false, err)
 		return err
 	}
 
@@ -68,20 +68,20 @@ func (s *Service) AnalyzeBatch(ctx context.Context, req BatchRequest, emit func(
 		switch {
 		case err != nil:
 			item.Error = err.Error()
-			s.metrics.ObserveBatchItem("error")
+			s.metrics.batchItems.Add("error", 1)
 		case resp.Cached:
 			item.Result = &resp
-			s.metrics.ObserveBatchItem("cached")
+			s.metrics.batchItems.Add("cached", 1)
 		default:
 			item.Result = &resp
-			s.metrics.ObserveBatchItem("ok")
+			s.metrics.batchItems.Add("ok", 1)
 		}
 		emitMu.Lock()
 		emit(item)
 		emitMu.Unlock()
 		return nil // per-item errors ride in the result line
 	})
-	s.observe("batch", start, false, err)
+	s.logRequest("batch", start, false, err)
 	return err
 }
 

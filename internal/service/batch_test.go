@@ -68,7 +68,7 @@ func TestAnalyzeBatchDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warm := s.PipelineRuns()
+	warm := pipelineRuns(t, s)
 	if warm != 2 {
 		t.Fatalf("pre-warm runs = %d, want 2", warm)
 	}
@@ -85,7 +85,7 @@ func TestAnalyzeBatchDedup(t *testing.T) {
 	if !res[0].Result.Cached || !res[1].Result.Cached {
 		t.Fatal("pre-warmed items missed the cache")
 	}
-	if got := s.PipelineRuns(); got != warm+2 {
+	if got := pipelineRuns(t, s); got != warm+2 {
 		t.Fatalf("batch ran the pipeline %d more times, want 2 (cold kernels only)", got-warm)
 	}
 }
@@ -136,7 +136,7 @@ func TestHTTPBatchNDJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warm := s.PipelineRuns()
+	warm := pipelineRuns(t, s)
 
 	body, err := json.Marshal(batch)
 	if err != nil {
@@ -178,7 +178,7 @@ func TestHTTPBatchNDJSON(t *testing.T) {
 	if lines != 10 || len(seen) != 10 {
 		t.Fatalf("streamed %d lines over %d indices, want 10/10", lines, len(seen))
 	}
-	if got := s.PipelineRuns(); got != warm+7 {
+	if got := pipelineRuns(t, s); got != warm+7 {
 		t.Fatalf("batch ran the pipeline %d more times, want 7 (cold kernels only)", got-warm)
 	}
 }

@@ -170,8 +170,6 @@ type cacheEntry struct {
 // alias is one raw request digest's answer.
 type alias struct {
 	el *list.Element // the owning entry
-	// endpoint is the metrics label of the hit that registered the alias.
-	endpoint string
 	// body is the response that hit wrote, byte for byte.
 	body []byte
 }
@@ -249,28 +247,27 @@ func (c *Cache) dropAliases(e *cacheEntry) {
 	e.aliases = nil
 }
 
-// getRaw returns the response bytes and endpoint label stored under a
-// raw request digest. A found alias is a hit on its entry: it counts as
-// one and marks the entry most recently used. An unknown digest counts
-// nothing, because the request then takes the keyed path, whose Get
-// counts it.
-func (c *Cache) getRaw(rk rawKey) (endpoint string, body []byte, ok bool) {
+// getRaw returns the response bytes stored under a raw request digest.
+// A found alias is a hit on its entry: it counts as one and marks the
+// entry most recently used. An unknown digest counts nothing, because
+// the request then takes the keyed path, whose Get counts it.
+func (c *Cache) getRaw(rk rawKey) (body []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a, ok := c.aliases[rk]
 	if !ok {
-		return "", nil, false
+		return nil, false
 	}
 	c.hits++
 	c.ll.MoveToFront(a.el)
-	return a.endpoint, a.body, true
+	return a.body, true
 }
 
 // addAlias registers rk as a raw alias of the entry under k, answering
-// with body under the endpoint label. It does nothing when k is no longer
-// cached or rk is already registered. An entry at maxAliasesPerEntry
-// drops its oldest alias first.
-func (c *Cache) addAlias(k Key, rk rawKey, endpoint string, body []byte) {
+// with body. It does nothing when k is no longer cached or rk is already
+// registered. An entry at maxAliasesPerEntry drops its oldest alias
+// first.
+func (c *Cache) addAlias(k Key, rk rawKey, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
@@ -286,7 +283,7 @@ func (c *Cache) addAlias(k Key, rk rawKey, endpoint string, body []byte) {
 		e.aliases = e.aliases[1:]
 	}
 	e.aliases = append(e.aliases, rk)
-	c.aliases[rk] = &alias{el: el, endpoint: endpoint, body: body}
+	c.aliases[rk] = &alias{el: el, body: body}
 }
 
 // Len returns the number of cached entries.
@@ -296,30 +293,25 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
-// CacheStats is a point-in-time snapshot of the cache, exposed on
-// /metrics.
+// CacheStats is a point-in-time snapshot of the cache, read by the
+// macsd_cache_* families on /metrics.
 type CacheStats struct {
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Evictions int64   `json:"evictions"`
-	Entries   int     `json:"entries"`
-	Capacity  int     `json:"capacity"`
-	HitRate   float64 `json:"hit_rate"`
+	Hits      int64
+	Misses    int64
+	Evictions int64
+	Entries   int
+	Capacity  int
 }
 
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := CacheStats{
+	return CacheStats{
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
 		Entries:   c.ll.Len(),
 		Capacity:  c.capacity,
 	}
-	if total := c.hits + c.misses; total > 0 {
-		s.HitRate = float64(c.hits) / float64(total)
-	}
-	return s
 }

@@ -274,18 +274,18 @@ func (c *DiskCache) Close() {
 	}
 }
 
-// DiskCacheStats is the persistent_cache section of /metrics.
+// DiskCacheStats is a point-in-time snapshot of the store, read by the
+// macsd_persistent_cache_* families on /metrics.
 type DiskCacheStats struct {
-	Enabled  bool  `json:"enabled"`
-	Entries  int   `json:"entries"`
-	Segments int   `json:"segments"`
-	Bytes    int64 `json:"bytes"`
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-	Writes   int64 `json:"writes"`
+	Entries  int
+	Segments int
+	Bytes    int64
+	Hits     int64
+	Misses   int64
+	Writes   int64
 	// Invalidated counts segments dropped on open because their version
 	// or configuration fingerprint did not match.
-	Invalidated int64 `json:"invalidated"`
+	Invalidated int64
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -293,7 +293,6 @@ func (c *DiskCache) Stats() DiskCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return DiskCacheStats{
-		Enabled:     true,
 		Entries:     len(c.index),
 		Segments:    c.segs,
 		Bytes:       c.bytes,

@@ -185,12 +185,13 @@ func TestServiceWarmRestartZeroRuns(t *testing.T) {
 			t.Fatalf("cold item %d: %+v", i, r)
 		}
 	}
-	if got := s.PipelineRuns(); got != int64(len(batch.Items)) {
+	if got := pipelineRuns(t, s); got != int64(len(batch.Items)) {
 		t.Fatalf("cold batch ran the pipeline %d times, want %d", got, len(batch.Items))
 	}
-	m := s.Metrics()
-	if !m.Persistent.Enabled || m.Persistent.Writes != int64(len(batch.Items)) {
-		t.Fatalf("persistent cache after cold batch: %+v", m.Persistent)
+	m := scrape(t, s)
+	if metric(m, "macsd_persistent_cache_enabled", "") != 1 ||
+		metric(m, "macsd_persistent_cache_writes_total", "") != float64(len(batch.Items)) {
+		t.Fatalf("persistent cache after cold batch: %v", m)
 	}
 	s.Close()
 
@@ -208,12 +209,11 @@ func TestServiceWarmRestartZeroRuns(t *testing.T) {
 			t.Fatalf("warm item %d missed the cache", i)
 		}
 	}
-	if got := s2.PipelineRuns(); got != 0 {
+	if got := pipelineRuns(t, s2); got != 0 {
 		t.Fatalf("warm restart ran the pipeline %d times, want 0", got)
 	}
-	m2 := s2.Metrics()
-	if m2.Persistent.Hits < int64(len(batch.Items)) {
-		t.Fatalf("persistent hits = %d, want >= %d (%+v)", m2.Persistent.Hits, len(batch.Items), m2.Persistent)
+	if hits := metric(scrape(t, s2), "macsd_persistent_cache_hits_total", ""); hits < float64(len(batch.Items)) {
+		t.Fatalf("persistent hits = %v, want >= %d", hits, len(batch.Items))
 	}
 
 	// The warm results match the cold run bit-for-bit where it matters.
@@ -240,7 +240,7 @@ func TestServiceUnusableCacheDir(t *testing.T) {
 	if r.Cycles <= 0 {
 		t.Fatalf("memory-only fallback broken: %+v", r)
 	}
-	if m := s.Metrics(); m.Persistent.Enabled {
+	if metric(scrape(t, s), "macsd_persistent_cache_enabled", "") != 0 {
 		t.Fatal("persistent cache reported enabled over an unusable dir")
 	}
 }
@@ -300,8 +300,8 @@ func TestConfigFingerprintMachineKeyed(t *testing.T) {
 		Prime: Priming{Ints: map[string]int64{"N": 16}}}); err != nil {
 		t.Fatal(err)
 	}
-	if w := sA.Metrics().Persistent.Writes; w != 1 {
-		t.Fatalf("machine A wrote %d entries, want 1", w)
+	if w := metric(scrape(t, sA), "macsd_persistent_cache_writes_total", ""); w != 1 {
+		t.Fatalf("machine A wrote %v entries, want 1", w)
 	}
 	sA.Close()
 
@@ -310,11 +310,12 @@ func TestConfigFingerprintMachineKeyed(t *testing.T) {
 	cfgB.VM.Machine.Banks = 16
 	sB := New(cfgB)
 	defer sB.Close()
-	m := sB.Metrics()
-	if !m.Persistent.Enabled {
+	m := scrape(t, sB)
+	if metric(m, "macsd_persistent_cache_enabled", "") != 1 {
 		t.Fatal("persistent cache not enabled under machine B")
 	}
-	if m.Persistent.Invalidated != 1 || m.Persistent.Entries != 0 {
-		t.Fatalf("machine change did not invalidate the cache: %+v", m.Persistent)
+	if metric(m, "macsd_persistent_cache_invalidated_total", "") != 1 ||
+		metric(m, "macsd_persistent_cache_entries", "") != 0 {
+		t.Fatalf("machine change did not invalidate the cache: %v", m)
 	}
 }

@@ -109,24 +109,24 @@ func (s *Service) Explore(ctx context.Context, req ExploreRequest, emit func(Exp
 	start := time.Now()
 	eng, err := s.checkExplore(req)
 	if err != nil {
-		s.observe("explore", start, false, err)
+		s.logRequest("explore", start, false, err)
 		return err
 	}
 
 	key, err := s.key("explore", req.Source, req.Iterations, req.Prime, req.Grid, req.TopFrac, req.MinTop)
 	if err != nil {
-		s.observe("explore", start, false, err)
+		s.logRequest("explore", start, false, err)
 		return err
 	}
 	if v, ok := s.cache.Get(key); ok {
 		s.replayExplore(*v.(*ExploreResponse), emit)
-		s.observe("explore", start, true, nil)
+		s.logRequest("explore", start, true, nil)
 		return nil
 	}
 	if v, ok := s.diskGet(key, decodeJSON[ExploreResponse]()); ok {
 		s.cache.Put(key, v)
 		s.replayExplore(*v.(*ExploreResponse), emit)
-		s.observe("explore", start, true, nil)
+		s.logRequest("explore", start, true, nil)
 		return nil
 	}
 
@@ -141,13 +141,13 @@ func (s *Service) Explore(ctx context.Context, req ExploreRequest, emit func(Exp
 		},
 	})
 	if err != nil {
-		s.observe("explore", start, false, err)
+		s.logRequest("explore", start, false, err)
 		return err
 	}
-	s.exploreSweeps.Add(1)
-	s.exploreSwept.Add(int64(sw.Swept))
-	s.explorePruned.Add(int64(sw.Pruned))
-	s.exploreSimulated.Add(int64(sw.Simulated))
+	s.metrics.exploreSweeps.Add("", 1)
+	s.metrics.exploreSwept.Add("", float64(sw.Swept))
+	s.metrics.explorePruned.Add("", float64(sw.Pruned))
+	s.metrics.exploreSimulated.Add("", float64(sw.Simulated))
 
 	resp := &ExploreResponse{
 		Name:      sw.Name,
@@ -166,7 +166,7 @@ func (s *Service) Explore(ctx context.Context, req ExploreRequest, emit func(Exp
 	s.cache.Put(key, resp)
 	s.diskPut(key, dec, resp)
 	emit(ExploreEvent{Type: "done", Result: resp})
-	s.observe("explore", start, false, nil)
+	s.logRequest("explore", start, false, nil)
 	return nil
 }
 
@@ -185,28 +185,4 @@ func (s *Service) replayExplore(resp ExploreResponse, emit func(ExploreEvent)) {
 // alias of vm.CPU, so the facade-shaped primeFunc applies directly.
 func vmPrime(p Priming) func(*vm.CPU) error {
 	return p.primeFunc()
-}
-
-// ExploreStats is the explore section of /metrics.
-type ExploreStats struct {
-	// Sweeps counts completed fresh sweeps (cached replays excluded).
-	Sweeps int64 `json:"sweeps"`
-	// Swept, Pruned and Simulated total the grid points those sweeps
-	// scored, answered analytically, and simulated exactly.
-	Swept     int64 `json:"points_swept"`
-	Pruned    int64 `json:"points_pruned"`
-	Simulated int64 `json:"points_simulated"`
-	// Machines is the number of distinct machine descriptions with warm
-	// evaluator state (a prediction memo); the registry is bounded.
-	Machines int `json:"machines"`
-}
-
-func (s *Service) exploreStats() ExploreStats {
-	return ExploreStats{
-		Sweeps:    s.exploreSweeps.Load(),
-		Swept:     s.exploreSwept.Load(),
-		Pruned:    s.explorePruned.Load(),
-		Simulated: s.exploreSimulated.Load(),
-		Machines:  s.explorers.Machines(),
-	}
 }

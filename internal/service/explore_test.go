@@ -57,11 +57,12 @@ func TestServiceExplore(t *testing.T) {
 	if done.Ranked[0].Rank != 1 || done.Ranked[0].Stats == nil {
 		t.Fatalf("winner = %+v", done.Ranked[0])
 	}
-	m := s.Metrics()
-	if m.Explore.Sweeps != 1 || m.Explore.Swept != 8 || m.Explore.Pruned != 6 || m.Explore.Simulated != 2 {
-		t.Fatalf("explore metrics = %+v", m.Explore)
+	m := scrape(t, s)
+	if metric(m, "macsd_explore_sweeps_total", "") != 1 || metric(m, "macsd_explore_points_swept_total", "") != 8 ||
+		metric(m, "macsd_explore_points_pruned_total", "") != 6 || metric(m, "macsd_explore_points_simulated_total", "") != 2 {
+		t.Fatalf("explore metrics = %v", m)
 	}
-	if m.Explore.Machines == 0 {
+	if metric(m, "macsd_explore_machines", "") == 0 {
 		t.Fatal("no warm evaluator state recorded")
 	}
 
@@ -89,8 +90,8 @@ func TestServiceExplore(t *testing.T) {
 	if done2.Ranked[0].Cycles != done.Ranked[0].Cycles {
 		t.Fatalf("cached winner diverged: %d vs %d", done2.Ranked[0].Cycles, done.Ranked[0].Cycles)
 	}
-	if got := s.Metrics().Explore.Sweeps; got != 1 {
-		t.Fatalf("cached replay ran a fresh sweep: %d", got)
+	if got := metric(scrape(t, s), "macsd_explore_sweeps_total", ""); got != 1 {
+		t.Fatalf("cached replay ran a fresh sweep: %v", got)
 	}
 }
 
@@ -184,6 +185,22 @@ func TestHTTPExplore(t *testing.T) {
 	}
 }
 
+// TestStreamsFlushEachLine: the NDJSON endpoints flush after every line
+// through the whole handler stack, so a client sees each result as it
+// completes rather than when the response buffer fills.
+func TestStreamsFlushEachLine(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1, QueueSize: 4})
+	h := NewHandler(s)
+	for target, body := range map[string]any{
+		"/v1/batch":   BatchRequest{Items: []AnalyzeRequest{{Source: saxpySrc, Iterations: 16}}},
+		"/v1/explore": exploreReq(explore.Grid{}),
+	} {
+		if rec := serveBody(h, http.MethodPost, target, mustJSON(t, body)); rec.Code != http.StatusOK || !rec.Flushed {
+			t.Errorf("%s: status %d, flushed %v; want a flushed 200 stream", target, rec.Code, rec.Flushed)
+		}
+	}
+}
+
 func TestPromExploreFamilies(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, QueueSize: 4})
 	if err := s.Explore(context.Background(),
@@ -191,7 +208,7 @@ func TestPromExploreFamilies(t *testing.T) {
 		func(ExploreEvent) {}); err != nil {
 		t.Fatal(err)
 	}
-	text := string(RenderProm(s.Metrics()))
+	text := string(s.metrics.reg.Prom())
 	for _, family := range []string{
 		"macsd_explore_sweeps_total 1",
 		"macsd_explore_points_swept_total 2",

@@ -49,16 +49,19 @@ var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 //	GET  /v1/trace/{id} one retained request trace as Chrome trace_event
 //	                   JSON (spans merged with simulator lanes)
 //	GET  /healthz      liveness
-//	GET  /metrics      JSON counters, cache/queue stats, latency histograms;
-//	                   ?format=prom serves the Prometheus text exposition
+//	GET  /metrics      every metric family as one JSON object keyed by
+//	                   family name, in the exposition's units (seconds);
+//	                   ?format=prom serves the same families as the
+//	                   Prometheus text exposition
 //
 // Every analysis request runs under the service's RequestTimeout, is
-// logged structurally (endpoint, status, duration, trace ID) and carries
-// its trace ID in the X-Macs-Trace response header. A body must be
-// exactly one JSON value: anything but whitespace after it is a 400.
+// logged structurally (endpoint, status, duration, trace ID), carries
+// its trace ID in the X-Macs-Trace response header and is counted once
+// on /metrics. A body must be exactly one JSON value: anything but
+// whitespace after it is a 400.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/analyze", traced(s, "analyze", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/analyze", traced(s, "analyze", func(w *statusWriter, r *http.Request) {
 		handleJSON(s, w, r, func(ctx context.Context, req AnalyzeRequest) (AnalyzeResponse, error) {
 			if tier := r.URL.Query().Get("tier"); tier != "" {
 				req.Tier = tier
@@ -73,28 +76,28 @@ func NewHandler(s *Service) http.Handler {
 			return resp, err
 		})
 	}))
-	mux.HandleFunc("POST /v1/batch", traced(s, "batch", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/batch", traced(s, "batch", func(w *statusWriter, r *http.Request) {
 		handleBatch(s, w, r)
 	}))
-	mux.HandleFunc("POST /v1/explore", traced(s, "explore", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/explore", traced(s, "explore", func(w *statusWriter, r *http.Request) {
 		handleExplore(s, w, r)
 	}))
-	mux.HandleFunc("POST /v1/bound", traced(s, "bound", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/bound", traced(s, "bound", func(w *statusWriter, r *http.Request) {
 		handleJSON(s, w, r, func(ctx context.Context, req BoundRequest) (BoundResponse, error) {
 			return s.Bound(ctx, req)
 		})
 	}))
-	mux.HandleFunc("POST /v1/check", traced(s, "check", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/check", traced(s, "check", func(w *statusWriter, r *http.Request) {
 		handleJSON(s, w, r, func(ctx context.Context, req CheckRequest) (CheckResponse, error) {
 			return s.Check(ctx, req)
 		})
 	}))
-	mux.HandleFunc("POST /v1/ax", traced(s, "ax", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/ax", traced(s, "ax", func(w *statusWriter, r *http.Request) {
 		handleJSON(s, w, r, func(ctx context.Context, req AXRequest) (AXResponse, error) {
 			return s.AX(ctx, req)
 		})
 	}))
-	mux.HandleFunc("GET /v1/lfk/{id}", traced(s, "lfk", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/lfk/{id}", traced(s, "lfk", func(w *statusWriter, r *http.Request) {
 		id, err := strconv.Atoi(r.PathValue("id"))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad kernel id %q", r.PathValue("id")))
@@ -130,10 +133,10 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("format") == "prom" {
 			w.Header().Set("Content-Type", obs.PromContentType)
-			w.Write(RenderProm(s.Metrics())) //nolint:errcheck // client went away
+			w.Write(s.metrics.reg.Prom()) //nolint:errcheck // client went away
 			return
 		}
-		writeJSON(w, http.StatusOK, s.Metrics())
+		writeJSON(w, http.StatusOK, s.metrics.reg)
 	})
 	return recoverPanic(s.log, accessLog(s.log, mux))
 }
@@ -141,17 +144,19 @@ func NewHandler(s *Service) http.Handler {
 // traced wraps one /v1/ endpoint with a request trace: a fresh trace ID
 // (surfaced in the X-Macs-Trace response header and the access log), a
 // root span named after the endpoint, and — after the handler returns —
-// the fold of the trace's stage durations into the per-stage histograms
-// plus retention of the snapshot for GET /v1/trace/{id}.
-func traced(s *Service, endpoint string, h http.HandlerFunc) http.HandlerFunc {
+// the request's one count on /metrics, failed when it answered an error
+// status or its stream ended on an error line, plus retention of the
+// trace for GET /v1/trace/{id}.
+func traced(s *Service, endpoint string, h func(*statusWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := obs.NewTrace("")
 		ctx := obs.NewContext(r.Context(), tr)
 		ctx, root := obs.Start(ctx, endpoint)
 		w.Header().Set("X-Macs-Trace", tr.ID())
-		h(w, r.WithContext(ctx))
+		sw := &statusWriter{ResponseWriter: w}
+		h(sw, r.WithContext(ctx))
 		root.End()
-		s.finishTrace(tr)
+		s.finishRequest(endpoint, tr, root, sw.status >= 400 || sw.streamErr)
 	}
 }
 
@@ -192,8 +197,8 @@ func handleJSON[Req, Resp any](s *Service, w http.ResponseWriter, r *http.Reques
 		return
 	}
 	writeBody(w, http.StatusOK, b)
-	if endpoint, key, ok := slot.single(); ok && !wantsTrace(r) {
-		s.cache.addAlias(key, rk, endpoint, b)
+	if slot.hit && !wantsTrace(r) {
+		s.cache.addAlias(slot.key, rk, b)
 	}
 }
 
@@ -201,8 +206,7 @@ func handleJSON[Req, Resp any](s *Service, w http.ResponseWriter, r *http.Reques
 // and body) an earlier cache hit answered: one digest lookup and one copy
 // of the stored response, with no decode, no content key and no encode.
 // It is a hit like any other: the cache counts it and touches the entry,
-// the trace gets its cache-lookup span, and the endpoint metrics record
-// it under the label the registering hit used. It returns the digest and
+// and the trace gets its cache-lookup span. It returns the digest and
 // false, having written nothing, when no alias matches or the service is
 // closed; the keyed path then decides the answer.
 func (s *Service) serveRaw(w http.ResponseWriter, r *http.Request, body []byte) (rawKey, bool) {
@@ -212,13 +216,13 @@ func (s *Service) serveRaw(w http.ResponseWriter, r *http.Request, body []byte) 
 		return rk, false
 	}
 	_, sp := obs.Start(r.Context(), "cache-lookup")
-	endpoint, resp, ok := s.cache.getRaw(rk)
+	resp, ok := s.cache.getRaw(rk)
 	sp.End()
 	if !ok {
 		return rk, false
 	}
 	writeBody(w, http.StatusOK, resp)
-	s.observe(endpoint, start, true, nil)
+	s.log.Info("request", "path", r.URL.Path, "dur", time.Since(start), "cached", true)
 	return rk, true
 }
 
@@ -287,7 +291,7 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 // completes. Batch-level failures (malformed body, empty batch, closed
 // service) answer with a normal JSON error status before the stream
 // starts; per-item failures are lines inside the stream.
-func handleBatch(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleBatch(s *Service, w *statusWriter, r *http.Request) {
 	var req BatchRequest
 	if !readJSON(w, r, &req) {
 		return
@@ -308,17 +312,15 @@ func handleBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	err := s.AnalyzeBatch(ctx, req, func(item BatchItemResult) {
 		enc.Encode(item) //nolint:errcheck // client went away
-		if flusher != nil {
-			flusher.Flush()
-		}
+		w.Flush()
 	})
 	if err != nil {
-		// The stream already carries a 200; all we can do is log-level
-		// surface via a final error line (emit was never called).
+		// The stream already carries a 200; all we can do is end it on an
+		// error line (emit was never called) and count the failure.
+		w.streamErr = true
 		enc.Encode(BatchItemResult{Index: -1, Error: err.Error()}) //nolint:errcheck // client went away
 	}
 }
@@ -328,7 +330,7 @@ func handleBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 // the "done" summary line. Sweep-level failures (bad grid, too many
 // points, closed service) answer with a JSON error status before the
 // stream starts; a failure mid-sweep becomes a terminal "error" line.
-func handleExplore(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleExplore(s *Service, w *statusWriter, r *http.Request) {
 	var req ExploreRequest
 	if !readJSON(w, r, &req) {
 		return
@@ -344,15 +346,13 @@ func handleExplore(s *Service, w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	err := s.Explore(ctx, req, func(ev ExploreEvent) {
 		enc.Encode(ev) //nolint:errcheck // client went away
-		if flusher != nil {
-			flusher.Flush()
-		}
+		w.Flush()
 	})
 	if err != nil {
+		w.streamErr = true
 		enc.Encode(ExploreEvent{Type: "error", Error: err.Error()}) //nolint:errcheck // client went away
 	}
 }
@@ -413,11 +413,23 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// statusWriter captures the response code for the access log.
+// statusWriter captures the response code and size for the access log
+// and for a /v1 request's count on /metrics.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int
+	// streamErr marks a streamed response that ended on an error line
+	// after its 200 status.
+	streamErr bool
+}
+
+// Flush sends what the handler wrote so far to the client, so each line
+// of a stream leaves as it is written.
+func (sw *statusWriter) Flush() {
+	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
 }
 
 func (sw *statusWriter) WriteHeader(code int) {

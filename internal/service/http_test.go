@@ -92,12 +92,12 @@ func TestHTTPAnalyzeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := decode[Snapshot](t, mresp)
-	if snap.Cache.Hits < 1 || snap.PipelineRuns != 1 {
-		t.Fatalf("metrics: %+v; want >=1 cache hit and exactly 1 pipeline run", snap.Cache)
+	snap := decode[map[string]any](t, mresp)
+	if metric(snap, "macsd_cache_hits_total", "") < 1 || metric(snap, "macsd_pipeline_runs_total", "") != 1 {
+		t.Fatalf("metrics: %v; want >=1 cache hit and exactly 1 pipeline run", snap)
 	}
-	if ep, ok := snap.Endpoints["analyze"]; !ok || ep.Count != 2 {
-		t.Fatalf("endpoint metrics = %+v; want analyze count 2", snap.Endpoints)
+	if n := metric(snap, "macsd_requests_total", "analyze"); n != 2 {
+		t.Fatalf("macsd_requests_total{endpoint=analyze} = %v; want 2", n)
 	}
 }
 
@@ -326,9 +326,9 @@ func TestHTTPAnalyzeAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := decode[Snapshot](t, mresp)
-	if m.StallCycles["refresh"] != r.Attribution["refresh"] {
-		t.Errorf("metrics stall_cycles[refresh] = %d, want %d", m.StallCycles["refresh"], r.Attribution["refresh"])
+	m := decode[map[string]any](t, mresp)
+	if got := metric(m, "macsd_stall_cycles_total", "refresh"); got != float64(r.Attribution["refresh"]) {
+		t.Errorf("macsd_stall_cycles_total{cause=refresh} = %v, want %d", got, r.Attribution["refresh"])
 	}
 	// A cache hit must not double-count the aggregate.
 	resp2 := postJSON(t, srv.URL+"/v1/analyze", req)
@@ -336,8 +336,8 @@ func TestHTTPAnalyzeAttribution(t *testing.T) {
 	if !r2.Cached {
 		t.Fatal("second identical request missed the cache")
 	}
-	if got := s.stallCycles()["refresh"]; got != r.Attribution["refresh"] {
-		t.Errorf("cache hit inflated stall_cycles[refresh]: %d vs %d", got, r.Attribution["refresh"])
+	if got := metric(scrape(t, s), "macsd_stall_cycles_total", "refresh"); got != float64(r.Attribution["refresh"]) {
+		t.Errorf("cache hit inflated stall cycles[refresh]: %v vs %d", got, r.Attribution["refresh"])
 	}
 }
 
@@ -401,7 +401,7 @@ func TestHTTPAnalyzeTierQueryParam(t *testing.T) {
 			t.Errorf("batch ?tier=fast item %d: %+v, want %+v", item.Index, item, wantResp)
 		}
 	}
-	if got := s.PipelineRuns(); got != 1 {
+	if got := pipelineRuns(t, s); got != 1 {
 		t.Errorf("pipeline ran %d times, want 1", got)
 	}
 

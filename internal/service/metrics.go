@@ -1,238 +1,159 @@
 package service
 
 import (
-	"sort"
-	"sync"
 	"time"
 
+	"macs"
 	"macs/internal/obs"
 )
 
-// latencyBucketsMS are the upper bounds (milliseconds, inclusive) of
-// every latency histogram, endpoints and stages alike; an implicit +Inf
-// bucket follows. The first bucket (50 µs) tells a raw cache hit from a
-// cold request (~1 ms); the last reaches seconds.
-var latencyBucketsMS = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
+// This file declares every /metrics family, once, in exposition order.
+// The families the service updates live in the registry; the rest read
+// their owner (cache, queue, disk cache, explore registry, runtime
+// sampler) when /metrics renders. GET /metrics and GET
+// /metrics?format=prom both render this one registry.
 
-// histogram is a fixed-bucket latency histogram in milliseconds.
-type histogram struct {
-	counts []int64 // len(latencyBucketsMS)+1, last is +Inf
-	sumMS  float64
-	maxMS  float64
+// latencyBuckets are the upper bounds (seconds, inclusive) of every
+// latency histogram, requests and stages alike; an implicit +Inf bucket
+// follows. The first bucket (50 µs) tells a raw cache hit from a cold
+// request (~1 ms); the last reaches seconds.
+var latencyBuckets = []float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
+
+// metrics is the service's registry and the families it updates.
+type metrics struct {
+	reg *obs.Registry
+
+	// requests, requestErrors and requestDuration count each /v1 request
+	// once, when its handler returns; stageDuration folds the stages
+	// nested under its root span.
+	requests, requestErrors         obs.Counter
+	requestDuration, stageDuration  obs.Histogram
+	batchItems                      obs.Counter
+	dedupShared, pipelineRuns       obs.Counter
+	simCycles, stallCycles          obs.Counter
+	exploreSweeps, exploreSwept     obs.Counter
+	explorePruned, exploreSimulated obs.Counter
 }
 
-func newHistogram() *histogram {
-	return &histogram{counts: make([]int64, len(latencyBucketsMS)+1)}
-}
+// newMetrics declares the service's families. It runs last in New, once
+// every owner it reads exists.
+func newMetrics(s *Service) *metrics {
+	start := time.Now()
+	r := obs.NewRegistry()
+	m := &metrics{reg: r}
+	r.GaugeFunc("macsd_uptime_seconds", "Seconds since the service started.",
+		func() float64 { return time.Since(start).Seconds() })
+	m.requests = r.Counter("macsd_requests_total", "Requests by endpoint.", "endpoint")
+	m.requestErrors = r.Counter("macsd_request_errors_total", "Failed requests by endpoint.", "endpoint")
+	m.requestDuration = r.Histogram("macsd_request_duration_seconds", "Request latency by endpoint.",
+		"endpoint", latencyBuckets)
+	m.stageDuration = r.Histogram("macsd_stage_duration_seconds",
+		"Pipeline stage latency, folded from request traces.", "stage", latencyBuckets)
+	m.batchItems = r.Counter("macsd_batch_items_total", "Batch items by outcome.", "outcome")
 
-func (h *histogram) observe(ms float64) {
-	i := sort.SearchFloat64s(latencyBucketsMS, ms)
-	h.counts[i]++
-	h.sumMS += ms
-	if ms > h.maxMS {
-		h.maxMS = ms
+	r.CounterFunc("macsd_cache_hits_total", "In-memory result cache hits.",
+		func() float64 { return float64(s.cache.Stats().Hits) })
+	r.CounterFunc("macsd_cache_misses_total", "In-memory result cache misses.",
+		func() float64 { return float64(s.cache.Stats().Misses) })
+	r.CounterFunc("macsd_cache_evictions_total", "In-memory result cache evictions.",
+		func() float64 { return float64(s.cache.Stats().Evictions) })
+	r.GaugeFunc("macsd_cache_entries", "In-memory result cache occupancy.",
+		func() float64 { return float64(s.cache.Stats().Entries) })
+	r.GaugeFunc("macsd_cache_capacity", "In-memory result cache capacity.",
+		func() float64 { return float64(s.cache.Stats().Capacity) })
+
+	enabled := 0.0
+	if s.disk != nil {
+		enabled = 1
 	}
-}
-
-// Metrics collects per-endpoint request counters and latency
-// distributions, per-stage pipeline latency distributions, and per-item
-// batch outcomes. Cache, queue and dedup figures live on their owners and
-// are merged into the Snapshot by the Service.
-type Metrics struct {
-	start time.Time
-
-	mu        sync.Mutex
-	endpoints map[string]*endpointMetrics
-	stages    map[string]*stageMetrics
-	// batchItems counts individual batch items by outcome ("ok",
-	// "cached", "error") — batch items do not inflate the per-endpoint
-	// request counters with a second label dimension; they get their own
-	// family instead.
-	batchItems map[string]int64
-}
-
-type endpointMetrics struct {
-	count  int64
-	errors int64
-	hist   *histogram
-}
-
-type stageMetrics struct {
-	count int64
-	hist  *histogram
-}
-
-// NewMetrics returns an empty registry.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		start:      time.Now(),
-		endpoints:  make(map[string]*endpointMetrics),
-		stages:     make(map[string]*stageMetrics),
-		batchItems: make(map[string]int64),
+	r.GaugeFunc("macsd_persistent_cache_enabled", "1 when the disk cache is open.",
+		func() float64 { return enabled })
+	if s.disk != nil {
+		r.GaugeFunc("macsd_persistent_cache_entries", "Disk cache entries.",
+			func() float64 { return float64(s.disk.Stats().Entries) })
+		r.GaugeFunc("macsd_persistent_cache_segments", "Disk cache segment files.",
+			func() float64 { return float64(s.disk.Stats().Segments) })
+		r.GaugeFunc("macsd_persistent_cache_bytes", "Disk cache size in bytes.",
+			func() float64 { return float64(s.disk.Stats().Bytes) })
+		r.CounterFunc("macsd_persistent_cache_hits_total", "Disk cache hits.",
+			func() float64 { return float64(s.disk.Stats().Hits) })
+		r.CounterFunc("macsd_persistent_cache_misses_total", "Disk cache misses.",
+			func() float64 { return float64(s.disk.Stats().Misses) })
+		r.CounterFunc("macsd_persistent_cache_writes_total", "Disk cache writes.",
+			func() float64 { return float64(s.disk.Stats().Writes) })
+		r.CounterFunc("macsd_persistent_cache_invalidated_total",
+			"Disk cache segments dropped on open for a stale fingerprint.",
+			func() float64 { return float64(s.disk.Stats().Invalidated) })
 	}
+
+	r.GaugeFunc("macsd_queue_workers", "Worker pool size.",
+		func() float64 { return float64(s.pool.Stats().Workers) })
+	r.GaugeFunc("macsd_queue_in_flight", "Jobs executing right now.",
+		func() float64 { return float64(s.pool.Stats().InFlight) })
+	r.GaugeFunc("macsd_queue_depth", "Jobs waiting in the queue.",
+		func() float64 { return float64(s.pool.Stats().Depth) })
+	r.GaugeFunc("macsd_queue_capacity", "Queue capacity before load shedding.",
+		func() float64 { return float64(s.pool.Stats().Capacity) })
+	r.CounterFunc("macsd_queue_rejected_total", "Jobs shed with 429 at a full queue.",
+		func() float64 { return float64(s.pool.Stats().Rejected) })
+	r.CounterFunc("macsd_queue_completed_total", "Jobs run to completion.",
+		func() float64 { return float64(s.pool.Stats().Done) })
+
+	m.dedupShared = r.Counter("macsd_dedup_shared_total",
+		"Requests served by attaching to another request's in-flight computation.", "")
+	m.pipelineRuns = r.Counter("macsd_pipeline_runs_total", "Actual executions of the analysis pipeline.", "")
+	m.simCycles = r.Counter("macsd_sim_cycles_total", "Simulated clock cycles executed by fresh runs.", "")
+	m.stallCycles = r.Counter("macsd_stall_cycles_total",
+		"Simulated cycle attribution by cause (issue cycles under \"issue\").", "cause")
+
+	m.exploreSweeps = r.Counter("macsd_explore_sweeps_total", "Completed fresh design-space sweeps.", "")
+	m.exploreSwept = r.Counter("macsd_explore_points_swept_total",
+		"Grid points scored by the explore predictor across all sweeps.", "")
+	m.explorePruned = r.Counter("macsd_explore_points_pruned_total",
+		"Grid points answered analytically without simulation.", "")
+	m.exploreSimulated = r.Counter("macsd_explore_points_simulated_total",
+		"Grid points promoted to exact simulation.", "")
+	r.GaugeFunc("macsd_explore_machines", "Distinct machine descriptions with warm evaluator state.",
+		func() float64 { return float64(s.explorers.Machines()) })
+
+	if rt := s.sampler; rt != nil {
+		r.GaugeFunc("go_goroutines", "Goroutines at the last runtime sample.",
+			func() float64 { return float64(rt.Stats().Goroutines) })
+		r.GaugeFunc("go_heap_alloc_bytes", "Live heap bytes at the last runtime sample.",
+			func() float64 { return float64(rt.Stats().HeapAllocBytes) })
+		r.GaugeFunc("go_heap_sys_bytes", "Heap bytes obtained from the OS.",
+			func() float64 { return float64(rt.Stats().HeapSysBytes) })
+		r.GaugeFunc("go_heap_objects", "Live heap objects at the last runtime sample.",
+			func() float64 { return float64(rt.Stats().HeapObjects) })
+		r.CounterFunc("go_gc_runs_total", "Completed GC cycles.",
+			func() float64 { return float64(rt.Stats().GCRuns) })
+		r.CounterFunc("go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause.",
+			func() float64 { return rt.Stats().GCPauseTotalSecs })
+		r.GaugeFunc("go_last_gc_pause_seconds", "Most recent GC pause.",
+			func() float64 { return rt.Stats().LastGCPauseSecs })
+	}
+	return m
 }
 
-// Observe records one finished request against endpoint.
-func (m *Metrics) Observe(endpoint string, d time.Duration, failed bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.endpoints[endpoint]
-	if !ok {
-		e = &endpointMetrics{hist: newHistogram()}
-		m.endpoints[endpoint] = e
-	}
-	e.count++
+// observeRequest counts one finished /v1 request: its duration (the root
+// span's), whether it failed, and the stages nested under its root.
+func (m *metrics) observeRequest(endpoint string, d time.Duration, failed bool, stages map[string]time.Duration) {
+	m.requests.Add(endpoint, 1)
+	errs := 0.0
 	if failed {
-		e.errors++
+		errs = 1
 	}
-	e.hist.observe(float64(d) / float64(time.Millisecond))
-}
-
-// ObserveStage folds one pipeline stage duration (from a request trace's
-// span records) into the per-stage latency histograms.
-func (m *Metrics) ObserveStage(stage string, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.stages[stage]
-	if !ok {
-		st = &stageMetrics{hist: newHistogram()}
-		m.stages[stage] = st
+	m.requestErrors.Add(endpoint, errs)
+	m.requestDuration.Observe(endpoint, d.Seconds())
+	for stage, d := range stages {
+		m.stageDuration.Observe(stage, d.Seconds())
 	}
-	st.count++
-	st.hist.observe(float64(d) / float64(time.Millisecond))
 }
 
-// ObserveBatchItem records the outcome of one item of a batch request
-// ("ok", "cached" or "error").
-func (m *Metrics) ObserveBatchItem(outcome string) {
-	m.mu.Lock()
-	m.batchItems[outcome]++
-	m.mu.Unlock()
-}
-
-// BucketCount is one cumulative histogram bucket: requests that finished
-// in at most LEMS milliseconds (LEMS < 0 encodes +Inf).
-type BucketCount struct {
-	LEMS  float64 `json:"le_ms"`
-	Count int64   `json:"count"`
-}
-
-// LatencySnapshot summarizes one endpoint's latency distribution.
-type LatencySnapshot struct {
-	MeanMS  float64       `json:"mean_ms"`
-	MaxMS   float64       `json:"max_ms"`
-	Buckets []BucketCount `json:"buckets"`
-}
-
-// EndpointSnapshot is one endpoint's counters on /metrics.
-type EndpointSnapshot struct {
-	Count   int64           `json:"count"`
-	Errors  int64           `json:"errors"`
-	Latency LatencySnapshot `json:"latency"`
-}
-
-// Snapshot is the full /metrics document.
-type Snapshot struct {
-	UptimeSeconds float64                     `json:"uptime_seconds"`
-	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
-	// Stages breaks request latency down by pipeline stage (compile,
-	// verify, bound, load, prime, simulate, predict, cache-lookup, ...),
-	// folded from request traces' span records.
-	Stages map[string]StageSnapshot `json:"stages,omitempty"`
-	// BatchItems counts individual batch items by outcome ("ok",
-	// "cached", "error") — the per-endpoint counters see one "batch"
-	// request regardless of item count.
-	BatchItems map[string]int64 `json:"batch_items,omitempty"`
-	Cache      CacheStats       `json:"cache"`
-	Queue      PoolStats        `json:"queue"`
-	// DedupShared counts requests that attached to another request's
-	// in-flight computation instead of starting their own.
-	DedupShared int64 `json:"dedup_shared"`
-	// PipelineRuns counts actual executions of the underlying analysis
-	// pipeline (cache misses that ran to completion or error).
-	PipelineRuns int64 `json:"pipeline_runs"`
-	// StallCycles aggregates simulated cycle attribution by cause (issue
-	// cycles under "issue") over every fresh pipeline run.
-	StallCycles map[string]int64 `json:"stall_cycles"`
-	// Explore reports the design-space sweep economics: sweeps completed
-	// and grid points scored, pruned and simulated.
-	Explore ExploreStats `json:"explore"`
-	// Persistent reports the disk-backed second-level cache; all-zero
-	// (Enabled false) when the service runs memory-only.
-	Persistent DiskCacheStats `json:"persistent_cache"`
-	// SimCycles is the total number of simulated clock cycles executed by
-	// fresh pipeline runs (cache hits replay no cycles).
-	SimCycles int64 `json:"sim_cycles"`
-	// Runtime is the most recent Go-runtime sample; zero (SampledAt unset)
-	// when the sampler is off (Config.RuntimeSample == 0).
-	Runtime obs.RuntimeStats `json:"runtime,omitempty"`
-}
-
-// StageSnapshot is one pipeline stage's latency distribution.
-type StageSnapshot struct {
-	Count   int64           `json:"count"`
-	Latency LatencySnapshot `json:"latency"`
-}
-
-// latencySnapshot renders one histogram's distribution summary.
-func latencySnapshot(h *histogram, count int64) LatencySnapshot {
-	ls := LatencySnapshot{MaxMS: h.maxMS}
-	if count > 0 {
-		ls.MeanMS = h.sumMS / float64(count)
+// recordAttr adds one fresh run's stall attribution by cause. Cache
+// hits never call it, so they do not inflate the counters.
+func (m *metrics) recordAttr(a macs.Attribution) {
+	for cause, v := range a.Totals() {
+		m.stallCycles.Add(cause, float64(v))
 	}
-	var cum int64
-	for i, n := range h.counts {
-		cum += n
-		le := -1.0 // +Inf
-		if i < len(latencyBucketsMS) {
-			le = latencyBucketsMS[i]
-		}
-		ls.Buckets = append(ls.Buckets, BucketCount{LEMS: le, Count: cum})
-	}
-	return ls
-}
-
-// snapshotEndpoints renders the per-endpoint section.
-func (m *Metrics) snapshotEndpoints() map[string]EndpointSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]EndpointSnapshot, len(m.endpoints))
-	for name, e := range m.endpoints {
-		out[name] = EndpointSnapshot{
-			Count:   e.count,
-			Errors:  e.errors,
-			Latency: latencySnapshot(e.hist, e.count),
-		}
-	}
-	return out
-}
-
-// snapshotStages renders the per-stage section; nil before the first
-// traced request.
-func (m *Metrics) snapshotStages() map[string]StageSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.stages) == 0 {
-		return nil
-	}
-	out := make(map[string]StageSnapshot, len(m.stages))
-	for name, st := range m.stages {
-		out[name] = StageSnapshot{Count: st.count, Latency: latencySnapshot(st.hist, st.count)}
-	}
-	return out
-}
-
-// snapshotBatchItems renders the batch-item outcome counters; nil before
-// the first batch request.
-func (m *Metrics) snapshotBatchItems() map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.batchItems) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(m.batchItems))
-	for k, v := range m.batchItems {
-		out[k] = v
-	}
-	return out
 }

@@ -13,12 +13,13 @@ import (
 	"macs/internal/obs"
 )
 
-// TestMetricsConcurrentSnapshot storms Observe/ObserveStage/
-// ObserveBatchItem from many goroutines while others take snapshots —
-// under -race this is the lock-discipline proof for the registry — and
-// then checks nothing was lost.
+// TestMetricsConcurrentSnapshot storms the service's request, stage and
+// batch-item families from many goroutines while others render both
+// /metrics formats — under -race this is the lock-discipline proof for
+// the registry — and then checks nothing was lost.
 func TestMetricsConcurrentSnapshot(t *testing.T) {
-	m := NewMetrics()
+	s := newTestService(t, Config{Workers: 1, QueueSize: 4})
+	m := s.metrics
 	const writers, perWriter = 8, 200
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -32,9 +33,14 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 					return
 				default:
 				}
-				m.snapshotEndpoints()
-				m.snapshotStages()
-				m.snapshotBatchItems()
+				if _, err := obs.ParseProm(string(m.reg.Prom())); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := json.Marshal(m.reg); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
@@ -44,9 +50,9 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 		go func(w int) {
 			defer ww.Done()
 			for i := 0; i < perWriter; i++ {
-				m.Observe("analyze", time.Duration(i)*time.Microsecond, i%7 == 0)
-				m.ObserveStage("simulate", time.Duration(i)*time.Microsecond)
-				m.ObserveBatchItem("ok")
+				d := time.Duration(i) * time.Microsecond
+				m.observeRequest("analyze", d, i%8 == 0, map[string]time.Duration{"simulate": d})
+				m.batchItems.Add("ok", 1)
 			}
 		}(w)
 	}
@@ -55,71 +61,79 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 	wg.Wait()
 
 	const want = writers * perWriter
-	if got := m.snapshotEndpoints()["analyze"].Count; got != want {
-		t.Errorf("endpoint count = %d, want %d", got, want)
+	doc := scrape(t, s)
+	for _, c := range []struct {
+		name string
+		got  float64
+		want float64
+	}{
+		{"requests", metric(doc, "macsd_requests_total", "analyze"), want},
+		{"errors", metric(doc, "macsd_request_errors_total", "analyze"), want / 8},
+		{"request histogram", histCount(doc, "macsd_request_duration_seconds", "analyze"), want},
+		{"stage histogram", histCount(doc, "macsd_stage_duration_seconds", "simulate"), want},
+		{"batch items", metric(doc, "macsd_batch_items_total", "ok"), want},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
-	if got := m.snapshotStages()["simulate"].Count; got != want {
-		t.Errorf("stage count = %d, want %d", got, want)
-	}
-	if got := m.snapshotBatchItems()["ok"]; got != want {
-		t.Errorf("batch items = %d, want %d", got, want)
-	}
-	// The endpoint histogram's +Inf bucket must agree with the count.
-	lat := m.snapshotEndpoints()["analyze"].Latency
-	if inf := lat.Buckets[len(lat.Buckets)-1]; inf.LEMS >= 0 || inf.Count != want {
-		t.Errorf("+Inf bucket = %+v, want cumulative %d", inf, want)
+	// The request histogram's +Inf bucket must agree with the count.
+	if !strings.Contains(string(m.reg.Prom()),
+		fmt.Sprintf("macsd_request_duration_seconds_bucket{endpoint=\"analyze\",le=\"+Inf\"} %d\n", want)) {
+		t.Errorf("+Inf bucket of the request histogram is not the count %d", want)
 	}
 }
 
-// TestEndpointHistogramSeesRawHit: endpoint and stage histograms share
+// TestEndpointHistogramSeesRawHit: request and stage histograms share
 // one scale whose first bucket is under a raw cache hit's cost, so a
 // 30 µs request does not share a bucket with a 0.9 ms one.
 func TestEndpointHistogramSeesRawHit(t *testing.T) {
-	m := NewMetrics()
-	m.Observe("analyze", 30*time.Microsecond, false)
-	m.Observe("analyze", 900*time.Microsecond, false)
-	m.ObserveStage("cache-lookup", 30*time.Microsecond)
-	for name, lat := range map[string]LatencySnapshot{
-		"endpoint": m.snapshotEndpoints()["analyze"].Latency,
-		"stage":    m.snapshotStages()["cache-lookup"].Latency,
+	s := newTestService(t, Config{Workers: 1, QueueSize: 4})
+	s.metrics.observeRequest("analyze", 30*time.Microsecond, false,
+		map[string]time.Duration{"cache-lookup": 30 * time.Microsecond})
+	s.metrics.observeRequest("analyze", 900*time.Microsecond, false, nil)
+	doc := scrape(t, s)
+	for name, b := range map[string][]any{
+		"request": histBuckets(doc, "macsd_request_duration_seconds", "analyze"),
+		"stage":   histBuckets(doc, "macsd_stage_duration_seconds", "cache-lookup"),
 	} {
-		if b := lat.Buckets[0]; b.LEMS != 0.05 || b.Count != 1 {
-			t.Errorf("%s first bucket = %+v, want le_ms 0.05 holding the 30 µs observation", name, b)
+		if len(b) == 0 {
+			t.Fatalf("%s histogram not rendered: %v", name, doc)
+		}
+		if first := b[0].(map[string]any); first["le"] != 5e-05 || first["count"] != 1.0 {
+			t.Errorf("%s first bucket = %v, want le 5e-05 (50 µs) holding the 30 µs observation", name, first)
 		}
 	}
-	if b := m.snapshotEndpoints()["analyze"].Latency.Buckets; len(b) != len(latencyBucketsMS)+1 || b[len(b)-2].LEMS != 5000 {
-		t.Errorf("endpoint buckets %+v, want 0.05 ms up to 5000 ms and +Inf", b)
+	b := histBuckets(doc, "macsd_request_duration_seconds", "analyze")
+	if len(b) != len(latencyBuckets) || b[len(b)-1].(map[string]any)["le"] != 5.0 {
+		t.Errorf("request buckets %v, want 50 µs up to 5 s (+Inf is the count)", b)
 	}
 }
 
-// TestRenderPromGolden pins the exposition rendering: HELP/TYPE
+// TestRenderPromGolden pins the service's exposition: HELP/TYPE
 // comments, label escaping (round-tripped through the validating
 // parser), histogram bucket structure, and bucket monotonicity.
 func TestRenderPromGolden(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1, QueueSize: 4})
+	m := s.metrics
 	weird := "an\"aly\\ze\nx" // every escapable byte of the format
-	snap := Snapshot{
-		UptimeSeconds: 1.5,
-		Endpoints: map[string]EndpointSnapshot{
-			weird: {Count: 4, Errors: 1, Latency: LatencySnapshot{
-				MeanMS: 2, MaxMS: 8,
-				Buckets: []BucketCount{{LEMS: 1, Count: 1}, {LEMS: 5, Count: 3}, {LEMS: -1, Count: 4}},
-			}},
-		},
-		Stages: map[string]StageSnapshot{
-			"simulate": {Count: 2, Latency: LatencySnapshot{
-				MeanMS: 0.5, MaxMS: 0.9,
-				Buckets: []BucketCount{{LEMS: 0.25, Count: 0}, {LEMS: 1, Count: 2}, {LEMS: -1, Count: 2}},
-			}},
-		},
-		BatchItems:  map[string]int64{"ok": 3, "error": 1},
-		StallCycles: map[string]int64{"issue": 100, "chime": 40},
-		SimCycles:   1234,
+	for i, ms := range []float64{0.5, 2, 4, 8} {
+		m.observeRequest(weird, time.Duration(ms*float64(time.Millisecond)), i == 0, nil)
 	}
-	text := string(RenderProm(snap))
+	m.observeRequest("analyze", time.Millisecond,
+		false, map[string]time.Duration{"simulate": 300 * time.Microsecond})
+	m.observeRequest("analyze", time.Millisecond,
+		false, map[string]time.Duration{"simulate": 900 * time.Microsecond})
+	m.batchItems.Add("ok", 3)
+	m.batchItems.Add("error", 1)
+	m.stallCycles.Add("issue", 100)
+	m.stallCycles.Add("chime", 40)
+	m.simCycles.Add("", 1234)
+	text := string(m.reg.Prom())
 
 	fams, err := obs.ParseProm(text)
 	if err != nil {
-		t.Fatalf("RenderProm output rejected by ParseProm: %v\n%s", err, text)
+		t.Fatalf("exposition rejected by ParseProm: %v\n%s", err, text)
 	}
 	byName := map[string]obs.PromFamily{}
 	for _, f := range fams {
@@ -131,17 +145,25 @@ func TestRenderPromGolden(t *testing.T) {
 		"# TYPE macsd_requests_total counter",
 		"# TYPE macsd_request_duration_seconds histogram",
 		`macsd_requests_total{endpoint="an\"aly\\ze\nx"} 4`,
+		`macsd_request_errors_total{endpoint="an\"aly\\ze\nx"} 1`,
+		`macsd_request_errors_total{endpoint="analyze"} 0`,
+		`macsd_request_duration_seconds_bucket{endpoint="an\"aly\\ze\nx",le="0.001"} 1`,
+		`macsd_request_duration_seconds_bucket{endpoint="an\"aly\\ze\nx",le="0.005"} 3`,
 		`macsd_request_duration_seconds_bucket{endpoint="an\"aly\\ze\nx",le="+Inf"} 4`,
+		`macsd_request_duration_seconds_sum{endpoint="an\"aly\\ze\nx"} 0.0145`,
 		"# TYPE macsd_stage_duration_seconds histogram",
+		`macsd_stage_duration_seconds_bucket{stage="simulate",le="0.00025"} 0`,
 		`macsd_stage_duration_seconds_bucket{stage="simulate",le="0.001"} 2`,
 		`macsd_batch_items_total{outcome="ok"} 3`,
 		`macsd_stall_cycles_total{cause="issue"} 100`,
 		"macsd_sim_cycles_total 1234",
-		"macsd_uptime_seconds 1.5",
 	} {
 		if !strings.Contains(text, golden+"\n") {
 			t.Errorf("exposition missing line %q\n%s", golden, text)
 		}
+	}
+	if !strings.HasPrefix(text, "# HELP macsd_uptime_seconds Seconds since the service started.\n") {
+		t.Errorf("exposition does not open with the uptime family:\n%s", text)
 	}
 
 	// The weird endpoint label must round-trip through the parser's
@@ -163,6 +185,9 @@ func TestRenderPromGolden(t *testing.T) {
 	var lastCum float64 = -1
 	var infCum, count float64
 	for _, s := range hist.Samples {
+		if s.Labels["endpoint"] != weird {
+			continue
+		}
 		switch {
 		case strings.HasSuffix(s.Name, "_bucket"):
 			if s.Value < lastCum {
@@ -181,13 +206,14 @@ func TestRenderPromGolden(t *testing.T) {
 	}
 }
 
-// TestRenderPromEmptySnapshot: a zero snapshot (fresh daemon, nothing
-// observed) must still render a valid document with the always-on
-// families.
+// TestRenderPromEmptySnapshot: a fresh service (nothing observed) must
+// still render a valid document with the always-on families, and its
+// JSON document must carry the same families.
 func TestRenderPromEmptySnapshot(t *testing.T) {
-	fams, err := obs.ParseProm(string(RenderProm(Snapshot{})))
+	s := newTestService(t, Config{Workers: 1, QueueSize: 4})
+	fams, err := obs.ParseProm(string(s.metrics.reg.Prom()))
 	if err != nil {
-		t.Fatalf("empty snapshot rejected: %v", err)
+		t.Fatalf("empty registry rejected: %v", err)
 	}
 	names := map[string]bool{}
 	for _, f := range fams {
@@ -198,7 +224,16 @@ func TestRenderPromEmptySnapshot(t *testing.T) {
 		"macsd_pipeline_runs_total", "macsd_sim_cycles_total", "macsd_explore_sweeps_total",
 	} {
 		if !names[want] {
-			t.Errorf("empty snapshot missing family %s", want)
+			t.Errorf("empty registry missing family %s", want)
+		}
+	}
+	doc := scrape(t, s)
+	if len(doc) != len(names) {
+		t.Errorf("JSON document has %d families, exposition %d", len(doc), len(names))
+	}
+	for name := range doc {
+		if !names[name] {
+			t.Errorf("JSON family %s not in the exposition", name)
 		}
 	}
 }
@@ -377,12 +412,12 @@ func TestHTTPAnalyzeTraceE2E(t *testing.T) {
 	}
 
 	// Stage durations folded into /metrics per-stage histograms.
-	msnap := decode[Snapshot](t, mustGet(t, srv.URL+"/metrics"))
-	if msnap.Stages["simulate"].Count < 1 {
-		t.Errorf("stage metrics missing simulate: %+v", msnap.Stages)
+	msnap := decode[map[string]any](t, mustGet(t, srv.URL+"/metrics"))
+	if histCount(msnap, "macsd_stage_duration_seconds", "simulate") < 1 {
+		t.Errorf("stage metrics missing simulate: %v", msnap["macsd_stage_duration_seconds"])
 	}
-	if msnap.SimCycles <= 0 {
-		t.Errorf("sim_cycles = %d, want > 0", msnap.SimCycles)
+	if metric(msnap, "macsd_sim_cycles_total", "") <= 0 {
+		t.Errorf("macsd_sim_cycles_total = %v, want > 0", msnap["macsd_sim_cycles_total"])
 	}
 
 	// Unknown trace IDs 404.

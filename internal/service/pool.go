@@ -94,14 +94,15 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// PoolStats is a point-in-time snapshot of the pool, exposed on /metrics.
+// PoolStats is a point-in-time snapshot of the pool, read by the
+// macsd_queue_* families on /metrics.
 type PoolStats struct {
-	Workers  int   `json:"workers"`
-	InFlight int64 `json:"in_flight"`
-	Depth    int   `json:"queue_depth"`
-	Capacity int   `json:"queue_capacity"`
-	Rejected int64 `json:"rejected"`
-	Done     int64 `json:"completed"`
+	Workers  int
+	InFlight int64
+	Depth    int
+	Capacity int
+	Rejected int64
+	Done     int64
 }
 
 // Stats returns a snapshot of the pool's counters.

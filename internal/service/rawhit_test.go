@@ -130,25 +130,27 @@ func TestRawHitSameAnswersAndCounters(t *testing.T) {
 
 	httpSvc.Close()
 	directSvc.Close()
-	got, want := httpSvc.Metrics(), directSvc.Metrics()
-	if got.Cache.Hits != want.Cache.Hits || got.Cache.Misses != want.Cache.Misses {
-		t.Errorf("cache hits/misses %d/%d, slow path %d/%d", got.Cache.Hits, got.Cache.Misses, want.Cache.Hits, want.Cache.Misses)
-	}
-	if got.PipelineRuns != want.PipelineRuns || got.DedupShared != want.DedupShared {
-		t.Errorf("pipeline runs %d dedup %d, slow path %d %d", got.PipelineRuns, got.DedupShared, want.PipelineRuns, want.DedupShared)
+	got, want := scrape(t, httpSvc), scrape(t, directSvc)
+	for _, fam := range []string{"macsd_cache_hits_total", "macsd_cache_misses_total",
+		"macsd_pipeline_runs_total", "macsd_dedup_shared_total"} {
+		if g, w := metric(got, fam, ""), metric(want, fam, ""); g != w {
+			t.Errorf("%s = %v, slow path %v", fam, g, w)
+		}
 	}
 	// One run each for analyze (all four spellings), bound, check and ax;
 	// the uncached error runs every rep.
-	if want.PipelineRuns != 4+reps {
-		t.Errorf("slow path ran the pipeline %d times, want %d", want.PipelineRuns, 4+reps)
+	if runs := metric(want, "macsd_pipeline_runs_total", ""); runs != 4+reps {
+		t.Errorf("slow path ran the pipeline %v times, want %d", runs, 4+reps)
 	}
-	if len(got.Endpoints) != len(want.Endpoints) {
-		t.Errorf("endpoints %v, slow path %v", got.Endpoints, want.Endpoints)
+	// Every HTTP request counts once under its endpoint, raw hits and
+	// ?trace=1 repeats included, and the error step fails every rep.
+	counts := map[string][2]float64{"analyze": {4*reps + 3, 0}, "bound": {2 * reps, reps}, "check": {reps, 0}, "ax": {reps, 0}}
+	if n := len(got["macsd_requests_total"].(map[string]any)); n != len(counts) {
+		t.Errorf("requests counted under %d endpoints, want %d: %v", n, len(counts), got["macsd_requests_total"])
 	}
-	for name, w := range want.Endpoints {
-		g := got.Endpoints[name]
-		if g.Count != w.Count || g.Errors != w.Errors {
-			t.Errorf("endpoint %s: count %d errors %d, slow path %d %d", name, g.Count, g.Errors, w.Count, w.Errors)
+	for ep, c := range counts {
+		if n, e := metric(got, "macsd_requests_total", ep), metric(got, "macsd_request_errors_total", ep); n != c[0] || e != c[1] {
+			t.Errorf("endpoint %s: %v requests, %v errors; want %v, %v", ep, n, e, c[0], c[1])
 		}
 	}
 
@@ -197,11 +199,15 @@ func TestRawHitConcurrent(t *testing.T) {
 			}
 		}
 	}
-	if cached == nil || s.PipelineRuns() != 1 {
-		t.Fatalf("%d pipeline runs, cached answer %q; want one run", s.PipelineRuns(), cached)
+	if cached == nil || pipelineRuns(t, s) != 1 {
+		t.Fatalf("%d pipeline runs, cached answer %q; want one run", pipelineRuns(t, s), cached)
 	}
-	if st := s.Metrics().Cache; st.Hits+st.Misses < goroutines*each {
-		t.Fatalf("cache counted %d lookups for %d requests", st.Hits+st.Misses, goroutines*each)
+	m := scrape(t, s)
+	if n := metric(m, "macsd_cache_hits_total", "") + metric(m, "macsd_cache_misses_total", ""); n < goroutines*each {
+		t.Fatalf("cache counted %v lookups for %d requests", n, goroutines*each)
+	}
+	if n := metric(m, "macsd_requests_total", "bound"); n != goroutines*each {
+		t.Fatalf("%v bound requests counted, want %d", n, goroutines*each)
 	}
 }
 
@@ -240,8 +246,8 @@ func TestRawHitEvictedWithEntry(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		serveBody(h, http.MethodPost, "/v1/bound", a)
 	}
-	if s.PipelineRuns() != 1 || len(s.cache.aliases) != 1 {
-		t.Fatalf("after three requests: %d runs, %d aliases; want 1, 1", s.PipelineRuns(), len(s.cache.aliases))
+	if pipelineRuns(t, s) != 1 || len(s.cache.aliases) != 1 {
+		t.Fatalf("after three requests: %d runs, %d aliases; want 1, 1", pipelineRuns(t, s), len(s.cache.aliases))
 	}
 	serveBody(h, http.MethodPost, "/v1/bound", b)
 	if len(s.cache.aliases) != 0 {
@@ -249,8 +255,8 @@ func TestRawHitEvictedWithEntry(t *testing.T) {
 	}
 	rec := serveBody(h, http.MethodPost, "/v1/bound", a)
 	r := decode[BoundResponse](t, rec.Result())
-	if r.Cached || s.PipelineRuns() != 3 {
-		t.Fatalf("evicted kernel: cached %v after %d runs; want a fresh run (3)", r.Cached, s.PipelineRuns())
+	if r.Cached || pipelineRuns(t, s) != 3 {
+		t.Fatalf("evicted kernel: cached %v after %d runs; want a fresh run (3)", r.Cached, pipelineRuns(t, s))
 	}
 }
 
@@ -273,8 +279,8 @@ func TestBodySpacingOneContentKey(t *testing.T) {
 		rs[i] = decode[AnalyzeResponse](t, rec.Result())
 	}
 	r1, r2 := rs[0], rs[1]
-	if r1.Cached || !r2.Cached || s.PipelineRuns() != 1 {
-		t.Fatalf("cached %v then %v after %d runs; want one run, second cached", r1.Cached, r2.Cached, s.PipelineRuns())
+	if r1.Cached || !r2.Cached || pipelineRuns(t, s) != 1 {
+		t.Fatalf("cached %v then %v after %d runs; want one run, second cached", r1.Cached, r2.Cached, pipelineRuns(t, s))
 	}
 	if r1.Cycles != r2.Cycles {
 		t.Fatalf("cycles %d vs %d", r1.Cycles, r2.Cycles)

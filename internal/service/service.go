@@ -18,7 +18,6 @@ import (
 	"log/slog"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"macs"
@@ -197,7 +196,7 @@ type Service struct {
 	pool    *Pool
 	cache   *Cache
 	disk    *DiskCache // nil when Config.CacheDir is empty or unusable
-	metrics *Metrics
+	metrics *metrics
 	log     *slog.Logger
 	// analyzer runs every cache-miss analysis on the service's machine.
 	analyzer *macs.Analyzer
@@ -220,18 +219,6 @@ type Service struct {
 	// /v1/explore: fast-tier prediction memos keyed by machine, kept warm
 	// across sweep requests.
 	explorers *explore.Evaluators
-	// explore sweep economics: grid points scored, answered analytically,
-	// and simulated exactly, across every fresh sweep.
-	exploreSweeps    atomic.Int64
-	exploreSwept     atomic.Int64
-	explorePruned    atomic.Int64
-	exploreSimulated atomic.Int64
-
-	dedupShared  atomic.Int64
-	pipelineRuns atomic.Int64
-	// simCycles totals the simulated clock cycles of every fresh exact
-	// run; cache hits replay no cycles and add nothing.
-	simCycles atomic.Int64
 
 	// sampler periodically snapshots the Go runtime when
 	// Config.RuntimeSample > 0; nil otherwise.
@@ -242,12 +229,6 @@ type Service struct {
 	traceMu    sync.Mutex
 	traces     map[string]*obs.Trace
 	traceOrder []string
-
-	// attrMu guards attrTotals, the service-wide aggregate of simulated
-	// stall-attribution cycles by cause (plus "issue"), summed over every
-	// fresh pipeline run and surfaced on /metrics.
-	attrMu     sync.Mutex
-	attrTotals map[string]int64
 }
 
 // New builds a Service and starts its worker pool. When Config.CacheDir
@@ -257,16 +238,14 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:        cfg,
-		pool:       NewPool(cfg.Workers, cfg.QueueSize),
-		cache:      NewCache(cfg.CacheSize),
-		metrics:    NewMetrics(),
-		log:        cfg.Logger,
-		analyzer:   macs.NewAnalyzer(cfg.VM),
-		explorers:  explore.NewEvaluators(cfg.VM),
-		flights:    make(map[Key]*flight),
-		attrTotals: make(map[string]int64),
-		traces:     make(map[string]*obs.Trace),
+		cfg:       cfg,
+		pool:      NewPool(cfg.Workers, cfg.QueueSize),
+		cache:     NewCache(cfg.CacheSize),
+		log:       cfg.Logger,
+		analyzer:  macs.NewAnalyzer(cfg.VM),
+		explorers: explore.NewEvaluators(cfg.VM),
+		flights:   make(map[Key]*flight),
+		traces:    make(map[string]*obs.Trace),
 	}
 	if cfg.RuntimeSample > 0 {
 		s.sampler = obs.StartRuntimeSampler(cfg.RuntimeSample)
@@ -285,6 +264,7 @@ func New(cfg Config) *Service {
 				"entries", ds.Entries, "segments", ds.Segments, "invalidated", ds.Invalidated)
 		}
 	}
+	s.metrics = newMetrics(s)
 	return s
 }
 
@@ -313,32 +293,6 @@ func (s *Service) key(kind, source string, parts ...any) (Key, error) {
 	return NewKey(kind, source, append([]any{s.config}, parts...)...)
 }
 
-// recordAttr merges one run's lane-summed stall attribution into the
-// service-wide totals. Only fresh pipeline runs call it, so cache hits do
-// not inflate the counters.
-func (s *Service) recordAttr(a macs.Attribution) {
-	totals := a.Totals()
-	if len(totals) == 0 {
-		return
-	}
-	s.attrMu.Lock()
-	for k, v := range totals {
-		s.attrTotals[k] += v
-	}
-	s.attrMu.Unlock()
-}
-
-// stallCycles snapshots the aggregate attribution counters.
-func (s *Service) stallCycles() map[string]int64 {
-	s.attrMu.Lock()
-	defer s.attrMu.Unlock()
-	out := make(map[string]int64, len(s.attrTotals))
-	for k, v := range s.attrTotals {
-		out[k] = v
-	}
-	return out
-}
-
 // Close drains the service: the accept gate flips first, so no new
 // request is accepted afterwards, then every already-accepted queued and
 // in-flight job runs to completion before Close returns. Requests
@@ -354,17 +308,14 @@ func (s *Service) Close() {
 	s.sampler.Stop() // nil-safe
 }
 
-// finishTrace folds a completed request trace into the per-stage latency
-// histograms and retains it for GET /v1/trace/{id}, evicting the oldest
-// once TraceKeep is exceeded. The trace is kept as it is: its snapshot,
-// simulator lanes included, is built only if someone asks for it.
-func (s *Service) finishTrace(tr *obs.Trace) {
-	if tr == nil {
-		return
-	}
-	for stage, d := range tr.StageDurations() {
-		s.metrics.ObserveStage(stage, d)
-	}
+// finishRequest counts one finished /v1 request under endpoint — its
+// root span's duration, whether it failed, and the stages nested under
+// the root — and retains its trace for GET /v1/trace/{id}, evicting the
+// oldest once TraceKeep is exceeded. The trace is kept as it is: its
+// snapshot, simulator lanes included, is built only if someone asks for
+// it.
+func (s *Service) finishRequest(endpoint string, tr *obs.Trace, root *obs.Span, failed bool) {
+	s.metrics.observeRequest(endpoint, root.Duration(), failed, tr.NestedDurations())
 	id := tr.ID()
 	s.traceMu.Lock()
 	if _, ok := s.traces[id]; !ok {
@@ -402,36 +353,6 @@ func (s *Service) acceptGate() error {
 	return nil
 }
 
-// Metrics returns the full observability snapshot served on /metrics.
-func (s *Service) Metrics() Snapshot {
-	return Snapshot{
-		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
-		Endpoints:     s.metrics.snapshotEndpoints(),
-		Stages:        s.metrics.snapshotStages(),
-		BatchItems:    s.metrics.snapshotBatchItems(),
-		Cache:         s.cache.Stats(),
-		Queue:         s.pool.Stats(),
-		DedupShared:   s.dedupShared.Load(),
-		PipelineRuns:  s.pipelineRuns.Load(),
-		StallCycles:   s.stallCycles(),
-		Explore:       s.exploreStats(),
-		Persistent:    s.diskStats(),
-		SimCycles:     s.simCycles.Load(),
-		Runtime:       s.sampler.Stats(), // nil-safe: zero when off
-	}
-}
-
-func (s *Service) diskStats() DiskCacheStats {
-	if s.disk == nil {
-		return DiskCacheStats{}
-	}
-	return s.disk.Stats()
-}
-
-// PipelineRuns reports how many times the underlying pipeline actually
-// executed — the dedup and cache tests assert on it.
-func (s *Service) PipelineRuns() int64 { return s.pipelineRuns.Load() }
-
 // decodeFunc rehydrates one persisted JSON value into the concrete
 // response type its cache key stores; each endpoint passes its own.
 type decodeFunc func([]byte) (any, error)
@@ -457,34 +378,23 @@ func decodeJSON[T any]() decodeFunc {
 // again to keep its counters and side effects. Only the request's own
 // goroutine touches its slot.
 type hitSlot struct {
-	hit      bool
-	endpoint string
-	key      Key
+	hit bool
+	key Key
 }
 
 // slotKey is the context key of a request's *hitSlot.
 type slotKey struct{}
 
-func (sl *hitSlot) record(endpoint string, key Key, hit bool) {
-	sl.endpoint, sl.key, sl.hit = endpoint, key, hit
-}
-
-// single returns the endpoint label and key of the cache hit the
-// request's path was, or ok false.
-func (sl *hitSlot) single() (endpoint string, key Key, ok bool) {
-	return sl.endpoint, sl.key, sl.hit
-}
-
 // do is the heart of the service: memory-cache lookup, persistent-cache
 // fill, singleflight attach or lead, pool submission with backpressure,
 // and context-bounded waiting. It returns (value, servedFromCache,
 // error): cached is true when the value came from either cache level.
-// dec may be nil for results that should not persist. endpoint is the
-// caller's metrics label; do records it, the key and the outcome in the
-// request's hitSlot, if it carries one.
-func (s *Service) do(ctx context.Context, endpoint string, key Key, dec decodeFunc, fn func() (any, error)) (v any, cached bool, err error) {
+// dec may be nil for results that should not persist. do records the
+// key and whether it was a hit in the request's hitSlot, if it carries
+// one.
+func (s *Service) do(ctx context.Context, key Key, dec decodeFunc, fn func() (any, error)) (v any, cached bool, err error) {
 	if sl, ok := ctx.Value(slotKey{}).(*hitSlot); ok {
-		defer func() { sl.record(endpoint, key, cached && err == nil) }()
+		defer func() { sl.key, sl.hit = key, cached && err == nil }()
 	}
 	_, sp := obs.Start(ctx, "cache-lookup")
 	v, hit := s.cache.Get(key)
@@ -504,7 +414,7 @@ func (s *Service) do(ctx context.Context, endpoint string, key Key, dec decodeFu
 	if f, ok := s.flights[key]; ok {
 		f.waiters++
 		s.mu.Unlock()
-		s.dedupShared.Add(1)
+		s.metrics.dedupShared.Add("", 1)
 		_, sp = obs.Start(ctx, "singleflight-wait")
 		v, err := s.wait(ctx, f)
 		sp.End()
@@ -528,7 +438,7 @@ func (s *Service) do(ctx context.Context, endpoint string, key Key, dec decodeFu
 		var v any
 		var jerr error
 		if jerr = jctx.Err(); jerr == nil {
-			s.pipelineRuns.Add(1)
+			s.metrics.pipelineRuns.Add("", 1)
 			v, jerr = fn()
 		}
 		if jerr == nil {
@@ -623,10 +533,10 @@ func (s *Service) wait(ctx context.Context, f *flight) (any, error) {
 	}
 }
 
-// observe wraps one endpoint call with timing and structured logging.
-func (s *Service) observe(endpoint string, start time.Time, cached bool, err error) {
+// logRequest logs one finished endpoint call. The HTTP handler, not the
+// call, counts the request on /metrics.
+func (s *Service) logRequest(endpoint string, start time.Time, cached bool, err error) {
 	d := time.Since(start)
-	s.metrics.Observe(endpoint, d, err != nil)
 	if err != nil {
 		s.log.Info("request", "endpoint", endpoint, "dur", d, "err", err)
 		return
@@ -797,10 +707,10 @@ func (s *Service) Analyze(ctx context.Context, req AnalyzeRequest) (AnalyzeRespo
 		key, err = s.key("analyze", req.Source, req.Iterations, req.Prime)
 	}
 	if err != nil {
-		s.observe("analyze", start, false, err)
+		s.logRequest("analyze", start, false, err)
 		return AnalyzeResponse{}, err
 	}
-	v, cached, err := s.do(ctx, "analyze", key, decodeJSON[AnalyzeResponse](), func() (any, error) {
+	v, cached, err := s.do(ctx, key, decodeJSON[AnalyzeResponse](), func() (any, error) {
 		// The request context rides into the closure for its trace values
 		// only; cancellation is governed by the flight context the worker
 		// checks before calling this.
@@ -808,8 +718,8 @@ func (s *Service) Analyze(ctx context.Context, req AnalyzeRequest) (AnalyzeRespo
 		if err != nil {
 			return nil, err
 		}
-		s.recordAttr(res.Stats.Attr)
-		s.simCycles.Add(res.Stats.Cycles)
+		s.metrics.recordAttr(res.Stats.Attr)
+		s.metrics.simCycles.Add("", float64(res.Stats.Cycles))
 		return &AnalyzeResponse{
 			Tier:        macs.TierExact.String(),
 			Bounds:      boundsView(res.Analysis),
@@ -821,7 +731,7 @@ func (s *Service) Analyze(ctx context.Context, req AnalyzeRequest) (AnalyzeRespo
 			Attribution: res.Stats.Attr.Totals(),
 		}, nil
 	})
-	s.observe("analyze", start, cached, err)
+	s.logRequest("analyze", start, cached, err)
 	if err != nil {
 		return AnalyzeResponse{}, err
 	}
@@ -849,17 +759,17 @@ func (s *Service) Bound(ctx context.Context, req BoundRequest) (BoundResponse, e
 	start := time.Now()
 	key, err := s.key("bound", req.Source)
 	if err != nil {
-		s.observe("bound", start, false, err)
+		s.logRequest("bound", start, false, err)
 		return BoundResponse{}, err
 	}
-	v, cached, err := s.do(ctx, "bound", key, decodeJSON[BoundResponse](), func() (any, error) {
+	v, cached, err := s.do(ctx, key, decodeJSON[BoundResponse](), func() (any, error) {
 		a, err := s.analyzer.BoundSourceCtx(ctx, req.Source)
 		if err != nil {
 			return nil, err
 		}
 		return &BoundResponse{Bounds: boundsView(a)}, nil
 	})
-	s.observe("bound", start, cached, err)
+	s.logRequest("bound", start, cached, err)
 	if err != nil {
 		return BoundResponse{}, err
 	}
@@ -895,10 +805,10 @@ func (s *Service) Check(ctx context.Context, req CheckRequest) (CheckResponse, e
 	start := time.Now()
 	key, err := s.key("check", req.Source)
 	if err != nil {
-		s.observe("check", start, false, err)
+		s.logRequest("check", start, false, err)
 		return CheckResponse{}, err
 	}
-	v, cached, err := s.do(ctx, "check", key, decodeJSON[CheckResponse](), func() (any, error) {
+	v, cached, err := s.do(ctx, key, decodeJSON[CheckResponse](), func() (any, error) {
 		p, err := macs.Compile(req.Source, s.analyzer.CompilerOptions())
 		if err != nil {
 			return nil, err
@@ -910,7 +820,7 @@ func (s *Service) Check(ctx context.Context, req CheckRequest) (CheckResponse, e
 		}
 		return resp, nil
 	})
-	s.observe("check", start, cached, err)
+	s.logRequest("check", start, cached, err)
 	if err != nil {
 		return CheckResponse{}, err
 	}
@@ -950,10 +860,10 @@ func (s *Service) AX(ctx context.Context, req AXRequest) (AXResponse, error) {
 	start := time.Now()
 	key, err := s.key("ax", req.Source, req.Prime)
 	if err != nil {
-		s.observe("ax", start, false, err)
+		s.logRequest("ax", start, false, err)
 		return AXResponse{}, err
 	}
-	v, cached, err := s.do(ctx, "ax", key, decodeJSON[AXResponse](), func() (any, error) {
+	v, cached, err := s.do(ctx, key, decodeJSON[AXResponse](), func() (any, error) {
 		p, err := macs.Compile(req.Source, s.analyzer.CompilerOptions())
 		if err != nil {
 			return nil, err
@@ -964,7 +874,7 @@ func (s *Service) AX(ctx context.Context, req AXRequest) (AXResponse, error) {
 		}
 		return &AXResponse{TP: m.TP, TA: m.TA, TX: m.TX}, nil
 	})
-	s.observe("ax", start, cached, err)
+	s.logRequest("ax", start, cached, err)
 	if err != nil {
 		return AXResponse{}, err
 	}
@@ -999,10 +909,10 @@ func (s *Service) LFK(ctx context.Context, id int) (LFKResponse, error) {
 	start := time.Now()
 	key, err := s.key("lfk", fmt.Sprintf("%d", id))
 	if err != nil {
-		s.observe("lfk", start, false, err)
+		s.logRequest("lfk", start, false, err)
 		return LFKResponse{}, err
 	}
-	v, cached, err := s.do(ctx, "lfk", key, decodeJSON[LFKResponse](), func() (any, error) {
+	v, cached, err := s.do(ctx, key, decodeJSON[LFKResponse](), func() (any, error) {
 		k, err := macs.KernelByID(id)
 		if err != nil {
 			return nil, err
@@ -1021,7 +931,7 @@ func (s *Service) LFK(ctx context.Context, id int) (LFKResponse, error) {
 			TX:       k.CPL(r.AX.TX),
 			Attr:     &r.Stats.Attr,
 		})
-		s.recordAttr(r.Stats.Attr)
+		s.metrics.recordAttr(r.Stats.Attr)
 		return &LFKResponse{
 			ID:          k.ID,
 			Name:        k.Name,
@@ -1034,7 +944,7 @@ func (s *Service) LFK(ctx context.Context, id int) (LFKResponse, error) {
 			Attribution: r.Stats.Attr.Totals(),
 		}, nil
 	})
-	s.observe("lfk", start, cached, err)
+	s.logRequest("lfk", start, cached, err)
 	if err != nil {
 		return LFKResponse{}, err
 	}

@@ -55,7 +55,7 @@ func TestAnalyzeAndCacheFlag(t *testing.T) {
 	if r2.Bounds != r1.Bounds || r2.Cycles != r1.Cycles {
 		t.Fatal("cached result differs from computed result")
 	}
-	if got := s.PipelineRuns(); got != 1 {
+	if got := pipelineRuns(t, s); got != 1 {
 		t.Fatalf("pipeline ran %d times; want 1", got)
 	}
 }
@@ -88,12 +88,12 @@ func TestConcurrentIdenticalRequestsDedup(t *testing.T) {
 			t.Fatalf("client %d saw different cycles", i)
 		}
 	}
-	if got := s.PipelineRuns(); got != 1 {
+	if got := pipelineRuns(t, s); got != 1 {
 		t.Fatalf("pipeline ran %d times for %d identical requests; want 1", got, clients)
 	}
-	m := s.Metrics()
-	if m.DedupShared+m.Cache.Hits < clients-1 {
-		t.Fatalf("dedup+hits = %d; want >= %d", m.DedupShared+m.Cache.Hits, clients-1)
+	m := scrape(t, s)
+	if shared := metric(m, "macsd_dedup_shared_total", "") + metric(m, "macsd_cache_hits_total", ""); shared < clients-1 {
+		t.Fatalf("dedup+hits = %v; want >= %d", shared, clients-1)
 	}
 }
 
@@ -136,7 +136,7 @@ func TestRequestTimeoutCancelsQueuedWork(t *testing.T) {
 
 	close(release)
 	s.Close() // drain: the abandoned job is dequeued (and skipped) here
-	if got := s.PipelineRuns(); got != 0 {
+	if got := pipelineRuns(t, s); got != 0 {
 		t.Fatalf("pipeline ran %d times for an abandoned request; want 0", got)
 	}
 }
@@ -177,7 +177,7 @@ func TestCloseDrainsInFlightRequests(t *testing.T) {
 	if o.resp.Bounds.TMACS <= 0 {
 		t.Fatalf("drained request returned empty result: %+v", o.resp)
 	}
-	if got := s.PipelineRuns(); got != 1 {
+	if got := pipelineRuns(t, s); got != 1 {
 		t.Fatalf("pipeline ran %d times; want 1", got)
 	}
 }
@@ -358,7 +358,7 @@ func TestAnalyzeCompileErrorNotCached(t *testing.T) {
 		t.Fatal("second analyze succeeded; want error again")
 	}
 	// Both attempts executed: failures are not cached.
-	if got := s.PipelineRuns(); got != 2 {
+	if got := pipelineRuns(t, s); got != 2 {
 		t.Fatalf("pipeline ran %d times; want 2 (errors uncached)", got)
 	}
 	if got := s.cache.Len(); got != 0 {
@@ -411,7 +411,7 @@ func TestSingleflightLateWaiterAfterLeaderTimeout(t *testing.T) {
 
 	select {
 	case err := <-waiterErr:
-		runs := s.PipelineRuns()
+		runs := pipelineRuns(t, s)
 		switch {
 		case err == nil:
 			// The waiter led (or re-led) a live flight and got a result.
@@ -482,7 +482,7 @@ func TestSingleflightWaiterAttachedBeforeLeaderTimeout(t *testing.T) {
 		_, err := s.Analyze(wctx, req)
 		waiterErr <- err
 	}()
-	waitFor(t, func() bool { return s.dedupShared.Load() == 1 })
+	waitFor(t, func() bool { return metric(scrape(t, s), "macsd_dedup_shared_total", "") == 1 })
 
 	if err := <-leaderErr; !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("leader error = %v, want deadline exceeded", err)
@@ -493,7 +493,7 @@ func TestSingleflightWaiterAttachedBeforeLeaderTimeout(t *testing.T) {
 		if err != nil {
 			t.Fatalf("surviving waiter error = %v, want result", err)
 		}
-		if got := s.PipelineRuns(); got != 1 {
+		if got := pipelineRuns(t, s); got != 1 {
 			t.Errorf("pipeline ran %d times; want 1", got)
 		}
 	case <-time.After(15 * time.Second):

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"net/http"
 	"reflect"
 	"strings"
 	"testing"
@@ -47,7 +48,7 @@ func TestAnalyzeFastTier(t *testing.T) {
 			t.Fatalf("tier=fast answered %+v, want %+v", got, want)
 		}
 	}
-	if runs := s.PipelineRuns(); runs != 1 {
+	if runs := pipelineRuns(t, s); runs != 1 {
 		t.Errorf("pipeline ran %d times, want 1", runs)
 	}
 }
@@ -67,7 +68,7 @@ func TestAnalyzeAutoTier(t *testing.T) {
 	if first.Tier != "exact" || first.Cached || first.Stats == nil {
 		t.Fatalf("tier=auto: tier %q, cached %v, stats %v", first.Tier, first.Cached, first.Stats)
 	}
-	if runs := s.PipelineRuns(); runs != 1 {
+	if runs := pipelineRuns(t, s); runs != 1 {
 		t.Fatalf("pipeline ran %d times after one auto request, want 1", runs)
 	}
 	exact, err := s.Analyze(context.Background(), saxpyReq)
@@ -78,7 +79,7 @@ func TestAnalyzeAutoTier(t *testing.T) {
 	if !reflect.DeepEqual(exact, first) {
 		t.Fatalf("untiered follow-up %+v, want the auto answer %+v", exact, first)
 	}
-	if runs := s.PipelineRuns(); runs != 1 {
+	if runs := pipelineRuns(t, s); runs != 1 {
 		t.Errorf("pipeline ran %d times, want 1", runs)
 	}
 }
@@ -86,7 +87,8 @@ func TestAnalyzeAutoTier(t *testing.T) {
 // TestAnalyzeTierValidationAndDefault: a request without a tier is
 // simulated (the service has no configurable default tier), "exact"
 // answers the same, and any other name is refused with the tiered
-// service's message and counted as an analyze error.
+// service's message — over HTTP a 422, counted as a failed analyze
+// request, while the direct calls count nothing.
 func TestAnalyzeTierValidationAndDefault(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, QueueSize: 4})
 	ctx := context.Background()
@@ -102,8 +104,12 @@ func TestAnalyzeTierValidationAndDefault(t *testing.T) {
 	if _, err := s.Analyze(ctx, req); err == nil || err.Error() != msg {
 		t.Fatalf("unknown tier error = %v, want %q", err, msg)
 	}
-	if e := s.Metrics().Endpoints["analyze"]; e.Count != 3 || e.Errors != 1 {
-		t.Errorf("analyze endpoint count %d errors %d, want 3 and 1", e.Count, e.Errors)
+	if rec := serveBody(NewHandler(s), http.MethodPost, "/v1/analyze", mustJSON(t, req)); rec.Code != http.StatusUnprocessableEntity {
+		t.Errorf("tier=warp over HTTP answered %d, want 422", rec.Code)
+	}
+	doc := scrape(t, s)
+	if n, e := metric(doc, "macsd_requests_total", "analyze"), metric(doc, "macsd_request_errors_total", "analyze"); n != 1 || e != 1 {
+		t.Errorf("analyze requests %v errors %v, want 1 and 1", n, e)
 	}
 }
 
@@ -164,7 +170,7 @@ func TestAnalyzeAutoFallback(t *testing.T) {
 			}
 		}
 	}
-	if runs := s.PipelineRuns(); runs != 2 {
+	if runs := pipelineRuns(t, s); runs != 2 {
 		t.Errorf("pipeline ran %d times, want 2 (one per program)", runs)
 	}
 }
