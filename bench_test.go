@@ -342,14 +342,34 @@ func BenchmarkFastTierCold(b *testing.B) {
 }
 
 // BenchmarkAnalyzeSourceVM measures the service's cold path — compile,
-// verify, bound, simulate on a fresh simulator — on LFK1 source.
+// verify, bound, simulate on a fresh simulator — on LFK1 source primed
+// with its paper inputs (N = 1001), so the run streams the kernel's
+// vectors. Outside the timer it checks once that the run simulates the
+// cycles lfk.Compiled.Run does.
 func BenchmarkAnalyzeSourceVM(b *testing.B) {
 	k := lfk.All()[0]
 	cfg := macs.DefaultVMConfig()
+	prime := k.PrimeFunc()
+	c, err := lfk.Compile(k, compiler.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	want, _, err := c.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := macs.AnalyzeSourceVM(k.Source, int64(k.Elements), cfg, prime)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Stats.Cycles != want.Cycles || res.Stats.VectorElems == 0 {
+		b.Fatalf("LFK1 analysis simulated %d cycles (%d vector elements), want lfk.Compiled.Run's %d",
+			res.Stats.Cycles, res.Stats.VectorElems, want.Cycles)
+	}
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := macs.AnalyzeSourceVM(k.Source, int64(k.Elements), cfg, nil); err != nil {
+			if _, err := macs.AnalyzeSourceVM(k.Source, int64(k.Elements), cfg, prime); err != nil {
 				b.Fatal(err)
 			}
 		}

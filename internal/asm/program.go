@@ -101,7 +101,7 @@ func (p *Program) Validate() error {
 		for _, o := range in.Ops {
 			switch o.Kind {
 			case isa.KindReg:
-				if err := checkReg(o.Reg); err != nil {
+				if err := isa.CheckReg(o.Reg); err != nil {
 					return fmt.Errorf("asm: instr %d (%s): %v", i, in, err)
 				}
 			case isa.KindMem:
@@ -109,7 +109,7 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("asm: instr %d (%s): memory base must be an a-register", i, in)
 				}
 				if o.Base.Class == isa.ClassA {
-					if err := checkReg(o.Base); err != nil {
+					if err := isa.CheckReg(o.Base); err != nil {
 						return fmt.Errorf("asm: instr %d (%s): %v", i, in, err)
 					}
 				}
@@ -124,28 +124,6 @@ func (p *Program) Validate() error {
 				}
 			}
 		}
-	}
-	return nil
-}
-
-func checkReg(r isa.Reg) error {
-	switch r.Class {
-	case isa.ClassA:
-		if r.N < 0 || r.N >= isa.NumARegs {
-			return fmt.Errorf("register a%d out of range", r.N)
-		}
-	case isa.ClassS:
-		if r.N < 0 || r.N >= isa.NumSRegs {
-			return fmt.Errorf("register s%d out of range", r.N)
-		}
-	case isa.ClassV:
-		if r.N < 0 || r.N >= isa.NumVRegs {
-			return fmt.Errorf("register v%d out of range", r.N)
-		}
-	case isa.ClassVL, isa.ClassVS:
-		// singletons
-	default:
-		return fmt.Errorf("invalid register class")
 	}
 	return nil
 }

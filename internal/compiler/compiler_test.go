@@ -2,6 +2,8 @@ package compiler
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"macs/internal/asm"
@@ -343,4 +345,36 @@ func mustParse(t *testing.T, src string) *ftn.Program {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestCompileLeavesASTUntouched: code generation only reads the syntax
+// tree, so the facade can parse a source once and take both the
+// compiled program and the MA workload from the same tree. A tree that
+// went through CompileProgram must equal a fresh parse of its source,
+// for vector, short-strip and scalar code generation.
+func TestCompileLeavesASTUntouched(t *testing.T) {
+	r := rand.New(rand.NewSource(20261018))
+	srcs := []string{lfk1Src}
+	for i := 0; i < 60; i++ {
+		srcs = append(srcs, genKernel(r))
+	}
+	short := DefaultOptions()
+	short.VL = 16
+	scalar := DefaultOptions()
+	scalar.ForceScalar = true
+	for i, src := range srcs {
+		for _, opts := range []Options{DefaultOptions(), short, scalar} {
+			lowered, err := ftn.Parse(src)
+			if err != nil {
+				t.Fatalf("source %d: %v", i, err)
+			}
+			fresh, _ := ftn.Parse(src)
+			if _, err := CompileProgram(lowered, opts); err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(lowered, fresh) {
+				t.Fatalf("source %d: CompileProgram(%+v) changed the syntax tree\n%s", i, opts, src)
+			}
+		}
+	}
 }

@@ -34,6 +34,8 @@ func DefaultRules() Rules {
 
 // Chime is one group of concurrently executing vector instructions.
 type Chime struct {
+	// Members are the chime's instructions, filled by Partition (the
+	// simulator's builder forms chimes without copying them).
 	Members []isa.Instr
 	// HasMem reports whether the chime includes a vector memory access.
 	HasMem bool
@@ -54,49 +56,35 @@ func (c Chime) Cost(vl int, rules Rules) float64 {
 }
 
 // ChimeBuilder incrementally forms chimes under a rule set. It is the
-// engine behind Partition and is also used by the cycle-level simulator,
-// so the machine and the model share one implementation of the C-240
-// issue rules.
+// engine behind Partition and is also used by the cycle-level simulator
+// and the static checker, so the machine and the model share one
+// implementation of the C-240 issue rules. It reads decoded rows
+// (isa.Decode) and keeps the forming chime's resources in fixed arrays;
+// the chimes it flushes carry no Members (Partition adds them).
 type ChimeBuilder struct {
 	rules      Rules
 	cur        Chime
-	pipesUsed  map[isa.Pipe]bool
+	n          int // members of the forming chime
+	pipesUsed  [isa.PipeMul + 1]bool
 	pairReads  [4]int
 	pairWrites [4]int
-	writers    map[isa.Reg]isa.Op // vector registers written by current chime, by opcode
-	scalarMem  bool               // scalar memory access seen since chime start
-	closed     bool               // chime terminated by the split rule
+	// writers holds, per vector register, the opcode of the forming
+	// chime's member writing it; written marks the valid entries.
+	writers   [isa.NumVRegs]isa.Op
+	written   uint8
+	scalarMem bool // scalar memory access seen since chime start
+	closed    bool // chime terminated by the split rule
 }
 
 // NewChimeBuilder returns an empty builder for the given rules.
 func NewChimeBuilder(rules Rules) *ChimeBuilder {
-	b := &ChimeBuilder{rules: rules}
-	b.reset()
-	return b
+	return &ChimeBuilder{rules: rules}
 }
 
-func (b *ChimeBuilder) reset() {
-	b.cur = Chime{}
-	// Reuse the maps: reset runs once per flushed chime, and reallocating
-	// them is measurable churn in the simulator's hot loop.
-	if b.pipesUsed == nil {
-		b.pipesUsed = make(map[isa.Pipe]bool)
-		b.writers = make(map[isa.Reg]isa.Op)
-	} else {
-		clear(b.pipesUsed)
-		clear(b.writers)
-	}
-	b.pairReads = [4]int{}
-	b.pairWrites = [4]int{}
-	b.scalarMem = false
-	b.closed = false
-}
+func (b *ChimeBuilder) reset() { *b = ChimeBuilder{rules: b.rules} }
 
 // Empty reports whether the forming chime has no members.
-func (b *ChimeBuilder) Empty() bool { return len(b.cur.Members) == 0 }
-
-// Current returns the chime formed so far.
-func (b *ChimeBuilder) Current() Chime { return b.cur }
+func (b *ChimeBuilder) Empty() bool { return b.n == 0 }
 
 // Flush returns the formed chime (ok=false if empty) and resets the
 // builder for the next chime.
@@ -104,13 +92,6 @@ func (b *ChimeBuilder) Flush() (Chime, bool) {
 	c, ok := b.cur, !b.Empty()
 	b.reset()
 	return c, ok
-}
-
-// InChimeWriter reports whether the named vector register is written by a
-// member of the forming chime (a chaining opportunity).
-func (b *ChimeBuilder) InChimeWriter(r isa.Reg) bool {
-	_, ok := b.writers[r]
-	return ok
 }
 
 // NoteScalarMem records a scalar memory access between vector
@@ -130,31 +111,30 @@ func (b *ChimeBuilder) NoteScalarMem() (terminates bool) {
 }
 
 // Fits reports whether a vector instruction can join the forming chime.
-func (b *ChimeBuilder) Fits(in isa.Instr) bool {
+func (b *ChimeBuilder) Fits(r *isa.Row) bool {
 	if b.Empty() {
 		return true
 	}
-	if b.closed || b.pipesUsed[in.Pipe()] || b.PortSplit(in) {
+	if b.closed || b.pipesUsed[r.Pipe] || b.PortSplit(r) {
 		return false
 	}
 	// With chaining on and loads chainable, a dependence never splits.
 	if !b.rules.Chaining || b.rules.NoMemoryChaining {
-		for _, r := range in.VectorReads() {
-			w, written := b.writers[r]
-			if !written {
+		for _, v := range r.VectorReads() {
+			if b.written&(1<<v) == 0 {
 				continue
 			}
 			if !b.rules.Chaining {
 				// Without chaining a dependent instruction cannot share a chime.
 				return false
 			}
-			if w == isa.OpLd {
+			if b.writers[v] == isa.OpLd {
 				// Cray-1-like: a load's consumer waits for the next chime.
 				return false
 			}
 		}
 	}
-	_, split := b.PairSplit(in)
+	_, split := b.PairSplit(r)
 	return !split
 }
 
@@ -162,19 +142,19 @@ func (b *ChimeBuilder) Fits(in isa.Instr) bool {
 // instruction out of the forming chime: the chime is terminated just
 // before the later of a scalar and a vector memory reference (paper
 // §3.3), so a vector memory access after a scalar one starts a new chime.
-func (b *ChimeBuilder) PortSplit(in isa.Instr) bool {
-	return b.rules.SplitRule && b.scalarMem && in.IsMemory()
+func (b *ChimeBuilder) PortSplit(r *isa.Row) bool {
+	return b.rules.SplitRule && b.scalarMem && r.Mem
 }
 
 // PairSplit reports the first vector register pair on which a vector
 // instruction would exceed the per-chime budget of two reads and one
 // write (paper §3.3), keeping it out of the forming chime.
-func (b *ChimeBuilder) PairSplit(in isa.Instr) (pair int, split bool) {
+func (b *ChimeBuilder) PairSplit(r *isa.Row) (pair int, split bool) {
 	if !b.rules.PairRule {
 		return 0, false
 	}
 	reads, writes := b.pairReads, b.pairWrites
-	accumulatePairRefs(in, &reads, &writes)
+	accumulatePairRefs(r, &reads, &writes)
 	for p := range reads {
 		if reads[p] > isa.PairMaxReads || writes[p] > isa.PairMaxWrites {
 			return p, true
@@ -184,36 +164,31 @@ func (b *ChimeBuilder) PairSplit(in isa.Instr) (pair int, split bool) {
 }
 
 // Add places a vector instruction into the forming chime. The caller must
-// have checked Fits (or flushed).
-func (b *ChimeBuilder) Add(in isa.Instr) {
-	if b.cur.Members == nil {
-		// One allocation per chime: it holds at most one member per pipe.
-		b.cur.Members = make([]isa.Instr, 0, isa.PipeMul)
-	}
-	b.cur.Members = append(b.cur.Members, in)
-	b.pipesUsed[in.Pipe()] = true
-	if in.IsMemory() {
+// have checked Fits (or flushed). An op without a Table 1 row contributes
+// zero Z and B rather than derailing the build.
+func (b *ChimeBuilder) Add(r *isa.Row) {
+	b.n++
+	b.pipesUsed[r.Pipe] = true
+	if r.Mem {
 		b.cur.HasMem = true
 	}
-	// Partition only feeds ops with Table 1 timings; an op without one
-	// contributes zero Z and B rather than derailing the build.
-	t, _ := isa.VectorTiming(in.Op)
-	if t.Z > b.cur.ZMax {
-		b.cur.ZMax = t.Z
+	if r.Timing.Z > b.cur.ZMax {
+		b.cur.ZMax = r.Timing.Z
 	}
-	b.cur.SumB += t.B
-	accumulatePairRefs(in, &b.pairReads, &b.pairWrites)
-	if w, ok := in.VectorWrite(); ok {
-		b.writers[w] = in.Op
+	b.cur.SumB += r.Timing.B
+	accumulatePairRefs(r, &b.pairReads, &b.pairWrites)
+	if w, ok := r.VectorWrite(); ok {
+		b.writers[w] = r.Op
+		b.written |= 1 << w
 	}
 }
 
-func accumulatePairRefs(in isa.Instr, reads, writes *[4]int) {
-	for _, r := range in.VectorReads() {
-		reads[r.Pair()]++
+func accumulatePairRefs(r *isa.Row, reads, writes *[4]int) {
+	for _, v := range r.VectorReads() {
+		reads[isa.V(int(v)).Pair()]++
 	}
-	if w, ok := in.VectorWrite(); ok {
-		writes[w.Pair()]++
+	if w, ok := r.VectorWrite(); ok {
+		writes[isa.V(w).Pair()]++
 	}
 }
 
@@ -227,29 +202,42 @@ func accumulatePairRefs(in isa.Instr, reads, writes *[4]int) {
 //   - without chaining, dependent instructions cannot share a chime.
 //
 // Scalar instructions in the body influence partitioning (the split rule)
-// but do not become chime members.
+// but do not become chime members. Vector instructions the model cannot
+// place — an op without a Table 1 row, or one isa.Decode rejects — are
+// skipped; the static checker refuses programs holding either.
 func Partition(body []isa.Instr, rules Rules) []Chime {
 	var chimes []Chime
+	var members []isa.Instr
 	b := NewChimeBuilder(rules)
-	for _, in := range body {
+	flush := func() {
+		if c, ok := b.Flush(); ok {
+			c.Members = members
+			chimes = append(chimes, c)
+			members = nil
+		}
+	}
+	for i := range body {
+		in := &body[i]
 		if !in.IsVector() {
 			if in.IsMemory() {
 				b.NoteScalarMem()
 			}
 			continue
 		}
-		if _, ok := isa.VectorTiming(in.Op); !ok {
+		r, err := isa.Decode(in)
+		if err != nil || !r.Timed {
 			continue
 		}
-		if !b.Fits(in) {
-			if c, ok := b.Flush(); ok {
-				chimes = append(chimes, c)
-			}
+		if !b.Fits(&r) {
+			flush()
 		}
-		b.Add(in)
+		b.Add(&r)
+		if members == nil {
+			// One allocation per chime: it holds at most one member per pipe.
+			members = make([]isa.Instr, 0, isa.PipeMul)
+		}
+		members = append(members, *in)
 	}
-	if c, ok := b.Flush(); ok {
-		chimes = append(chimes, c)
-	}
+	flush()
 	return chimes
 }

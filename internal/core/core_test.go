@@ -406,12 +406,17 @@ func TestPartitionInvariants(t *testing.T) {
 			got += len(c.Members)
 			pipes := map[isa.Pipe]bool{}
 			var reads, writes [4]int
-			for _, in := range c.Members {
+			for i := range c.Members {
+				in := &c.Members[i]
 				if pipes[in.Pipe()] {
 					t.Errorf("body %d chime %d: duplicate pipe %v", bi, ci, in.Pipe())
 				}
 				pipes[in.Pipe()] = true
-				accumulatePairRefs(in, &reads, &writes)
+				r, err := isa.Decode(in)
+				if err != nil {
+					t.Fatalf("body %d chime %d: %v", bi, ci, err)
+				}
+				accumulatePairRefs(&r, &reads, &writes)
 			}
 			for p := 0; p < 4; p++ {
 				if reads[p] > isa.PairMaxReads || writes[p] > isa.PairMaxWrites {

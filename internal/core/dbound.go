@@ -96,41 +96,40 @@ func MACSDBound(body []isa.Instr, vl int, rules Rules) MACSResult {
 // the chime's ZMax.
 func partitionWithStrides(body []isa.Instr, rules Rules, ann StrideAnnotation) []Chime {
 	var chimes []Chime
+	var members []isa.Instr
 	b := NewChimeBuilder(rules)
-	memberIdx := make(map[int]int64) // index within forming chime -> stride
+	// The bank-limited Z of the forming chime's annotated memory members.
+	var zBank float64
 	flush := func() {
 		if c, ok := b.Flush(); ok {
-			for i := range c.Members {
-				if stride, ok := memberIdx[i]; ok {
-					z := BankLimitedZ(stride, isa.MemBanks, isa.BankCycle)
-					if z > c.ZMax {
-						c.ZMax = z
-					}
-				}
+			if zBank > c.ZMax {
+				c.ZMax = zBank
 			}
+			c.Members = members
 			chimes = append(chimes, c)
 		}
-		memberIdx = make(map[int]int64)
+		members, zBank = nil, 0
 	}
-	for i, in := range body {
+	for i := range body {
+		in := &body[i]
 		if !in.IsVector() {
 			if in.IsMemory() && b.NoteScalarMem() {
 				flush()
 			}
 			continue
 		}
-		if _, ok := isa.VectorTiming(in.Op); !ok {
+		r, err := isa.Decode(in)
+		if err != nil || !r.Timed {
 			continue
 		}
-		if !b.Fits(in) {
+		if !b.Fits(&r) {
 			flush()
 		}
-		if in.IsMemory() {
-			if s, ok := ann[i]; ok {
-				memberIdx[len(b.Current().Members)] = s
-			}
+		if s, ok := ann[i]; ok && r.Mem {
+			zBank = max(zBank, BankLimitedZ(s, isa.MemBanks, isa.BankCycle))
 		}
-		b.Add(in)
+		b.Add(&r)
+		members = append(members, *in)
 	}
 	flush()
 	return chimes

@@ -149,7 +149,8 @@ func ExtendedBound(body []isa.Instr, shape LoopShape, rules Rules) ExtendedResul
 // reliable marker.
 func countReductions(body []isa.Instr) int {
 	n := 0
-	for _, in := range body {
+	for i := range body {
+		in := &body[i]
 		if !in.IsVector() {
 			continue
 		}
@@ -157,13 +158,18 @@ func countReductions(body []isa.Instr) int {
 			n++
 			continue
 		}
-		if in.Op == isa.OpAdd {
-			if d, ok := in.VectorWrite(); ok {
-				for _, r := range in.VectorReads() {
-					if r == d {
-						n++
-						break
-					}
+		if in.Op != isa.OpAdd {
+			continue
+		}
+		r, err := isa.Decode(in)
+		if err != nil {
+			continue
+		}
+		if d, ok := r.VectorWrite(); ok {
+			for _, v := range r.VectorReads() {
+				if int(v) == d {
+					n++
+					break
 				}
 			}
 		}

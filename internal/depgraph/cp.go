@@ -76,18 +76,18 @@ type recurrence struct {
 // and memory-symbol dependences are serialized by the shared port and
 // pipe, not by the dependence itself. Every EdgeKind must be handled
 // here — cmd/macsvet's depgraph rule checks the switch is exhaustive.
-func edgeWeight(body []isa.Instr, e Edge, vl int, p Params) (w int64, ok bool) {
+func edgeWeight(rows []isa.Row, e Edge, vl int, p Params) (w int64, ok bool) {
 	switch e.Kind {
 	case EdgeTrue:
 		if e.Mem {
 			return 0, false
 		}
-		prod := body[e.From]
-		if prod.IsVector() {
-			pt, hasT := isa.VectorTiming(prod.Op)
-			if !hasT {
+		prod := &rows[e.From]
+		if prod.Vector {
+			if !prod.Timed {
 				return 0, false
 			}
+			pt := prod.Timing
 			if e.Reg.Class == isa.ClassV {
 				// Chained consumer: first operand arrives Y cycles after
 				// the producer starts, plus the rate mismatch over the
@@ -96,10 +96,8 @@ func edgeWeight(body []isa.Instr, e Edge, vl int, p Params) (w int64, ok bool) {
 				// consumer then waits for the producer to finish).
 				w = int64(pt.Y)
 				var zc float64
-				if cons := body[e.To]; cons.IsVector() {
-					if ct, okc := isa.VectorTiming(cons.Op); okc {
-						zc = ct.Z
-					}
+				if cons := &rows[e.To]; cons.Vector && cons.Timed {
+					zc = cons.Timing.Z
 				}
 				if pt.Z > zc && vl > 1 {
 					w += int64(math.Ceil((pt.Z - zc) * float64(vl-1)))
@@ -112,7 +110,7 @@ func edgeWeight(body []isa.Instr, e Edge, vl int, p Params) (w int64, ok bool) {
 		}
 		// Scalar producer: the ASU is serial, so the consumer issues at
 		// least the producer's latency later.
-		if prod.IsMemory() {
+		if prod.Mem {
 			return int64(p.ScalarLoadLat), true
 		}
 		return int64(p.ScalarOpLat), true
@@ -124,17 +122,17 @@ func edgeWeight(body []isa.Instr, e Edge, vl int, p Params) (w int64, ok bool) {
 
 // completion returns a lower bound on the cycles from an instruction's
 // start to its last effect.
-func completion(in isa.Instr, vl int, p Params) int64 {
-	if in.IsVector() {
-		if t, ok := isa.VectorTiming(in.Op); ok {
-			return int64(t.Y) + int64(math.Ceil(t.Z*float64(vl)))
+func completion(r *isa.Row, vl int, p Params) int64 {
+	if r.Vector {
+		if r.Timed {
+			return int64(r.Timing.Y) + int64(math.Ceil(r.Timing.Z*float64(vl)))
 		}
 		return int64(p.DispatchLat)
 	}
-	if in.IsMemory() {
+	if r.Mem {
 		return int64(p.ScalarLoadLat)
 	}
-	if in.Op == isa.OpHalt {
+	if r.Op == isa.OpHalt {
 		return 0
 	}
 	return int64(p.ScalarOpLat)
@@ -143,15 +141,15 @@ func completion(in isa.Instr, vl int, p Params) int64 {
 // asuCost returns the minimum ASU clock advance of one instruction — the
 // per-pass serial floor. Taken-branch penalties are excluded (the final
 // pass falls through), keeping the figure a floor for every pass.
-func asuCost(in isa.Instr, p Params) int64 {
+func asuCost(r *isa.Row, p Params) int64 {
 	switch {
-	case in.IsVector():
+	case r.Vector:
 		return int64(p.DispatchLat)
-	case in.Op == isa.OpHalt:
+	case r.Op == isa.OpHalt:
 		return 0
-	case in.Op == isa.OpJmp:
+	case r.Op == isa.OpJmp:
 		return int64(p.ScalarOpLat + p.BranchPenalty)
-	case in.IsMemory():
+	case r.Mem:
 		return int64(p.ScalarLoadLat)
 	}
 	return int64(p.ScalarOpLat)
@@ -173,7 +171,7 @@ func longestFrom(g *Graph, adj [][]int, src, vl int, p Params) []int64 {
 		}
 		for _, ei := range adj[i] {
 			e := g.Edges[ei]
-			w, ok := edgeWeight(g.Body, e, vl, p)
+			w, ok := edgeWeight(g.rows, e, vl, p)
 			if !ok {
 				continue
 			}
@@ -221,7 +219,7 @@ func CriticalPath(g *Graph, vl int, p Params, straight bool) CP {
 		for i := 0; i < n; i++ {
 			for _, ei := range adj[i] {
 				e := g.Edges[ei]
-				w, ok := edgeWeight(g.Body, e, atVL, p)
+				w, ok := edgeWeight(g.rows, e, atVL, p)
 				if !ok {
 					continue
 				}
@@ -239,7 +237,7 @@ func CriticalPath(g *Graph, vl int, p Params, straight bool) CP {
 	d, pred := est(vl)
 	best := 0
 	for i := 0; i < n; i++ {
-		if L := d[i] + completion(g.Body[i], vl, p); L > cp.Len {
+		if L := d[i] + completion(&g.rows[i], vl, p); L > cp.Len {
 			cp.Len = L
 			best = i
 		}
@@ -255,13 +253,13 @@ func CriticalPath(g *Graph, vl int, p Params, straight bool) CP {
 	// recurrences (sound for every strip length).
 	d1, _ := est(1)
 	for i := 0; i < n; i++ {
-		if L := d1[i] + completion(g.Body[i], 1, p); L > cp.len1 {
+		if L := d1[i] + completion(&g.rows[i], 1, p); L > cp.len1 {
 			cp.len1 = L
 		}
 	}
 
 	for i := 0; i < n; i++ {
-		cp.IISerial += asuCost(g.Body[i], p)
+		cp.IISerial += asuCost(&g.rows[i], p)
 	}
 
 	// Carried recurrences: for a carried edge u -> v, the next
@@ -273,7 +271,7 @@ func CriticalPath(g *Graph, vl int, p Params, straight bool) CP {
 		if !e.Carried {
 			continue
 		}
-		w, ok := edgeWeight(g.Body, e, 1, p)
+		w, ok := edgeWeight(g.rows, e, 1, p)
 		if !ok {
 			continue
 		}
@@ -295,7 +293,7 @@ func CriticalPath(g *Graph, vl int, p Params, straight bool) CP {
 			cp.IICarried = cyc
 		}
 		cp.recs = append(cp.recs, recurrence{
-			prefix: d1[e.From] + completion(g.Body[e.From], 1, p),
+			prefix: d1[e.From] + completion(&g.rows[e.From], 1, p),
 			cyc:    cyc,
 		})
 	}
@@ -334,7 +332,7 @@ func (c CP) TotalBound(strips int64) int64 {
 
 // Analyze builds the dependence graph and critical path of a program's
 // inner vectorized loop. ok is false when the program has no vectorized
-// loop. Straight-lineness is established against the whole program: no
+// loop, or when the loop holds an instruction isa.Decode rejects. Straight-lineness is established against the whole program: no
 // branch inside the body except the final back branch, and no branch
 // anywhere targeting the body's interior.
 func Analyze(p *asm.Program, vl int, params Params) (CP, *Graph, bool) {
@@ -342,7 +340,10 @@ func Analyze(p *asm.Program, vl int, params Params) (CP, *Graph, bool) {
 	if !ok {
 		return CP{}, nil, false
 	}
-	g := Build(loop.Body)
+	g, err := Build(loop.Body)
+	if err != nil {
+		return CP{}, nil, false
+	}
 	return CriticalPath(g, vl, params, straightLine(p, loop)), g, true
 }
 

@@ -54,7 +54,10 @@ func TestBuildEdges(t *testing.T) {
 	if !ok {
 		t.Fatal("no inner vector loop found")
 	}
-	g := depgraph.Build(loop.Body)
+	g, err := depgraph.Build(loop.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !g.Acyclic() {
 		t.Fatal("graph not acyclic")
 	}

@@ -92,6 +92,9 @@ func (e Edge) String() string {
 type Graph struct {
 	Body  []isa.Instr
 	Edges []Edge
+	// rows is Body decoded (isa.Decode), read by the critical-path
+	// weights.
+	rows []isa.Row
 }
 
 // Register slots for dependence tracking: a and s registers, VL, VS, the
@@ -163,58 +166,33 @@ func gSlotReg(s int) isa.Reg {
 	return isa.Reg{} // T and memory edges carry the zero register
 }
 
-// Reads returns the registers an instruction reads: its explicit and
-// implicit sources (isa.Instr.Sources) plus the destination of a
-// two-operand ALU form, which computes dst = dst OP src.
-func Reads(in isa.Instr) []isa.Reg {
-	rs := in.Sources()
-	if isTwoOpALU(in) {
-		if d, ok := in.Dst(); ok {
-			rs = append(rs, d)
-		}
-	}
-	return rs
-}
-
-// useSlots returns the register slots an instruction reads: the slots of
-// Reads, and the T flag for conditional branches.
-func useSlots(in isa.Instr) []int {
-	var out []int
-	for _, r := range Reads(in) {
-		if s := gSlot(r); s >= 0 {
+// useSlots appends to out the register slots an instruction reads: the
+// slots of its decoded read set (isa.Row.Reads), and the T flag for
+// conditional branches.
+func useSlots(out []int, r *isa.Row) []int {
+	for _, reg := range r.Reads() {
+		if s := gSlot(reg); s >= 0 {
 			out = append(out, s)
 		}
 	}
-	if in.Op == isa.OpJbrs {
+	if r.Op == isa.OpJbrs {
 		out = append(out, gSlotT)
 	}
 	return out
 }
 
-// defSlots returns the register slots an instruction writes: its
+// defSlots appends to out the register slots an instruction writes: its
 // destination, and the T flag for compares.
-func defSlots(in isa.Instr) []int {
-	var out []int
-	if d, ok := in.Dst(); ok {
-		if s := gSlot(d); s >= 0 {
+func defSlots(out []int, r *isa.Row) []int {
+	if !r.Dst.IsZero() {
+		if s := gSlot(r.Dst); s >= 0 {
 			out = append(out, s)
 		}
 	}
-	if isCompare(in.Op) {
+	if isCompare(r.Op) {
 		out = append(out, gSlotT)
 	}
 	return out
-}
-
-func isTwoOpALU(in isa.Instr) bool {
-	if len(in.Ops) != 2 || in.Op == isa.OpNeg {
-		return false
-	}
-	switch in.Op {
-	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpAnd, isa.OpOr, isa.OpShf:
-		return true
-	}
-	return false
 }
 
 func isCompare(op isa.Op) bool {
@@ -245,9 +223,19 @@ func memSym(in isa.Instr) (sym string, ok bool) {
 // walked twice: the first pass emits intra-iteration edges, the second
 // replays the body against the first pass's end state to emit the
 // loop-carried edges (stopping per resource at its first redefinition).
-// Memory dependences are tracked at data-symbol granularity.
-func Build(body []isa.Instr) *Graph {
-	g := &Graph{Body: body}
+// Memory dependences are tracked at data-symbol granularity. It fails
+// when an instruction does not decode (isa.Decode), rather than build
+// edges from a partial read set.
+func Build(body []isa.Instr) (*Graph, error) {
+	g := &Graph{Body: body, rows: make([]isa.Row, len(body))}
+	for i := range body {
+		r, err := isa.Decode(&body[i])
+		if err != nil {
+			return nil, fmt.Errorf("depgraph: instr %d (%s): %w", i, &body[i], err)
+		}
+		g.rows[i] = r
+	}
+	var slots []int
 
 	lastDef := make([]int, numG)
 	for i := range lastDef {
@@ -269,7 +257,9 @@ func Build(body []isa.Instr) *Graph {
 
 	// Pass 1: intra-iteration edges.
 	for i, in := range body {
-		for _, u := range useSlots(in) {
+		row := &g.rows[i]
+		slots = useSlots(slots[:0], row)
+		for _, u := range slots {
 			if d := lastDef[u]; d >= 0 {
 				emit(d, i, EdgeTrue, u, "", false)
 			}
@@ -294,7 +284,8 @@ func Build(body []isa.Instr) *Graph {
 				loads[sym] = append(loads[sym], i)
 			}
 		}
-		for _, d := range defSlots(in) {
+		slots = defSlots(slots[:0], row)
+		for _, d := range slots {
 			for _, r := range reads[d] {
 				if r != i {
 					emit(r, i, EdgeAnti, d, "", false)
@@ -314,7 +305,9 @@ func Build(body []isa.Instr) *Graph {
 	dead := make([]bool, numG)
 	deadSym := map[string]bool{}
 	for i, in := range body {
-		for _, u := range useSlots(in) {
+		row := &g.rows[i]
+		slots = useSlots(slots[:0], row)
+		for _, u := range slots {
 			if dead[u] {
 				continue
 			}
@@ -335,7 +328,8 @@ func Build(body []isa.Instr) *Graph {
 				emit(d, i, EdgeTrue, 0, sym, true)
 			}
 		}
-		for _, d := range defSlots(in) {
+		slots = defSlots(slots[:0], row)
+		for _, d := range slots {
 			if dead[d] {
 				continue
 			}
@@ -348,7 +342,7 @@ func Build(body []isa.Instr) *Graph {
 			dead[d] = true
 		}
 	}
-	return g
+	return g, nil
 }
 
 // Carried counts the loop-carried edges.

@@ -19,6 +19,7 @@ type replay struct {
 	vm.Timing
 	cfg    vm.Config
 	prog   *asm.Program
+	rows   []isa.Row // prog decoded once (isa.Decode)
 	layout *mem.Layout
 
 	// Symbolic integer state. Registers start zero and known, exactly as
@@ -78,6 +79,14 @@ func (r *replay) predict(prog *asm.Program, iterations int64, ints map[string]in
 		return Prediction{}, err
 	}
 	r.prog = prog
+	r.rows = make([]isa.Row, len(prog.Instrs))
+	for i := range prog.Instrs {
+		row, err := isa.Decode(&prog.Instrs[i])
+		if err != nil {
+			return Prediction{}, fmt.Errorf("fasttier: instr %d (%s): %w", i, &prog.Instrs[i], err)
+		}
+		r.rows[i] = row
+	}
 	for _, d := range prog.Data {
 		addr, err := r.layout.Place(d.Name, d.Size)
 		if err != nil {
@@ -125,14 +134,15 @@ func (r *replay) step() (bool, error) {
 		r.Finish()
 		return true, nil
 	}
-	in := r.prog.Instrs[r.pc]
-	if err := r.Fetch(in, r.pc); err != nil {
+	row := &r.rows[r.pc]
+	in := *row.Instr
+	if err := r.Fetch(row, r.pc); err != nil {
 		return true, err
 	}
 	var jumped bool
 	var err error
-	if in.IsVector() {
-		err = r.execVector(in)
+	if row.Vector {
+		err = r.execVector(row)
 	} else {
 		if in.Op == isa.OpHalt {
 			r.halted = true
@@ -480,15 +490,15 @@ func (r *replay) scalarCompare(in isa.Instr) error {
 // execVector replays one vector instruction: the model times the stream,
 // the interpreter resolves its length, stride and address and range-checks
 // every element it would touch.
-func (r *replay) execVector(in isa.Instr) error {
+func (r *replay) execVector(row *isa.Row) error {
 	if !r.vlKnown {
 		return fmt.Errorf("vector length unknown: %w", ErrDataDependent)
 	}
 	vl := r.vl
 	var ea int64
-	if vl > 0 && in.IsMemory() {
+	if vl > 0 && row.Mem {
 		var err error
-		if ea, err = r.vectorEA(in); err != nil {
+		if ea, err = r.vectorEA(row); err != nil {
 			return err
 		}
 		if !r.vsKnown {
@@ -498,32 +508,28 @@ func (r *replay) execVector(in isa.Instr) error {
 			return err
 		}
 	}
-	if err := r.Vector(in, vl, ea, r.vs); err != nil {
+	if err := r.Vector(row, vl, ea, r.vs); err != nil {
 		return err
 	}
-	if vl > 0 && in.Op == isa.OpSum {
+	if vl > 0 && row.Op == isa.OpSum && row.Dst.Class == isa.ClassS {
 		// The reduction's value is floating point.
-		if d, ok := in.Dst(); ok && d.Class == isa.ClassS {
-			r.s[d.N], r.sKnown[d.N] = 0, false
-		}
+		r.s[row.Dst.N], r.sKnown[row.Dst.N] = 0, false
 	}
 	return nil
 }
 
 // vectorEA resolves the memory operand of a vector load or store; the
 // bank-phase math needs the exact address.
-func (r *replay) vectorEA(in isa.Instr) (int64, error) {
-	for _, o := range in.Ops {
-		if o.Kind == isa.KindMem {
-			addr, known, err := r.effAddr(o)
-			if err != nil {
-				return 0, err
-			}
-			if !known {
-				return 0, fmt.Errorf("vector stream address unknown: %w", ErrDataDependent)
-			}
-			return addr, nil
-		}
+func (r *replay) vectorEA(row *isa.Row) (int64, error) {
+	if row.MemOp < 0 {
+		return 0, fmt.Errorf("vector memory op without memory operand")
 	}
-	return 0, fmt.Errorf("vector memory op without memory operand")
+	addr, known, err := r.effAddr(row.Instr.Ops[row.MemOp])
+	if err != nil {
+		return 0, err
+	}
+	if !known {
+		return 0, fmt.Errorf("vector stream address unknown: %w", ErrDataDependent)
+	}
+	return addr, nil
 }

@@ -238,60 +238,3 @@ func (in Instr) Dst() (Reg, bool) {
 	}
 	return last.Reg, true
 }
-
-// Sources returns the registers read by the instruction, including memory
-// base registers and, for vector memory operations, the implicit VL and VS
-// registers. Order is assembly order.
-func (in Instr) Sources() []Reg {
-	// One allocation: every operand plus the implicit VL and VS.
-	srcs := make([]Reg, 0, len(in.Ops)+2)
-	n := len(in.Ops)
-	for i, o := range in.Ops {
-		switch o.Kind {
-		case KindReg:
-			// The last operand is the destination except for stores,
-			// compares and branches, which read all register operands.
-			isDst := i == n-1
-			switch in.Op {
-			case OpSt, OpLe, OpLt, OpGt, OpGe, OpEq, OpNe, OpJbrs, OpJmp:
-				isDst = false
-			}
-			if !isDst {
-				srcs = append(srcs, o.Reg)
-			}
-		case KindMem:
-			if !o.Base.IsZero() {
-				srcs = append(srcs, o.Base)
-			}
-		}
-	}
-	if in.IsVector() && in.IsMemory() {
-		srcs = append(srcs, VL(), VS())
-	} else if in.IsVector() {
-		srcs = append(srcs, VL())
-	}
-	return srcs
-}
-
-// VectorReads returns the vector registers read, and VectorWrite the vector
-// register written (ok=false if none). These drive chaining and the
-// register-pair chime rule.
-func (in Instr) VectorReads() []Reg {
-	srcs := in.Sources()
-	rs := srcs[:0] // filtered in place: srcs is this call's own
-	for _, r := range srcs {
-		if r.Class == ClassV {
-			rs = append(rs, r)
-		}
-	}
-	return rs
-}
-
-// VectorWrite returns the vector register written by the instruction.
-func (in Instr) VectorWrite() (Reg, bool) {
-	d, ok := in.Dst()
-	if !ok || d.Class != ClassV {
-		return Reg{}, false
-	}
-	return d, true
-}

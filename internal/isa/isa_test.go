@@ -1,6 +1,8 @@
 package isa
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -169,6 +171,16 @@ func TestOpClass(t *testing.T) {
 	}
 }
 
+// decode is Decode for a test instruction that must decode.
+func decode(t *testing.T, in Instr) Row {
+	t.Helper()
+	r, err := Decode(&in)
+	if err != nil {
+		t.Fatalf("Decode(%s): %v", in, err)
+	}
+	return r
+}
+
 func TestDstAndSources(t *testing.T) {
 	// mul.d v0,s1,v1: reads v0, s1, vl; writes v1.
 	in := Instr{Op: OpMul, Suffix: SufD, Ops: []Operand{RegOp(V(0)), RegOp(S(1)), RegOp(V(1))}}
@@ -176,15 +188,18 @@ func TestDstAndSources(t *testing.T) {
 	if !ok || d != V(1) {
 		t.Fatalf("Dst() = %v,%v, want v1,true", d, ok)
 	}
-	srcs := in.Sources()
-	wantSrcs := map[Reg]bool{V(0): true, S(1): true, VL(): true}
-	if len(srcs) != len(wantSrcs) {
-		t.Fatalf("Sources() = %v, want %v", srcs, wantSrcs)
+	r := decode(t, in)
+	if r.Dst != V(1) {
+		t.Errorf("row Dst = %v, want v1", r.Dst)
 	}
-	for _, s := range srcs {
-		if !wantSrcs[s] {
-			t.Errorf("unexpected source %v", s)
-		}
+	if got, want := r.Reads(), []Reg{V(0), S(1), VL()}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Reads() = %v, want %v", got, want)
+	}
+	if got := r.ScalarReads(); got != 1<<1 {
+		t.Errorf("ScalarReads() = %08b, want s1 only", got)
+	}
+	if got := r.VectorReads(); !reflect.DeepEqual(got, []uint8{0}) {
+		t.Errorf("VectorReads() = %v, want [0]", got)
 	}
 }
 
@@ -194,52 +209,88 @@ func TestStoreReadsValueRegister(t *testing.T) {
 	if _, ok := in.Dst(); ok {
 		t.Error("store should have no register destination")
 	}
-	found := false
-	for _, s := range in.Sources() {
-		if s == V(0) {
-			found = true
-		}
+	r := decode(t, in)
+	if !r.Dst.IsZero() {
+		t.Errorf("store row Dst = %v, want none", r.Dst)
 	}
-	if !found {
-		t.Errorf("store Sources() = %v, missing v0", in.Sources())
+	if got, want := r.Reads(), []Reg{V(0), A(5), VL(), VS()}; !reflect.DeepEqual(got, want) {
+		t.Errorf("store Reads() = %v, want %v", got, want)
+	}
+	if r.MemOp != 1 {
+		t.Errorf("store MemOp = %d, want 1", r.MemOp)
 	}
 }
 
 func TestVectorLoadReadsVLVS(t *testing.T) {
 	in := Instr{Op: OpLd, Suffix: SufL, Ops: []Operand{MemOp("", 0, A(5)), RegOp(V(0))}}
-	var hasVL, hasVS, hasA5 bool
-	for _, s := range in.Sources() {
-		switch s {
-		case VL():
-			hasVL = true
-		case VS():
-			hasVS = true
-		case A(5):
-			hasA5 = true
-		}
+	r := decode(t, in)
+	if got, want := r.Reads(), []Reg{A(5), VL(), VS()}; !reflect.DeepEqual(got, want) {
+		t.Errorf("vector load Reads() = %v, want %v", got, want)
 	}
-	if !hasVL || !hasVS || !hasA5 {
-		t.Errorf("vector load Sources() = %v, want vl, vs and a5 present", in.Sources())
+	if !r.Vector || !r.Mem || r.Pipe != PipeLoadStore || r.Class != ClassLoad || !r.Timed {
+		t.Errorf("vector load row = %+v", r)
 	}
 }
 
 func TestVectorWrite(t *testing.T) {
 	in := Instr{Op: OpAdd, Suffix: SufD, Ops: []Operand{RegOp(V(1)), RegOp(V(0)), RegOp(V(3))}}
-	w, ok := in.VectorWrite()
-	if !ok || w != V(3) {
-		t.Fatalf("VectorWrite() = %v,%v, want v3,true", w, ok)
+	r := decode(t, in)
+	w, ok := r.VectorWrite()
+	if !ok || w != 3 {
+		t.Fatalf("VectorWrite() = %v,%v, want 3,true", w, ok)
 	}
-	reads := in.VectorReads()
-	if len(reads) != 2 {
+	if reads := r.VectorReads(); len(reads) != 2 {
 		t.Fatalf("VectorReads() = %v, want two registers", reads)
 	}
 	// sum.d v0,s1 writes a scalar: no vector write.
 	red := Instr{Op: OpSum, Suffix: SufD, Ops: []Operand{RegOp(V(0)), RegOp(S(1))}}
-	if _, ok := red.VectorWrite(); ok {
+	if rr := decode(t, red); rr.Dst != S(1) {
+		t.Errorf("reduction row Dst = %v, want s1", rr.Dst)
+	} else if _, ok := rr.VectorWrite(); ok {
 		t.Error("reduction writing a scalar should have no vector write")
 	}
 	if !red.IsVector() {
 		t.Error("reduction reads v0 and must be a vector instruction")
+	}
+}
+
+func TestTwoOperandALUReadsDestination(t *testing.T) {
+	// add.w #1024,a5 computes a5 = a5 + 1024: a5 is read and written.
+	r := decode(t, Instr{Op: OpAdd, Suffix: SufW, Ops: []Operand{ImmOp(1024), RegOp(A(5))}})
+	if got, want := r.Reads(), []Reg{A(5)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Reads() = %v, want %v", got, want)
+	}
+	// neg has a two-operand form that does not read its destination.
+	r = decode(t, Instr{Op: OpNeg, Suffix: SufW, Ops: []Operand{RegOp(A(1)), RegOp(A(5))}})
+	if got, want := r.Reads(), []Reg{A(1)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("neg Reads() = %v, want %v", got, want)
+	}
+	// The destination read is not a source: a two-operand vector form
+	// chains on its explicit source only.
+	r = decode(t, Instr{Op: OpAdd, Suffix: SufD, Ops: []Operand{RegOp(V(1)), RegOp(V(2))}})
+	if got, want := r.Reads(), []Reg{V(1), VL(), V(2)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("vector two-operand Reads() = %v, want %v", got, want)
+	}
+	if got := r.VectorReads(); !reflect.DeepEqual(got, []uint8{1}) {
+		t.Errorf("vector two-operand VectorReads() = %v, want [1]", got)
+	}
+}
+
+func TestDecodeRejectsWhatARowCannotHold(t *testing.T) {
+	// A vector load with extra register operands reads them all: five a
+	// registers, its base, VL and VS are more than MaxReads.
+	ops := []Operand{MemOp("x", 0, A(0))}
+	for n := 1; n <= 5; n++ {
+		ops = append(ops, RegOp(A(n)))
+	}
+	ops = append(ops, RegOp(V(0)))
+	in := Instr{Op: OpLd, Suffix: SufL, Ops: ops}
+	if _, err := Decode(&in); err == nil || !strings.Contains(err.Error(), "reads 8 registers") {
+		t.Errorf("Decode(%s) error = %v, want a read-count error", in, err)
+	}
+	bad := Instr{Op: OpAdd, Suffix: SufD, Ops: []Operand{RegOp(V(1)), RegOp(V(9)), RegOp(V(3))}}
+	if _, err := Decode(&bad); err == nil || err.Error() != "register v9 out of range" {
+		t.Errorf("Decode(%s) error = %v, want register v9 out of range", bad, err)
 	}
 }
 
@@ -298,15 +349,25 @@ func TestVectorTimingMissingForControlOps(t *testing.T) {
 }
 
 func TestOpTimingPartition(t *testing.T) {
-	// Every opcode either has a Table 1 vector timing or is declared
-	// scalar-only — never both, never neither. macsvet enforces the same
-	// invariant statically; this is the runtime cross-check.
+	// The opcode table: every opcode below numOps has a name and exactly
+	// one of a Table 1 row or a scalar-only mark, and only opcodes with a
+	// vector form name a pipe.
 	for op := Op(0); op < numOps; op++ {
+		info := opTable[op]
+		if info.name == "" {
+			t.Errorf("opcode %d has no name", int(op))
+		}
 		_, hasTiming := VectorTiming(op)
 		if hasTiming == ScalarOnly(op) {
 			t.Errorf("%v: want exactly one of Table 1 timing or scalarOnly (timing=%v, scalarOnly=%v)",
 				op, hasTiming, ScalarOnly(op))
 		}
+		if !hasTiming && op.Pipe() != PipeNone {
+			t.Errorf("%v: scalar-only opcode on pipe %v", op, op.Pipe())
+		}
+	}
+	if _, ok := VectorTiming(numOps); ok || ScalarOnly(-1) || numOps.String() != "op?" {
+		t.Error("opcodes outside the table must have no row")
 	}
 }
 

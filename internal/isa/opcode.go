@@ -34,25 +34,17 @@ const (
 	numOps
 )
 
-var opNames = [...]string{
-	OpNop: "nop", OpLd: "ld", OpSt: "st", OpAdd: "add", OpSub: "sub",
-	OpNeg: "neg", OpAnd: "and", OpOr: "or", OpShf: "shf", OpCvt: "cvt",
-	OpSum: "sum", OpMul: "mul", OpDiv: "div", OpSqrt: "sqrt", OpMov: "mov",
-	OpLe: "le", OpLt: "lt", OpGt: "gt", OpGe: "ge", OpEq: "eq", OpNe: "ne",
-	OpJbrs: "jbrs", OpJmp: "jmp", OpHalt: "halt",
-}
-
 func (op Op) String() string {
-	if op >= 0 && int(op) < len(opNames) && opNames[op] != "" {
-		return opNames[op]
+	if op >= 0 && op < numOps && opTable[op].name != "" {
+		return opTable[op].name
 	}
 	return "op?"
 }
 
 // OpByName resolves a mnemonic; ok is false for unknown mnemonics.
 func OpByName(name string) (Op, bool) {
-	for op, n := range opNames {
-		if n == name {
+	for op := range opTable {
+		if opTable[op].name == name {
 			return Op(op), true
 		}
 	}
@@ -120,22 +112,13 @@ func (p Pipe) String() string {
 // Pipe returns the VP pipe an opcode uses when executed as a vector
 // instruction. The add pipe handles all additions, population counts,
 // shifts, logical functions and conversions; the multiply pipe handles
-// multiplications, divisions, square roots (paper §2).
+// multiplications, divisions, square roots (paper §2). Opcodes without a
+// vector form use no pipe.
 func (op Op) Pipe() Pipe {
-	switch op {
-	case OpLd, OpSt:
-		return PipeLoadStore
-	case OpAdd, OpSub, OpNeg, OpAnd, OpOr, OpShf, OpCvt, OpSum:
-		return PipeAdd
-	case OpMul, OpDiv, OpSqrt:
-		return PipeMul
-	case OpMov:
-		// Vector register moves execute on the add pipe; scalar moves are
-		// never asked for a pipe (Instr.Pipe checks IsVector first).
-		return PipeAdd
-	default:
+	if op < 0 || op >= numOps {
 		return PipeNone
 	}
+	return opTable[op].pipe
 }
 
 // OpClass is the MACS workload class of an operation.
@@ -170,16 +153,8 @@ func (c OpClass) String() string {
 // (they run on the add pipe); divisions and square roots count as
 // multiplications (multiply pipe).
 func (op Op) Class() OpClass {
-	switch op {
-	case OpAdd, OpSub, OpNeg, OpSum:
-		return ClassFPAdd
-	case OpMul, OpDiv, OpSqrt:
-		return ClassFPMul
-	case OpLd:
-		return ClassLoad
-	case OpSt:
-		return ClassStore
-	default:
+	if op < 0 || op >= numOps {
 		return ClassOther
 	}
+	return opTable[op].class
 }

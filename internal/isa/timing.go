@@ -15,53 +15,72 @@ type Timing struct {
 	B int
 }
 
-// Table 1 of the paper. Vector reduction uses the conservative Z = 1.35
-// with B = 0 (footnote b); vector divide has the long Y and Z = 4
-// (footnote a: masked by other instructions absent a resource conflict).
-var timings = map[Op]Timing{
-	OpLd:   {X: 2, Y: 10, Z: 1.00, B: 2},
-	OpSt:   {X: 2, Y: 10, Z: 1.00, B: 4},
-	OpAdd:  {X: 2, Y: 10, Z: 1.00, B: 1},
-	OpSub:  {X: 2, Y: 10, Z: 1.00, B: 1},
-	OpMul:  {X: 2, Y: 12, Z: 1.00, B: 1},
-	OpDiv:  {X: 2, Y: 72, Z: 4.00, B: 21},
-	OpSqrt: {X: 2, Y: 72, Z: 4.00, B: 21},
-	OpSum:  {X: 2, Y: 10, Z: 1.35, B: 0},
-	OpNeg:  {X: 2, Y: 10, Z: 1.00, B: 1},
-	OpAnd:  {X: 2, Y: 10, Z: 1.00, B: 1},
-	OpOr:   {X: 2, Y: 10, Z: 1.00, B: 1},
-	OpShf:  {X: 2, Y: 10, Z: 1.00, B: 1},
-	OpCvt:  {X: 2, Y: 10, Z: 1.00, B: 1},
-	OpMov:  {X: 2, Y: 10, Z: 1.00, B: 1}, // vector register move
+// opInfo is one opcode's row of the opcode table: its mnemonic and
+// either its vector form — the Table 1 timing, the VP pipe and the MACS
+// class — or a mark that it deliberately has none.
+type opInfo struct {
+	name       string
+	timing     Timing
+	vector     bool // has a Table 1 row
+	scalarOnly bool
+	pipe       Pipe
+	class      OpClass
 }
 
-// scalarOnly declares the opcodes that deliberately have no vector form:
-// control flow, compares (which set the scalar T flag), and the testing
-// halt. macsvet checks that every Op appears in exactly one of timings or
-// this set, so adding an opcode without deciding its vector timing fails
-// CI instead of silently falling through the model.
-var scalarOnly = map[Op]bool{
-	OpNop:  true,
-	OpLe:   true,
-	OpLt:   true,
-	OpGt:   true,
-	OpGe:   true,
-	OpEq:   true,
-	OpNe:   true,
-	OpJbrs: true,
-	OpJmp:  true,
-	OpHalt: true,
+func vectorOp(name string, pipe Pipe, class OpClass, t Timing) opInfo {
+	return opInfo{name: name, timing: t, vector: true, pipe: pipe, class: class}
+}
+
+// scalarOp marks an opcode with no vector form: control flow, compares
+// (which set the scalar T flag) and the testing halt.
+func scalarOp(name string) opInfo { return opInfo{name: name, scalarOnly: true} }
+
+// opTable is the one opcode table, indexed by Op. Every opcode has a
+// name and exactly one of a Table 1 row or a scalar-only mark
+// (TestOpTimingPartition walks it), so an opcode cannot be added without
+// deciding its vector timing. The timings are Table 1 of the paper;
+// vector reduction uses the conservative Z = 1.35 with B = 0 (footnote
+// b), vector divide has the long Y and Z = 4 (footnote a: masked by
+// other instructions absent a resource conflict). Vector register moves
+// run on the add pipe.
+var opTable = [numOps]opInfo{
+	OpNop:  scalarOp("nop"),
+	OpLd:   vectorOp("ld", PipeLoadStore, ClassLoad, Timing{X: 2, Y: 10, Z: 1.00, B: 2}),
+	OpSt:   vectorOp("st", PipeLoadStore, ClassStore, Timing{X: 2, Y: 10, Z: 1.00, B: 4}),
+	OpAdd:  vectorOp("add", PipeAdd, ClassFPAdd, Timing{X: 2, Y: 10, Z: 1.00, B: 1}),
+	OpSub:  vectorOp("sub", PipeAdd, ClassFPAdd, Timing{X: 2, Y: 10, Z: 1.00, B: 1}),
+	OpNeg:  vectorOp("neg", PipeAdd, ClassFPAdd, Timing{X: 2, Y: 10, Z: 1.00, B: 1}),
+	OpAnd:  vectorOp("and", PipeAdd, ClassOther, Timing{X: 2, Y: 10, Z: 1.00, B: 1}),
+	OpOr:   vectorOp("or", PipeAdd, ClassOther, Timing{X: 2, Y: 10, Z: 1.00, B: 1}),
+	OpShf:  vectorOp("shf", PipeAdd, ClassOther, Timing{X: 2, Y: 10, Z: 1.00, B: 1}),
+	OpCvt:  vectorOp("cvt", PipeAdd, ClassOther, Timing{X: 2, Y: 10, Z: 1.00, B: 1}),
+	OpSum:  vectorOp("sum", PipeAdd, ClassFPAdd, Timing{X: 2, Y: 10, Z: 1.35, B: 0}),
+	OpMul:  vectorOp("mul", PipeMul, ClassFPMul, Timing{X: 2, Y: 12, Z: 1.00, B: 1}),
+	OpDiv:  vectorOp("div", PipeMul, ClassFPMul, Timing{X: 2, Y: 72, Z: 4.00, B: 21}),
+	OpSqrt: vectorOp("sqrt", PipeMul, ClassFPMul, Timing{X: 2, Y: 72, Z: 4.00, B: 21}),
+	OpMov:  vectorOp("mov", PipeAdd, ClassOther, Timing{X: 2, Y: 10, Z: 1.00, B: 1}),
+	OpLe:   scalarOp("le"),
+	OpLt:   scalarOp("lt"),
+	OpGt:   scalarOp("gt"),
+	OpGe:   scalarOp("ge"),
+	OpEq:   scalarOp("eq"),
+	OpNe:   scalarOp("ne"),
+	OpJbrs: scalarOp("jbrs"),
+	OpJmp:  scalarOp("jmp"),
+	OpHalt: scalarOp("halt"),
 }
 
 // VectorTiming returns the Table 1 parameters for an opcode executed as a
 // vector instruction; ok is false for opcodes with no vector form.
 func VectorTiming(op Op) (Timing, bool) {
-	t, ok := timings[op]
-	return t, ok
+	if op < 0 || op >= numOps {
+		return Timing{}, false
+	}
+	return opTable[op].timing, opTable[op].vector
 }
 
 // ScalarOnly reports whether an opcode is declared to have no vector form.
-func ScalarOnly(op Op) bool { return scalarOnly[op] }
+func ScalarOnly(op Op) bool { return op >= 0 && op < numOps && opTable[op].scalarOnly }
 
 // Machine-level constants of the Convex C-240 (paper §2, §3.2).
 const (

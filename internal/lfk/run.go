@@ -6,6 +6,7 @@ import (
 
 	"macs/internal/asm"
 	"macs/internal/compiler"
+	"macs/internal/isa"
 	"macs/internal/vm"
 )
 
@@ -71,10 +72,8 @@ func (c *Compiled) PrimeData(cpu *vm.CPU) error {
 		if !ok {
 			return fmt.Errorf("lfk%d: symbol %s missing", k.ID, name)
 		}
-		for i, v := range vals {
-			if err := m.WriteF64(base+int64(i*8), v); err != nil {
-				return err
-			}
+		if err := m.WriteStream(base, isa.WordBytes, vals); err != nil {
+			return err
 		}
 	}
 	return nil

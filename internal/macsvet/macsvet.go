@@ -12,9 +12,6 @@
 //     default clause does not excuse a missing member, because the
 //     marker exists precisely to surface switches that silently ignore
 //     newly added members.
-//   - isatiming: every isa.Op constant appears in the opNames table and
-//     in exactly one of the Table 1 timings map or the scalarOnly set,
-//     so an opcode cannot be added without deciding its vector timing.
 //   - depgraph: internal/depgraph's EdgeKind enum keeps its
 //     macsvet:exhaustive marker and the critical-path solver's
 //     edgeWeight function contains a switch naming every member, so an
@@ -188,7 +185,6 @@ func Run(root string) ([]Finding, error) {
 	}
 	var fs []Finding
 	fs = append(fs, checkExhaustive(m)...)
-	fs = append(fs, checkISATiming(m)...)
 	fs = append(fs, checkDepGraph(m)...)
 	fs = append(fs, checkPanics(m)...)
 	fs = append(fs, checkMustCalls(m)...)

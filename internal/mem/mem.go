@@ -160,6 +160,62 @@ func (m *Memory) WriteI64(addr int64, v int64) error {
 	return nil
 }
 
+// ReadStream loads len(dst) 64-bit floats from base at stride bytes — a
+// vector load's stream. The whole stream is range-checked once
+// (Layout.CheckStream); an out-of-range stream fails with the error its
+// first out-of-range element would raise, and loads nothing. Successive
+// elements on one page share its lookup.
+func (m *Memory) ReadStream(base, stride int64, dst []float64) error {
+	if err := m.layout.CheckStream(base, stride, len(dst)); err != nil {
+		return err
+	}
+	var p *page
+	pn := int64(-1)
+	addr := base
+	for k := range dst {
+		off := int(addr) & offMask
+		if off > offMask-7 {
+			dst[k] = math.Float64frombits(m.load(addr)) // straddles two pages
+		} else {
+			if n := addr >> pageShift; n != pn {
+				p, pn = m.lookup(addr), n
+			}
+			if p != nil {
+				dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
+			} else {
+				dst[k] = 0
+			}
+		}
+		addr += stride
+	}
+	return nil
+}
+
+// WriteStream stores src as 64-bit floats from base at stride bytes — a
+// vector store's stream, or an array written whole. It is checked like
+// ReadStream, and an out-of-range stream stores nothing.
+func (m *Memory) WriteStream(base, stride int64, src []float64) error {
+	if err := m.layout.CheckStream(base, stride, len(src)); err != nil {
+		return err
+	}
+	var p *page
+	pn := int64(-1)
+	addr := base
+	for _, v := range src {
+		off := int(addr) & offMask
+		if off > offMask-7 {
+			m.store(addr, math.Float64bits(v)) // straddles two pages
+		} else {
+			if n := addr >> pageShift; n != pn {
+				p, pn = m.page(addr), n
+			}
+			binary.LittleEndian.PutUint64(p[off:], math.Float64bits(v))
+		}
+		addr += stride
+	}
+	return nil
+}
+
 // BankOf returns the interleaved bank index of an address under cfg:
 // consecutive 8-byte words map to consecutive banks.
 func (cfg Config) BankOf(addr int64) int {

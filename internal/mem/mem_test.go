@@ -478,3 +478,68 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 		t.Errorf("RefreshFactor = %v, want 1.02", isa.RefreshFactor)
 	}
 }
+
+// TestStreamsMatchTheElementWalk: a stream read or write moves the same
+// words as one ReadF64 or WriteF64 per element — across page
+// boundaries, straddling words, pages never written, and negative and
+// zero strides — and an out-of-range stream fails with the error the
+// walk's first out-of-range element raises, without touching memory.
+func TestStreamsMatchTheElementWalk(t *testing.T) {
+	const size = 1 << 16
+	pg := int64(len(page{}))
+	for _, tt := range []struct {
+		base, stride int64
+		n            int
+	}{
+		{64, 8, 128},         // unit stride across a page boundary
+		{pg - 20, 8, 9},      // every word straddles two pages
+		{3 * pg, 40, 128},    // strided, several pages
+		{9 * pg, -24, 100},   // negative stride
+		{2*pg + 8, 0, 5},     // zero stride: the last write wins
+		{size - 16, 8, 2},    // ends on the last whole word
+		{size - 16, 8, 3},    // third element out of range
+		{100, -8, 20},        // walks below zero
+		{-8, 8, 4},           // starts below zero
+		{size / 2, 4096, 40}, // runs past the end halfway
+	} {
+		src := make([]float64, tt.n)
+		for k := range src {
+			src[k] = float64(k) + 0.25
+		}
+		walk, stream := New(size), New(size)
+		var wantErr error
+		for k, v := range src {
+			if err := walk.WriteF64(tt.base+int64(k)*tt.stride, v); err != nil {
+				wantErr = err
+				break
+			}
+		}
+		err := stream.WriteStream(tt.base, tt.stride, src)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Errorf("WriteStream(%d, %d, %d): error %v, element walk %v", tt.base, tt.stride, tt.n, err, wantErr)
+		}
+		got := make([]float64, tt.n)
+		rerr := stream.ReadStream(tt.base, tt.stride, got)
+		if (rerr == nil) != (wantErr == nil) || (rerr != nil && rerr.Error() != wantErr.Error()) {
+			t.Errorf("ReadStream(%d, %d, %d): error %v, element walk %v", tt.base, tt.stride, tt.n, rerr, wantErr)
+		}
+		if wantErr != nil {
+			if len(stream.pages) != 0 {
+				t.Errorf("WriteStream(%d, %d, %d) failed but wrote pages", tt.base, tt.stride, tt.n)
+			}
+			continue
+		}
+		for k := range got {
+			w, _ := walk.ReadF64(tt.base + int64(k)*tt.stride)
+			if got[k] != w {
+				t.Errorf("stream (%d, %d) element %d = %v, element walk %v", tt.base, tt.stride, k, got[k], w)
+			}
+		}
+		// A stream over pages never written reads zeros.
+		fresh := make([]float64, tt.n)
+		fresh[0] = 1
+		if err := New(size).ReadStream(tt.base, tt.stride, fresh); err != nil || fresh[0] != 0 || fresh[len(fresh)-1] != 0 {
+			t.Errorf("ReadStream on unwritten memory = %v, %v", fresh, err)
+		}
+	}
+}

@@ -150,10 +150,12 @@ func (m *metrics) observeRequest(endpoint string, d time.Duration, failed bool, 
 	}
 }
 
-// recordAttr adds one fresh run's stall attribution by cause. Cache
-// hits never call it, so they do not inflate the counters.
-func (m *metrics) recordAttr(a macs.Attribution) {
-	for cause, v := range a.Totals() {
+// recordRun adds one fresh run's cycles and its stall attribution by
+// cause, so the two families always cover the same runs. Cache hits
+// never call it, so they do not inflate the counters.
+func (m *metrics) recordRun(st macs.Stats) {
+	m.simCycles.Add("", float64(st.Cycles))
+	for cause, v := range st.Attr.Totals() {
 		m.stallCycles.Add(cause, float64(v))
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"macs/internal/explore"
 	"macs/internal/obs"
+	"macs/internal/vm"
 )
 
 // scrape renders s's GET /metrics JSON document.
@@ -222,5 +223,26 @@ func TestRequestsCountedOnce(t *testing.T) {
 	// ran the bound stage; the sequence's bound request was a cache hit.
 	if n := v[`macsd_stage_duration_seconds_count{stage="bound"}`]; n != 3 {
 		t.Errorf("bound stage observed %v times, want 3", n)
+	}
+}
+
+// TestSimCyclesCoverAttributedRuns: every fresh run adds its cycles to
+// macsd_sim_cycles_total and its per-lane attribution to
+// macsd_stall_cycles_total, so after any request sequence the stall
+// causes (issue included) sum to exactly four lanes times the simulated
+// cycles. /v1/lfk once added only its attribution.
+func TestSimCyclesCoverAttributedRuns(t *testing.T) {
+	s := newTestService(t, Config{Workers: 2, QueueSize: 8})
+	metricsSequence(t, NewHandler(s))
+	doc := scrape(t, s)
+	cycles := metric(doc, "macsd_sim_cycles_total", "")
+	byCause, _ := doc["macsd_stall_cycles_total"].(map[string]any)
+	var causes float64
+	for _, v := range byCause {
+		f, _ := v.(float64)
+		causes += f
+	}
+	if cycles == 0 || causes != vm.NumLanes*cycles {
+		t.Errorf("stall causes sum to %v, want %d lanes x %v simulated cycles", causes, vm.NumLanes, cycles)
 	}
 }

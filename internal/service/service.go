@@ -23,6 +23,7 @@ import (
 	"macs"
 	"macs/internal/compiler"
 	"macs/internal/explore"
+	"macs/internal/isa"
 	"macs/internal/obs"
 )
 
@@ -596,10 +597,8 @@ func (p Priming) primeFunc() func(*macs.CPU) error {
 			if int64(len(vals)) > size/8 {
 				return fmt.Errorf("service: priming array %q has %d elements but is declared with %d", name, len(vals), size/8)
 			}
-			for i, v := range vals {
-				if err := m.WriteF64(base+int64(i)*8, v); err != nil {
-					return err
-				}
+			if err := m.WriteStream(base, isa.WordBytes, vals); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -718,8 +717,7 @@ func (s *Service) Analyze(ctx context.Context, req AnalyzeRequest) (AnalyzeRespo
 		if err != nil {
 			return nil, err
 		}
-		s.metrics.recordAttr(res.Stats.Attr)
-		s.metrics.simCycles.Add("", float64(res.Stats.Cycles))
+		s.metrics.recordRun(res.Stats)
 		return &AnalyzeResponse{
 			Tier:        macs.TierExact.String(),
 			Bounds:      boundsView(res.Analysis),
@@ -931,7 +929,7 @@ func (s *Service) LFK(ctx context.Context, id int) (LFKResponse, error) {
 			TX:       k.CPL(r.AX.TX),
 			Attr:     &r.Stats.Attr,
 		})
-		s.metrics.recordAttr(r.Stats.Attr)
+		s.metrics.recordRun(r.Stats)
 		return &LFKResponse{
 			ID:          k.ID,
 			Name:        k.Name,

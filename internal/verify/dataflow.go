@@ -21,7 +21,7 @@ import (
 // their whole VL×VS span, VL clamped to the hardware maximum like the
 // machine does), the VL=0 no-op note and the bank-conflict stride
 // warning. Bounded ranges decide the accesses no constant resolves.
-func dataflow(p *asm.Program) []Diagnostic {
+func dataflow(p *asm.Program, rows []isa.Row) []Diagnostic {
 	var ds []Diagnostic
 	rep := func(sev Severity, idx int, format string, args ...any) {
 		ds = append(ds, Diagnostic{sev, idx, fmt.Sprintf(format, args...)})
@@ -34,7 +34,9 @@ func dataflow(p *asm.Program) []Diagnostic {
 		}
 		for i := b.Start; i < b.End; i++ {
 			st := &iv.Pre[i]
-			reportUses(st, p.Instrs[i], i, rep)
+			if rows[i].Instr != nil {
+				reportUses(st, &rows[i], i, rep)
+			}
 			checkMem(st, p, p.Instrs[i], i, rep)
 		}
 	}
@@ -42,11 +44,11 @@ func dataflow(p *asm.Program) []Diagnostic {
 }
 
 // reportUses flags reads of registers some path leaves unassigned, over
-// the same read set the dependence graph uses: the implicit VL/VS reads
-// of vector instructions and the destination read of two-operand ALU
-// forms included.
-func reportUses(st *depgraph.Env, in isa.Instr, idx int, rep func(Severity, int, string, ...any)) {
-	for _, r := range depgraph.Reads(in) {
+// the decoded read set the dependence graph also uses: the implicit
+// VL/VS reads of vector instructions and the destination read of
+// two-operand ALU forms included.
+func reportUses(st *depgraph.Env, row *isa.Row, idx int, rep func(Severity, int, string, ...any)) {
+	for _, r := range row.Reads() {
 		if st.Defined(r) {
 			continue
 		}
@@ -59,7 +61,7 @@ func reportUses(st *depgraph.Env, in isa.Instr, idx int, rep func(Severity, int,
 			rep(SevError, idx, "use of %s before definition", r)
 		}
 	}
-	if in.IsVector() {
+	if row.Vector {
 		if vl, ok := st.Reg(isa.VL()).IsPoint(); ok && vl == 0 {
 			rep(SevInfo, idx, "vector instruction with vl=0 is a no-op")
 		}

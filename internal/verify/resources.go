@@ -15,7 +15,7 @@ import (
 // run slower than their instruction mix suggests, the paper's LFK8
 // signature. A split because a pipe is taken is ordinary chime
 // formation, not a finding.
-func resources(p *asm.Program) []Diagnostic {
+func resources(p *asm.Program, rows []isa.Row) []Diagnostic {
 	loop, ok := asm.InnerVectorLoop(p)
 	if !ok {
 		return nil
@@ -33,20 +33,21 @@ func resources(p *asm.Program) []Diagnostic {
 			}
 			continue
 		}
-		if _, ok := isa.VectorTiming(in.Op); !ok {
-			continue // structural pass reports the missing timing
+		r := &rows[loop.Start+i]
+		if r.Instr == nil || !r.Timed {
+			continue // reported by the decode and structural passes
 		}
-		if !b.Fits(in) {
-			if b.PortSplit(in) {
+		if !b.Fits(r) {
+			if b.PortSplit(r) {
 				warn(i, "single memory port: vector memory access follows a scalar memory access and starts a new chime")
 			}
-			if pr, ok := b.PairSplit(in); ok {
+			if pr, ok := b.PairSplit(r); ok {
 				warn(i, fmt.Sprintf("register pair pressure on {v%d,v%d}: more than %d reads or %d write per chime forces a split",
 					pr, pr+4, isa.PairMaxReads, isa.PairMaxWrites))
 			}
 			b.Flush()
 		}
-		b.Add(in)
+		b.Add(r)
 	}
 	return ds
 }

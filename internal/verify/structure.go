@@ -27,15 +27,15 @@ func structural(p *asm.Program) []Diagnostic {
 		for _, o := range in.Ops {
 			switch o.Kind {
 			case isa.KindReg:
-				if msg, ok := badReg(o.Reg); ok {
-					errf(i, "%s", msg)
+				if err := isa.CheckReg(o.Reg); err != nil {
+					errf(i, "%v", err)
 				}
 			case isa.KindMem:
 				if o.Base.Class != isa.ClassA && o.Base.Class != isa.ClassNone {
 					errf(i, "memory base %s is not an a-register", o.Base)
 				} else if o.Base.Class == isa.ClassA {
-					if msg, ok := badReg(o.Base); ok {
-						errf(i, "%s", msg)
+					if err := isa.CheckReg(o.Base); err != nil {
+						errf(i, "%v", err)
 					}
 				}
 				if o.Sym != "" {
@@ -56,28 +56,6 @@ func structural(p *asm.Program) []Diagnostic {
 		}
 	}
 	return ds
-}
-
-func badReg(r isa.Reg) (string, bool) {
-	switch r.Class {
-	case isa.ClassA:
-		if r.N < 0 || r.N >= isa.NumARegs {
-			return fmt.Sprintf("register a%d out of range", r.N), true
-		}
-	case isa.ClassS:
-		if r.N < 0 || r.N >= isa.NumSRegs {
-			return fmt.Sprintf("register s%d out of range", r.N), true
-		}
-	case isa.ClassV:
-		if r.N < 0 || r.N >= isa.NumVRegs {
-			return fmt.Sprintf("register v%d out of range", r.N), true
-		}
-	case isa.ClassVL, isa.ClassVS:
-		// Singletons.
-	default:
-		return "invalid register class", true
-	}
-	return "", false
 }
 
 // checkScalarShape mirrors vm.execScalar's operand requirements.

@@ -12,9 +12,10 @@
 //     vector forms with no Table 1 timing;
 //   - dataflow, read from depgraph's interval fixpoint (value ranges of
 //     the a/s registers, VL, VS and the T flag, plus must-defined bits
-//     for every register): use before definition over depgraph.Reads
-//     (two-operand ALU forms read their destination), vector
-//     instructions before VL/VS are set, unreachable code;
+//     for every register): use before definition over each decoded
+//     instruction's read set (isa.Row.Reads: two-operand ALU forms read
+//     their destination), vector instructions before VL/VS are set,
+//     unreachable code;
 //   - static memory bounds: every effective address the intervals
 //     resolve (a point interval is a known constant) checked against its
 //     DataDef size, vector streams checked over their whole VL×VS span;
@@ -34,6 +35,7 @@ import (
 	"strings"
 
 	"macs/internal/asm"
+	"macs/internal/isa"
 )
 
 // Severity grades a finding.
@@ -129,10 +131,11 @@ func HasErrors(ds []Diagnostic) bool { return len(Errors(ds)) > 0 }
 // Check runs every pass and returns the findings ordered by instruction
 // index (program-level first), most severe first within an instruction.
 func Check(p *asm.Program) []Diagnostic {
-	var ds []Diagnostic
-	ds = append(ds, structural(p)...)
-	ds = append(ds, dataflow(p)...)
-	ds = append(ds, resources(p)...)
+	ds := structural(p)
+	rows, undecoded := decode(p)
+	ds = append(ds, undecoded...)
+	ds = append(ds, dataflow(p, rows)...)
+	ds = append(ds, resources(p, rows)...)
 	sort.SliceStable(ds, func(i, j int) bool {
 		if ds[i].Instr != ds[j].Instr {
 			return ds[i].Instr < ds[j].Instr
@@ -140,6 +143,26 @@ func Check(p *asm.Program) []Diagnostic {
 		return ds[i].Severity > ds[j].Severity
 	})
 	return dedupe(ds)
+}
+
+// decode lowers every instruction once (isa.Decode) for the passes that
+// read rows. An instruction that does not decode — it reads more
+// registers than a row holds, or names a register outside its file,
+// which the structural pass reports as well — gets an error finding and
+// a zero row (nil Instr), which those passes skip: the program is
+// refused either way, and no pass reads a partial read set.
+func decode(p *asm.Program) ([]isa.Row, []Diagnostic) {
+	var ds []Diagnostic
+	rows := make([]isa.Row, len(p.Instrs))
+	for i := range p.Instrs {
+		r, err := isa.Decode(&p.Instrs[i])
+		if err != nil {
+			ds = append(ds, Diagnostic{SevError, i, err.Error()})
+			continue
+		}
+		rows[i] = r
+	}
+	return rows, ds
 }
 
 // Must gates a program: nil when Check finds no errors, otherwise an

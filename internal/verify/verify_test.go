@@ -159,6 +159,14 @@ var badCorpus = []badCase{
 			verify.SevError, "use of s2 before definition",
 		),
 	},
+	{
+		// A vector load with five extra register operands reads eight
+		// registers; a decoded row holds six, so it is refused rather
+		// than checked on part of its reads.
+		name: "too-many-reads",
+		src:  "mov #8,vs\nmov #4,vl\nld.d d_X(a0),a1,a2,a3,a4,a5,v0\nhalt\n.data d_X 1024\n",
+		want: wants(verify.SevError, "reads 8 registers, more than the 6 an instruction may read"),
+	},
 }
 
 func TestBadProgramCorpus(t *testing.T) {

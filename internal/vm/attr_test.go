@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"macs/internal/asm"
 	"macs/internal/isa"
 )
 
@@ -308,5 +309,74 @@ L1:
 				checkConserved(t, st)
 			}
 		}
+	}
+}
+
+// TestTraceRingHandsOverAfterRun: once a run has finished, a ring that
+// never wrapped hands its buffer over without a copy; a call mid-run
+// copies, so later pushes cannot change what it returned. Events point
+// at the loaded program's instructions.
+func TestTraceRingHandsOverAfterRun(t *testing.T) {
+	src := `
+.data a 65536
+	mov #8,vs
+	mov #16,vl
+	mov #3,s0
+L1:
+	ld.l a(a0),v2
+	add.d v2,v1,v0
+	sub.w #1,s0
+	lt.w #0,s0
+	jbrs.t L1
+`
+	p, err := asm.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.TraceRing = 64
+	cpu := New(cfg)
+	if err := cpu.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	var mid []TraceEvent
+	for {
+		done, err := cpu.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+		if mid == nil && len(cpu.TraceEvents()) == 2 {
+			mid = cpu.TraceEvents()
+		}
+	}
+	ev := cpu.TraceEvents()
+	if len(ev) != 6 || len(mid) != 2 {
+		t.Fatalf("ring kept %d events (%d mid-run), want 6 and 2", len(ev), len(mid))
+	}
+	if again := cpu.TraceEvents(); &again[0] != &ev[0] {
+		t.Error("a finished run's unwrapped ring was copied")
+	}
+	if &mid[0] == &ev[0] {
+		t.Error("a mid-run call shares the ring's buffer")
+	}
+	if ev[0].Instr != &p.Instrs[3] || ev[1].Instr != &p.Instrs[4] {
+		t.Errorf("events point at %p, %p; want the program's instructions 3 and 4", ev[0].Instr, ev[1].Instr)
+	}
+}
+
+// TestLoadRejectsUndecodableInstruction: an instruction reading more
+// registers than a decoded row holds is refused before the run starts.
+func TestLoadRejectsUndecodableInstruction(t *testing.T) {
+	p, err := asm.Parse("mov #8,vs\nmov #4,vl\nld.d d_X(a0),a1,a2,a3,a4,a5,v0\nhalt\n.data d_X 1024\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = New(DefaultConfig()).Load(p)
+	want := "vm: instr 2 (ld.d d_X(a0),a1,a2,a3,a4,a5,v0): reads 8 registers, more than the 6 an instruction may read"
+	if err == nil || err.Error() != want {
+		t.Errorf("Load error = %v, want %q", err, want)
 	}
 }

@@ -101,7 +101,9 @@ func (s Stats) Utilization(p isa.Pipe) float64 {
 
 // TraceEvent records the timing of one vector instruction.
 type TraceEvent struct {
-	Instr       isa.Instr
+	// Instr points at the instruction in the loaded program; the event
+	// holds no copy of it.
+	Instr       *isa.Instr
 	Chime       int64 // chime sequence number (1-based)
 	Dispatch    int64 // ASU dispatch completion
 	Start       int64 // stream entry time S

@@ -18,6 +18,9 @@ type CPU struct {
 	Timing
 	mem  *mem.Memory
 	prog *asm.Program
+	// code is the loaded program, one decoded instruction per Instrs
+	// entry.
+	code []instr
 
 	// Architectural state.
 	a      [isa.NumARegs]int64
@@ -29,10 +32,25 @@ type CPU struct {
 	pc     int
 	halted bool
 
-	// vscratch is the vector ALU staging buffer (results are computed here
-	// before being copied to the destination register, so aliased operands
-	// read consistent values without a per-instruction allocation).
-	vscratch []float64
+	// bcast holds the two broadcast operands of a vector ALU instruction
+	// (a scalar register or an immediate repeated VL times).
+	bcast [2][]float64
+}
+
+// instr is one loaded instruction: its decoded row plus what Load
+// resolved against the program's labels and the CPU's memory layout.
+type instr struct {
+	isa.Row
+	// disp is the address operand's displacement plus its symbol's base
+	// address; the a register numbered base (-1 for none) is added at
+	// run time. undef names a symbol that was not placed, which fails
+	// the instruction when it executes.
+	disp  int64
+	base  int
+	undef string
+	// target is a branch's label index, -1 for a branch without a label
+	// (which fails when taken).
+	target int
 }
 
 // New creates a CPU with the given configuration. A CPU runs one
@@ -45,12 +63,16 @@ func New(cfg Config) *CPU {
 		vs:     isa.WordBytes,
 		vl:     cfg.VLMax,
 	}
-	// One backing array for the vector registers and the staging buffer.
-	regs := make([]float64, (len(c.v)+1)*cfg.VLMax)
+	// One backing array for the vector registers and the broadcast
+	// buffers.
+	regs := make([]float64, (len(c.v)+len(c.bcast))*cfg.VLMax)
 	for i := range c.v {
 		c.v[i] = regs[i*cfg.VLMax : (i+1)*cfg.VLMax : (i+1)*cfg.VLMax]
 	}
-	c.vscratch = regs[len(c.v)*cfg.VLMax:]
+	for i := range c.bcast {
+		k := len(c.v) + i
+		c.bcast[i] = regs[k*cfg.VLMax : (k+1)*cfg.VLMax : (k+1)*cfg.VLMax]
+	}
 	return c
 }
 
@@ -84,29 +106,78 @@ func (c *CPU) SetV(n int, vals []float64) {
 	}
 }
 
-// Load resolves the program's data symbols into memory and prepares
-// execution at instruction 0 (or label "main" if present).
+// Load resolves the program's data symbols into memory, decodes its
+// instructions once (isa.Decode) with their address operands and branch
+// targets resolved, and prepares execution at instruction 0 (or label
+// "main" if present).
 func (c *CPU) Load(p *asm.Program) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	c.prog = p
 	for _, d := range p.Data {
 		addr, err := c.mem.Alloc(d.Name, d.Size)
 		if err != nil {
 			return err
 		}
-		for i, v := range d.Init {
-			if err := c.mem.WriteF64(addr+int64(i*8), v); err != nil {
-				return err
-			}
+		if err := c.mem.WriteStream(addr, isa.WordBytes, d.Init); err != nil {
+			return err
 		}
 	}
+	code := make([]instr, len(p.Instrs))
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		row, err := isa.Decode(in)
+		if err != nil {
+			return fmt.Errorf("vm: instr %d (%s): %w", i, in, err)
+		}
+		code[i] = instr{Row: row, base: -1, target: -1}
+		c.resolve(&code[i], p)
+	}
+	c.prog, c.code = p, code
 	c.pc = 0
 	if idx, ok := p.Labels["main"]; ok {
 		c.pc = idx
 	}
 	return nil
+}
+
+// resolve fixes what an instruction's execution would otherwise look up
+// each time: the address operand — a scalar load's source, a scalar
+// store's destination, a vector memory access's first memory operand —
+// and a branch's target.
+func (c *CPU) resolve(in *instr, p *asm.Program) {
+	ops := in.Instr.Ops
+	addrOp := -1
+	switch {
+	case in.Vector && in.Mem:
+		addrOp = in.MemOp
+	case in.Op == isa.OpLd && len(ops) == 2:
+		addrOp = 0
+	case in.Op == isa.OpSt && len(ops) == 2:
+		addrOp = 1
+	}
+	if addrOp >= 0 {
+		o := ops[addrOp]
+		in.disp = o.Disp
+		if o.Sym != "" {
+			if base, ok := c.mem.SymbolAddr(o.Sym); ok {
+				in.disp += base
+			} else {
+				in.undef = o.Sym
+			}
+		}
+		if o.Base.Class == isa.ClassA {
+			in.base = o.Base.N
+		}
+	}
+	if in.Instr.IsBranch() {
+		for _, o := range ops {
+			if o.Kind == isa.KindLabel {
+				in.target = p.Labels[o.Label] // Validate resolved every label
+				break
+			}
+		}
+	}
 }
 
 // Step executes one instruction. It returns done=true when the program
@@ -115,16 +186,16 @@ func (c *CPU) Step() (done bool, err error) {
 	if c.prog == nil {
 		return true, fmt.Errorf("vm: no program loaded")
 	}
-	if c.halted || c.pc < 0 || c.pc >= len(c.prog.Instrs) {
+	if c.halted || c.pc < 0 || c.pc >= len(c.code) {
 		c.Finish()
 		return true, nil
 	}
-	in := c.prog.Instrs[c.pc]
-	if err := c.Fetch(in, c.pc); err != nil {
+	in := &c.code[c.pc]
+	if err := c.Fetch(&in.Row, c.pc); err != nil {
 		return true, err
 	}
 	var jumped bool
-	if in.IsVector() {
+	if in.Vector {
 		err = c.execVector(in)
 	} else {
 		if in.Op == isa.OpHalt {
@@ -135,12 +206,12 @@ func (c *CPU) Step() (done bool, err error) {
 		jumped, err = c.execScalar(in)
 	}
 	if err != nil {
-		return true, fmt.Errorf("vm: pc=%d (%s): %w", c.pc, in, err)
+		return true, fmt.Errorf("vm: pc=%d (%s): %w", c.pc, in.Instr, err)
 	}
 	if !jumped {
 		c.pc++
 	}
-	if c.pc < 0 || c.pc >= len(c.prog.Instrs) {
+	if c.pc < 0 || c.pc >= len(c.code) {
 		c.halted = true
 		c.Finish()
 		return true, nil
@@ -162,18 +233,15 @@ func (c *CPU) Run() (Stats, error) {
 	}
 }
 
-// effAddr computes a memory operand's effective address.
-func (c *CPU) effAddr(o isa.Operand) (int64, error) {
-	addr := o.Disp
-	if o.Sym != "" {
-		base, ok := c.mem.SymbolAddr(o.Sym)
-		if !ok {
-			return 0, fmt.Errorf("undefined symbol %q", o.Sym)
-		}
-		addr += base
+// effAddr computes an instruction's effective address from its resolved
+// address operand.
+func (c *CPU) effAddr(in *instr) (int64, error) {
+	if in.undef != "" {
+		return 0, fmt.Errorf("undefined symbol %q", in.undef)
 	}
-	if o.Base.Class == isa.ClassA {
-		addr += c.a[o.Base.N]
+	addr := in.disp
+	if in.base >= 0 {
+		addr += c.a[in.base]
 	}
 	return addr, nil
 }
@@ -239,23 +307,24 @@ func (c *CPU) setFloatReg(r isa.Reg, v float64) error {
 
 // execScalar executes one ASU instruction, advancing the ASU clock by its
 // latency. It returns jumped=true when control transferred.
-func (c *CPU) execScalar(in isa.Instr) (jumped bool, err error) {
+func (c *CPU) execScalar(in *instr) (jumped bool, err error) {
+	ops := in.Instr.Ops
 	switch in.Op {
 	case isa.OpNop:
 		c.ScalarOp()
 		return false, nil
 	case isa.OpMov:
-		if len(in.Ops) != 2 {
+		if len(ops) != 2 {
 			return false, fmt.Errorf("mov needs 2 operands")
 		}
 		c.ScalarOp()
-		dst := in.Ops[1].Reg
-		if in.Suffix == isa.SufD && dst.Class == isa.ClassS && in.Ops[0].Kind == isa.KindReg && in.Ops[0].Reg.Class == isa.ClassS {
-			c.WaitScalar(in.Ops[0].Reg)
-			c.s[dst.N] = c.s[in.Ops[0].Reg.N]
+		dst := ops[1].Reg
+		if in.Instr.Suffix == isa.SufD && dst.Class == isa.ClassS && ops[0].Kind == isa.KindReg && ops[0].Reg.Class == isa.ClassS {
+			c.WaitScalar(ops[0].Reg)
+			c.s[dst.N] = c.s[ops[0].Reg.N]
 			return false, nil
 		}
-		v, err := c.intVal(in.Ops[0])
+		v, err := c.intVal(ops[0])
 		if err != nil {
 			return false, err
 		}
@@ -265,9 +334,9 @@ func (c *CPU) execScalar(in isa.Instr) (jumped bool, err error) {
 	case isa.OpSt:
 		return false, c.scalarStore(in)
 	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpNeg, isa.OpAnd, isa.OpOr, isa.OpShf:
-		return false, c.scalarALU(in)
+		return false, c.scalarALU(in.Instr)
 	case isa.OpLe, isa.OpLt, isa.OpGt, isa.OpGe, isa.OpEq, isa.OpNe:
-		return false, c.scalarCompare(in)
+		return false, c.scalarCompare(in.Instr)
 	case isa.OpJmp:
 		c.ScalarOp()
 		c.TakenBranch()
@@ -275,7 +344,7 @@ func (c *CPU) execScalar(in isa.Instr) (jumped bool, err error) {
 	case isa.OpJbrs:
 		c.ScalarOp()
 		take := c.tf
-		if in.Suffix == isa.SufF {
+		if in.Instr.Suffix == isa.SufF {
 			take = !take
 		}
 		if !take {
@@ -289,29 +358,23 @@ func (c *CPU) execScalar(in isa.Instr) (jumped bool, err error) {
 	return false, fmt.Errorf("unimplemented scalar op %s", in.Op)
 }
 
-func (c *CPU) jumpTo(in isa.Instr) error {
-	for _, o := range in.Ops {
-		if o.Kind == isa.KindLabel {
-			idx, ok := c.prog.Labels[o.Label]
-			if !ok {
-				return fmt.Errorf("undefined label %q", o.Label)
-			}
-			c.pc = idx
-			return nil
-		}
+func (c *CPU) jumpTo(in *instr) error {
+	if in.target < 0 {
+		return fmt.Errorf("branch without label")
 	}
-	return fmt.Errorf("branch without label")
+	c.pc = in.target
+	return nil
 }
 
-func (c *CPU) scalarLoad(in isa.Instr) error {
-	if len(in.Ops) != 2 {
+func (c *CPU) scalarLoad(in *instr) error {
+	if len(in.Instr.Ops) != 2 {
 		return fmt.Errorf("scalar load needs 2 operands")
 	}
-	addr, err := c.effAddr(in.Ops[0])
+	addr, err := c.effAddr(in)
 	if err != nil {
 		return err
 	}
-	dst := in.Ops[1].Reg
+	dst := in.Instr.Ops[1].Reg
 	c.ScalarLoad(dst)
 	switch dst.Class {
 	case isa.ClassA:
@@ -332,16 +395,16 @@ func (c *CPU) scalarLoad(in isa.Instr) error {
 	return nil
 }
 
-func (c *CPU) scalarStore(in isa.Instr) error {
-	if len(in.Ops) != 2 {
+func (c *CPU) scalarStore(in *instr) error {
+	if len(in.Instr.Ops) != 2 {
 		return fmt.Errorf("scalar store needs 2 operands")
 	}
-	addr, err := c.effAddr(in.Ops[1])
+	addr, err := c.effAddr(in)
 	if err != nil {
 		return err
 	}
 	c.ScalarStore()
-	src := in.Ops[0].Reg
+	src := in.Instr.Ops[0].Reg
 	switch src.Class {
 	case isa.ClassA:
 		return c.mem.WriteI64(addr, c.a[src.N])
@@ -352,7 +415,7 @@ func (c *CPU) scalarStore(in isa.Instr) error {
 	return fmt.Errorf("bad scalar store source %s", src)
 }
 
-func (c *CPU) scalarALU(in isa.Instr) error {
+func (c *CPU) scalarALU(in *isa.Instr) error {
 	c.ScalarOp()
 	// Two-operand form: dst = dst OP src (e.g. add.w #1024,a5).
 	// Three-operand form: dst = src1 OP src2.
@@ -481,7 +544,7 @@ func IntALU(op isa.Op, x, y int64) (int64, error) {
 	return 0, fmt.Errorf("no integer form for %s", op)
 }
 
-func (c *CPU) scalarCompare(in isa.Instr) error {
+func (c *CPU) scalarCompare(in *isa.Instr) error {
 	if len(in.Ops) != 2 {
 		return fmt.Errorf("compare needs 2 operands")
 	}

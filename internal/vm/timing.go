@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"macs/internal/core"
 	"macs/internal/isa"
@@ -114,14 +115,14 @@ type BankReserver interface {
 // streams then contend with other CPUs using the same model.
 func (t *Timing) SetSharedBank(b BankReserver) { t.sharedBank = b }
 
-// Fetch counts one instruction about to execute at pc against the run's
-// budgets (Config.MaxInstrs, Config.MaxCycles).
-func (t *Timing) Fetch(in isa.Instr, pc int) error {
+// Fetch counts one decoded instruction about to execute at pc against
+// the run's budgets (Config.MaxInstrs, Config.MaxCycles).
+func (t *Timing) Fetch(r *isa.Row, pc int) error {
 	t.stats.Instrs++
 	if t.stats.Instrs > t.cfg.MaxInstrs || t.clock > t.cfg.MaxCycles {
-		return fmt.Errorf("vm: execution limit exceeded at pc=%d (%s)", pc, in)
+		return fmt.Errorf("vm: execution limit exceeded at pc=%d (%s)", pc, r.Instr)
 	}
-	if in.IsVector() {
+	if r.Vector {
 		t.stats.VectorInstrs++
 	} else {
 		t.stats.ScalarInstrs++
@@ -219,22 +220,22 @@ func (t *Timing) closeChime(split bool) {
 	t.chimeVL = 0
 }
 
-// Vector charges one vector instruction streaming vl elements under the
-// chime model: its scalar operand waits and ASU dispatch, chime
+// Vector charges one decoded vector instruction streaming vl elements
+// under the chime model: its scalar operand waits and ASU dispatch, chime
 // formation, the stream entry time with its attribution, and — for a
 // load or store — the memory stalls of the stream from address ea at
 // stride bytes (ea and stride are ignored otherwise). A zero-length
 // instruction costs only its startup overhead.
-func (t *Timing) Vector(in isa.Instr, vl int, ea, stride int64) error {
-	vt, ok := isa.VectorTiming(in.Op)
-	if !ok {
-		return fmt.Errorf("no vector form for %s", in.Op)
+func (t *Timing) Vector(r *isa.Row, vl int, ea, stride int64) error {
+	if !r.Timed {
+		return fmt.Errorf("no vector form for %s", r.Op)
 	}
-	// Vector instructions reading vector-produced scalars wait for them.
-	for _, r := range in.Sources() {
-		if r.Class == isa.ClassS {
-			t.WaitScalar(r)
-		}
+	vt := r.Timing
+	// Vector instructions reading vector-produced scalars wait for them,
+	// in register order: each wait only raises the clock, so the order
+	// does not change it or its attribution.
+	for sr := r.ScalarReads(); sr != 0; sr &= sr - 1 {
+		t.WaitScalar(isa.S(bits.TrailingZeros8(sr)))
 	}
 	t.clock += int64(t.cfg.DispatchLat)
 	t.chargeIssue(LaneASU, t.clock)
@@ -248,11 +249,11 @@ func (t *Timing) Vector(in isa.Instr, vl int, ea, stride int64) error {
 		return nil
 	}
 
-	if !t.builder.Fits(in) {
+	if !t.builder.Fits(r) {
 		t.closeChime(false)
 	}
 	newChime := t.builder.Empty()
-	t.builder.Add(in)
+	t.builder.Add(r)
 	if vl > t.chimeVL {
 		t.chimeVL = vl
 	}
@@ -276,7 +277,7 @@ func (t *Timing) Vector(in isa.Instr, vl int, ea, stride int64) error {
 	waits = append(waits,
 		waitPoint{dispatchDone, StallScalar},
 		waitPoint{s, StallStartup})
-	pipe := in.Pipe()
+	pipe := r.Pipe
 	lane := int(pipe)
 	pf := t.pipeFree[pipe]
 	if t.cfg.Rules.Bubbles && t.pipeUsed[pipe] {
@@ -305,8 +306,8 @@ func (t *Timing) Vector(in isa.Instr, vl int, ea, stride int64) error {
 
 	// Data dependences on vector registers.
 	var chainT int64
-	for _, r := range in.VectorReads() {
-		w := t.vw[r.N]
+	for _, v := range r.VectorReads() {
+		w := t.vw[v]
 		if !w.valid {
 			continue
 		}
@@ -341,7 +342,7 @@ func (t *Timing) Vector(in isa.Instr, vl int, ea, stride int64) error {
 	// Memory port and stream stalls.
 	var st memStall
 	var stall int64
-	if in.IsMemory() {
+	if r.Mem {
 		if t.scalarPortFree > s {
 			t.stats.PortConflicts++
 		}
@@ -388,23 +389,21 @@ func (t *Timing) Vector(in isa.Instr, vl int, ea, stride int64) error {
 	if fin > t.maxEvent {
 		t.maxEvent = fin
 	}
-	if in.IsMemory() && fin > t.vectorPortFree {
+	if r.Mem && fin > t.vectorPortFree {
 		t.vectorPortFree = fin
 	}
-	if d, ok := in.VectorWrite(); ok {
-		t.vw[d.N] = vwriter{valid: true, chime: t.chimeID, start: s, y: vt.Y, z: vt.Z, fin: fin}
+	if d, ok := r.VectorWrite(); ok {
+		t.vw[d] = vwriter{valid: true, chime: t.chimeID, start: s, y: vt.Y, z: vt.Z, fin: fin}
 	}
-	if in.Op == isa.OpSum {
+	if r.Op == isa.OpSum && r.Dst.Class == isa.ClassS {
 		// Reduction result lands in a scalar register when the stream
 		// drains.
-		if d, ok := in.Dst(); ok && d.Class == isa.ClassS {
-			t.sReady[d.N] = fin
-		}
+		t.sReady[r.Dst.N] = fin
 	}
 
 	if t.cfg.Trace || t.ring != nil {
 		ev := TraceEvent{
-			Instr:       in,
+			Instr:       r.Instr,
 			Chime:       t.chimeID + 1,
 			Dispatch:    dispatchDone,
 			Start:       s,

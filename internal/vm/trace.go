@@ -37,9 +37,15 @@ func (r *traceRing) push(e TraceEvent) {
 	r.pos = (r.pos + 1) % r.capacity
 }
 
-// events returns the buffered events oldest-first.
-func (r *traceRing) events() []TraceEvent {
+// events returns the buffered events oldest-first. Once the run has
+// finished (final) and the ring never wrapped, the buffer itself is
+// returned — nothing will be pushed again; otherwise the events are
+// copied.
+func (r *traceRing) events(final bool) []TraceEvent {
 	if !r.full {
+		if final {
+			return r.buf
+		}
 		return append([]TraceEvent(nil), r.buf...)
 	}
 	out := make([]TraceEvent, 0, len(r.buf))
@@ -50,13 +56,14 @@ func (r *traceRing) events() []TraceEvent {
 
 // TraceEvents returns the recorded vector timing events oldest-first: the
 // unbounded trace when Config.Trace is set, otherwise the contents of the
-// bounded ring buffer (Config.TraceRing), otherwise nil.
+// bounded ring buffer (Config.TraceRing), otherwise nil. After the run
+// has finished, a ring that never wrapped is handed over without a copy.
 func (t *Timing) TraceEvents() []TraceEvent {
 	if t.cfg.Trace {
 		return t.trace
 	}
 	if t.ring != nil {
-		return t.ring.events()
+		return t.ring.events(t.finished)
 	}
 	return nil
 }

@@ -9,70 +9,61 @@ import (
 
 // execVector times one vector instruction on the embedded Timing model
 // and executes it functionally.
-func (c *CPU) execVector(in isa.Instr) error {
+func (c *CPU) execVector(in *instr) error {
 	vl := c.vl
 	var ea int64
-	if vl > 0 && in.IsMemory() {
+	if vl > 0 && in.Mem {
+		if in.MemOp < 0 {
+			return fmt.Errorf("vector memory op without memory operand")
+		}
 		var err error
-		if ea, err = c.vectorEA(in); err != nil {
+		if ea, err = c.effAddr(in); err != nil {
 			return err
 		}
 	}
-	if err := c.Vector(in, vl, ea, c.vs); err != nil {
+	if err := c.Vector(&in.Row, vl, ea, c.vs); err != nil {
 		return err
 	}
 	if vl <= 0 {
 		return nil
 	}
-	return c.execVectorFunc(in, vl, ea)
+	return c.execVectorFunc(in.Instr, vl, ea)
 }
 
-// vectorEA resolves the memory operand of a vector load or store.
-func (c *CPU) vectorEA(in isa.Instr) (int64, error) {
-	for _, o := range in.Ops {
-		if o.Kind == isa.KindMem {
-			return c.effAddr(o)
-		}
+// vecOperand returns the first vl elements of a vector-op operand: a
+// vector register's own elements, or — for a scalar register or an
+// immediate — buf filled with the broadcast value.
+func (c *CPU) vecOperand(o isa.Operand, vl int, buf []float64) ([]float64, error) {
+	var val float64
+	switch {
+	case o.Kind == isa.KindReg && o.Reg.Class == isa.ClassV:
+		return c.v[o.Reg.N][:vl], nil
+	case o.Kind == isa.KindReg && o.Reg.Class == isa.ClassS:
+		val = math.Float64frombits(c.s[o.Reg.N])
+	case o.Kind == isa.KindImm:
+		val = float64(o.Imm)
+	default:
+		return nil, fmt.Errorf("bad vector operand %s", o)
 	}
-	return 0, fmt.Errorf("vector memory op without memory operand")
-}
-
-// vecOperand returns an element accessor for a vector-op operand:
-// vector registers index per element, scalar registers and immediates
-// broadcast.
-func (c *CPU) vecOperand(o isa.Operand) (func(k int) float64, error) {
-	switch o.Kind {
-	case isa.KindReg:
-		switch o.Reg.Class {
-		case isa.ClassV:
-			vec := c.v[o.Reg.N]
-			return func(k int) float64 { return vec[k] }, nil
-		case isa.ClassS:
-			val := math.Float64frombits(c.s[o.Reg.N])
-			return func(int) float64 { return val }, nil
-		}
-	case isa.KindImm:
-		val := float64(o.Imm)
-		return func(int) float64 { return val }, nil
+	buf = buf[:vl]
+	for k := range buf {
+		buf[k] = val
 	}
-	return nil, fmt.Errorf("bad vector operand %s", o)
+	return buf, nil
 }
 
 // execVectorFunc performs the functional (value) semantics of a vector
-// instruction over vl elements.
-func (c *CPU) execVectorFunc(in isa.Instr, vl int, ea int64) error {
+// instruction over vl elements. Every operation is elementwise, so a
+// destination register that is also a source is updated in place.
+func (c *CPU) execVectorFunc(in *isa.Instr, vl int, ea int64) error {
 	switch in.Op {
 	case isa.OpLd:
 		dst := in.Ops[len(in.Ops)-1].Reg
 		if dst.Class != isa.ClassV {
 			return fmt.Errorf("vector load into %s", dst)
 		}
-		for k := 0; k < vl; k++ {
-			v, err := c.mem.ReadF64(ea + int64(k)*c.vs)
-			if err != nil {
-				return err
-			}
-			c.v[dst.N][k] = v
+		if err := c.mem.ReadStream(ea, c.vs, c.v[dst.N][:vl]); err != nil {
+			return err
 		}
 		c.stats.VectorElems += int64(vl)
 		return nil
@@ -81,10 +72,8 @@ func (c *CPU) execVectorFunc(in isa.Instr, vl int, ea int64) error {
 		if src.Class != isa.ClassV {
 			return fmt.Errorf("vector store from %s", src)
 		}
-		for k := 0; k < vl; k++ {
-			if err := c.mem.WriteF64(ea+int64(k)*c.vs, c.v[src.N][k]); err != nil {
-				return err
-			}
+		if err := c.mem.WriteStream(ea, c.vs, c.v[src.N][:vl]); err != nil {
+			return err
 		}
 		c.stats.VectorElems += int64(vl)
 		return nil
@@ -94,16 +83,16 @@ func (c *CPU) execVectorFunc(in isa.Instr, vl int, ea int64) error {
 			return fmt.Errorf("sum needs v,s operands")
 		}
 		var acc float64
-		for k := 0; k < vl; k++ {
-			acc += c.v[src.N][k]
+		for _, v := range c.v[src.N][:vl] {
+			acc += v
 		}
 		c.stats.VectorFlops += int64(vl)
 		return c.setFloatReg(in.Ops[1].Reg, acc)
-	case isa.OpNeg, isa.OpMov:
+	case isa.OpNeg, isa.OpMov, isa.OpSqrt:
 		if len(in.Ops) != 2 {
 			return fmt.Errorf("%s needs 2 operands", in.Op)
 		}
-		src, err := c.vecOperand(in.Ops[0])
+		src, err := c.vecOperand(in.Ops[0], vl, c.bcast[0])
 		if err != nil {
 			return err
 		}
@@ -111,14 +100,19 @@ func (c *CPU) execVectorFunc(in isa.Instr, vl int, ea int64) error {
 		if dst.Class != isa.ClassV {
 			return fmt.Errorf("vector %s into %s", in.Op, dst)
 		}
-		for k := 0; k < vl; k++ {
-			v := src(k)
-			if in.Op == isa.OpNeg {
-				v = -v
+		out := c.v[dst.N][:vl]
+		switch in.Op {
+		case isa.OpNeg:
+			for k, v := range src {
+				out[k] = -v
 			}
-			c.v[dst.N][k] = v
-		}
-		if in.Op == isa.OpNeg {
+			c.stats.VectorFlops += int64(vl)
+		case isa.OpMov:
+			copy(out, src)
+		case isa.OpSqrt:
+			for k, v := range src {
+				out[k] = math.Sqrt(v)
+			}
 			c.stats.VectorFlops += int64(vl)
 		}
 		return nil
@@ -126,11 +120,11 @@ func (c *CPU) execVectorFunc(in isa.Instr, vl int, ea int64) error {
 		if len(in.Ops) != 3 {
 			return fmt.Errorf("%s needs 3 operands", in.Op)
 		}
-		x, err := c.vecOperand(in.Ops[0])
+		x, err := c.vecOperand(in.Ops[0], vl, c.bcast[0])
 		if err != nil {
 			return err
 		}
-		y, err := c.vecOperand(in.Ops[1])
+		y, err := c.vecOperand(in.Ops[1], vl, c.bcast[1])
 		if err != nil {
 			return err
 		}
@@ -138,37 +132,24 @@ func (c *CPU) execVectorFunc(in isa.Instr, vl int, ea int64) error {
 		if dst.Class != isa.ClassV {
 			return fmt.Errorf("vector %s into %s", in.Op, dst)
 		}
-		out := c.vscratch[:vl]
-		for k := 0; k < vl; k++ {
-			a, b := x(k), y(k)
-			switch in.Op {
-			case isa.OpAdd:
-				out[k] = a + b
-			case isa.OpSub:
-				out[k] = a - b
-			case isa.OpMul:
-				out[k] = a * b
-			case isa.OpDiv:
-				out[k] = a / b
+		out, y := c.v[dst.N][:vl], y[:len(x)]
+		switch in.Op {
+		case isa.OpAdd:
+			for k := range x {
+				out[k] = x[k] + y[k]
 			}
-		}
-		copy(c.v[dst.N], out)
-		c.stats.VectorFlops += int64(vl)
-		return nil
-	case isa.OpSqrt:
-		if len(in.Ops) != 2 {
-			return fmt.Errorf("sqrt needs 2 operands")
-		}
-		src, err := c.vecOperand(in.Ops[0])
-		if err != nil {
-			return err
-		}
-		dst := in.Ops[1].Reg
-		if dst.Class != isa.ClassV {
-			return fmt.Errorf("vector sqrt into %s", dst)
-		}
-		for k := 0; k < vl; k++ {
-			c.v[dst.N][k] = math.Sqrt(src(k))
+		case isa.OpSub:
+			for k := range x {
+				out[k] = x[k] - y[k]
+			}
+		case isa.OpMul:
+			for k := range x {
+				out[k] = x[k] * y[k]
+			}
+		case isa.OpDiv:
+			for k := range x {
+				out[k] = x[k] / y[k]
+			}
 		}
 		c.stats.VectorFlops += int64(vl)
 		return nil

@@ -200,12 +200,19 @@ type Result struct {
 
 // boundSource compiles src and computes the MA/MAC/MACS hierarchy of its
 // inner loop under the given configuration. It is the shared front half
-// of BoundSource and AnalyzeSource. The compile, verify and bound stages
-// each record a span on the trace riding ctx (no-ops when none does).
+// of BoundSource and AnalyzeSource. The source is parsed once: code
+// generation leaves the syntax tree untouched (compiler's
+// TestCompileLeavesASTUntouched), so the MA workload reads the tree the
+// compiler lowered. The compile, verify and bound stages each record a
+// span on the trace riding ctx (no-ops when none does).
 func boundSource(ctx context.Context, src string, opts CompilerOptions, vl int, rules Rules) (*Program, Analysis, error) {
 	var a Analysis
 	_, sp := obs.Start(ctx, "compile")
-	prog, err := compiler.Compile(src, opts)
+	parsed, err := ftn.Parse(src)
+	var prog *Program
+	if err == nil {
+		prog, err = compiler.CompileProgram(parsed, opts)
+	}
 	sp.End()
 	if err != nil {
 		return nil, a, err
@@ -217,20 +224,16 @@ func boundSource(ctx context.Context, src string, opts CompilerOptions, vl int, 
 		return prog, a, err
 	}
 	_, sp = obs.Start(ctx, "bound")
-	a, err = boundProgram(src, prog, vl, rules)
+	a, err = boundParsed(parsed, prog, vl, rules)
 	sp.End()
 	return prog, a, err
 }
 
-// boundProgram is the model half of boundSource: MA workload from the
-// source, chime partition from the compiled loop, critical path from the
-// dependence graph.
-func boundProgram(src string, prog *Program, vl int, rules Rules) (Analysis, error) {
+// boundParsed is the model half of boundSource: MA workload from the
+// parsed source, chime partition from the compiled loop, critical path
+// from the dependence graph.
+func boundParsed(parsed *ftn.Program, prog *Program, vl int, rules Rules) (Analysis, error) {
 	var a Analysis
-	parsed, err := ftn.Parse(src)
-	if err != nil {
-		return a, err
-	}
 	loopStmt, ok := compiler.InnerLoop(parsed)
 	if !ok {
 		return a, fmt.Errorf("macs: source has no DO loop")
@@ -257,7 +260,11 @@ func boundProgram(src string, prog *Program, vl int, rules Rules) (Analysis, err
 // must be the source prog was compiled from: the MA workload comes from
 // the high-level code.
 func BoundCompiled(src string, prog *Program, vl int, rules Rules) (Analysis, error) {
-	return boundProgram(src, prog, vl, rules)
+	parsed, err := ftn.Parse(src)
+	if err != nil {
+		return Analysis{}, err
+	}
+	return boundParsed(parsed, prog, vl, rules)
 }
 
 // BoundSource compiles src and computes the MA/MAC/MACS bounds hierarchy
