@@ -219,8 +219,8 @@ func Partition(body []isa.Instr, rules Rules) []Chime {
 	for i := range body {
 		in := &body[i]
 		if !in.IsVector() {
-			if in.IsMemory() {
-				b.NoteScalarMem()
+			if in.IsMemory() && b.NoteScalarMem() {
+				flush()
 			}
 			continue
 		}

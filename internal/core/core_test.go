@@ -252,6 +252,34 @@ func TestScalarMemorySplitRule(t *testing.T) {
 	}
 }
 
+// TestSplitClosesChimeAtOnce: a scalar memory access that closes a chime
+// carrying vector memory traffic flushes it there, so a second scalar
+// access before the next vector instruction marks the next chime's port,
+// as the simulator and the MACS-D partition do. Streams here are
+// conflict-free, so t_MACS and t_MACSD agree: 197 cycles over 3 chimes
+// at VL 64 (Partition once left the closed chime pending and gave 133
+// over 2).
+func TestSplitClosesChimeAtOnce(t *testing.T) {
+	p := asm.MustParse(`
+.data d_X 1024
+.data d_N 8
+.data d_Y 1024
+	ld.l d_X(a0),v0
+	ld.l d_N,a1
+	ld.l d_N,a2
+	add.d v0,v0,v1
+	ld.l d_Y(a0),v2
+`)
+	m := MACSBound(p.Instrs, 64, DefaultRules())
+	d := MACSDBound(p.Instrs, 64, DefaultRules())
+	if m.Cycles != 197 || len(m.Chimes) != 3 {
+		t.Errorf("t_MACS = %v cycles over %d chimes, want 197 over 3", m.Cycles, len(m.Chimes))
+	}
+	if d.Cycles != m.Cycles || len(d.Chimes) != len(m.Chimes) {
+		t.Errorf("t_MACSD = %v cycles over %d chimes, t_MACS %v over %d", d.Cycles, len(d.Chimes), m.Cycles, len(m.Chimes))
+	}
+}
+
 func TestScalarMemoryBetweenFPChimesDoesNotSplit(t *testing.T) {
 	// Paper §4.4 (LFK8): a scalar load splits a potential load-add-mul
 	// chime but not an add-mul chime.

@@ -9,8 +9,10 @@ import (
 	"sync"
 
 	"macs"
+	"macs/internal/compiler"
 	"macs/internal/core"
 	"macs/internal/fasttier"
+	"macs/internal/ftn"
 	"macs/internal/isa"
 	"macs/internal/par"
 	"macs/internal/vm"
@@ -52,16 +54,18 @@ type Options struct {
 // It also caches compiled programs by (source, compiler options): the
 // fast tier's prediction memo is keyed by program pointer, so handing
 // repeated sweeps the same *Program is what lets a warm sweep skip the
-// schedule replay for every machine it has already scored.
+// schedule replay for every machine it has already scored. The memos
+// live and die with that cache: only the cache hands a program out
+// again, so when it turns over no memo entry can hit any more, and the
+// predictors are dropped with it rather than left pinning the past
+// programs they key.
 type Evaluators struct {
 	// run is the run template every point's configuration stamps its
 	// machine over, for prediction and exact simulation alike.
-	run vm.Config
-	mu  sync.Mutex
-	m   map[vm.Machine]*fasttier.Predictor
-
-	progMu sync.Mutex
-	progs  map[progKey]*macs.Program
+	run   vm.Config
+	mu    sync.Mutex
+	m     map[vm.Machine]*fasttier.Predictor
+	progs map[progKey]*macs.Program
 }
 
 // progKey identifies one compile: a source text at one set of compiler
@@ -72,7 +76,8 @@ type progKey struct {
 }
 
 // progCap bounds the program cache; on overflow it is dropped wholesale
-// (compiles are cheap to redo, eviction bookkeeping is not).
+// (compiles are cheap to redo, eviction bookkeeping is not), and the
+// predictor registry with it.
 const progCap = 128
 
 // evaluatorCap bounds the machine registry the same way. It holds the
@@ -115,28 +120,30 @@ func (e *Evaluators) predictor(m vm.Machine) *fasttier.Predictor {
 }
 
 // program returns the compiled and verified program for one source at
-// one set of compiler options, compiling on first sight.
-func (e *Evaluators) program(src string, opts macs.CompilerOptions) (*macs.Program, error) {
+// one set of compiler options, compiling the parsed source on first
+// sight.
+func (e *Evaluators) program(src string, parsed *ftn.Program, opts macs.CompilerOptions) (*macs.Program, error) {
 	k := progKey{src, opts}
-	e.progMu.Lock()
+	e.mu.Lock()
 	p, ok := e.progs[k]
-	e.progMu.Unlock()
+	e.mu.Unlock()
 	if ok {
 		return p, nil
 	}
-	prog, err := macs.Compile(src, opts)
+	prog, err := compiler.CompileProgram(parsed, opts)
 	if err != nil {
 		return nil, err
 	}
 	if err := macs.VerifyProgram(prog); err != nil {
 		return nil, err
 	}
-	e.progMu.Lock()
+	e.mu.Lock()
 	if len(e.progs) >= progCap {
 		e.progs = make(map[progKey]*macs.Program)
+		e.m = make(map[vm.Machine]*fasttier.Predictor)
 	}
 	e.progs[k] = prog
-	e.progMu.Unlock()
+	e.mu.Unlock()
 	return prog, nil
 }
 
@@ -319,11 +326,18 @@ func (e *Engine) effVL(m vm.Machine) int {
 	return m.VLMax
 }
 
-// Sweep evaluates every grid point for one kernel: compile once per
-// distinct vector length, score every point with the fast tier, simulate
-// the top fraction. It is cancellable through ctx — once ctx fires, no
-// new point is launched and the sweep returns ctx's error.
+// Sweep evaluates every grid point for one kernel: parse once, compile
+// once per distinct vector length, score every point with the fast tier,
+// simulate the top fraction. It is cancellable through ctx — once ctx
+// fires, no new point is launched and the sweep returns ctx's error.
 func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
+	// Code generation leaves the syntax tree untouched (compiler's
+	// TestCompileLeavesASTUntouched), so every compile and every bound
+	// below reads this one tree.
+	parsed, err := ftn.Parse(req.Source)
+	if err != nil {
+		return nil, err
+	}
 	// A program's strip length is burned in at compile time — the strip
 	// loop advances its streams and decrements its count by the
 	// compile-time VL — so a machine with a different VLMax needs its own
@@ -339,7 +353,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 		}
 		copts := e.opts.Compiler
 		copts.VL = vl
-		prog, err := e.evals.program(req.Source, copts)
+		prog, err := e.evals.program(req.Source, parsed, copts)
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +371,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 		if _, ok := boundsOf[k]; ok {
 			continue
 		}
-		a, err := macs.BoundCompiled(req.Source, progOf[k.vl], k.vl, m.Rules)
+		a, err := macs.BoundParsed(parsed, progOf[k.vl], k.vl, m.Rules)
 		if err != nil {
 			return nil, err
 		}
@@ -375,7 +389,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 	// first rejection flips the whole sweep into exhaustive simulation.
 	var dataDependent sync.Once
 	fallback := false
-	err := par.ForEachCtx(ctx, e.opts.Workers, n, func(i int) error {
+	err = par.ForEachCtx(ctx, e.opts.Workers, n, func(i int) error {
 		m := e.points[i]
 		p := Point{
 			Index:       i,

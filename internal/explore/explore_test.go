@@ -3,11 +3,14 @@ package explore
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"macs"
+	"macs/internal/fasttier"
 	"macs/internal/lfk"
 	"macs/internal/vm"
 )
@@ -481,5 +484,64 @@ func TestEvaluatorRegistryBounded(t *testing.T) {
 	}
 	if n := shared.Machines(); n >= sweeps*perSweep {
 		t.Fatalf("registry holds all %d machines swept", n)
+	}
+}
+
+// TestPredictorsLiveAndDieWithProgramCache sweeps more distinct sources
+// than the program cache holds. A repeated sweep inside one cache
+// generation keeps its predictors, and so their memos, and answers
+// identically; once the cache turns over, no predictor from before is
+// left in the registry, since their memos key programs the cache can
+// never hand out again.
+func TestPredictorsLiveAndDieWithProgramCache(t *testing.T) {
+	k, err := lfk.ByID(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, rest, _ := strings.Cut(strings.TrimLeft(k.Source, "\n"), "\n")
+	variant := func(i int) Request {
+		return Request{
+			Source:     fmt.Sprintf("%s\nREAL XP%04d(8)\n%s", head, i, rest),
+			Iterations: int64(k.Elements), Ints: k.DataInts(), Prime: k.PrimeFunc(),
+		}
+	}
+	shared := NewEvaluators(vm.DefaultConfig())
+	eng, err := New(Grid{Axes: []Axis{{Param: "banks", Values: []float64{16, 32}}}}, Options{Evaluators: shared})
+	if err != nil {
+		t.Fatal(err)
+	}
+	predictors := func() map[vm.Machine]*fasttier.Predictor {
+		shared.mu.Lock()
+		defer shared.mu.Unlock()
+		return maps.Clone(shared.m)
+	}
+	ctx := context.Background()
+	first, err := eng.Sweep(ctx, variant(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := predictors()
+	again, err := eng.Sweep(ctx, variant(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Errorf("repeated sweep answered %+v, first %+v", again, first)
+	}
+	if got := predictors(); len(before) != 2 || !maps.Equal(got, before) {
+		t.Errorf("repeated sweep left predictors %v, first sweep %v", got, before)
+	}
+	for i := 1; i <= progCap; i++ {
+		if _, err := eng.Sweep(ctx, variant(i)); err != nil {
+			t.Fatalf("variant %d: %v", i, err)
+		}
+	}
+	for m, p := range predictors() {
+		if before[m] == p {
+			t.Errorf("machine %s: predictor from before the program cache turned over is still registered", m.Fingerprint())
+		}
+	}
+	if n := len(shared.progs); n > progCap {
+		t.Errorf("program cache holds %d programs, cap %d", n, progCap)
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // lfkBatch builds a batch request from the first n case-study kernels.
-func lfkBatch(t *testing.T, n int) BatchRequest {
+func lfkBatch(t testing.TB, n int) BatchRequest {
 	t.Helper()
 	ks := lfk.All()
 	if n > len(ks) {

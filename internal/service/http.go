@@ -178,7 +178,7 @@ func handleJSON[Req, Resp any](s *Service, w http.ResponseWriter, r *http.Reques
 		return
 	}
 	var req Req
-	ok = decodeBody(w, buf.Bytes(), &req)
+	ok = decodeSpan(w, r, buf.Bytes(), &req)
 	releaseBody(buf)
 	if !ok {
 		return
@@ -256,23 +256,12 @@ func releaseBody(buf *bytes.Buffer) {
 	}
 }
 
-// decodeBody decodes body into v as exactly one JSON value: unknown
-// fields and anything but whitespace after the value answer 400, and
-// decodeBody returns false.
-func decodeBody(w http.ResponseWriter, body []byte, v any) bool {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		if end := dec.InputOffset(); len(bytes.TrimLeft(body[end:], " \t\r\n")) > 0 {
-			err = fmt.Errorf("data after the JSON value at offset %d", end)
-		}
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
+// decodeSpan decodes body into v (decodeBody) under a decode span on
+// the request's trace.
+func decodeSpan(w http.ResponseWriter, r *http.Request, body []byte, v any) bool {
+	_, sp := obs.Start(r.Context(), "decode")
+	defer sp.End()
+	return decodeBody(w, body, v)
 }
 
 // readJSON reads and decodes a body in one step, for the streaming
@@ -283,7 +272,7 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	defer releaseBody(buf)
-	return decodeBody(w, buf.Bytes(), v)
+	return decodeSpan(w, r, buf.Bytes(), v)
 }
 
 // handleBatch decodes a batch request and streams per-item results back

@@ -218,7 +218,7 @@ type Service struct {
 
 	// explorers is the shared per-machine evaluator registry behind
 	// /v1/explore: fast-tier prediction memos keyed by machine, kept warm
-	// across sweep requests.
+	// across sweep requests for as long as their programs stay cached.
 	explorers *explore.Evaluators
 
 	// sampler periodically snapshots the Go runtime when
@@ -718,13 +718,16 @@ func (s *Service) Analyze(ctx context.Context, req AnalyzeRequest) (AnalyzeRespo
 			return nil, err
 		}
 		s.metrics.recordRun(res.Stats)
+		// A copy: a pointer into res would keep the whole run (program,
+		// chime partition, trace events) alive in the cache entry.
+		st := res.Stats
 		return &AnalyzeResponse{
 			Tier:        macs.TierExact.String(),
 			Bounds:      boundsView(res.Analysis),
 			MeasuredCPL: res.MeasuredCPL,
 			Cycles:      res.Stats.Cycles,
 			Iterations:  res.Iterations,
-			Stats:       &res.Stats,
+			Stats:       &st,
 			Report:      res.Report(),
 			Attribution: res.Stats.Attr.Totals(),
 		}, nil

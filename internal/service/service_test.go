@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -543,5 +544,38 @@ func TestEndpointsShareServiceMachine(t *testing.T) {
 	}
 	if !lfk.Validated {
 		t.Errorf("LFK1 does not validate on the service's machine: %+v", lfk)
+	}
+}
+
+// TestCachedAnalysisHoldsOnlyItsAnswer: a cached analyze response keeps
+// its statistics, not the run that produced them (program, chime
+// partition, trace events). It fills the cache with distinct LFK1
+// analyses and measures the live heap each entry adds after a GC.
+func TestCachedAnalysisHoldsOnlyItsAnswer(t *testing.T) {
+	k, err := macs.KernelByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const entries = 32
+	s := newTestService(t, Config{Workers: 2, QueueSize: 8, CacheSize: entries})
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heap()
+	for i := 0; i < entries; i++ {
+		req := AnalyzeRequest{Source: k.Source, Iterations: int64(i + 1),
+			Prime: Priming{Ints: k.Ints, Reals: k.Reals, Arrays: k.Arrays}}
+		if _, err := s.Analyze(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perEntry := (int64(heap()) - int64(base)) / entries
+	t.Logf("%d cached analyses: %d bytes each", entries, perEntry)
+	if perEntry > 8<<10 {
+		t.Errorf("each cached analysis holds %d bytes of heap, want at most 8 KB", perEntry)
 	}
 }

@@ -224,15 +224,18 @@ func boundSource(ctx context.Context, src string, opts CompilerOptions, vl int, 
 		return prog, a, err
 	}
 	_, sp = obs.Start(ctx, "bound")
-	a, err = boundParsed(parsed, prog, vl, rules)
+	a, err = BoundParsed(parsed, prog, vl, rules)
 	sp.End()
 	return prog, a, err
 }
 
-// boundParsed is the model half of boundSource: MA workload from the
+// BoundParsed is the model half of boundSource: MA workload from the
 // parsed source, chime partition from the compiled loop, critical path
-// from the dependence graph.
-func boundParsed(parsed *ftn.Program, prog *Program, vl int, rules Rules) (Analysis, error) {
+// from the dependence graph. It serves callers inside this module that
+// parse a source once and bound its compiles at several vector lengths
+// and rule sets (the explore engine); prog must have been compiled from
+// parsed.
+func BoundParsed(parsed *ftn.Program, prog *Program, vl int, rules Rules) (Analysis, error) {
 	var a Analysis
 	loopStmt, ok := compiler.InnerLoop(parsed)
 	if !ok {
@@ -256,15 +259,15 @@ func boundParsed(parsed *ftn.Program, prog *Program, vl int, rules Rules) (Analy
 // BoundCompiled computes the MA/MAC/MACS hierarchy (plus the t_CP
 // critical path) of an already-compiled program under an explicit vector
 // length and rule set — the model half of BoundSource for callers that
-// compile once and bound many machine variants (the explore engine). src
-// must be the source prog was compiled from: the MA workload comes from
-// the high-level code.
+// compile once and bound many machine variants. src must be the source
+// prog was compiled from: the MA workload comes from the high-level code,
+// which BoundCompiled parses on each call (BoundParsed takes the tree).
 func BoundCompiled(src string, prog *Program, vl int, rules Rules) (Analysis, error) {
 	parsed, err := ftn.Parse(src)
 	if err != nil {
 		return Analysis{}, err
 	}
-	return boundParsed(parsed, prog, vl, rules)
+	return BoundParsed(parsed, prog, vl, rules)
 }
 
 // BoundSource compiles src and computes the MA/MAC/MACS bounds hierarchy
