@@ -298,7 +298,7 @@ func BenchmarkFastTier(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ints := k.DataInts()
+			ints := k.SymbolInts()
 			var p fasttier.Prediction
 			if _, err := pred.Predict(c.Program, int64(k.Elements), ints); err != nil {
 				b.Fatal(err)
@@ -329,7 +329,7 @@ func BenchmarkFastTierCold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ints := k.DataInts()
+			ints := k.SymbolInts()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pred := fasttier.NewPredictor(cfg)
@@ -349,7 +349,7 @@ func BenchmarkFastTierCold(b *testing.B) {
 func BenchmarkAnalyzeSourceVM(b *testing.B) {
 	k := lfk.All()[0]
 	cfg := macs.DefaultVMConfig()
-	prime := k.PrimeFunc()
+	prime := k.Inputs.Prime()
 	c, err := lfk.Compile(k, compiler.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
@@ -509,8 +509,7 @@ func BenchmarkExplore(b *testing.B) {
 			req := explore.Request{
 				Source:     k.Source,
 				Iterations: int64(k.Elements),
-				Ints:       k.DataInts(),
-				Prime:      k.PrimeFunc(),
+				Inputs:     k.Inputs,
 			}
 			ctx := context.Background()
 			// One untimed warm-up sweep builds this kernel's per-machine

@@ -113,8 +113,7 @@ func cmdExplore(w io.Writer, args []string) error {
 				Name:       fmt.Sprintf("lfk%d (%s)", k.ID, k.Name),
 				Source:     k.Source,
 				Iterations: int64(k.Elements),
-				Ints:       k.DataInts(),
-				Prime:      k.PrimeFunc(),
+				Inputs:     k.Inputs,
 			})
 		}
 	case file != "":
@@ -122,14 +121,11 @@ func cmdExplore(w io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
-		primeInts, err := parseInts(*ints)
+		in, err := parseInputs(*ints)
 		if err != nil {
 			return err
 		}
-		reqs = append(reqs, explore.Request{
-			Name: file, Source: src, Iterations: *n,
-			Ints: primeInts, Prime: primeFunc(primeInts),
-		})
+		reqs = append(reqs, explore.Request{Name: file, Source: src, Iterations: *n, Inputs: in})
 	default:
 		return fmt.Errorf("missing kernel: give a source file or -lfk")
 	}

@@ -285,7 +285,7 @@ func cmdAnalyze(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	primeInts, err := parseInts(*ints)
+	in, err := parseInputs(*ints)
 	if err != nil {
 		return err
 	}
@@ -302,7 +302,7 @@ func cmdAnalyze(w io.Writer, args []string) error {
 	}
 	ctx, root := obs.Start(ctx, "analyze")
 	start := time.Now()
-	res, err := macs.AnalyzeSourceVMCtx(ctx, src, *n, cfg, primeFunc(primeInts))
+	res, err := macs.AnalyzeSourceVMCtx(ctx, src, *n, cfg, in.Prime())
 	root.End()
 	if err != nil {
 		return err
@@ -325,38 +325,25 @@ func cmdAnalyze(w io.Writer, args []string) error {
 	return nil
 }
 
-// parseInts parses "N=1001,LOOP=20" into a data-symbol priming map.
-func parseInts(s string) (map[string]int64, error) {
-	raw, err := parseIntsRaw(s)
-	if err != nil || raw == nil {
-		return nil, err
-	}
-	out := make(map[string]int64, len(raw))
-	for name, v := range raw {
-		out[macs.DataSymbol(name)] = v
-	}
-	return out, nil
-}
-
-// parseIntsRaw parses "N=1001,LOOP=20" keeping the variable names as
-// written — the form the service's Priming wants.
-func parseIntsRaw(s string) (map[string]int64, error) {
+// parseInputs parses an -ints flag, "N=1001,LOOP=20", into the integer
+// inputs of a program.
+func parseInputs(s string) (macs.Inputs, error) {
 	if s == "" {
-		return nil, nil
+		return macs.Inputs{}, nil
 	}
-	out := make(map[string]int64)
+	ints := make(map[string]int64)
 	for _, kv := range strings.Split(s, ",") {
 		name, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
-			return nil, fmt.Errorf("bad -ints entry %q (want name=value)", kv)
+			return macs.Inputs{}, fmt.Errorf("bad -ints entry %q (want name=value)", kv)
 		}
 		var v int64
 		if _, err := fmt.Sscanf(val, "%d", &v); err != nil {
-			return nil, fmt.Errorf("bad -ints value %q: %v", kv, err)
+			return macs.Inputs{}, fmt.Errorf("bad -ints value %q: %v", kv, err)
 		}
-		out[name] = v
+		ints[name] = v
 	}
-	return out, nil
+	return macs.Inputs{Ints: ints}, nil
 }
 
 // cmdBatch analyzes many kernels in one batch, streaming one NDJSON
@@ -375,7 +362,7 @@ func cmdBatch(w io.Writer, args []string) error {
 	if len(files) == 0 {
 		return fmt.Errorf("missing kernel files")
 	}
-	primeInts, err := parseIntsRaw(*ints)
+	in, err := parseInputs(*ints)
 	if err != nil {
 		return err
 	}
@@ -389,7 +376,7 @@ func cmdBatch(w io.Writer, args []string) error {
 		req.Items = append(req.Items, service.AnalyzeRequest{
 			Source:     src,
 			Iterations: *n,
-			Prime:      service.Priming{Ints: primeInts},
+			Prime:      in,
 		})
 	}
 	if *addr != "" {
@@ -456,27 +443,6 @@ func batchRemote(w io.Writer, addr string, req service.BatchRequest) error {
 		return fmt.Errorf("%d of %d kernels failed", failed, len(req.Items))
 	}
 	return nil
-}
-
-// primeFunc turns a data-symbol priming map into the simulator priming
-// hook AnalyzeSource takes.
-func primeFunc(ints map[string]int64) func(*macs.CPU) error {
-	if len(ints) == 0 {
-		return nil
-	}
-	return func(cpu *macs.CPU) error {
-		m := cpu.Memory()
-		for sym, v := range ints {
-			base, ok := m.SymbolAddr(sym)
-			if !ok {
-				return fmt.Errorf("priming unknown symbol %q", sym)
-			}
-			if err := m.WriteI64(base, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }
 
 // cmdAttr simulates a kernel and prints where every cycle of every lane

@@ -120,3 +120,20 @@ func TestCmdAttrRingOnly(t *testing.T) {
 		t.Errorf("attr output missing table:\n%s", out.String())
 	}
 }
+
+// TestCmdInputMistake: a misspelled -ints name stops analyze and explore
+// with the text macs.Inputs gives every surface, before any run.
+func TestCmdInputMistake(t *testing.T) {
+	const want = `inputs: unknown variable "M"`
+	path := writeKernel(t)
+	var out strings.Builder
+	if err := cmdAnalyze(&out, []string{path, "-n", "64", "-ints", "M=64"}); err == nil || err.Error() != want {
+		t.Errorf("analyze -ints M=64: %v, want %q", err, want)
+	}
+	if err := cmdExplore(&out, []string{path, "-n", "64", "-ints", "M=64", "-axis", "banks=16,32"}); err == nil || !strings.HasSuffix(err.Error(), ": "+want) {
+		t.Errorf("explore -ints M=64: %v, want one ending in %q", err, want)
+	}
+	if out.Len() != 0 {
+		t.Errorf("refused runs printed:\n%s", out.String())
+	}
+}

@@ -103,11 +103,7 @@ func run(addr string, n, c, nk, batch int, sloP50, sloP99 time.Duration, hist bo
 		reqs[i] = service.AnalyzeRequest{
 			Source:     k.Source,
 			Iterations: int64(k.Elements),
-			Prime: service.Priming{
-				Ints:   k.Ints,
-				Reals:  k.Reals,
-				Arrays: k.Arrays,
-			},
+			Prime:      k.Inputs,
 		}
 		body, err := json.Marshal(reqs[i])
 		if err != nil {

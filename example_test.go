@@ -19,10 +19,8 @@ DO K = 1, N
 ENDDO
 END
 `
-	res, err := macs.AnalyzeSource(src, 1000, func(c *macs.CPU) error {
-		nb, _ := c.Memory().SymbolAddr("d_N")
-		return c.Memory().WriteI64(nb, 1000)
-	})
+	in := macs.Inputs{Ints: map[string]int64{"N": 1000}}
+	res, err := macs.AnalyzeSource(src, 1000, in.Prime())
 	if err != nil {
 		log.Fatal(err)
 	}

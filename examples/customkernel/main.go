@@ -27,26 +27,16 @@ END
 
 func main() {
 	const n = 3000
-	res, err := macs.AnalyzeSource(src, n-2, func(c *macs.CPU) error {
-		m := c.Memory()
-		nb, _ := m.SymbolAddr("d_N")
-		if err := m.WriteI64(nb, n); err != nil {
-			return err
-		}
-		for name, v := range map[string]float64{"d_C1": 0.5, "d_C2": 0.125} {
-			b, _ := m.SymbolAddr(name)
-			if err := m.WriteF64(b, v); err != nil {
-				return err
-			}
-		}
-		ub, _ := m.SymbolAddr("d_U")
-		for i := 0; i < n+4; i++ {
-			if err := m.WriteF64(ub+int64(i*8), float64(i%17)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	u := make([]float64, n+4)
+	for i := range u {
+		u[i] = float64(i % 17)
+	}
+	in := macs.Inputs{
+		Ints:   map[string]int64{"N": n},
+		Reals:  map[string]float64{"C1": 0.5, "C2": 0.125},
+		Arrays: map[string][]float64{"U": u},
+	}
+	res, err := macs.AnalyzeSource(src, n-2, in.Prime())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,10 +55,7 @@ func main() {
 	}
 
 	// A/X decomposition: is the loop memory- or compute-bound?
-	m, err := macs.MeasureAX(res.Program, macs.DefaultVMConfig(), func(c *macs.CPU) error {
-		nb, _ := c.Memory().SymbolAddr("d_N")
-		return c.Memory().WriteI64(nb, n)
-	})
+	m, err := macs.MeasureAX(res.Program, macs.DefaultVMConfig(), macs.Inputs{Ints: in.Ints}.Prime())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,20 +30,13 @@ END
 
 func analyze(name string, ld int) (measured float64, err error) {
 	const n = 128
-	res, err := macs.AnalyzeSource(rowSum(ld), n, func(c *macs.CPU) error {
-		m := c.Memory()
-		nb, _ := m.SymbolAddr("d_N")
-		if err := m.WriteI64(nb, n); err != nil {
-			return err
-		}
-		ab, _ := m.SymbolAddr("d_A")
-		for j := 0; j < n; j++ {
-			if err := m.WriteF64(ab+int64(j*ld*8), 1.5); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	// Row 1 of A(LD,128): element (1,J) is word (J-1)*LD.
+	a := make([]float64, (n-1)*ld+1)
+	for j := 0; j < n; j++ {
+		a[j*ld] = 1.5
+	}
+	in := macs.Inputs{Ints: map[string]int64{"N": n}, Arrays: map[string][]float64{"A": a}}
+	res, err := macs.AnalyzeSource(rowSum(ld), n, in.Prime())
 	if err != nil {
 		return 0, err
 	}

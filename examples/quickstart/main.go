@@ -22,28 +22,17 @@ END
 
 func main() {
 	const n = 2000
-	res, err := macs.AnalyzeSource(src, n, func(c *macs.CPU) error {
-		m := c.Memory()
-		nb, _ := m.SymbolAddr("d_N")
-		if err := m.WriteI64(nb, n); err != nil {
-			return err
-		}
-		ab, _ := m.SymbolAddr("d_A")
-		if err := m.WriteF64(ab, 2.5); err != nil {
-			return err
-		}
-		xb, _ := m.SymbolAddr("d_X")
-		yb, _ := m.SymbolAddr("d_Y")
-		for i := 0; i < n; i++ {
-			if err := m.WriteF64(xb+int64(i*8), float64(i)); err != nil {
-				return err
-			}
-			if err := m.WriteF64(yb+int64(i*8), 1.0); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	x, y := make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i], y[i] = float64(i), 1.0
+	}
+	// Inputs are set by source variable name.
+	in := macs.Inputs{
+		Ints:   map[string]int64{"N": n},
+		Reals:  map[string]float64{"A": 2.5},
+		Arrays: map[string][]float64{"X": x, "Y": y},
+	}
+	res, err := macs.AnalyzeSource(src, n, in.Prime())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package calib
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -194,7 +195,7 @@ func CalibrateAll(cfg vm.Config) ([]Result, error) {
 func CalibrateAllN(cfg vm.Config, workers int) ([]Result, error) {
 	ops := Table1Ops()
 	out := make([]Result, len(ops))
-	err := par.ForEach(par.Workers(workers), len(ops), func(i int) error {
+	err := par.ForEachCtx(context.Background(), par.Workers(workers), len(ops), func(i int) error {
 		r, err := Calibrate(ops[i], cfg)
 		if err != nil {
 			return err

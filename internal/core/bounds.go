@@ -26,7 +26,12 @@ type MACSResult struct {
 // sequence is treated cyclically, since the loop body repeats and the
 // interaction of the last chime with the first must be considered.
 func MACSBound(body []isa.Instr, vl int, rules Rules) MACSResult {
-	chimes := Partition(body, rules)
+	return chimeBound(Partition(body, rules), vl, rules)
+}
+
+// chimeBound prices a chime sequence at vector length vl: the chimes'
+// costs plus the refresh penalty, the tail t_MACS and t_MACSD share.
+func chimeBound(chimes []Chime, vl int, rules Rules) MACSResult {
 	res := MACSResult{Chimes: chimes, VL: vl}
 	if len(chimes) == 0 || vl <= 0 {
 		return res

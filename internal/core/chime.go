@@ -206,15 +206,28 @@ func accumulatePairRefs(r *isa.Row, reads, writes *[4]int) {
 // place — an op without a Table 1 row, or one isa.Decode rejects — are
 // skipped; the static checker refuses programs holding either.
 func Partition(body []isa.Instr, rules Rules) []Chime {
+	return partition(body, rules, nil)
+}
+
+// partition is Partition with t_MACSD's bank-limited Z floor: each
+// vector memory member whose stride ann records raises its chime's ZMax
+// to that stride's bank-limited rate (BankLimitedZ). A nil ann floors
+// nothing, which is Partition.
+func partition(body []isa.Instr, rules Rules, ann StrideAnnotation) []Chime {
 	var chimes []Chime
 	var members []isa.Instr
 	b := NewChimeBuilder(rules)
+	// The bank-limited Z of the forming chime's annotated memory members.
+	var zBank float64
 	flush := func() {
 		if c, ok := b.Flush(); ok {
+			if zBank > c.ZMax {
+				c.ZMax = zBank
+			}
 			c.Members = members
 			chimes = append(chimes, c)
-			members = nil
 		}
+		members, zBank = nil, 0
 	}
 	for i := range body {
 		in := &body[i]
@@ -230,6 +243,9 @@ func Partition(body []isa.Instr, rules Rules) []Chime {
 		}
 		if !b.Fits(&r) {
 			flush()
+		}
+		if s, ok := ann[i]; ok && r.Mem {
+			zBank = max(zBank, BankLimitedZ(s, isa.MemBanks, isa.BankCycle))
 		}
 		b.Add(&r)
 		if members == nil {

@@ -71,68 +71,7 @@ func gcdI64(a, b int64) int64 {
 // per-element rate bound by the bank decomposition of each stream. For
 // conflict-free strides it equals the MACS bound.
 func MACSDBound(body []isa.Instr, vl int, rules Rules) MACSResult {
-	ann := AnnotateStrides(body)
-	chimes := partitionWithStrides(body, rules, ann)
-	res := MACSResult{Chimes: chimes, VL: vl}
-	if len(chimes) == 0 || vl <= 0 {
-		return res
-	}
-	costs := make([]float64, len(chimes))
-	var total float64
-	for i, c := range chimes {
-		costs[i] = c.Cost(vl, rules)
-		total += costs[i]
-	}
-	if rules.Refresh {
-		res.RefreshCycles = refreshPenalty(chimes, costs)
-	}
-	res.Cycles = total + res.RefreshCycles
-	res.CPL = res.Cycles / float64(vl)
-	return res
-}
-
-// partitionWithStrides partitions like Partition but raises each memory
-// member's effective Z to its bank-limited rate, which propagates into
-// the chime's ZMax.
-func partitionWithStrides(body []isa.Instr, rules Rules, ann StrideAnnotation) []Chime {
-	var chimes []Chime
-	var members []isa.Instr
-	b := NewChimeBuilder(rules)
-	// The bank-limited Z of the forming chime's annotated memory members.
-	var zBank float64
-	flush := func() {
-		if c, ok := b.Flush(); ok {
-			if zBank > c.ZMax {
-				c.ZMax = zBank
-			}
-			c.Members = members
-			chimes = append(chimes, c)
-		}
-		members, zBank = nil, 0
-	}
-	for i := range body {
-		in := &body[i]
-		if !in.IsVector() {
-			if in.IsMemory() && b.NoteScalarMem() {
-				flush()
-			}
-			continue
-		}
-		r, err := isa.Decode(in)
-		if err != nil || !r.Timed {
-			continue
-		}
-		if !b.Fits(&r) {
-			flush()
-		}
-		if s, ok := ann[i]; ok && r.Mem {
-			zBank = max(zBank, BankLimitedZ(s, isa.MemBanks, isa.BankCycle))
-		}
-		b.Add(&r)
-		members = append(members, *in)
-	}
-	flush()
-	return chimes
+	return chimeBound(partition(body, rules, AnnotateStrides(body)), vl, rules)
 }
 
 // DecompositionPenalty reports how much the data decomposition costs:

@@ -37,11 +37,7 @@ func RunClusterContention(cfg Config) ([]ClusterRow, error) {
 		cfgs := []vm.Config{cfg.VM, cfg.VM, cfg.VM, cfg.VM}
 		cl := vm.NewCluster(cfgs)
 		for i := 0; i < cl.Size(); i++ {
-			cpu := cl.CPU(i)
-			if err := cpu.Load(c.Program); err != nil {
-				return nil, err
-			}
-			if err := c.PrimeData(cpu); err != nil {
+			if err := c.Prime(cl.CPU(i)); err != nil {
 				return nil, err
 			}
 		}

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"macs/internal/asm"
@@ -36,7 +37,7 @@ type Config struct {
 	Parallel int
 }
 
-// workers maps the Parallel knob onto a worker count for par.ForEach.
+// workers maps the Parallel knob onto a worker count for par.ForEachCtx.
 func (c Config) workers() int {
 	if c.Parallel == 0 {
 		return 1
@@ -107,7 +108,7 @@ func RunKernel(k *lfk.Kernel, cfg Config) (KernelResult, error) {
 	res.Validated = true
 	res.Cycles = st.Cycles
 	res.Stats = st
-	res.AX, err = ax.Measure(c.Program, cfg.VM, c.PrimeData)
+	res.AX, err = ax.Measure(c.Program, cfg.VM, k.Inputs.Prime())
 	if err != nil {
 		return res, err
 	}
@@ -120,7 +121,7 @@ func RunKernel(k *lfk.Kernel, cfg Config) (KernelResult, error) {
 func RunAll(cfg Config) ([]KernelResult, error) {
 	ks := lfk.All()
 	out := make([]KernelResult, len(ks))
-	err := par.ForEach(cfg.workers(), len(ks), func(i int) error {
+	err := par.ForEachCtx(context.Background(), cfg.workers(), len(ks), func(i int) error {
 		r, err := RunKernel(ks[i], cfg)
 		if err != nil {
 			return fmt.Errorf("lfk%d: %w", ks[i].ID, err)
@@ -150,7 +151,7 @@ type Table2Row struct {
 func Table2(cfg Config) ([]Table2Row, error) {
 	ks := lfk.All()
 	rows := make([]Table2Row, len(ks))
-	err := par.ForEach(cfg.workers(), len(ks), func(i int) error {
+	err := par.ForEachCtx(context.Background(), cfg.workers(), len(ks), func(i int) error {
 		k := ks[i]
 		c, err := lfk.Compile(k, cfg.Compiler)
 		if err != nil {
@@ -189,7 +190,7 @@ type Table3Row struct {
 func Table3(cfg Config) ([]Table3Row, error) {
 	ks := lfk.All()
 	rows := make([]Table3Row, len(ks))
-	err := par.ForEach(cfg.workers(), len(ks), func(i int) error {
+	err := par.ForEachCtx(context.Background(), cfg.workers(), len(ks), func(i int) error {
 		k := ks[i]
 		c, err := lfk.Compile(k, cfg.Compiler)
 		if err != nil {

@@ -248,12 +248,10 @@ type Request struct {
 	Source string
 	// Iterations converts cycles to CPL; 0 skips the conversion.
 	Iterations int64
-	// Ints primes the fast tier's integer inputs by data-symbol name
-	// (e.g. "d_N"; see macs.DataSymbol) — trip counts and layout.
-	Ints map[string]int64
-	// Prime, when non-nil, primes each simulator before a survivor's
-	// exact run, exactly as in macs.AnalyzeSourceVM.
-	Prime func(*vm.CPU) error
+	// Inputs are the kernel's inputs: the predictor reads their integers
+	// (trip counts and layout), and each survivor's simulator is primed
+	// with all of them, exactly as in macs.AnalyzeSourceVM.
+	Inputs macs.Inputs
 	// Observe, when non-nil, is called once per simulated survivor as its
 	// measurement completes (serialized, completion order, before ranks
 	// are assigned) — the serving layer streams these.
@@ -359,6 +357,12 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 		}
 		progOf[vl] = prog
 	}
+	// Every compile declares the same variables, so the inputs are
+	// checked once, before any point is predicted or simulated.
+	if err := req.Inputs.Check(progOf[e.effVL(e.points[0])]); err != nil {
+		return nil, err
+	}
+	ints := req.Inputs.SymbolInts()
 
 	n := len(e.points)
 	sw := &Sweep{Name: req.Name, Points: make([]Point, n), Swept: n}
@@ -397,7 +401,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 			Fingerprint: m.Fingerprint(),
 			Bounds:      boundsOf[boundsKey{e.effVL(m), m.Rules}],
 		}
-		pred, err := e.evals.predictor(m).Predict(progOf[e.effVL(m)], req.Iterations, req.Ints)
+		pred, err := e.evals.predictor(m).Predict(progOf[e.effVL(m)], req.Iterations, ints)
 		switch {
 		case errors.Is(err, fasttier.ErrDataDependent):
 			dataDependent.Do(func() { fallback = true })
@@ -456,10 +460,8 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 		if err := cpu.Load(progOf[e.effVL(p.Machine)]); err != nil {
 			return fmt.Errorf("explore: point %d: %w", i, err)
 		}
-		if req.Prime != nil {
-			if err := req.Prime(cpu); err != nil {
-				return fmt.Errorf("explore: point %d: %w", i, err)
-			}
+		if err := req.Inputs.Write(cpu); err != nil {
+			return fmt.Errorf("explore: point %d: %w", i, err)
 		}
 		st, err := cpu.Run()
 		if err != nil {

@@ -88,8 +88,7 @@ func TestSweepOnePointDifferential(t *testing.T) {
 			Name:       k.Name,
 			Source:     k.Source,
 			Iterations: int64(k.Elements),
-			Ints:       k.DataInts(),
-			Prime:      k.PrimeFunc(),
+			Inputs:     k.Inputs,
 		})
 		if err != nil {
 			t.Fatalf("lfk%d: %v", k.ID, err)
@@ -102,7 +101,7 @@ func TestSweepOnePointDifferential(t *testing.T) {
 			t.Fatalf("lfk%d: sole point not the simulated winner: %+v", k.ID, p)
 		}
 
-		res, err := macs.AnalyzeSourceVM(k.Source, int64(k.Elements), vm.DefaultConfig(), k.PrimeFunc())
+		res, err := macs.AnalyzeSourceVM(k.Source, int64(k.Elements), vm.DefaultConfig(), k.Inputs.Prime())
 		if err != nil {
 			t.Fatalf("lfk%d: %v", k.ID, err)
 		}
@@ -141,14 +140,13 @@ func TestSweepShortVLDifferential(t *testing.T) {
 		sw, err := eng.Sweep(context.Background(), Request{
 			Source:     k.Source,
 			Iterations: int64(k.Elements),
-			Ints:       k.DataInts(),
-			Prime:      k.PrimeFunc(),
+			Inputs:     k.Inputs,
 		})
 		if err != nil {
 			t.Fatalf("lfk%d: %v", k.ID, err)
 		}
 		p := sw.Points[0]
-		res, err := macs.AnalyzeSourceVM(k.Source, int64(k.Elements), cfg, k.PrimeFunc())
+		res, err := macs.AnalyzeSourceVM(k.Source, int64(k.Elements), cfg, k.Inputs.Prime())
 		if err != nil {
 			t.Fatalf("lfk%d: %v", k.ID, err)
 		}
@@ -178,13 +176,7 @@ IF (S .LT. 1.0) GOTO 10
 10 CONTINUE
 END
 `
-	prime := func(c *vm.CPU) error {
-		base, ok := c.Memory().SymbolAddr("d_N")
-		if !ok {
-			return fmt.Errorf("no symbol d_N")
-		}
-		return c.Memory().WriteI64(base, 16)
-	}
+	in := macs.Inputs{Ints: map[string]int64{"N": 16}}
 	// The slowest machine (few banks, long bank cycle) is point 0, so a
 	// ranking that kept grid order would crown the wrong point.
 	grid := Grid{Axes: []Axis{
@@ -198,8 +190,7 @@ END
 	sw, err := eng.Sweep(context.Background(), Request{
 		Source:     src,
 		Iterations: 16,
-		Ints:       map[string]int64{"d_N": 16},
-		Prime:      prime,
+		Inputs:     in,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +207,7 @@ END
 		}
 		cfg := vm.DefaultConfig()
 		cfg.Machine = p.Machine
-		res, err := macs.AnalyzeSourceVM(src, 16, cfg, prime)
+		res, err := macs.AnalyzeSourceVM(src, 16, cfg, in.Prime())
 		if err != nil {
 			t.Fatalf("point %d: %v", i, err)
 		}
@@ -268,8 +259,7 @@ func TestSweepNeverDropsWinner(t *testing.T) {
 	req := Request{
 		Source:     k.Source,
 		Iterations: int64(k.Elements),
-		Ints:       k.DataInts(),
-		Prime:      k.PrimeFunc(),
+		Inputs:     k.Inputs,
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -331,8 +321,7 @@ func TestSweepPruningEconomics(t *testing.T) {
 	sw, err := eng.Sweep(context.Background(), Request{
 		Source:     k.Source,
 		Iterations: int64(k.Elements),
-		Ints:       k.DataInts(),
-		Prime:      k.PrimeFunc(),
+		Inputs:     k.Inputs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -404,8 +393,45 @@ func TestSweepCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.Sweep(ctx, Request{Source: k.Source, Ints: k.DataInts()}); err == nil {
+	if _, err := eng.Sweep(ctx, Request{Source: k.Source, Inputs: k.Inputs}); err == nil {
 		t.Fatal("cancelled sweep returned nil error")
+	}
+}
+
+// TestSweepChecksInputsFirst: inputs the program does not declare end
+// the sweep with the text macs.Inputs.Check gives, before any point is
+// predicted or simulated.
+func TestSweepChecksInputsFirst(t *testing.T) {
+	k, err := lfk.ByID(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals := NewEvaluators(vm.DefaultConfig())
+	eng, err := New(Grid{Axes: []Axis{{Param: "banks", Values: []float64{16, 32}}}}, Options{Evaluators: evals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := macs.Compile(k.Source, macs.DefaultCompilerOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []macs.Inputs{
+		{Ints: map[string]int64{"N": 1000, "M": 1}},
+		{Ints: k.Ints, Reals: map[string]float64{"B": 2.5}},
+		{Ints: k.Ints, Arrays: map[string][]float64{"X": make([]float64, 2002)}},
+	} {
+		want := in.Check(prog)
+		if want == nil {
+			t.Fatalf("%+v: Check accepted inputs the program does not declare", in)
+		}
+		_, err = eng.Sweep(context.Background(), Request{Source: k.Source, Iterations: int64(k.Elements), Inputs: in,
+			Observe: func(p Point) { t.Errorf("point %d simulated", p.Index) }})
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("sweep: %v, want %q", err, want)
+		}
+	}
+	if m := evals.Machines(); m != 0 {
+		t.Errorf("%d machines predicted, want 0", m)
 	}
 }
 
@@ -429,7 +455,7 @@ func TestSharedEvaluators(t *testing.T) {
 	}
 	if _, err := eng.Sweep(context.Background(), Request{
 		Source: k.Source, Iterations: int64(k.Elements),
-		Ints: k.DataInts(), Prime: k.PrimeFunc(),
+		Inputs: k.Inputs,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +474,7 @@ func TestEvaluatorRegistryBounded(t *testing.T) {
 	}
 	req := Request{
 		Source: k.Source, Iterations: int64(k.Elements),
-		Ints: k.DataInts(), Prime: k.PrimeFunc(),
+		Inputs: k.Inputs,
 	}
 	shared := NewEvaluators(vm.DefaultConfig())
 	const perSweep = 12
@@ -502,7 +528,7 @@ func TestPredictorsLiveAndDieWithProgramCache(t *testing.T) {
 	variant := func(i int) Request {
 		return Request{
 			Source:     fmt.Sprintf("%s\nREAL XP%04d(8)\n%s", head, i, rest),
-			Iterations: int64(k.Elements), Ints: k.DataInts(), Prime: k.PrimeFunc(),
+			Iterations: int64(k.Elements), Inputs: k.Inputs,
 		}
 	}
 	shared := NewEvaluators(vm.DefaultConfig())

@@ -69,7 +69,7 @@ func TestFastTierGoldenLFK(t *testing.T) {
 			t.Fatalf("lfk%d sim: %v", k.ID, err)
 		}
 		measuredCPL := float64(st.Cycles) / float64(k.Elements)
-		p, err := pred.Predict(c.Program, int64(k.Elements), k.DataInts())
+		p, err := pred.Predict(c.Program, int64(k.Elements), k.SymbolInts())
 		if err != nil {
 			t.Fatalf("lfk%d predict: %v", k.ID, err)
 		}
@@ -212,7 +212,7 @@ func TestPredictorConcurrent(t *testing.T) {
 				j := (i + g*3) % len(own)
 				for _, c := range []*lfk.Compiled{own[j], shared[j]} {
 					k := c.Kernel
-					p, err := pred.Predict(c.Program, int64(k.Elements), k.DataInts())
+					p, err := pred.Predict(c.Program, int64(k.Elements), k.SymbolInts())
 					if err != nil {
 						t.Errorf("goroutine %d lfk%d: %v", g, k.ID, err)
 						return

@@ -1,6 +1,9 @@
 package lfk
 
-import "macs/internal/core"
+import (
+	"macs/internal/compiler"
+	"macs/internal/core"
+)
 
 // The paper's case study uses "ten of the first twelve" Livermore
 // kernels: LFK5 and LFK11 are excluded because they are true first-order
@@ -32,11 +35,13 @@ END
 		N:        n,
 		Elements: n - 1,
 		Entries:  1,
-		Ints:     map[string]int64{"N": n},
-		Arrays: map[string][]float64{
-			"X": scale(fill(20, 2048), 0.1),
-			"Y": scale(fill(21, 2048), 0.1),
-			"Z": scale(fill(22, 2048), 0.1),
+		Inputs: compiler.Inputs{
+			Ints: map[string]int64{"N": n},
+			Arrays: map[string][]float64{
+				"X": scale(fill(20, 2048), 0.1),
+				"Y": scale(fill(21, 2048), 0.1),
+				"Z": scale(fill(22, 2048), 0.1),
+			},
 		},
 		Outputs: []string{"X"},
 		Paper: PaperRow{
@@ -76,9 +81,11 @@ END
 		N:        n,
 		Elements: n - 1,
 		Entries:  1,
-		Ints:     map[string]int64{"N": n},
-		Arrays: map[string][]float64{
-			"Y": scale(fill(23, 2048), 0.01),
+		Inputs: compiler.Inputs{
+			Ints: map[string]int64{"N": n},
+			Arrays: map[string][]float64{
+				"Y": scale(fill(23, 2048), 0.01),
+			},
 		},
 		Outputs: []string{"X"},
 		Paper: PaperRow{

@@ -1,6 +1,9 @@
 package lfk
 
-import "macs/internal/core"
+import (
+	"macs/internal/compiler"
+	"macs/internal/core"
+)
 
 // LFK1 is the hydro fragment: X(k) = Q + Y(k)*(R*ZX(k+10) + T*ZX(k+11)).
 func LFK1() *Kernel {
@@ -21,11 +24,13 @@ END
 		N:        n,
 		Elements: n,
 		Entries:  1,
-		Ints:     map[string]int64{"N": n},
-		Reals:    map[string]float64{"Q": 0.5, "R": 0.25, "T": 0.125},
-		Arrays: map[string][]float64{
-			"Y":  fill(1, 2001),
-			"ZX": fill(2, 2048),
+		Inputs: compiler.Inputs{
+			Ints:  map[string]int64{"N": n},
+			Reals: map[string]float64{"Q": 0.5, "R": 0.25, "T": 0.125},
+			Arrays: map[string][]float64{
+				"Y":  fill(1, 2001),
+				"ZX": fill(2, 2048),
+			},
 		},
 		Outputs: []string{"X"},
 		Paper: PaperRow{
@@ -73,10 +78,12 @@ END
 `,
 		N:       n,
 		Entries: 6,
-		Ints:    map[string]int64{"N": n},
-		Arrays: map[string][]float64{
-			"X": fill(3, 2048),
-			"V": scale(fill(4, 2048), 0.1),
+		Inputs: compiler.Inputs{
+			Ints: map[string]int64{"N": n},
+			Arrays: map[string][]float64{
+				"X": fill(3, 2048),
+				"V": scale(fill(4, 2048), 0.1),
+			},
 		},
 		Outputs: []string{"X"},
 		Paper: PaperRow{
@@ -135,11 +142,13 @@ END
 		N:        n,
 		Elements: n,
 		Entries:  1,
-		Ints:     map[string]int64{"N": n},
-		Reals:    map[string]float64{"Q": 0.0},
-		Arrays: map[string][]float64{
-			"Z": fill(5, 2048),
-			"X": fill(6, 2048),
+		Inputs: compiler.Inputs{
+			Ints:  map[string]int64{"N": n},
+			Reals: map[string]float64{"Q": 0.0},
+			Arrays: map[string][]float64{
+				"Z": fill(5, 2048),
+				"X": fill(6, 2048),
+			},
 		},
 		Outputs: []string{"Q"},
 		Paper: PaperRow{
@@ -183,10 +192,12 @@ END
 		N:        n,
 		Elements: 3 * ((n-5)/5 + 1),
 		Entries:  3,
-		Ints:     map[string]int64{"N": n},
-		Arrays: map[string][]float64{
-			"X": scale(fill(7, 2048), 0.1),
-			"Y": scale(fill(8, 2048), 0.1),
+		Inputs: compiler.Inputs{
+			Ints: map[string]int64{"N": n},
+			Arrays: map[string][]float64{
+				"X": scale(fill(7, 2048), 0.1),
+				"Y": scale(fill(8, 2048), 0.1),
+			},
 		},
 		Outputs: []string{"X"},
 		Paper: PaperRow{
@@ -243,10 +254,12 @@ END
 		Elements:     elems,
 		Entries:      63,
 		EntryLengths: tri,
-		Ints:         map[string]int64{"N": n},
-		Arrays: map[string][]float64{
-			"W": prefix(1024, []float64{0.01}),
-			"B": scale(fill(9, 64*64), 0.01),
+		Inputs: compiler.Inputs{
+			Ints: map[string]int64{"N": n},
+			Arrays: map[string][]float64{
+				"W": prefix(1024, []float64{0.01}),
+				"B": scale(fill(9, 64*64), 0.01),
+			},
 		},
 		Outputs: []string{"W"},
 		Paper: PaperRow{
@@ -288,12 +301,14 @@ END
 		N:        n,
 		Elements: n,
 		Entries:  1,
-		Ints:     map[string]int64{"N": n},
-		Reals:    map[string]float64{"R": 0.5, "T": 0.25, "Q": 0.125},
-		Arrays: map[string][]float64{
-			"Y": fill(10, 2048),
-			"Z": fill(11, 2048),
-			"U": fill(12, 2048),
+		Inputs: compiler.Inputs{
+			Ints:  map[string]int64{"N": n},
+			Reals: map[string]float64{"R": 0.5, "T": 0.25, "Q": 0.125},
+			Arrays: map[string][]float64{
+				"Y": fill(10, 2048),
+				"Z": fill(11, 2048),
+				"U": fill(12, 2048),
+			},
 		},
 		Outputs: []string{"X"},
 		Paper: PaperRow{
@@ -347,17 +362,19 @@ END
 		N:        n,
 		Elements: 2 * (n - 1),
 		Entries:  2,
-		Ints:     map[string]int64{"N": n},
-		Reals: map[string]float64{
-			"A11": 0.1, "A12": 0.2, "A13": 0.3,
-			"A21": 0.4, "A22": 0.5, "A23": 0.6,
-			"A31": 0.7, "A32": 0.8, "A33": 0.9,
-			"SIG": 0.25,
-		},
-		Arrays: map[string][]float64{
-			"U1": fill(13, 5*101*2),
-			"U2": fill(14, 5*101*2),
-			"U3": fill(15, 5*101*2),
+		Inputs: compiler.Inputs{
+			Ints: map[string]int64{"N": n},
+			Reals: map[string]float64{
+				"A11": 0.1, "A12": 0.2, "A13": 0.3,
+				"A21": 0.4, "A22": 0.5, "A23": 0.6,
+				"A31": 0.7, "A32": 0.8, "A33": 0.9,
+				"SIG": 0.25,
+			},
+			Arrays: map[string][]float64{
+				"U1": fill(13, 5*101*2),
+				"U2": fill(14, 5*101*2),
+				"U3": fill(15, 5*101*2),
+			},
 		},
 		Outputs: []string{"U1", "U2", "U3", "DU1", "DU2", "DU3"},
 		Paper: PaperRow{
@@ -416,13 +433,15 @@ END
 		N:        n,
 		Elements: n,
 		Entries:  1,
-		Ints:     map[string]int64{"N": n},
-		Reals: map[string]float64{
-			"DM28": 0.1, "DM27": 0.2, "DM26": 0.3, "DM25": 0.4,
-			"DM24": 0.5, "DM23": 0.6, "DM22": 0.7, "C0": 0.8,
-		},
-		Arrays: map[string][]float64{
-			"PX": fill(16, 25*101),
+		Inputs: compiler.Inputs{
+			Ints: map[string]int64{"N": n},
+			Reals: map[string]float64{
+				"DM28": 0.1, "DM27": 0.2, "DM26": 0.3, "DM25": 0.4,
+				"DM24": 0.5, "DM23": 0.6, "DM22": 0.7, "C0": 0.8,
+			},
+			Arrays: map[string][]float64{
+				"PX": fill(16, 25*101),
+			},
 		},
 		Outputs: []string{"PX"},
 		Paper: PaperRow{
@@ -485,10 +504,12 @@ END
 		N:        n,
 		Elements: n,
 		Entries:  1,
-		Ints:     map[string]int64{"N": n},
-		Arrays: map[string][]float64{
-			"PX": fill(17, 25*101),
-			"CX": fill(18, 25*101),
+		Inputs: compiler.Inputs{
+			Ints: map[string]int64{"N": n},
+			Arrays: map[string][]float64{
+				"PX": fill(17, 25*101),
+				"CX": fill(18, 25*101),
+			},
 		},
 		Outputs: []string{"PX"},
 		Paper: PaperRow{
@@ -532,9 +553,11 @@ END
 		N:        n,
 		Elements: n,
 		Entries:  1,
-		Ints:     map[string]int64{"N": n},
-		Arrays: map[string][]float64{
-			"Y": fill(19, 2001),
+		Inputs: compiler.Inputs{
+			Ints: map[string]int64{"N": n},
+			Arrays: map[string][]float64{
+				"Y": fill(19, 2001),
+			},
 		},
 		Outputs: []string{"X"},
 		Paper: PaperRow{

@@ -8,6 +8,7 @@ package lfk
 import (
 	"fmt"
 
+	"macs/internal/compiler"
 	"macs/internal/core"
 )
 
@@ -28,10 +29,9 @@ type Kernel struct {
 	// EntryLengths, when set, gives each entry's exact element count
 	// (LFK2's halving cascade, LFK6's triangular lengths).
 	EntryLengths []int
-	// Ints and Reals prime scalar variables; Arrays prime array contents.
-	Ints   map[string]int64
-	Reals  map[string]float64
-	Arrays map[string][]float64
+	// Inputs prime the kernel's scalars and arrays; Ints, Reals and
+	// Arrays read them.
+	compiler.Inputs
 	// Outputs names the variables whose final contents the reference
 	// validates (arrays compared element-wise, scalars as length 1).
 	Outputs []string

@@ -273,3 +273,23 @@ func TestInterpreterMatchesReferences(t *testing.T) {
 		})
 	}
 }
+
+// TestInputsRefuseArrayOutgrowingDeclaration: an LFK whose input array
+// is longer than its declaration is refused before the run, instead of
+// being written on over the variables placed after it. LFK1 declares
+// Y(2001).
+func TestInputsRefuseArrayOutgrowingDeclaration(t *testing.T) {
+	k := *LFK1()
+	k.Arrays = map[string][]float64{"Y": make([]float64, 2002)}
+	c, err := Compile(&k, compiler.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `inputs: array "Y" has 2002 elements but is declared with 2001`
+	if _, _, err := c.Run(vm.DefaultConfig()); err == nil || err.Error() != want {
+		t.Errorf("run: %v, want %q", err, want)
+	}
+	if err := k.Check(c.Program); err == nil || err.Error() != want {
+		t.Errorf("Check: %v, want %q", err, want)
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"macs/internal/asm"
 	"macs/internal/compiler"
-	"macs/internal/isa"
 	"macs/internal/vm"
 )
 
@@ -36,67 +35,12 @@ func (c *Compiled) NewCPU(cfg vm.Config) (*vm.CPU, error) {
 }
 
 // Prime loads the kernel's program into a fresh simulator and writes its
-// input scalars and arrays into memory.
+// inputs into memory.
 func (c *Compiled) Prime(cpu *vm.CPU) error {
 	if err := cpu.Load(c.Program); err != nil {
 		return err
 	}
-	return c.PrimeData(cpu)
-}
-
-// PrimeData writes the kernel's input scalars and arrays into the memory
-// of a simulator that already has the program loaded.
-func (c *Compiled) PrimeData(cpu *vm.CPU) error {
-	m := cpu.Memory()
-	k := c.Kernel
-	for name, val := range k.Ints {
-		base, ok := m.SymbolAddr(compiler.DataSym(name))
-		if !ok {
-			return fmt.Errorf("lfk%d: symbol %s missing", k.ID, name)
-		}
-		if err := m.WriteI64(base, val); err != nil {
-			return err
-		}
-	}
-	for name, val := range k.Reals {
-		base, ok := m.SymbolAddr(compiler.DataSym(name))
-		if !ok {
-			return fmt.Errorf("lfk%d: symbol %s missing", k.ID, name)
-		}
-		if err := m.WriteF64(base, val); err != nil {
-			return err
-		}
-	}
-	for name, vals := range k.Arrays {
-		base, ok := m.SymbolAddr(compiler.DataSym(name))
-		if !ok {
-			return fmt.Errorf("lfk%d: symbol %s missing", k.ID, name)
-		}
-		if err := m.WriteStream(base, isa.WordBytes, vals); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DataInts returns the kernel's integer inputs keyed by compiled data
-// symbol name ("N" becomes "d_N") — the priming map the analytical fast
-// tier takes in place of a memory image.
-func (k *Kernel) DataInts() map[string]int64 {
-	out := make(map[string]int64, len(k.Ints))
-	for name, val := range k.Ints {
-		out[compiler.DataSym(name)] = val
-	}
-	return out
-}
-
-// PrimeFunc returns a priming callback that writes the kernel's input
-// scalars and arrays into any simulator that already has the kernel's
-// program loaded — the shape macs.AnalyzeSourceVM and the explore
-// engine's Request.Prime take.
-func (k *Kernel) PrimeFunc() func(*vm.CPU) error {
-	c := &Compiled{Kernel: k}
-	return c.PrimeData
+	return c.Kernel.Inputs.Write(cpu)
 }
 
 // Run executes the primed kernel and returns the simulator statistics.

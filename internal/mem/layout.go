@@ -60,12 +60,6 @@ func (l *Layout) Addr(name string) (int64, bool) {
 	return a, ok
 }
 
-// SizeOf resolves a placed symbol to its size in bytes.
-func (l *Layout) SizeOf(name string) (int64, bool) {
-	n, ok := l.sizes[name]
-	return n, ok
-}
-
 // Check reports an n-byte access at addr that falls outside the memory,
 // with the error Memory's accessors return for it.
 func (l *Layout) Check(addr, n int64) error { return checkRange(addr, n, l.size) }

@@ -71,9 +71,6 @@ func (m *Memory) Alloc(name string, size int64) (int64, error) {
 // SymbolAddr resolves a symbol name to its base address.
 func (m *Memory) SymbolAddr(name string) (int64, bool) { return m.layout.Addr(name) }
 
-// SymbolSize resolves a symbol name to its allocated size in bytes.
-func (m *Memory) SymbolSize(name string) (int64, bool) { return m.layout.SizeOf(name) }
-
 // load reads the 8 bytes at an in-range addr as a little-endian word.
 func (m *Memory) load(addr int64) uint64 {
 	if off := int(addr) & offMask; off <= offMask-7 {

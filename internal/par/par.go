@@ -23,81 +23,21 @@ func Workers(n int) int {
 	return n
 }
 
-// ForEach runs fn(i) for i in [0,n) on at most `workers` goroutines and
-// waits for all of them. With workers <= 1 it degenerates to a plain
-// sequential loop that stops at the first error — exactly the behavior
-// the sweep loops had before they were parallelized. With workers > 1
-// every index runs (no early cancellation; sweep items are cheap and
-// independent) and the error with the lowest index is returned, so the
-// reported failure does not depend on goroutine scheduling.
-func ForEach(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		mu       sync.Mutex
-		firstIdx = n
-		firstErr error
-		next     int
-		wg       sync.WaitGroup
-	)
-	claim := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= n {
-			return 0, false
-		}
-		i := next
-		next++
-		return i, true
-	}
-	record := func(i int, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if i < firstIdx {
-			firstIdx = i
-			firstErr = err
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i, ok := claim()
-				if !ok {
-					return
-				}
-				if err := fn(i); err != nil {
-					record(i, err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// ForEachCtx is ForEach under a context: once ctx is cancelled no new
-// index is launched — indices already running finish (fn is never
-// interrupted mid-flight; pass ctx into fn for that), and indices never
-// claimed simply do not run. It returns the lowest-index fn error if one
-// occurred before cancellation took effect, otherwise ctx.Err() when the
-// sweep was cut short, otherwise nil. The sequential workers <= 1 path
-// checks the context before every index, matching the parallel claim
-// loop.
+// ForEachCtx runs fn(i) for i in [0,n) on at most `workers` goroutines
+// and waits for all of them. With workers <= 1 it is a plain sequential
+// loop that stops at the first error. With workers > 1 every index runs
+// (no early stop on error; sweep items are cheap and independent) and
+// the error with the lowest index is returned, so the reported failure
+// does not depend on goroutine scheduling.
+//
+// Once ctx is cancelled no new index is launched — indices already
+// running finish (fn is never interrupted mid-flight; pass ctx into fn
+// for that), and indices never claimed simply do not run. It returns the
+// lowest-index fn error if one occurred before cancellation took effect,
+// otherwise ctx.Err() when the sweep was cut short, otherwise nil. The
+// sequential path checks the context before every index, matching the
+// parallel claim loop. Callers without a deadline pass
+// context.Background().
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()

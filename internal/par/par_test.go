@@ -24,7 +24,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 100
 		var seen [n]atomic.Int32
-		if err := ForEach(workers, n, func(i int) error {
+		if err := ForEachCtx(context.Background(), workers, n, func(i int) error {
 			seen[i].Add(1)
 			return nil
 		}); err != nil {
@@ -39,7 +39,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEachCtx(context.Background(), 4, 0, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -50,7 +50,7 @@ func TestForEachEmpty(t *testing.T) {
 func TestForEachLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		var calls atomic.Int32
-		err := ForEach(workers, 50, func(i int) error {
+		err := ForEachCtx(context.Background(), workers, 50, func(i int) error {
 			calls.Add(1)
 			if i == 7 || i == 31 || i == 49 {
 				return errors.New("boom at " + string(rune('0'+i/10)) + string(rune('0'+i%10)))
@@ -74,7 +74,7 @@ func TestForEachLowestIndexError(t *testing.T) {
 func TestForEachConcurrent(t *testing.T) {
 	var sum atomic.Int64
 	const n = 1000
-	if err := ForEach(8, n, func(i int) error {
+	if err := ForEachCtx(context.Background(), 8, n, func(i int) error {
 		sum.Add(int64(i))
 		return nil
 	}); err != nil {

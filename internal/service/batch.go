@@ -42,7 +42,7 @@ type BatchItemResult struct {
 
 // AnalyzeBatch runs every item of a batch through the normal analyze
 // path — cache, singleflight, worker pool — fanning out
-// at most Workers items concurrently via par.ForEach, and calls emit
+// at most Workers items concurrently via par.ForEachCtx, and calls emit
 // with each item's result as it completes (emit is serialized; results
 // arrive in completion order, identified by Index). Per-item failures
 // are reported through their result line; AnalyzeBatch itself only

@@ -134,8 +134,7 @@ func (s *Service) Explore(ctx context.Context, req ExploreRequest, emit func(Exp
 		Name:       req.Name,
 		Source:     req.Source,
 		Iterations: req.Iterations,
-		Ints:       req.Prime.fastInts(),
-		Prime:      vmPrime(req.Prime),
+		Inputs:     req.Prime,
 		Observe: func(p explore.Point) {
 			emit(ExploreEvent{Type: "point", Point: &p})
 		},
@@ -178,11 +177,4 @@ func (s *Service) replayExplore(resp ExploreResponse, emit func(ExploreEvent)) {
 	}
 	resp.Cached = true
 	emit(ExploreEvent{Type: "done", Result: &resp})
-}
-
-// vmPrime adapts a Priming to the raw simulator callback the explore
-// engine takes (the engine runs below the macs facade). macs.CPU is an
-// alias of vm.CPU, so the facade-shaped primeFunc applies directly.
-func vmPrime(p Priming) func(*vm.CPU) error {
-	return p.primeFunc()
 }

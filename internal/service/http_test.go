@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"macs"
+	"macs/internal/explore"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
@@ -462,7 +463,7 @@ func TestPrimingArrayLongerThanDeclaration(t *testing.T) {
 		{"X", 130}, // overwrites N too: the run reported 20 cycles
 		{"Y", 65},
 	} {
-		want := fmt.Sprintf("service: priming array %q has %d elements but is declared with 64", c.name, c.elems)
+		want := fmt.Sprintf("inputs: array %q has %d elements but is declared with 64", c.name, c.elems)
 		p := prime(c.name, c.elems)
 		for _, req := range []struct {
 			target string
@@ -485,6 +486,73 @@ func TestPrimingArrayLongerThanDeclaration(t *testing.T) {
 		}
 		if last.Type != "error" || !strings.HasSuffix(last.Error, want) {
 			t.Errorf("explore %s(%d): last event %+v, want an error ending in %q", c.name, c.elems, last, want)
+		}
+	}
+}
+
+// TestInputMistakesSameWords: one mistake in a program's inputs reads
+// the same on every endpoint. On SAXPY, a misspelled int, a misspelled
+// real and an array longer than its declaration each answer analyze and
+// ax with 422, and end the batch item and the explore stream on an
+// error line, all with the text macs.Inputs.Check returns. Explore
+// refuses before it predicts any point.
+func TestInputMistakesSameWords(t *testing.T) {
+	const src = "PROGRAM SAXPY\nREAL X(4), Y(4), A\nINTEGER N, K\nDO K = 1, N\n  Y(K) = Y(K) + A*X(K)\nENDDO\nEND\n"
+	prog, err := macs.Compile(src, macs.DefaultCompilerOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := map[string]int64{"N": 4}
+	for _, c := range []struct {
+		name string
+		in   Priming
+		want string
+	}{
+		{"int M", Priming{Ints: map[string]int64{"M": 4}}, `inputs: unknown variable "M"`},
+		{"real B", Priming{Ints: n, Reals: map[string]float64{"B": 2.5}}, `inputs: unknown variable "B"`},
+		{"X(4) given 5", Priming{Ints: n, Arrays: map[string][]float64{"X": make([]float64, 5)}},
+			`inputs: array "X" has 5 elements but is declared with 4`},
+	} {
+		if err := c.in.Check(prog); err == nil || err.Error() != c.want {
+			t.Fatalf("%s: Check = %v, want %q", c.name, err, c.want)
+		}
+		s := newTestService(t, Config{Workers: 2, QueueSize: 8})
+		h := NewHandler(s)
+		for _, req := range []struct {
+			target string
+			body   any
+		}{
+			{"/v1/analyze", AnalyzeRequest{Source: src, Iterations: 4, Prime: c.in}},
+			{"/v1/ax", AXRequest{Source: src, Prime: c.in}},
+		} {
+			rec := serveBody(h, http.MethodPost, req.target, mustJSON(t, req.body))
+			if e := decodeRec[map[string]any](t, rec); rec.Code != http.StatusUnprocessableEntity || e["error"] != c.want {
+				t.Errorf("%s %s: status %d, body %s; want 422 %q", req.target, c.name, rec.Code, rec.Body.Bytes(), c.want)
+			}
+		}
+
+		rec := serveBody(h, http.MethodPost, "/v1/batch", mustJSON(t, BatchRequest{Items: []AnalyzeRequest{
+			{Source: src, Iterations: 4, Prime: c.in}}}))
+		var item BatchItemResult
+		if err := json.Unmarshal(bytes.TrimSpace(rec.Body.Bytes()), &item); err != nil {
+			t.Fatalf("batch %s: %v in %s", c.name, err, rec.Body.Bytes())
+		}
+		if rec.Code != http.StatusOK || item.Error != c.want {
+			t.Errorf("batch %s: status %d, item %+v; want an error line %q", c.name, rec.Code, item, c.want)
+		}
+
+		rec = serveBody(h, http.MethodPost, "/v1/explore", mustJSON(t, ExploreRequest{Source: src, Iterations: 4, Prime: c.in,
+			Grid: explore.Grid{Axes: []explore.Axis{{Param: "banks", Values: []float64{16, 32}}}}}))
+		lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+		var last ExploreEvent
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+			t.Fatalf("explore %s: %v in %s", c.name, err, rec.Body.Bytes())
+		}
+		if last.Type != "error" || last.Error != c.want {
+			t.Errorf("explore %s: last event %+v, want an error %q", c.name, last, c.want)
+		}
+		if m := s.explorers.Machines(); m != 0 {
+			t.Errorf("explore %s: %d machines predicted before the refusal, want 0", c.name, m)
 		}
 	}
 }

@@ -21,9 +21,7 @@ import (
 	"time"
 
 	"macs"
-	"macs/internal/compiler"
 	"macs/internal/explore"
-	"macs/internal/isa"
 	"macs/internal/obs"
 )
 
@@ -545,80 +543,10 @@ func (s *Service) logRequest(endpoint string, start time.Time, cached bool, err 
 	s.log.Info("request", "endpoint", endpoint, "dur", d, "cached", cached)
 }
 
-// Priming carries memory inputs for a simulation request: scalar
-// integers, scalar reals and real arrays, by Fortran variable name. It
-// is part of the cache key — different inputs are different results.
-type Priming struct {
-	Ints   map[string]int64     `json:"ints,omitempty"`
-	Reals  map[string]float64   `json:"reals,omitempty"`
-	Arrays map[string][]float64 `json:"arrays,omitempty"`
-}
-
-// primeFunc renders a Priming into the prime callback the facade takes.
-// An array longer than its declaration is an error: written on from the
-// symbol's base, it would overwrite the variables placed after it.
-func (p Priming) primeFunc() func(*macs.CPU) error {
-	if len(p.Ints) == 0 && len(p.Reals) == 0 && len(p.Arrays) == 0 {
-		return nil
-	}
-	return func(c *macs.CPU) error {
-		m := c.Memory()
-		addr := func(name string) (int64, error) {
-			base, ok := m.SymbolAddr(compiler.DataSym(name))
-			if !ok {
-				return 0, fmt.Errorf("service: priming unknown variable %q", name)
-			}
-			return base, nil
-		}
-		for name, v := range p.Ints {
-			base, err := addr(name)
-			if err != nil {
-				return err
-			}
-			if err := m.WriteI64(base, v); err != nil {
-				return err
-			}
-		}
-		for name, v := range p.Reals {
-			base, err := addr(name)
-			if err != nil {
-				return err
-			}
-			if err := m.WriteF64(base, v); err != nil {
-				return err
-			}
-		}
-		for name, vals := range p.Arrays {
-			base, err := addr(name)
-			if err != nil {
-				return err
-			}
-			size, _ := m.SymbolSize(compiler.DataSym(name))
-			if int64(len(vals)) > size/8 {
-				return fmt.Errorf("service: priming array %q has %d elements but is declared with %d", name, len(vals), size/8)
-			}
-			if err := m.WriteStream(base, isa.WordBytes, vals); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// fastInts rekeys the integer primings by data symbol, the shape the
-// explore engine's predictor reads. Reals and arrays are irrelevant to
-// it: float data never steers the timing model (a program whose schedule
-// depends on it is data-dependent, and explore simulates every point).
-func (p Priming) fastInts() map[string]int64 {
-	if len(p.Ints) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(p.Ints))
-	for name, v := range p.Ints {
-		out[compiler.DataSym(name)] = v
-	}
-	return out
-}
+// Priming is the request shape of a program's inputs: scalar integers,
+// scalar reals and real arrays by Fortran variable name. It is part of
+// the cache key — different inputs are different results.
+type Priming = macs.Inputs
 
 // AnalyzeRequest asks for the full pipeline: compile, bound, simulate.
 type AnalyzeRequest struct {
@@ -713,7 +641,7 @@ func (s *Service) Analyze(ctx context.Context, req AnalyzeRequest) (AnalyzeRespo
 		// The request context rides into the closure for its trace values
 		// only; cancellation is governed by the flight context the worker
 		// checks before calling this.
-		res, err := s.analyzer.AnalyzeSourceCtx(ctx, req.Source, req.Iterations, req.Prime.primeFunc())
+		res, err := s.analyzer.AnalyzeSourceCtx(ctx, req.Source, req.Iterations, req.Prime.Prime())
 		if err != nil {
 			return nil, err
 		}
@@ -869,7 +797,7 @@ func (s *Service) AX(ctx context.Context, req AXRequest) (AXResponse, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := macs.MeasureAX(p, s.cfg.VM, req.Prime.primeFunc())
+		m, err := macs.MeasureAX(p, s.cfg.VM, req.Prime.Prime())
 		if err != nil {
 			return nil, err
 		}

@@ -76,6 +76,9 @@ func New(cfg Config) *CPU {
 	return c
 }
 
+// Program returns the loaded program (nil before Load).
+func (c *CPU) Program() *asm.Program { return c.prog }
+
 // Memory returns the CPU's functional memory (for priming inputs and
 // reading results in tests and harnesses).
 func (c *CPU) Memory() *mem.Memory { return c.mem }

@@ -16,8 +16,10 @@
 // Quick start:
 //
 //	// bounds + simulated measurement; iterations converts cycles to
-//	// CPL, prime (may be nil) sets memory inputs before the run.
-//	res, err := macs.AnalyzeSource(src, iterations, prime)
+//	// CPL, and the inputs, by source variable name, are checked
+//	// against the program and written before the run.
+//	in := macs.Inputs{Ints: map[string]int64{"N": 2000}, Reals: map[string]float64{"A": 2.5}}
+//	res, err := macs.AnalyzeSource(src, iterations, in.Prime())
 //	fmt.Println(res.Report())
 //
 //	// bounds only, no simulation:
@@ -79,6 +81,11 @@ type (
 	Machine = vm.Machine
 	// CompilerOptions configures the vectorizing compiler.
 	CompilerOptions = compiler.Options
+	// Inputs are a program's memory inputs by source variable name
+	// (ints, reals, arrays). Prime turns them into the prime callback
+	// AnalyzeSource takes; Check refuses names and array lengths the
+	// program does not declare.
+	Inputs = compiler.Inputs
 	// Kernel is one Livermore kernel of the case study.
 	Kernel = lfk.Kernel
 	// KernelResult bundles bounds, measurement and validation status.
@@ -287,7 +294,7 @@ func BoundSourceCtx(ctx context.Context, src string) (Analysis, error) {
 // AnalyzeSource runs the full MACS pipeline on a kernel source: compile,
 // bound, simulate. iterations tells the conversion to CPL how many
 // inner-loop iterations the program executes; prime (optional) sets
-// memory inputs before the run.
+// memory inputs before the run — Inputs.Prime supplies it.
 func AnalyzeSource(src string, iterations int64, prime func(*CPU) error) (Result, error) {
 	return AnalyzeSourceVM(src, iterations, vm.DefaultConfig(), prime)
 }

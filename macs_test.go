@@ -20,24 +20,16 @@ END
 `
 
 func TestAnalyzeSource(t *testing.T) {
-	res, err := macs.AnalyzeSource(quickSrc, 1000, func(c *macs.CPU) error {
-		m := c.Memory()
-		nb, _ := m.SymbolAddr("d_N")
-		if err := m.WriteI64(nb, 1000); err != nil {
-			return err
-		}
-		ab, _ := m.SymbolAddr("d_A")
-		if err := m.WriteF64(ab, 2.0); err != nil {
-			return err
-		}
-		xb, _ := m.SymbolAddr("d_X")
-		yb, _ := m.SymbolAddr("d_Y")
-		for i := 0; i < 1000; i++ {
-			m.WriteF64(xb+int64(i*8), float64(i))
-			m.WriteF64(yb+int64(i*8), 1.0)
-		}
-		return nil
-	})
+	x, y := make([]float64, 1000), make([]float64, 1000)
+	for i := range x {
+		x[i], y[i] = float64(i), 1.0
+	}
+	in := macs.Inputs{
+		Ints:   map[string]int64{"N": 1000},
+		Reals:  map[string]float64{"A": 2.0},
+		Arrays: map[string][]float64{"X": x, "Y": y},
+	}
+	res, err := macs.AnalyzeSource(quickSrc, 1000, in.Prime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +108,7 @@ func TestMeasureAXFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := macs.MeasureAX(p, macs.DefaultVMConfig(), func(c *macs.CPU) error {
-		nb, _ := c.Memory().SymbolAddr("d_N")
-		return c.Memory().WriteI64(nb, 500)
-	})
+	m, err := macs.MeasureAX(p, macs.DefaultVMConfig(), macs.Inputs{Ints: map[string]int64{"N": 500}}.Prime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +182,7 @@ func TestExtensionFacades(t *testing.T) {
 func TestChromeTraceJSON(t *testing.T) {
 	cfg := macs.DefaultVMConfig()
 	cfg.Trace = true
-	res, err := macs.AnalyzeSourceVM(quickSrc, 256, cfg, func(c *macs.CPU) error {
-		nb, _ := c.Memory().SymbolAddr("d_N")
-		return c.Memory().WriteI64(nb, 256)
-	})
+	res, err := macs.AnalyzeSourceVM(quickSrc, 256, cfg, macs.Inputs{Ints: map[string]int64{"N": 256}}.Prime())
 	if err != nil {
 		t.Fatal(err)
 	}
