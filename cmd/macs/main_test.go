@@ -124,16 +124,20 @@ func TestCmdAttrRingOnly(t *testing.T) {
 // TestCmdInputMistake: a misspelled -ints name stops analyze and explore
 // with the text macs.Inputs gives every surface, before any run.
 func TestCmdInputMistake(t *testing.T) {
-	const want = `inputs: unknown variable "M"`
 	path := writeKernel(t)
-	var out strings.Builder
-	if err := cmdAnalyze(&out, []string{path, "-n", "64", "-ints", "M=64"}); err == nil || err.Error() != want {
-		t.Errorf("analyze -ints M=64: %v, want %q", err, want)
-	}
-	if err := cmdExplore(&out, []string{path, "-n", "64", "-ints", "M=64", "-axis", "banks=16,32"}); err == nil || !strings.HasSuffix(err.Error(), ": "+want) {
-		t.Errorf("explore -ints M=64: %v, want one ending in %q", err, want)
-	}
-	if out.Len() != 0 {
-		t.Errorf("refused runs printed:\n%s", out.String())
+	for _, c := range []struct{ ints, want string }{
+		{"M=64", `inputs: unknown variable "M"`},
+		{"X=3", `inputs: variable "X" is declared a REAL array, not an INTEGER scalar`},
+	} {
+		var out strings.Builder
+		if err := cmdAnalyze(&out, []string{path, "-n", "64", "-ints", c.ints}); err == nil || err.Error() != c.want {
+			t.Errorf("analyze -ints %s: %v, want %q", c.ints, err, c.want)
+		}
+		if err := cmdExplore(&out, []string{path, "-n", "64", "-ints", c.ints, "-axis", "banks=16,32"}); err == nil || !strings.HasSuffix(err.Error(), ": "+c.want) {
+			t.Errorf("explore -ints %s: %v, want one ending in %q", c.ints, err, c.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("refused runs printed:\n%s", out.String())
+		}
 	}
 }

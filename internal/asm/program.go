@@ -19,6 +19,36 @@ type DataDef struct {
 	Name string
 	Size int64
 	Init []float64
+	// Kind is the declared kind of the source variable the symbol holds:
+	// what its inputs must be. It is NoKind for compiler data and for
+	// assembly text, which declares none.
+	Kind Kind
+}
+
+// Kind is the declared type and shape of a source variable.
+type Kind uint8
+
+// The kinds of a source variable: INTEGER or REAL, scalar or array.
+const (
+	NoKind Kind = iota
+	IntScalar
+	RealScalar
+	IntArray
+	RealArray
+)
+
+func (k Kind) String() string {
+	switch k {
+	case IntScalar:
+		return "an INTEGER scalar"
+	case RealScalar:
+		return "a REAL scalar"
+	case IntArray:
+		return "an INTEGER array"
+	case RealArray:
+		return "a REAL array"
+	}
+	return "undeclared"
 }
 
 // Program is an assembled program: an instruction sequence with labels and
@@ -88,9 +118,10 @@ func (p *Program) FindData(name string) (DataDef, bool) {
 	return DataDef{}, false
 }
 
-// Validate checks structural invariants: branch targets resolve, register
-// numbers are in range, memory operands have address-register bases, and
-// label indices are within the program.
+// Validate checks what only the whole program decides: label indices
+// lie within the program, and every data symbol and branch label an
+// operand names is defined. What each instruction's operands must be is
+// isa.Decode's rule.
 func (p *Program) Validate() error {
 	for name, idx := range p.Labels {
 		if idx < 0 || idx > len(p.Instrs) {
@@ -100,19 +131,7 @@ func (p *Program) Validate() error {
 	for i, in := range p.Instrs {
 		for _, o := range in.Ops {
 			switch o.Kind {
-			case isa.KindReg:
-				if err := isa.CheckReg(o.Reg); err != nil {
-					return fmt.Errorf("asm: instr %d (%s): %v", i, in, err)
-				}
 			case isa.KindMem:
-				if o.Base.Class != isa.ClassA && o.Base.Class != isa.ClassNone {
-					return fmt.Errorf("asm: instr %d (%s): memory base must be an a-register", i, in)
-				}
-				if o.Base.Class == isa.ClassA {
-					if err := isa.CheckReg(o.Base); err != nil {
-						return fmt.Errorf("asm: instr %d (%s): %v", i, in, err)
-					}
-				}
 				if o.Sym != "" {
 					if _, ok := p.FindData(o.Sym); !ok {
 						return fmt.Errorf("asm: instr %d (%s): undefined symbol %q", i, in, o.Sym)

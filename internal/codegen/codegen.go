@@ -59,7 +59,7 @@ func Compile(prog *ftn.Program, opts Options) (*asm.Program, error) {
 		interned:  make(map[string]string),
 	}
 	for _, d := range prog.Decls {
-		g.out.AddData(asm.DataDef{Name: SymName(d.Name), Size: int64(d.Elems()) * 8})
+		g.out.AddData(asm.DataDef{Name: SymName(d.Name), Size: int64(d.Elems()) * 8, Kind: kindOf(d)})
 	}
 	// Pre-create assembly labels for Fortran statement labels.
 	ftn.Walk(prog.Body, func(s ftn.Stmt) {
@@ -75,6 +75,19 @@ func Compile(prog *ftn.Program, opts Options) (*asm.Program, error) {
 		return nil, fmt.Errorf("codegen: generated invalid assembly: %w", err)
 	}
 	return g.out, nil
+}
+
+// kindOf is the kind a declaration gives its data symbol.
+func kindOf(d ftn.Decl) asm.Kind {
+	switch {
+	case d.Kind == ftn.KindInt && d.IsArray():
+		return asm.IntArray
+	case d.Kind == ftn.KindInt:
+		return asm.IntScalar
+	case d.IsArray():
+		return asm.RealArray
+	}
+	return asm.RealScalar
 }
 
 // SymName maps a Fortran name to its assembly data symbol.

@@ -11,7 +11,7 @@ import (
 // Inputs are a program's memory inputs by Fortran variable name: scalar
 // integers, scalar reals and real arrays. They are the one way inputs
 // reach a compiled program: Write primes a simulator, SymbolInts is the
-// predictor's view, and Check refuses names and array lengths the
+// predictor's view, and Check refuses names, kinds and array lengths the
 // program does not declare. As a service request's "prime" member they
 // are part of its cache key.
 type Inputs struct {
@@ -68,31 +68,38 @@ func (in Inputs) Write(cpu *vm.CPU) error {
 }
 
 // Check decides whether the inputs fit prog's declarations: every name a
-// declared variable, every array no longer than its declaration. Write
-// refuses through it, so a mistake reads the same whether the inputs are
-// written or checked before any run.
+// declared variable of the input's kind — ints prime INTEGER scalars,
+// reals REAL scalars and arrays REAL arrays — and every array no longer
+// than its declaration. A program from assembly text declares no kinds,
+// so only its names and lengths are checked. Write refuses through
+// Check, so a mistake reads the same whether the inputs are written or
+// checked before any run.
 func (in Inputs) Check(prog *asm.Program) error {
-	size := func(name string) (int64, error) {
+	size := func(name string, kind asm.Kind) (int64, error) {
 		sym := DataSym(name)
 		for _, d := range prog.Data {
-			if d.Name == sym {
-				return d.Size, nil
+			if d.Name != sym {
+				continue
 			}
+			if d.Kind != asm.NoKind && d.Kind != kind {
+				return 0, fmt.Errorf("inputs: variable %q is declared %s, not %s", name, d.Kind, kind)
+			}
+			return d.Size, nil
 		}
 		return 0, fmt.Errorf("inputs: unknown variable %q", name)
 	}
 	for name := range in.Ints {
-		if _, err := size(name); err != nil {
+		if _, err := size(name, asm.IntScalar); err != nil {
 			return err
 		}
 	}
 	for name := range in.Reals {
-		if _, err := size(name); err != nil {
+		if _, err := size(name, asm.RealScalar); err != nil {
 			return err
 		}
 	}
 	for name, vals := range in.Arrays {
-		n, err := size(name)
+		n, err := size(name, asm.RealArray)
 		if err != nil {
 			return err
 		}

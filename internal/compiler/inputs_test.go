@@ -1,8 +1,10 @@
 package compiler
 
 import (
+	"strings"
 	"testing"
 
+	"macs/internal/asm"
 	"macs/internal/vm"
 )
 
@@ -65,6 +67,17 @@ func TestInputsWriteAndCheck(t *testing.T) {
 		{Inputs{Arrays: map[string][]float64{"Z": {1}}}, `inputs: unknown variable "Z"`},
 		{Inputs{Arrays: map[string][]float64{"Y": make([]float64, 2002)}},
 			`inputs: array "Y" has 2002 elements but is declared with 2001`},
+		// Each input kind primes one declared kind.
+		{Inputs{Reals: map[string]float64{"N": 64}},
+			`inputs: variable "N" is declared an INTEGER scalar, not a REAL scalar`},
+		{Inputs{Ints: map[string]int64{"X": 3}},
+			`inputs: variable "X" is declared a REAL array, not an INTEGER scalar`},
+		{Inputs{Reals: map[string]float64{"X": 3}},
+			`inputs: variable "X" is declared a REAL array, not a REAL scalar`},
+		{Inputs{Arrays: map[string][]float64{"Q": {1}}},
+			`inputs: variable "Q" is declared a REAL scalar, not a REAL array`},
+		{Inputs{Ints: map[string]int64{"Q": 1}},
+			`inputs: variable "Q" is declared a REAL scalar, not an INTEGER scalar`},
 	} {
 		if err := c.in.Check(prog); err == nil || err.Error() != c.want {
 			t.Errorf("Check %+v: %v, want %q", c.in, err, c.want)
@@ -72,5 +85,36 @@ func TestInputsWriteAndCheck(t *testing.T) {
 		if err := c.in.Write(loaded()); err == nil || err.Error() != c.want {
 			t.Errorf("Write %+v: %v, want %q", c.in, err, c.want)
 		}
+	}
+}
+
+// TestInputsKindsOnlyFromSource: compiled data carries each declared
+// variable's kind, so Check refuses a kind mistake; assembly text
+// declares none, so the same program reparsed keeps only the name and
+// length checks.
+func TestInputsKindsOnlyFromSource(t *testing.T) {
+	prog, err := Compile(lfk1Src, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]asm.Kind{"d_X": asm.RealArray, "d_Q": asm.RealScalar, "d_N": asm.IntScalar}
+	for _, d := range prog.Data {
+		if k, ok := want[d.Name]; ok && d.Kind != k {
+			t.Errorf("%s: kind %v, want %v", d.Name, d.Kind, k)
+		}
+		if _, ok := want[d.Name]; !ok && strings.HasPrefix(d.Name, "d_") == (d.Kind == asm.NoKind) {
+			t.Errorf("%s: kind %v", d.Name, d.Kind)
+		}
+	}
+	raw, err := asm.Parse(prog.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := Inputs{Reals: map[string]float64{"N": 64}, Ints: map[string]int64{"X": 3}}
+	if err := in.Check(raw); err != nil {
+		t.Errorf("Check on assembly text: %v, want no kind check", err)
+	}
+	if err := in.Check(prog); err == nil {
+		t.Error("Check on the compiled program accepted kind mistakes")
 	}
 }

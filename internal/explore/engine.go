@@ -13,7 +13,6 @@ import (
 	"macs/internal/core"
 	"macs/internal/fasttier"
 	"macs/internal/ftn"
-	"macs/internal/isa"
 	"macs/internal/par"
 	"macs/internal/vm"
 )
@@ -310,20 +309,6 @@ type boundsKey struct {
 	rules core.Rules
 }
 
-// effVL is the vector length point m's program is compiled at: the
-// machine's VLMax clamped to the ISA ceiling (a longer-VL machine simply
-// leaves its extra length unused), or the engine's compiler default when
-// the machine does not say.
-func (e *Engine) effVL(m vm.Machine) int {
-	switch {
-	case m.VLMax <= 0:
-		return e.opts.Compiler.VL
-	case m.VLMax > isa.VLMax:
-		return isa.VLMax
-	}
-	return m.VLMax
-}
-
 // Sweep evaluates every grid point for one kernel: parse once, compile
 // once per distinct vector length, score every point with the fast tier,
 // simulate the top fraction. It is cancellable through ctx — once ctx
@@ -336,16 +321,13 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A program's strip length is burned in at compile time — the strip
-	// loop advances its streams and decrements its count by the
-	// compile-time VL — so a machine with a different VLMax needs its own
-	// compile: running a VL=128 program on a VLMax=32 machine would clamp
-	// every strip to 32 elements and silently skip three quarters of the
-	// work. A grid holds at most a handful of distinct vector lengths, so
-	// compilation stays shared across every other axis.
+	// Each point's program is compiled, and bounded, at its machine's
+	// compile vector length (vm.Machine.CompileVL), as the facade's are.
+	// A grid holds at most a handful of distinct lengths, so compilation
+	// stays shared across every other axis.
 	progOf := make(map[int]*macs.Program)
 	for _, m := range e.points {
-		vl := e.effVL(m)
+		vl := m.CompileVL()
 		if _, ok := progOf[vl]; ok {
 			continue
 		}
@@ -359,7 +341,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 	}
 	// Every compile declares the same variables, so the inputs are
 	// checked once, before any point is predicted or simulated.
-	if err := req.Inputs.Check(progOf[e.effVL(e.points[0])]); err != nil {
+	if err := req.Inputs.Check(progOf[e.points[0].CompileVL()]); err != nil {
 		return nil, err
 	}
 	ints := req.Inputs.SymbolInts()
@@ -371,7 +353,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 	// grid actually contains — typically one, at most a handful.
 	boundsOf := make(map[boundsKey]Bounds)
 	for _, m := range e.points {
-		k := boundsKey{e.effVL(m), m.Rules}
+		k := boundsKey{m.CompileVL(), m.Rules}
 		if _, ok := boundsOf[k]; ok {
 			continue
 		}
@@ -399,9 +381,9 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 			Index:       i,
 			Machine:     m,
 			Fingerprint: m.Fingerprint(),
-			Bounds:      boundsOf[boundsKey{e.effVL(m), m.Rules}],
+			Bounds:      boundsOf[boundsKey{m.CompileVL(), m.Rules}],
 		}
-		pred, err := e.evals.predictor(m).Predict(progOf[e.effVL(m)], req.Iterations, ints)
+		pred, err := e.evals.predictor(m).Predict(progOf[m.CompileVL()], req.Iterations, ints)
 		switch {
 		case errors.Is(err, fasttier.ErrDataDependent):
 			dataDependent.Do(func() { fallback = true })
@@ -457,7 +439,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 		i := survivors[j]
 		p := &sw.Points[i]
 		cpu := vm.New(e.evals.run.WithMachine(p.Machine))
-		if err := cpu.Load(progOf[e.effVL(p.Machine)]); err != nil {
+		if err := cpu.Load(progOf[p.Machine.CompileVL()]); err != nil {
 			return fmt.Errorf("explore: point %d: %w", i, err)
 		}
 		if err := req.Inputs.Write(cpu); err != nil {

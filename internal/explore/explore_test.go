@@ -122,6 +122,39 @@ func TestSweepOnePointDifferential(t *testing.T) {
 	}
 }
 
+// TestSweepCompileVLDifferential: the facade and a one-point sweep
+// compile and bound a machine's program at one vector length
+// (vm.Machine.CompileVL), so they report the same t_MACS, VL and cycles
+// at, below and above the ISA's register length.
+func TestSweepCompileVLDifferential(t *testing.T) {
+	for _, vlmax := range []int{32, 128, 256} {
+		eng, err := New(Grid{Axes: []Axis{{Param: "vlmax", Values: []float64{float64(vlmax)}}}}, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := vm.DefaultConfig()
+		cfg.VLMax = vlmax
+		for _, k := range lfk.All() {
+			sw, err := eng.Sweep(context.Background(), Request{Source: k.Source, Iterations: int64(k.Elements), Inputs: k.Inputs})
+			if err != nil {
+				t.Fatalf("vlmax %d lfk%d: %v", vlmax, k.ID, err)
+			}
+			res, err := macs.AnalyzeSourceVM(k.Source, int64(k.Elements), cfg, k.Inputs.Prime())
+			if err != nil {
+				t.Fatalf("vlmax %d lfk%d: %v", vlmax, k.ID, err)
+			}
+			p := sw.Points[0]
+			if wantVL := min(vlmax, 128); res.Analysis.VL != wantVL {
+				t.Errorf("vlmax %d lfk%d: facade bounds at VL %d, want %d", vlmax, k.ID, res.Analysis.VL, wantVL)
+			}
+			if p.Bounds.TMACS != res.Analysis.MACS.CPL || p.Cycles != res.Stats.Cycles {
+				t.Errorf("vlmax %d lfk%d: sweep t_MACS %v over %d cycles, facade %v over %d",
+					vlmax, k.ID, p.Bounds.TMACS, p.Cycles, res.Analysis.MACS.CPL, res.Stats.Cycles)
+			}
+		}
+	}
+}
+
 // TestSweepShortVLDifferential pins the per-VL compile: a 1-point grid
 // over a VLMax=64 machine must agree bit-for-bit with AnalyzeSourceVM
 // under the same machine — the strip length is burned in at compile

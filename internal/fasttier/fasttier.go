@@ -9,10 +9,12 @@
 // construction. What it replaces is only the simulator's functional half:
 // integer scalar state (trip counts, address arithmetic, loop control) is
 // tracked symbolically with known bits so strip mining and data layout
-// resolve exactly, and floating-point values are never computed. Data
-// placement and every access are range-checked against the configured
-// memory size, so a program the simulator would reject is rejected here
-// too. A program whose control flow depends on floating-point data or
+// resolve exactly, and floating-point values are never computed. The
+// program is decoded with isa.Decode, as the simulator's loader decodes
+// it, so an instruction with no form the simulator executes is refused
+// before anything runs, with Decode's message. Data placement and every
+// access are range-checked against the configured memory size, so a
+// program the simulator would reject is rejected here too. A program whose control flow depends on floating-point data or
 // unprimed inputs is refused with ErrDataDependent.
 //
 // Cost: a first-sight prediction costs about one simulation of the same

@@ -165,23 +165,19 @@ func (r *replay) step() (bool, error) {
 	return false, nil
 }
 
-// effAddr resolves a memory operand. known is false when the base
-// register's value carries unmodeled data.
-func (r *replay) effAddr(o isa.Operand) (addr int64, known bool, err error) {
+// effAddr resolves a memory operand, whose symbol Validate found and
+// predict placed. known is false when the base register's value carries
+// unmodeled data.
+func (r *replay) effAddr(o isa.Operand) (addr int64, known bool) {
 	addr = o.Disp
-	known = true
 	if o.Sym != "" {
-		base, ok := r.layout.Addr(o.Sym)
-		if !ok {
-			return 0, false, fmt.Errorf("undefined symbol %q", o.Sym)
-		}
+		base, _ := r.layout.Addr(o.Sym)
 		addr += base
 	}
 	if o.Base.Class == isa.ClassA {
-		addr += r.a[o.Base.N]
-		known = known && r.aKnown[o.Base.N]
+		return addr + r.a[o.Base.N], r.aKnown[o.Base.N]
 	}
-	return addr, known, nil
+	return addr, true
 }
 
 // cellVal reads one integer memory word: primed or stored words return
@@ -204,27 +200,26 @@ func (r *replay) setCell(addr, v int64, known bool) {
 	r.unknownCells[addr] = true
 }
 
-// intVal reads an operand as an integer plus its known bit.
-func (r *replay) intVal(o isa.Operand) (v int64, known bool, err error) {
-	switch o.Kind {
-	case isa.KindImm:
-		return o.Imm, true, nil
-	case isa.KindReg:
-		switch o.Reg.Class {
-		case isa.ClassA:
-			return r.a[o.Reg.N], r.aKnown[o.Reg.N], nil
-		case isa.ClassS:
-			r.WaitScalar(o.Reg)
-			return r.s[o.Reg.N], r.sKnown[o.Reg.N], nil
-		case isa.ClassVL:
-			return int64(r.vl), r.vlKnown, nil
-		case isa.ClassVS:
-			return r.vs, r.vsKnown, nil
-		}
+// intVal reads a source Decode admits as an integer (an immediate or an
+// a, s, vl or vs register) plus its known bit.
+func (r *replay) intVal(o *isa.Operand) (v int64, known bool) {
+	if o.Kind == isa.KindImm {
+		return o.Imm, true
 	}
-	return 0, false, fmt.Errorf("operand %s is not an integer source", o)
+	switch o.Reg.Class {
+	case isa.ClassA:
+		return r.a[o.Reg.N], r.aKnown[o.Reg.N]
+	case isa.ClassS:
+		r.WaitScalar(o.Reg)
+		return r.s[o.Reg.N], r.sKnown[o.Reg.N]
+	case isa.ClassVL:
+		return int64(r.vl), r.vlKnown
+	}
+	return r.vs, r.vsKnown
 }
 
+// setIntReg writes an integer to an a, s, vl or vs register. A vector
+// length or stride the replay cannot know is ErrDataDependent.
 func (r *replay) setIntReg(reg isa.Reg, v int64, known bool) error {
 	switch reg.Class {
 	case isa.ClassA:
@@ -239,29 +234,22 @@ func (r *replay) setIntReg(reg isa.Reg, v int64, known bool) error {
 		}
 		r.vl = int(max(0, min(v, int64(r.cfg.VLMax))))
 		r.vlKnown = true
-	case isa.ClassVS:
+	default:
 		if !known {
 			return fmt.Errorf("vector stride set from unmodeled data: %w", ErrDataDependent)
 		}
 		r.vs = v
 		r.vsKnown = true
-	default:
-		return fmt.Errorf("cannot write integer to %s", reg)
 	}
 	return nil
 }
 
-// execScalar replays one ASU instruction: its timing through the model,
-// integer effects tracked symbolically, float effects dropped.
+// execScalar replays one ASU instruction, in a form Decode admits: its
+// timing through the model, integer effects tracked symbolically, float
+// effects dropped.
 func (r *replay) execScalar(in isa.Instr) (jumped bool, err error) {
 	switch in.Op {
-	case isa.OpNop:
-		r.ScalarOp()
-		return false, nil
 	case isa.OpMov:
-		if len(in.Ops) != 2 {
-			return false, fmt.Errorf("mov needs 2 operands")
-		}
 		r.ScalarOp()
 		dst := in.Ops[1].Reg
 		if in.Suffix == isa.SufD && dst.Class == isa.ClassS && in.Ops[0].Kind == isa.KindReg && in.Ops[0].Reg.Class == isa.ClassS {
@@ -270,10 +258,7 @@ func (r *replay) execScalar(in isa.Instr) (jumped bool, err error) {
 			r.s[dst.N], r.sKnown[dst.N] = r.s[src.N], r.sKnown[src.N]
 			return false, nil
 		}
-		v, known, err := r.intVal(in.Ops[0])
-		if err != nil {
-			return false, err
-		}
+		v, known := r.intVal(&in.Ops[0])
 		return false, r.setIntReg(dst, v, known)
 	case isa.OpLd:
 		return false, r.scalarLoad(in)
@@ -282,53 +267,33 @@ func (r *replay) execScalar(in isa.Instr) (jumped bool, err error) {
 	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpNeg, isa.OpAnd, isa.OpOr, isa.OpShf:
 		return false, r.scalarALU(in)
 	case isa.OpLe, isa.OpLt, isa.OpGt, isa.OpGe, isa.OpEq, isa.OpNe:
-		return false, r.scalarCompare(in)
-	case isa.OpJmp:
+		r.scalarCompare(in)
+		return false, nil
+	case isa.OpJmp, isa.OpJbrs:
 		r.ScalarOp()
-		r.TakenBranch()
-		return true, r.jumpTo(in)
-	case isa.OpJbrs:
-		r.ScalarOp()
-		if !r.tfKnown {
-			return false, fmt.Errorf("branch on unmodeled comparison: %w", ErrDataDependent)
-		}
-		take := r.tf
-		if in.Suffix == isa.SufF {
-			take = !take
-		}
-		if !take {
-			return false, nil
-		}
-		r.TakenBranch()
-		return true, r.jumpTo(in)
-	case isa.OpSum, isa.OpSqrt, isa.OpCvt:
-		return false, fmt.Errorf("%s has no scalar form in this subset", in.Op)
-	}
-	return false, fmt.Errorf("unreplayed scalar op %s", in.Op)
-}
-
-func (r *replay) jumpTo(in isa.Instr) error {
-	for _, o := range in.Ops {
-		if o.Kind == isa.KindLabel {
-			idx, ok := r.prog.Labels[o.Label]
-			if !ok {
-				return fmt.Errorf("undefined label %q", o.Label)
+		if in.Op == isa.OpJbrs {
+			if !r.tfKnown {
+				return false, fmt.Errorf("branch on unmodeled comparison: %w", ErrDataDependent)
 			}
-			r.pc = idx
-			return nil
+			if r.tf == (in.Suffix == isa.SufF) {
+				return false, nil // jbrs.t on a clear T flag, jbrs.f on a set one
+			}
 		}
+		r.TakenBranch()
+		for _, o := range in.Ops {
+			if o.Kind == isa.KindLabel {
+				r.pc = r.prog.Labels[o.Label]
+				break
+			}
+		}
+		return true, nil
 	}
-	return fmt.Errorf("branch without label")
+	r.ScalarOp() // nop: Decode admits no other scalar opcode here
+	return false, nil
 }
 
 func (r *replay) scalarLoad(in isa.Instr) error {
-	if len(in.Ops) != 2 {
-		return fmt.Errorf("scalar load needs 2 operands")
-	}
-	addr, addrKnown, err := r.effAddr(in.Ops[0])
-	if err != nil {
-		return err
-	}
+	addr, addrKnown := r.effAddr(in.Ops[0])
 	dst := in.Ops[1].Reg
 	r.ScalarLoad(dst)
 	if !addrKnown {
@@ -343,28 +308,19 @@ func (r *replay) scalarLoad(in isa.Instr) error {
 	known := false
 	// A floating-point load produces a real value the fast tier does not
 	// carry; only integer loads read the symbolic cell map.
-	if in.Suffix != isa.SufD && in.Suffix != isa.SufS {
+	if !in.IsFloat() {
 		v, known = r.cellVal(addr)
 	}
-	switch dst.Class {
-	case isa.ClassA:
+	if dst.Class == isa.ClassA {
 		r.a[dst.N], r.aKnown[dst.N] = v, known
-	case isa.ClassS:
+	} else {
 		r.s[dst.N], r.sKnown[dst.N] = v, known
-	default:
-		return fmt.Errorf("bad scalar load destination %s", dst)
 	}
 	return nil
 }
 
 func (r *replay) scalarStore(in isa.Instr) error {
-	if len(in.Ops) != 2 {
-		return fmt.Errorf("scalar store needs 2 operands")
-	}
-	addr, addrKnown, err := r.effAddr(in.Ops[1])
-	if err != nil {
-		return err
-	}
+	addr, addrKnown := r.effAddr(in.Ops[1])
 	r.ScalarStore()
 	if !addrKnown {
 		// A store to an unresolvable address could alias any integer
@@ -374,79 +330,50 @@ func (r *replay) scalarStore(in isa.Instr) error {
 	if err := r.layout.Check(addr, isa.WordBytes); err != nil {
 		return err
 	}
-	src := in.Ops[0].Reg
 	// A floating-point store poisons the cell for integer readers: the
 	// simulator writes real bits there, which the fast tier does not carry.
-	floatStore := in.Suffix == isa.SufD || in.Suffix == isa.SufS
-	switch src.Class {
-	case isa.ClassA:
-		r.setCell(addr, r.a[src.N], r.aKnown[src.N] && !floatStore)
-		return nil
-	case isa.ClassS:
-		r.WaitScalar(src)
-		r.setCell(addr, r.s[src.N], r.sKnown[src.N] && !floatStore)
+	src := in.Ops[0].Reg
+	if src.Class == isa.ClassA {
+		r.setCell(addr, r.a[src.N], r.aKnown[src.N] && !in.IsFloat())
 		return nil
 	}
-	return fmt.Errorf("bad scalar store source %s", src)
+	r.WaitScalar(src)
+	r.setCell(addr, r.s[src.N], r.sKnown[src.N] && !in.IsFloat())
+	return nil
 }
 
 func (r *replay) scalarALU(in isa.Instr) error {
 	r.ScalarOp()
-	var dst isa.Reg
-	switch len(in.Ops) {
-	case 2:
-		dst = in.Ops[1].Reg
-	case 3:
-		dst = in.Ops[2].Reg
-	default:
-		return fmt.Errorf("ALU op needs 2 or 3 operands")
-	}
-	if in.Suffix == isa.SufD || in.Suffix == isa.SufS {
+	ops := in.Ops
+	dst := ops[len(ops)-1].Reg
+	if in.IsFloat() {
 		// Floating-point result: honor the timing side effects (waits on
 		// vector-produced scalars) and mark the destination unmodeled.
-		for _, o := range in.Ops[:len(in.Ops)-1] {
-			if o.Kind == isa.KindReg && o.Reg.Class == isa.ClassS {
+		for _, o := range ops[:len(ops)-1] {
+			if o.Kind == isa.KindReg {
 				r.WaitScalar(o.Reg)
 			}
 		}
-		if len(in.Ops) == 2 && in.Op != isa.OpNeg {
+		if len(ops) == 2 && in.Op != isa.OpNeg {
 			r.WaitScalar(dst) // two-operand form reads the destination
-		}
-		if dst.Class != isa.ClassS {
-			return fmt.Errorf("cannot write float to %s", dst)
 		}
 		r.s[dst.N], r.sKnown[dst.N] = 0, false
 		return nil
 	}
-	var x, y int64
-	var xk, yk bool
-	var err error
-	if len(in.Ops) == 2 {
-		if in.Op == isa.OpNeg {
-			x, xk, err = r.intVal(in.Ops[0])
-			if err != nil {
-				return err
-			}
-			return r.setIntReg(dst, -x, xk)
-		}
-		x, xk, err = r.intVal(isa.RegOp(dst))
-		if err != nil {
-			return err
-		}
-		y, yk, err = r.intVal(in.Ops[0])
-		if err != nil {
-			return err
-		}
-	} else {
-		x, xk, err = r.intVal(in.Ops[0])
-		if err != nil {
-			return err
-		}
-		y, yk, err = r.intVal(in.Ops[1])
-		if err != nil {
-			return err
-		}
+	// x OP y, read in that order: the two-operand form reads its
+	// destination first; neg reads only x.
+	xo, yo := &ops[0], &ops[len(ops)-1]
+	switch {
+	case len(ops) == 3:
+		yo = &ops[1]
+	case in.Op != isa.OpNeg:
+		xo, yo = yo, xo
 	}
+	x, xk := r.intVal(xo)
+	if in.Op == isa.OpNeg {
+		return r.setIntReg(dst, -x, xk)
+	}
+	y, yk := r.intVal(yo)
 	if !xk || !yk {
 		return r.setIntReg(dst, 0, false)
 	}
@@ -457,34 +384,24 @@ func (r *replay) scalarALU(in isa.Instr) error {
 	return r.setIntReg(dst, v, true)
 }
 
-func (r *replay) scalarCompare(in isa.Instr) error {
-	if len(in.Ops) != 2 {
-		return fmt.Errorf("compare needs 2 operands")
-	}
+func (r *replay) scalarCompare(in isa.Instr) {
 	r.ScalarOp()
-	if in.Suffix == isa.SufD || in.Suffix == isa.SufS {
+	if in.IsFloat() {
 		for _, o := range in.Ops {
-			if o.Kind == isa.KindReg && o.Reg.Class == isa.ClassS {
+			if o.Kind == isa.KindReg {
 				r.WaitScalar(o.Reg)
 			}
 		}
 		r.tfKnown = false
-		return nil
+		return
 	}
-	x, xk, err := r.intVal(in.Ops[0])
-	if err != nil {
-		return err
-	}
-	y, yk, err := r.intVal(in.Ops[1])
-	if err != nil {
-		return err
-	}
+	x, xk := r.intVal(&in.Ops[0])
+	y, yk := r.intVal(&in.Ops[1])
 	if !xk || !yk {
 		r.tfKnown = false
-		return nil
+		return
 	}
 	r.tf, r.tfKnown = vm.Condition(in.Op, cmp.Compare(x, y)), true
-	return nil
 }
 
 // execVector replays one vector instruction: the model times the stream,
@@ -497,9 +414,10 @@ func (r *replay) execVector(row *isa.Row) error {
 	vl := r.vl
 	var ea int64
 	if vl > 0 && row.Mem {
-		var err error
-		if ea, err = r.vectorEA(row); err != nil {
-			return err
+		// The bank-phase math needs the exact address.
+		var known bool
+		if ea, known = r.effAddr(row.Instr.Ops[row.MemOp]); !known {
+			return fmt.Errorf("vector stream address unknown: %w", ErrDataDependent)
 		}
 		if !r.vsKnown {
 			return fmt.Errorf("vector stride unknown: %w", ErrDataDependent)
@@ -508,28 +426,10 @@ func (r *replay) execVector(row *isa.Row) error {
 			return err
 		}
 	}
-	if err := r.Vector(row, vl, ea, r.vs); err != nil {
-		return err
-	}
-	if vl > 0 && row.Op == isa.OpSum && row.Dst.Class == isa.ClassS {
+	r.Vector(row, vl, ea, r.vs)
+	if vl > 0 && row.Op == isa.OpSum {
 		// The reduction's value is floating point.
 		r.s[row.Dst.N], r.sKnown[row.Dst.N] = 0, false
 	}
 	return nil
-}
-
-// vectorEA resolves the memory operand of a vector load or store; the
-// bank-phase math needs the exact address.
-func (r *replay) vectorEA(row *isa.Row) (int64, error) {
-	if row.MemOp < 0 {
-		return 0, fmt.Errorf("vector memory op without memory operand")
-	}
-	addr, known, err := r.effAddr(row.Instr.Ops[row.MemOp])
-	if err != nil {
-		return 0, err
-	}
-	if !known {
-		return 0, fmt.Errorf("vector stream address unknown: %w", ErrDataDependent)
-	}
-	return addr, nil
 }

@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // MaxReads bounds the registers one decoded instruction may read. A
 // well-formed instruction reads at most four (a vector store: its value
@@ -71,23 +74,29 @@ func (r *Row) VectorWrite() (n int, ok bool) {
 	return r.Dst.N, true
 }
 
-// Decode lowers one instruction into its Row. It fails when the
-// instruction reads more than MaxReads registers or reads or writes a
-// register CheckReg rejects (asm.Program.Validate and the static checker
-// reject those with the same message).
+// Decode lowers one instruction into its Row. It is the one rule for
+// what the simulator executes: it refuses, with one message, a register
+// outside its file, a memory base that is not an a-register, a read set
+// larger than MaxReads and operands that are no form of the opcode
+// (scalarForm, vectorForm). The static checker reports that refusal; the simulator
+// and the explore predictor refuse the program at load with it, so
+// neither checks an operand while it runs.
+//
+// Refused for its form alone, an instruction still gets its whole Row
+// beside the error, so the static checker can report its other faults
+// (a read before definition); every other caller discards it. Otherwise
+// a refusal returns the zero Row.
 func Decode(in *Instr) (Row, error) {
+	if err := checkOperands(in); err != nil {
+		return Row{}, err
+	}
 	r := Row{Instr: in, Op: in.Op, Vector: in.IsVector(), Mem: in.IsMemory(), MemOp: -1}
 	r.Timing, r.Timed = VectorTiming(in.Op)
 	if r.Vector {
 		r.Pipe, r.Class = in.Op.Pipe(), in.Op.Class()
 	}
 	dst, hasDst := in.Dst()
-	if hasDst {
-		if err := CheckReg(dst); err != nil {
-			return Row{}, err
-		}
-		r.Dst = dst
-	}
+	r.Dst = dst
 
 	var reads [MaxReads]Reg
 	n := 0
@@ -98,8 +107,8 @@ func Decode(in *Instr) (Row, error) {
 		n++
 	}
 	last := len(in.Ops) - 1
-	for i, o := range in.Ops {
-		switch o.Kind {
+	for i := range in.Ops {
+		switch o := &in.Ops[i]; o.Kind {
 		case KindReg:
 			// The last operand is the destination except for stores,
 			// compares and branches, which read every register operand.
@@ -128,13 +137,7 @@ func Decode(in *Instr) (Row, error) {
 	if n > MaxReads {
 		return Row{}, fmt.Errorf("reads %d registers, more than the %d an instruction may read", n, MaxReads)
 	}
-	for i, reg := range reads[:n] {
-		if err := CheckReg(reg); err != nil {
-			return Row{}, err
-		}
-		if i >= nSrc {
-			continue
-		}
+	for _, reg := range reads[:nSrc] {
 		switch reg.Class {
 		case ClassS:
 			r.sSrc |= 1 << reg.N
@@ -144,7 +147,240 @@ func Decode(in *Instr) (Row, error) {
 		}
 	}
 	r.reads, r.nReads, r.nSrc = reads, uint8(n), uint8(nSrc)
-	return r, nil
+	if r.Vector {
+		return r, vectorForm(in)
+	}
+	return r, scalarForm(in)
+}
+
+// operands is a set of operand classes, one bit each: what one position
+// of an instruction form admits.
+type operands uint8
+
+const (
+	opImm operands = 1 << iota
+	opA
+	opS
+	opV
+	opVL
+	opVS
+	opMem
+)
+
+// The classes of the form positions. The ASU reads an integer from an
+// immediate or an a, s, vl or vs register and writes one to any of those
+// registers; it reads a float from an immediate or an s register. A
+// vector instruction streams a v register or broadcasts an s register or
+// an immediate.
+const (
+	intSrc = opImm | opA | opS | opVL | opVS
+	intDst = opA | opS | opVL | opVS
+	fltSrc = opImm | opS
+	vecSrc = opImm | opS | opV
+	aOrS   = opA | opS
+)
+
+// is reports whether operand o is of a class in set.
+func is(o *Operand, set operands) bool {
+	var c operands
+	switch o.Kind {
+	case KindImm:
+		c = opImm
+	case KindMem:
+		c = opMem
+	case KindReg:
+		switch o.Reg.Class {
+		case ClassA:
+			c = opA
+		case ClassS:
+			c = opS
+		case ClassV:
+			c = opV
+		case ClassVL:
+			c = opVL
+		case ClassVS:
+			c = opVS
+		}
+	}
+	return c&set != 0
+}
+
+// has reports whether any operand is of kind k.
+func has(ops []Operand, k OperandKind) bool {
+	for i := range ops {
+		if ops[i].Kind == k {
+			return true
+		}
+	}
+	return false
+}
+
+// sources refuses the first operand of srcs outside set, naming the
+// instruction and what set admits.
+func sources(in *Instr, srcs []Operand, set operands, what string) error {
+	for i := range srcs {
+		if !is(&srcs[i], set) {
+			name := in.mnemonic()
+			if in.IsVector() {
+				name = "vector " + in.Op.String()
+			}
+			return fmt.Errorf("%s operand %s must be %s", name, srcs[i], what)
+		}
+	}
+	return nil
+}
+
+// checkOperands refuses a register operand outside its file and a memory
+// base that is not an a-register: operands no Row can hold.
+func checkOperands(in *Instr) error {
+	for i := range in.Ops {
+		switch o := &in.Ops[i]; o.Kind {
+		case KindReg:
+			if err := CheckReg(o.Reg); err != nil {
+				return err
+			}
+		case KindMem:
+			if o.Base.IsZero() {
+				continue
+			}
+			if o.Base.Class != ClassA {
+				return fmt.Errorf("memory base %s is not an a-register", o.Base)
+			}
+			if err := CheckReg(o.Base); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// scalarForm is the ASU's rule. A move copies an integer source into a
+// register; a load reads its memory operand into an a or s register and
+// a store writes one to its memory operand; a compare reads two sources
+// and a branch names a label. nop and halt take anything.
+func scalarForm(in *Instr) error {
+	ops, n := in.Ops, len(in.Ops)
+	switch in.Op {
+	case OpNop, OpHalt:
+	case OpMov:
+		switch {
+		case n != 2:
+			return fmt.Errorf("mov needs 2 operands, has %d", n)
+		case !is(&ops[1], intDst):
+			return errors.New("mov destination must be a register")
+		}
+		return sources(in, ops[:1], intSrc, "a register or an immediate")
+	case OpLd:
+		switch {
+		case n != 2:
+			return fmt.Errorf("scalar load needs 2 operands, has %d", n)
+		case ops[0].Kind != KindMem:
+			return errors.New("scalar load source must be a memory operand")
+		case !is(&ops[1], aOrS):
+			return errors.New("scalar load destination must be an a- or s-register")
+		}
+	case OpSt:
+		switch {
+		case n != 2:
+			return fmt.Errorf("scalar store needs 2 operands, has %d", n)
+		case !is(&ops[0], aOrS):
+			return errors.New("scalar store source must be an a- or s-register")
+		case ops[1].Kind != KindMem:
+			return errors.New("scalar store destination must be a memory operand")
+		}
+	case OpAdd, OpSub, OpMul, OpDiv, OpNeg, OpAnd, OpOr, OpShf:
+		return aluForm(in)
+	case OpLe, OpLt, OpGt, OpGe, OpEq, OpNe:
+		switch {
+		case n != 2:
+			return fmt.Errorf("compare needs 2 operands, has %d", n)
+		case in.IsFloat():
+			return sources(in, ops, fltSrc, "an s-register or an immediate")
+		}
+		return sources(in, ops, intSrc, "a register or an immediate")
+	case OpJbrs, OpJmp:
+		if !has(ops, KindLabel) {
+			return errors.New("branch without a label operand")
+		}
+	case OpSum, OpSqrt, OpCvt:
+		return fmt.Errorf("%s has no scalar form in this subset", in.Op)
+	default:
+		return fmt.Errorf("unimplemented scalar op %s", in.Op)
+	}
+	return nil
+}
+
+// aluForm is the ASU arithmetic rule: dst = src1 OP src2, or the
+// two-operand dst = dst OP src (neg: dst = -src). An integer form reads
+// and writes any a, s, vl or vs register; a floating-point one (.d, .s)
+// only s registers, and and, or and shf have none.
+func aluForm(in *Instr) error {
+	ops, n := in.Ops, len(in.Ops)
+	switch {
+	case n != 2 && n != 3:
+		return fmt.Errorf("%s needs 2 or 3 operands, has %d", in.Op, n)
+	case in.Op == OpNeg && n != 2:
+		return fmt.Errorf("neg needs 2 operands, has %d", n)
+	case ops[n-1].Kind != KindReg:
+		return fmt.Errorf("%s destination must be a register", in.Op)
+	case !in.IsFloat():
+		return sources(in, ops[:n-1], intSrc, "a register or an immediate")
+	case in.Op == OpAnd || in.Op == OpOr || in.Op == OpShf:
+		return fmt.Errorf("%s has no floating-point form", in.mnemonic())
+	case !is(&ops[n-1], opS):
+		return fmt.Errorf("%s destination %s must be an s-register", in.mnemonic(), ops[n-1])
+	}
+	return sources(in, ops[:n-1], fltSrc, "an s-register or an immediate")
+}
+
+// vectorForm is the VP's rule: the opcode has a Table 1 row and the
+// simulator's semantics. A load streams from its memory operand into its
+// last operand, a v register; a store from its first, a v register, to
+// its memory operand; a reduction sums a v register into an s register.
+// Every other form streams its sources — v registers, or s registers and
+// immediates broadcast — into a v register, its last operand: neg, mov
+// and sqrt take one source, add, sub, mul and div two.
+func vectorForm(in *Instr) error {
+	if _, ok := VectorTiming(in.Op); !ok {
+		return fmt.Errorf("%s has no vector form (no Table 1 timing)", in.Op)
+	}
+	ops, n := in.Ops, len(in.Ops)
+	want := 3
+	switch in.Op {
+	case OpLd:
+		switch {
+		case !has(ops, KindMem):
+			return errors.New("vector load without a memory operand")
+		case !is(&ops[n-1], opV):
+			return errors.New("vector load destination must be a v-register")
+		}
+		return nil
+	case OpSt:
+		switch {
+		case !has(ops, KindMem):
+			return errors.New("vector store without a memory operand")
+		case !is(&ops[0], opV):
+			return errors.New("vector store source must be a v-register")
+		}
+		return nil
+	case OpSum:
+		if n != 2 || !is(&ops[0], opV) || !is(&ops[1], opS) {
+			return errors.New("sum needs v,s operands")
+		}
+		return nil
+	case OpNeg, OpMov, OpSqrt:
+		want = 2
+	case OpAdd, OpSub, OpMul, OpDiv:
+	default:
+		return fmt.Errorf("vector %s is not implemented by the simulator", in.Op)
+	}
+	switch {
+	case n != want:
+		return fmt.Errorf("vector %s needs %d operands, has %d", in.Op, want, n)
+	case !is(&ops[n-1], opV):
+		return fmt.Errorf("vector %s destination must be a v-register", in.Op)
+	}
+	return sources(in, ops[:n-1], vecSrc, "a v- or s-register or an immediate")
 }
 
 // readsLastOperand reports the opcodes whose last register operand is a

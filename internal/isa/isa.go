@@ -164,10 +164,7 @@ type Instr struct {
 
 // String renders the instruction in the paper's assembly syntax.
 func (in Instr) String() string {
-	s := in.Op.String()
-	if in.Suffix != SufNone {
-		s += "." + in.Suffix.String()
-	}
+	s := in.mnemonic()
 	for i, o := range in.Ops {
 		if i == 0 {
 			s += " " + o.String()
@@ -181,11 +178,23 @@ func (in Instr) String() string {
 	return s
 }
 
+// mnemonic is the opcode with its suffix, e.g. "add.d".
+func (in Instr) mnemonic() string {
+	if in.Suffix == SufNone {
+		return in.Op.String()
+	}
+	return in.Op.String() + "." + in.Suffix.String()
+}
+
+// IsFloat reports a floating-point form (a .d or .s suffix): its scalar
+// operands are real values, not integers.
+func (in Instr) IsFloat() bool { return in.Suffix == SufD || in.Suffix == SufS }
+
 // IsVector reports whether the instruction touches any vector register
 // (the paper's definition of a vector instruction).
 func (in Instr) IsVector() bool {
-	for _, o := range in.Ops {
-		if o.Kind == KindReg && o.Reg.Class == ClassV {
+	for i := range in.Ops {
+		if o := &in.Ops[i]; o.Kind == KindReg && o.Reg.Class == ClassV {
 			return true
 		}
 	}

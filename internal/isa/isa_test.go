@@ -265,14 +265,11 @@ func TestTwoOperandALUReadsDestination(t *testing.T) {
 	if got, want := r.Reads(), []Reg{A(1)}; !reflect.DeepEqual(got, want) {
 		t.Errorf("neg Reads() = %v, want %v", got, want)
 	}
-	// The destination read is not a source: a two-operand vector form
-	// chains on its explicit source only.
-	r = decode(t, Instr{Op: OpAdd, Suffix: SufD, Ops: []Operand{RegOp(V(1)), RegOp(V(2))}})
-	if got, want := r.Reads(), []Reg{V(1), VL(), V(2)}; !reflect.DeepEqual(got, want) {
-		t.Errorf("vector two-operand Reads() = %v, want %v", got, want)
-	}
-	if got := r.VectorReads(); !reflect.DeepEqual(got, []uint8{1}) {
-		t.Errorf("vector two-operand VectorReads() = %v, want [1]", got)
+	// The vector pipes have no two-operand form: they stream two sources
+	// into a third register.
+	vec := Instr{Op: OpAdd, Suffix: SufD, Ops: []Operand{RegOp(V(1)), RegOp(V(2))}}
+	if _, err := Decode(&vec); err == nil || err.Error() != "vector add needs 3 operands, has 2" {
+		t.Errorf("Decode(%s) error = %v, want the three-operand rule", vec, err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -492,10 +493,11 @@ func TestPrimingArrayLongerThanDeclaration(t *testing.T) {
 
 // TestInputMistakesSameWords: one mistake in a program's inputs reads
 // the same on every endpoint. On SAXPY, a misspelled int, a misspelled
-// real and an array longer than its declaration each answer analyze and
-// ax with 422, and end the batch item and the explore stream on an
-// error line, all with the text macs.Inputs.Check returns. Explore
-// refuses before it predicts any point.
+// real, an array longer than its declaration and an input of the wrong
+// kind each answer analyze and ax with 422, and end the batch item and
+// the explore stream on an error line, all with the text
+// macs.Inputs.Check returns. Explore refuses before it predicts any
+// point.
 func TestInputMistakesSameWords(t *testing.T) {
 	const src = "PROGRAM SAXPY\nREAL X(4), Y(4), A\nINTEGER N, K\nDO K = 1, N\n  Y(K) = Y(K) + A*X(K)\nENDDO\nEND\n"
 	prog, err := macs.Compile(src, macs.DefaultCompilerOptions())
@@ -512,6 +514,12 @@ func TestInputMistakesSameWords(t *testing.T) {
 		{"real B", Priming{Ints: n, Reals: map[string]float64{"B": 2.5}}, `inputs: unknown variable "B"`},
 		{"X(4) given 5", Priming{Ints: n, Arrays: map[string][]float64{"X": make([]float64, 5)}},
 			`inputs: array "X" has 5 elements but is declared with 4`},
+		{"INTEGER N as a real", Priming{Reals: map[string]float64{"N": 4}},
+			`inputs: variable "N" is declared an INTEGER scalar, not a REAL scalar`},
+		{"REAL X(4) as an int", Priming{Ints: map[string]int64{"N": 4, "X": 3}},
+			`inputs: variable "X" is declared a REAL array, not an INTEGER scalar`},
+		{"REAL X(4) as a real", Priming{Ints: n, Reals: map[string]float64{"X": 3}},
+			`inputs: variable "X" is declared a REAL array, not a REAL scalar`},
 	} {
 		if err := c.in.Check(prog); err == nil || err.Error() != c.want {
 			t.Fatalf("%s: Check = %v, want %q", c.name, err, c.want)
@@ -553,6 +561,40 @@ func TestInputMistakesSameWords(t *testing.T) {
 		}
 		if m := s.explorers.Machines(); m != 0 {
 			t.Errorf("explore %s: %d machines predicted before the refusal, want 0", c.name, m)
+		}
+	}
+}
+
+// TestAXRefusesWhatVerifyRefuses: /v1/ax gates its program through the
+// static checker as analyze and bound do, so a stream that reads past
+// its array answers all three with 422 and the same diagnostics rather
+// than a measurement.
+func TestAXRefusesWhatVerifyRefuses(t *testing.T) {
+	const src = "PROGRAM OOB\nREAL X(4), Y(4)\nINTEGER K\nDO K = 1, 4\n  Y(K) = X(K+100)\nENDDO\nEND\n"
+	const want = "vector load spans [800,832) of d_X (32 bytes): out of bounds for 4 elements, stride 8"
+	h := NewHandler(newTestService(t, Config{Workers: 2, QueueSize: 8}))
+	var first []macs.Diagnostic
+	for _, req := range []struct {
+		target string
+		body   any
+	}{
+		{"/v1/analyze", AnalyzeRequest{Source: src, Iterations: 4}},
+		{"/v1/bound", BoundRequest{Source: src}},
+		{"/v1/ax", AXRequest{Source: src}},
+	} {
+		rec := serveBody(h, http.MethodPost, req.target, mustJSON(t, req.body))
+		body := decodeRec[struct {
+			Diagnostics []macs.Diagnostic `json:"diagnostics"`
+		}](t, rec)
+		if rec.Code != http.StatusUnprocessableEntity || !slices.ContainsFunc(body.Diagnostics, func(d macs.Diagnostic) bool {
+			return d.Severity == macs.SevError && d.Message == want
+		}) {
+			t.Fatalf("%s: status %d, body %s; want 422 with %q", req.target, rec.Code, rec.Body.Bytes(), want)
+		}
+		if first == nil {
+			first = body.Diagnostics
+		} else if !reflect.DeepEqual(body.Diagnostics, first) {
+			t.Errorf("%s diagnostics %+v, analyze's %+v", req.target, body.Diagnostics, first)
 		}
 	}
 }

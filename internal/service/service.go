@@ -781,7 +781,9 @@ type AXResponse struct {
 	Cached bool  `json:"cached"`
 }
 
-// AX compiles a source and measures its A- and X-process run times.
+// AX compiles a source and measures its A- and X-process run times. The
+// compiled program is gated by the static checker first, as analyze's
+// is, so a program it refuses answers with the same diagnostics.
 func (s *Service) AX(ctx context.Context, req AXRequest) (AXResponse, error) {
 	if err := s.acceptGate(); err != nil {
 		return AXResponse{}, err
@@ -795,6 +797,9 @@ func (s *Service) AX(ctx context.Context, req AXRequest) (AXResponse, error) {
 	v, cached, err := s.do(ctx, key, decodeJSON[AXResponse](), func() (any, error) {
 		p, err := macs.Compile(req.Source, s.analyzer.CompilerOptions())
 		if err != nil {
+			return nil, err
+		}
+		if err := macs.VerifyProgram(p); err != nil {
 			return nil, err
 		}
 		m, err := macs.MeasureAX(p, s.cfg.VM, req.Prime.Prime())

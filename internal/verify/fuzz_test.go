@@ -8,6 +8,7 @@ import (
 	"macs/internal/compiler"
 	"macs/internal/lfk"
 	"macs/internal/verify"
+	"macs/internal/vm"
 )
 
 // FuzzVerify runs the checker on arbitrary assembly text. For every
@@ -17,16 +18,7 @@ import (
 // whose findings include an error. Seeds are the compiled LFKs and the
 // bad-program corpus.
 func FuzzVerify(f *testing.F) {
-	for _, k := range lfk.All() {
-		p, err := compiler.Compile(k.Source, compiler.DefaultOptions())
-		if err != nil {
-			f.Fatalf("LFK%d does not compile: %v", k.ID, err)
-		}
-		f.Add(p.String())
-	}
-	for _, tc := range badCorpus {
-		f.Add(tc.src)
-	}
+	addSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := asm.Parse(src)
 		if err != nil {
@@ -45,4 +37,49 @@ func FuzzVerify(f *testing.F) {
 			t.Fatalf("Must disagrees with HasErrors on:\n%s", src)
 		}
 	})
+}
+
+// FuzzSimulate runs arbitrary assembly on the simulator under small
+// budgets. Every program the parser and the loader accept must run to
+// its end or to an error without panicking, and every program the
+// checker accepts must load: verify-clean means the simulator runs it.
+// Seeds are the compiled LFKs, the bad-program corpus and the shape
+// programs the checker and the simulator once disagreed on.
+func FuzzSimulate(f *testing.F) {
+	addSeeds(f)
+	for _, tc := range shapeCases {
+		f.Add(tc.src)
+	}
+	cfg := vm.DefaultConfig()
+	cfg.MaxInstrs, cfg.MaxCycles = 5000, 1<<20
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := asm.Parse(src)
+		if err != nil {
+			return
+		}
+		cpu := vm.New(cfg)
+		loadErr := cpu.Load(p)
+		if loadErr != nil {
+			if verify.Must(p) == nil {
+				t.Fatalf("verify-clean program refused by the loader: %v\n%s", loadErr, src)
+			}
+			return
+		}
+		_, _ = cpu.Run() // data errors and budgets may end a run; a panic may not
+	})
+}
+
+// addSeeds seeds a fuzz target with the compiled LFKs and the
+// bad-program corpus.
+func addSeeds(f *testing.F) {
+	for _, k := range lfk.All() {
+		p, err := compiler.Compile(k.Source, compiler.DefaultOptions())
+		if err != nil {
+			f.Fatalf("LFK%d does not compile: %v", k.ID, err)
+		}
+		f.Add(p.String())
+	}
+	for _, tc := range badCorpus {
+		f.Add(tc.src)
+	}
 }

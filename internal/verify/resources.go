@@ -35,7 +35,7 @@ func resources(p *asm.Program, rows []isa.Row) []Diagnostic {
 		}
 		r := &rows[loop.Start+i]
 		if r.Instr == nil || !r.Timed {
-			continue // reported by the decode and structural passes
+			continue // reported by the decode pass
 		}
 		if !b.Fits(r) {
 			if b.PortSplit(r) {

@@ -7,9 +7,12 @@
 //
 // Check runs four passes over an asm.Program:
 //
-//   - structural legality: operand shapes per opcode mirroring the
-//     simulator's execution contract, register ranges, branch targets,
-//     vector forms with no Table 1 timing;
+//   - structure: every instruction a form isa.Decode admits — the one
+//     rule of what the simulator executes (operand counts, kinds and
+//     register classes per opcode, register ranges, vector forms with a
+//     Table 1 row) — so a verify-clean program loads and runs without a
+//     shape error; plus what only the whole program decides: labels and
+//     data symbols defined, and the data placed in the default memory;
 //   - dataflow, read from depgraph's interval fixpoint (value ranges of
 //     the a/s registers, VL, VS and the T flag, plus must-defined bits
 //     for every register): use before definition over each decoded
@@ -146,11 +149,12 @@ func Check(p *asm.Program) []Diagnostic {
 }
 
 // decode lowers every instruction once (isa.Decode) for the passes that
-// read rows. An instruction that does not decode — it reads more
-// registers than a row holds, or names a register outside its file,
-// which the structural pass reports as well — gets an error finding and
-// a zero row (nil Instr), which those passes skip: the program is
-// refused either way, and no pass reads a partial read set.
+// read rows. An instruction Decode refuses gets Decode's message as an
+// error finding. Refused for its form alone, it keeps its whole row, so
+// the other passes still report what else is wrong with it; refused
+// for a register outside its file or more reads than a row holds, it
+// gets a zero row (nil Instr), which those passes skip, so no pass reads
+// a partial row.
 func decode(p *asm.Program) ([]isa.Row, []Diagnostic) {
 	var ds []Diagnostic
 	rows := make([]isa.Row, len(p.Instrs))
@@ -158,7 +162,6 @@ func decode(p *asm.Program) ([]isa.Row, []Diagnostic) {
 		r, err := isa.Decode(&p.Instrs[i])
 		if err != nil {
 			ds = append(ds, Diagnostic{SevError, i, err.Error()})
-			continue
 		}
 		rows[i] = r
 	}

@@ -8,9 +8,11 @@ import (
 
 	"macs/internal/asm"
 	"macs/internal/compiler"
+	"macs/internal/fasttier"
 	"macs/internal/isa"
 	"macs/internal/lfk"
 	"macs/internal/verify"
+	"macs/internal/vm"
 )
 
 // TestLFKKernelsVerifyClean is the paper-facing golden test: the
@@ -167,6 +169,40 @@ var badCorpus = []badCase{
 		src:  "mov #8,vs\nmov #4,vl\nld.d d_X(a0),a1,a2,a3,a4,a5,v0\nhalt\n.data d_X 1024\n",
 		want: wants(verify.SevError, "reads 8 registers, more than the 6 an instruction may read"),
 	},
+}
+
+// shapeCases are programs whose last instruction before halt is no form
+// of its opcode — an a-register float source, a floating-point and, a
+// scalar load from a register, a float written to an a-register — each
+// with the one message isa.Decode refuses it with.
+var shapeCases = []struct{ src, want string }{
+	{"mov #0,a1\nmov #0,s0\nadd.d a1,s0,s2\nhalt\n", "add.d operand a1 must be an s-register or an immediate"},
+	{"mov #0,s0\nmov #0,s1\nand.d s0,s1,s2\nhalt\n", "and.d has no floating-point form"},
+	{"mov #0,a1\nld.l a1,a2\nhalt\n", "scalar load source must be a memory operand"},
+	{"mov #0,a0\nadd.d #1,a0\nhalt\n", "add.d destination a0 must be an s-register"},
+}
+
+// TestShapeRefusedAtEveryGate: isa.Decode is the one rule of what the
+// simulator executes, so the checker, the loader and the predictor each
+// refuse a program that breaks it, with Decode's one message.
+func TestShapeRefusedAtEveryGate(t *testing.T) {
+	cfg := vm.DefaultConfig()
+	for _, tc := range shapeCases {
+		p := asm.MustParse(tc.src)
+		i := len(p.Instrs) - 2
+		if _, err := isa.Decode(&p.Instrs[i]); err == nil || err.Error() != tc.want {
+			t.Errorf("Decode(%s) = %v, want %q", &p.Instrs[i], err, tc.want)
+		}
+		if errs := verify.Errors(verify.Check(p)); len(errs) != 1 || errs[0] != (verify.Diagnostic{Severity: verify.SevError, Instr: i, Message: tc.want}) {
+			t.Errorf("Check(%q) errors = %v, want one at instr %d: %q", tc.src, errs, i, tc.want)
+		}
+		if err := vm.New(cfg).Load(p); err == nil || !strings.HasSuffix(err.Error(), ": "+tc.want) {
+			t.Errorf("Load(%q) = %v, want an error ending in %q", tc.src, err, tc.want)
+		}
+		if _, err := fasttier.NewPredictor(cfg).Predict(p, 0, nil); err == nil || !strings.HasSuffix(err.Error(), ": "+tc.want) {
+			t.Errorf("Predict(%q) = %v, want an error ending in %q", tc.src, err, tc.want)
+		}
+	}
 }
 
 func TestBadProgramCorpus(t *testing.T) {

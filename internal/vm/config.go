@@ -26,6 +26,7 @@ package vm
 
 import (
 	"macs/internal/isa"
+	"macs/internal/mem"
 )
 
 // Config controls one simulation: the Machine being simulated (embedded,
@@ -55,7 +56,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Machine:   DefaultMachine(),
-		MemSize:   16 << 20,
+		MemSize:   mem.DefaultSize,
 		MaxCycles: 1 << 40,
 		MaxInstrs: 200_000_000,
 	}

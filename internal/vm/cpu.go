@@ -41,15 +41,12 @@ type CPU struct {
 // resolved against the program's labels and the CPU's memory layout.
 type instr struct {
 	isa.Row
-	// disp is the address operand's displacement plus its symbol's base
+	// disp is the memory operand's displacement plus its symbol's base
 	// address; the a register numbered base (-1 for none) is added at
-	// run time. undef names a symbol that was not placed, which fails
-	// the instruction when it executes.
-	disp  int64
-	base  int
-	undef string
-	// target is a branch's label index, -1 for a branch without a label
-	// (which fails when taken).
+	// run time.
+	disp int64
+	base int
+	// target is a branch's label index.
 	target int
 }
 
@@ -110,9 +107,10 @@ func (c *CPU) SetV(n int, vals []float64) {
 }
 
 // Load resolves the program's data symbols into memory, decodes its
-// instructions once (isa.Decode) with their address operands and branch
+// instructions once (isa.Decode) with their memory operands and branch
 // targets resolved, and prepares execution at instruction 0 (or label
-// "main" if present).
+// "main" if present). An instruction Decode refuses fails the load, so
+// a loaded program never meets an operand its instruction cannot take.
 func (c *CPU) Load(p *asm.Program) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -133,7 +131,7 @@ func (c *CPU) Load(p *asm.Program) error {
 		if err != nil {
 			return fmt.Errorf("vm: instr %d (%s): %w", i, in, err)
 		}
-		code[i] = instr{Row: row, base: -1, target: -1}
+		code[i] = instr{Row: row, base: -1}
 		c.resolve(&code[i], p)
 	}
 	c.prog, c.code = p, code
@@ -145,38 +143,24 @@ func (c *CPU) Load(p *asm.Program) error {
 }
 
 // resolve fixes what an instruction's execution would otherwise look up
-// each time: the address operand — a scalar load's source, a scalar
-// store's destination, a vector memory access's first memory operand —
-// and a branch's target.
+// each time: its memory operand's address — Validate found its symbol,
+// which Load placed — and a branch's target, a label Validate found.
 func (c *CPU) resolve(in *instr, p *asm.Program) {
-	ops := in.Instr.Ops
-	addrOp := -1
-	switch {
-	case in.Vector && in.Mem:
-		addrOp = in.MemOp
-	case in.Op == isa.OpLd && len(ops) == 2:
-		addrOp = 0
-	case in.Op == isa.OpSt && len(ops) == 2:
-		addrOp = 1
-	}
-	if addrOp >= 0 {
-		o := ops[addrOp]
+	if in.Mem {
+		o := in.Instr.Ops[in.MemOp]
 		in.disp = o.Disp
 		if o.Sym != "" {
-			if base, ok := c.mem.SymbolAddr(o.Sym); ok {
-				in.disp += base
-			} else {
-				in.undef = o.Sym
-			}
+			base, _ := c.mem.SymbolAddr(o.Sym)
+			in.disp += base
 		}
 		if o.Base.Class == isa.ClassA {
 			in.base = o.Base.N
 		}
 	}
 	if in.Instr.IsBranch() {
-		for _, o := range ops {
+		for _, o := range in.Instr.Ops {
 			if o.Kind == isa.KindLabel {
-				in.target = p.Labels[o.Label] // Validate resolved every label
+				in.target = p.Labels[o.Label]
 				break
 			}
 		}
@@ -237,54 +221,44 @@ func (c *CPU) Run() (Stats, error) {
 }
 
 // effAddr computes an instruction's effective address from its resolved
-// address operand.
-func (c *CPU) effAddr(in *instr) (int64, error) {
-	if in.undef != "" {
-		return 0, fmt.Errorf("undefined symbol %q", in.undef)
-	}
-	addr := in.disp
+// memory operand.
+func (c *CPU) effAddr(in *instr) int64 {
 	if in.base >= 0 {
-		addr += c.a[in.base]
+		return in.disp + c.a[in.base]
 	}
-	return addr, nil
+	return in.disp
 }
 
-// intVal reads an operand as an integer (for .w arithmetic, moves, VL/VS).
-func (c *CPU) intVal(o isa.Operand) (int64, error) {
-	switch o.Kind {
-	case isa.KindImm:
-		return o.Imm, nil
-	case isa.KindReg:
-		switch o.Reg.Class {
-		case isa.ClassA:
-			return c.a[o.Reg.N], nil
-		case isa.ClassS:
-			c.WaitScalar(o.Reg)
-			return int64(c.s[o.Reg.N]), nil
-		case isa.ClassVL:
-			return int64(c.vl), nil
-		case isa.ClassVS:
-			return c.vs, nil
-		}
+// intVal reads a source Decode admits as an integer: an immediate or an
+// a, s, vl or vs register.
+func (c *CPU) intVal(o *isa.Operand) int64 {
+	if o.Kind == isa.KindImm {
+		return o.Imm
 	}
-	return 0, fmt.Errorf("operand %s is not an integer source", o)
+	switch o.Reg.Class {
+	case isa.ClassA:
+		return c.a[o.Reg.N]
+	case isa.ClassS:
+		c.WaitScalar(o.Reg)
+		return int64(c.s[o.Reg.N])
+	case isa.ClassVL:
+		return int64(c.vl)
+	}
+	return c.vs
 }
 
-// floatVal reads an operand as a float (for .d arithmetic).
-func (c *CPU) floatVal(o isa.Operand) (float64, error) {
-	switch o.Kind {
-	case isa.KindImm:
-		return float64(o.Imm), nil
-	case isa.KindReg:
-		if o.Reg.Class == isa.ClassS {
-			c.WaitScalar(o.Reg)
-			return math.Float64frombits(c.s[o.Reg.N]), nil
-		}
+// floatVal reads a source Decode admits as a float: an immediate or an s
+// register.
+func (c *CPU) floatVal(o *isa.Operand) float64 {
+	if o.Kind == isa.KindImm {
+		return float64(o.Imm)
 	}
-	return 0, fmt.Errorf("operand %s is not a float source", o)
+	c.WaitScalar(o.Reg)
+	return math.Float64frombits(c.s[o.Reg.N])
 }
 
-func (c *CPU) setIntReg(r isa.Reg, v int64) error {
+// setIntReg writes an integer to an a, s, vl or vs register.
+func (c *CPU) setIntReg(r isa.Reg, v int64) {
 	switch r.Class {
 	case isa.ClassA:
 		c.a[r.N] = v
@@ -292,34 +266,18 @@ func (c *CPU) setIntReg(r isa.Reg, v int64) error {
 		c.s[r.N] = uint64(v)
 	case isa.ClassVL:
 		c.vl = int(max(0, min(v, int64(c.cfg.VLMax))))
-	case isa.ClassVS:
-		c.vs = v
 	default:
-		return fmt.Errorf("cannot write integer to %s", r)
+		c.vs = v
 	}
-	return nil
-}
-
-func (c *CPU) setFloatReg(r isa.Reg, v float64) error {
-	if r.Class != isa.ClassS {
-		return fmt.Errorf("cannot write float to %s", r)
-	}
-	c.s[r.N] = math.Float64bits(v)
-	return nil
 }
 
 // execScalar executes one ASU instruction, advancing the ASU clock by its
-// latency. It returns jumped=true when control transferred.
+// latency. It returns jumped=true when control transferred. Decode
+// admitted its form, so only its data can fail it.
 func (c *CPU) execScalar(in *instr) (jumped bool, err error) {
 	ops := in.Instr.Ops
 	switch in.Op {
-	case isa.OpNop:
-		c.ScalarOp()
-		return false, nil
 	case isa.OpMov:
-		if len(ops) != 2 {
-			return false, fmt.Errorf("mov needs 2 operands")
-		}
 		c.ScalarOp()
 		dst := ops[1].Reg
 		if in.Instr.Suffix == isa.SufD && dst.Class == isa.ClassS && ops[0].Kind == isa.KindReg && ops[0].Reg.Class == isa.ClassS {
@@ -327,11 +285,8 @@ func (c *CPU) execScalar(in *instr) (jumped bool, err error) {
 			c.s[dst.N] = c.s[ops[0].Reg.N]
 			return false, nil
 		}
-		v, err := c.intVal(ops[0])
-		if err != nil {
-			return false, err
-		}
-		return false, c.setIntReg(dst, v)
+		c.setIntReg(dst, c.intVal(&ops[0]))
+		return false, nil
 	case isa.OpLd:
 		return false, c.scalarLoad(in)
 	case isa.OpSt:
@@ -339,188 +294,107 @@ func (c *CPU) execScalar(in *instr) (jumped bool, err error) {
 	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpNeg, isa.OpAnd, isa.OpOr, isa.OpShf:
 		return false, c.scalarALU(in.Instr)
 	case isa.OpLe, isa.OpLt, isa.OpGt, isa.OpGe, isa.OpEq, isa.OpNe:
-		return false, c.scalarCompare(in.Instr)
-	case isa.OpJmp:
+		c.scalarCompare(in.Instr)
+		return false, nil
+	case isa.OpJmp, isa.OpJbrs:
 		c.ScalarOp()
-		c.TakenBranch()
-		return true, c.jumpTo(in)
-	case isa.OpJbrs:
-		c.ScalarOp()
-		take := c.tf
-		if in.Instr.Suffix == isa.SufF {
-			take = !take
-		}
-		if !take {
-			return false, nil
+		if in.Op == isa.OpJbrs && c.tf == (in.Instr.Suffix == isa.SufF) {
+			return false, nil // jbrs.t on a clear T flag, jbrs.f on a set one
 		}
 		c.TakenBranch()
-		return true, c.jumpTo(in)
-	case isa.OpSum, isa.OpSqrt, isa.OpCvt:
-		return false, fmt.Errorf("%s has no scalar form in this subset", in.Op)
+		c.pc = in.target
+		return true, nil
 	}
-	return false, fmt.Errorf("unimplemented scalar op %s", in.Op)
-}
-
-func (c *CPU) jumpTo(in *instr) error {
-	if in.target < 0 {
-		return fmt.Errorf("branch without label")
-	}
-	c.pc = in.target
-	return nil
+	c.ScalarOp() // nop: Decode admits no other scalar opcode here
+	return false, nil
 }
 
 func (c *CPU) scalarLoad(in *instr) error {
-	if len(in.Instr.Ops) != 2 {
-		return fmt.Errorf("scalar load needs 2 operands")
-	}
-	addr, err := c.effAddr(in)
-	if err != nil {
-		return err
-	}
-	dst := in.Instr.Ops[1].Reg
+	addr := c.effAddr(in)
+	dst := in.Dst
 	c.ScalarLoad(dst)
-	switch dst.Class {
-	case isa.ClassA:
+	if dst.Class == isa.ClassA {
 		v, err := c.mem.ReadI64(addr)
 		if err != nil {
 			return err
 		}
 		c.a[dst.N] = v
-	case isa.ClassS:
-		v, err := c.mem.ReadF64(addr)
-		if err != nil {
-			return err
-		}
-		c.s[dst.N] = math.Float64bits(v)
-	default:
-		return fmt.Errorf("bad scalar load destination %s", dst)
+		return nil
 	}
+	v, err := c.mem.ReadF64(addr)
+	if err != nil {
+		return err
+	}
+	c.s[dst.N] = math.Float64bits(v)
 	return nil
 }
 
 func (c *CPU) scalarStore(in *instr) error {
-	if len(in.Instr.Ops) != 2 {
-		return fmt.Errorf("scalar store needs 2 operands")
-	}
-	addr, err := c.effAddr(in)
-	if err != nil {
-		return err
-	}
+	addr := c.effAddr(in)
 	c.ScalarStore()
 	src := in.Instr.Ops[0].Reg
-	switch src.Class {
-	case isa.ClassA:
+	if src.Class == isa.ClassA {
 		return c.mem.WriteI64(addr, c.a[src.N])
-	case isa.ClassS:
-		c.WaitScalar(src)
-		return c.mem.WriteF64(addr, math.Float64frombits(c.s[src.N]))
 	}
-	return fmt.Errorf("bad scalar store source %s", src)
+	c.WaitScalar(src)
+	return c.mem.WriteF64(addr, math.Float64frombits(c.s[src.N]))
 }
 
+// scalarALU executes dst = src1 OP src2, or the two-operand dst = dst OP
+// src (e.g. add.w #1024,a5) and dst = -src.
 func (c *CPU) scalarALU(in *isa.Instr) error {
 	c.ScalarOp()
-	// Two-operand form: dst = dst OP src (e.g. add.w #1024,a5).
-	// Three-operand form: dst = src1 OP src2.
-	var dst isa.Reg
-	switch len(in.Ops) {
-	case 2:
-		dst = in.Ops[1].Reg
-	case 3:
-		dst = in.Ops[2].Reg
-	default:
-		return fmt.Errorf("ALU op needs 2 or 3 operands")
+	ops := in.Ops
+	dst := ops[len(ops)-1].Reg
+	// x OP y, read in that order: the two-operand form reads its
+	// destination first; neg reads only x.
+	x, y := &ops[0], &ops[len(ops)-1]
+	switch {
+	case len(ops) == 3:
+		y = &ops[1]
+	case in.Op != isa.OpNeg:
+		x, y = y, x
 	}
-	if in.Suffix == isa.SufD || in.Suffix == isa.SufS {
-		var x, y float64
-		var err error
-		if len(in.Ops) == 2 {
-			if in.Op == isa.OpNeg {
-				x, err = c.floatVal(in.Ops[0])
-				if err != nil {
-					return err
-				}
-				c.stats.ScalarFlops++
-				return c.setFloatReg(dst, -x)
-			}
-			y, err = c.floatVal(isa.RegOp(dst))
-			if err != nil {
-				return err
-			}
-			x, err = c.floatVal(in.Ops[0])
-			if err != nil {
-				return err
-			}
-			x, y = y, x // dst OP src
+	if in.IsFloat() {
+		var r float64
+		if in.Op == isa.OpNeg {
+			r = -c.floatVal(x)
 		} else {
-			x, err = c.floatVal(in.Ops[0])
-			if err != nil {
-				return err
-			}
-			y, err = c.floatVal(in.Ops[1])
-			if err != nil {
-				return err
-			}
-		}
-		r, err := floatALU(in.Op, x, y)
-		if err != nil {
-			return err
+			r = floatALU(in.Op, c.floatVal(x), c.floatVal(y))
 		}
 		c.stats.ScalarFlops++
-		return c.setFloatReg(dst, r)
+		c.s[dst.N] = math.Float64bits(r)
+		return nil
 	}
-	// Integer (.w / .l) arithmetic.
-	var x, y int64
-	var err error
-	if len(in.Ops) == 2 {
-		if in.Op == isa.OpNeg {
-			x, err = c.intVal(in.Ops[0])
-			if err != nil {
-				return err
-			}
-			return c.setIntReg(dst, -x)
-		}
-		x, err = c.intVal(isa.RegOp(dst))
-		if err != nil {
-			return err
-		}
-		y, err = c.intVal(in.Ops[0])
-		if err != nil {
-			return err
-		}
-	} else {
-		x, err = c.intVal(in.Ops[0])
-		if err != nil {
-			return err
-		}
-		y, err = c.intVal(in.Ops[1])
-		if err != nil {
-			return err
-		}
+	if in.Op == isa.OpNeg {
+		c.setIntReg(dst, -c.intVal(x))
+		return nil
 	}
-	r, err := IntALU(in.Op, x, y)
+	r, err := IntALU(in.Op, c.intVal(x), c.intVal(y))
 	if err != nil {
 		return err
 	}
-	return c.setIntReg(dst, r)
+	c.setIntReg(dst, r)
+	return nil
 }
 
-func floatALU(op isa.Op, x, y float64) (float64, error) {
+// floatALU applies a floating-point add, sub, mul or div, the ASU's
+// float forms Decode admits.
+func floatALU(op isa.Op, x, y float64) float64 {
 	switch op {
 	case isa.OpAdd:
-		return x + y, nil
+		return x + y
 	case isa.OpSub:
-		return x - y, nil
+		return x - y
 	case isa.OpMul:
-		return x * y, nil
-	case isa.OpDiv:
-		return x / y, nil
+		return x * y
 	}
-	return 0, fmt.Errorf("no scalar float form for %s", op)
+	return x / y
 }
 
-// IntALU applies an integer (.w/.l) ALU operation: the ASU's integer
-// semantics, shared with interpreters that track integers symbolically.
+// IntALU applies an integer (.w/.l) add, sub, mul, div, and, or or shf:
+// the ASU's integer semantics, shared with interpreters that track
+// integers symbolically. Dividing by zero is its one error.
 func IntALU(op isa.Op, x, y int64) (int64, error) {
 	switch op {
 	case isa.OpAdd:
@@ -538,30 +412,18 @@ func IntALU(op isa.Op, x, y int64) (int64, error) {
 		return x & y, nil
 	case isa.OpOr:
 		return x | y, nil
-	case isa.OpShf:
-		if y >= 0 {
-			return x << uint(y&63), nil
-		}
-		return x >> uint((-y)&63), nil
 	}
-	return 0, fmt.Errorf("no integer form for %s", op)
+	if y >= 0 { // shf
+		return x << uint(y&63), nil
+	}
+	return x >> uint((-y)&63), nil
 }
 
-func (c *CPU) scalarCompare(in *isa.Instr) error {
-	if len(in.Ops) != 2 {
-		return fmt.Errorf("compare needs 2 operands")
-	}
+func (c *CPU) scalarCompare(in *isa.Instr) {
 	c.ScalarOp()
 	var order int
-	if in.Suffix == isa.SufD || in.Suffix == isa.SufS {
-		x, err := c.floatVal(in.Ops[0])
-		if err != nil {
-			return err
-		}
-		y, err := c.floatVal(in.Ops[1])
-		if err != nil {
-			return err
-		}
+	if in.IsFloat() {
+		x, y := c.floatVal(&in.Ops[0]), c.floatVal(&in.Ops[1])
 		switch {
 		case x < y:
 			order = -1
@@ -569,18 +431,9 @@ func (c *CPU) scalarCompare(in *isa.Instr) error {
 			order = 1
 		}
 	} else {
-		x, err := c.intVal(in.Ops[0])
-		if err != nil {
-			return err
-		}
-		y, err := c.intVal(in.Ops[1])
-		if err != nil {
-			return err
-		}
-		order = cmp.Compare(x, y)
+		order = cmp.Compare(c.intVal(&in.Ops[0]), c.intVal(&in.Ops[1]))
 	}
 	c.tf = Condition(in.Op, order)
-	return nil
 }
 
 // Condition is the T flag a compare op sets, given the three-way

@@ -176,9 +176,19 @@ func TestScalarMovD(t *testing.T) {
 	}
 }
 
+// TestUndefinedRuntimeErrors: an instruction with no form the simulator
+// executes is refused when the program loads (isa.Decode), never met
+// mid-run.
 func TestUndefinedRuntimeErrors(t *testing.T) {
-	runErr(t, "\tsum.w s0,s1", "no scalar form")
-	runErr(t, "\tmov #1,s0,s1", "mov needs 2 operands")
+	for _, tc := range []struct{ src, want string }{
+		{"\tsum.w s0,s1", "vm: instr 0 (sum.w s0,s1): sum has no scalar form"},
+		{"\tmov #1,s0,s1", "vm: instr 0 (mov #1,s0,s1): mov needs 2 operands"},
+	} {
+		err := New(DefaultConfig()).Load(asm.MustParse(tc.src))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Load(%q) = %v, want an error containing %q", tc.src, err, tc.want)
+		}
+	}
 }
 
 func TestPipeUtilizationStats(t *testing.T) {

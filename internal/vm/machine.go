@@ -69,6 +69,20 @@ func DefaultMachine() Machine {
 	}
 }
 
+// CompileVL is the vector length a program for this machine is compiled,
+// and therefore bounded, at. A program's strip length is fixed at compile
+// time (its strip loop advances by the compile-time VL), so a machine
+// with a VLMax below the ISA's register length needs its loops
+// strip-mined at its own length: compiled longer, the hardware would
+// clamp every strip and silently skip elements. A longer VLMax, or none,
+// leaves the program at the register length.
+func (m Machine) CompileVL() int {
+	if m.VLMax <= 0 || m.VLMax > isa.VLMax {
+		return isa.VLMax
+	}
+	return m.VLMax
+}
+
 // BankConfig renders the machine's memory geometry as the bank model's
 // configuration. Zero geometry fields take the C-240 defaults — a Machine
 // that only sets the knobs that existed before the split (or a sparse

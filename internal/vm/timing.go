@@ -225,11 +225,9 @@ func (t *Timing) closeChime(split bool) {
 // formation, the stream entry time with its attribution, and — for a
 // load or store — the memory stalls of the stream from address ea at
 // stride bytes (ea and stride are ignored otherwise). A zero-length
-// instruction costs only its startup overhead.
-func (t *Timing) Vector(r *isa.Row, vl int, ea, stride int64) error {
-	if !r.Timed {
-		return fmt.Errorf("no vector form for %s", r.Op)
-	}
+// instruction costs only its startup overhead. r is a vector row, which
+// Decode admits only with a Table 1 timing.
+func (t *Timing) Vector(r *isa.Row, vl int, ea, stride int64) {
 	vt := r.Timing
 	// Vector instructions reading vector-produced scalars wait for them,
 	// in register order: each wait only raises the clock, so the order
@@ -246,7 +244,7 @@ func (t *Timing) Vector(r *isa.Row, vl int, ea, stride int64) error {
 		// startup overhead.
 		t.clock += int64(vt.X)
 		t.chargeStall(LaneASU, t.clock, StallStartup)
-		return nil
+		return
 	}
 
 	if !t.builder.Fits(r) {
@@ -418,7 +416,6 @@ func (t *Timing) Vector(r *isa.Row, vl int, ea, stride int64) error {
 			t.ring.push(ev)
 		}
 	}
-	return nil
 }
 
 // memStall decomposes one vector stream's stall cycles by mechanism.

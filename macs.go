@@ -83,8 +83,8 @@ type (
 	CompilerOptions = compiler.Options
 	// Inputs are a program's memory inputs by source variable name
 	// (ints, reals, arrays). Prime turns them into the prime callback
-	// AnalyzeSource takes; Check refuses names and array lengths the
-	// program does not declare.
+	// AnalyzeSource takes; Check refuses names, kinds and array lengths
+	// the program does not declare.
 	Inputs = compiler.Inputs
 	// Kernel is one Livermore kernel of the case study.
 	Kernel = lfk.Kernel
@@ -301,24 +301,19 @@ func AnalyzeSource(src string, iterations int64, prime func(*CPU) error) (Result
 
 // AnalyzeSourceVM is AnalyzeSource with an explicit simulator
 // configuration: use it to enable tracing (Trace/TraceRing), model memory
-// contention (MemSlowdown) or change the machine. The bounds are computed
-// with the configuration's chime rules and vector length. Every call
-// runs on a fresh simulator.
+// contention (MemSlowdown) or change the machine. The program is compiled
+// and bounded at the machine's compile vector length (Machine.CompileVL)
+// under its chime rules. Every call runs on a fresh simulator.
 func AnalyzeSourceVM(src string, iterations int64, cfg VMConfig, prime func(*CPU) error) (Result, error) {
 	return AnalyzeSourceVMCtx(context.Background(), src, iterations, cfg, prime)
 }
 
-// compilerOptionsFor clamps the default compile options to a simulator
-// configuration's machine: a program's strip length is fixed at compile
-// time (the strip loop advances by the compile-time VL), so a machine
-// with VLMax below the ISA ceiling needs its loops strip-mined at its
-// own length — compiled longer, the hardware would clamp every strip and
-// silently skip elements.
+// compilerOptionsFor is the default compile options strip-mined at the
+// machine's compile vector length (Machine.CompileVL), the length its
+// bounds are computed at too.
 func compilerOptionsFor(cfg VMConfig) CompilerOptions {
 	opts := compiler.DefaultOptions()
-	if cfg.VLMax > 0 && cfg.VLMax < opts.VL {
-		opts.VL = cfg.VLMax
-	}
+	opts.VL = cfg.CompileVL()
 	return opts
 }
 
@@ -329,7 +324,8 @@ func compilerOptionsFor(cfg VMConfig) CompilerOptions {
 // Without a trace on ctx the overhead is a handful of nil checks.
 func AnalyzeSourceVMCtx(ctx context.Context, src string, iterations int64, cfg VMConfig, prime func(*CPU) error) (Result, error) {
 	var res Result
-	prog, a, err := boundSource(ctx, src, compilerOptionsFor(cfg), cfg.VLMax, cfg.Rules)
+	opts := compilerOptionsFor(cfg)
+	prog, a, err := boundSource(ctx, src, opts, opts.VL, cfg.Rules)
 	res.Program = prog
 	if err != nil {
 		return res, err
@@ -385,15 +381,16 @@ func NewAnalyzer(cfg VMConfig) *Analyzer {
 func (a *Analyzer) Config() VMConfig { return a.cfg }
 
 // CompilerOptions returns the options every analyzer path compiles
-// with: the defaults, strip-mined at the machine's VLMax.
+// with: the defaults, strip-mined at the machine's compile vector length.
 func (a *Analyzer) CompilerOptions() CompilerOptions { return compilerOptionsFor(a.cfg) }
 
 // BoundSourceCtx is BoundSourceCtx on the analyzer's machine: the source
-// is compiled with CompilerOptions and bounded at the configuration's
-// VLMax under its chime rules, so the hierarchy equals the one
+// is compiled with CompilerOptions and bounded at its vector length under
+// the configuration's chime rules, so the hierarchy equals the one
 // AnalyzeSourceCtx reports.
 func (a *Analyzer) BoundSourceCtx(ctx context.Context, src string) (Analysis, error) {
-	_, an, err := boundSource(ctx, src, a.CompilerOptions(), a.cfg.VLMax, a.cfg.Rules)
+	opts := a.CompilerOptions()
+	_, an, err := boundSource(ctx, src, opts, opts.VL, a.cfg.Rules)
 	return an, err
 }
 
