@@ -224,7 +224,7 @@ func cmdDeps(w io.Writer, args []string) error {
 		fmt.Fprintln(w, "t_CP: no per-element claim (body not straight-line)")
 	}
 
-	iv := depgraph.Intervals(p)
+	iv := depgraph.Intervals(p, depgraph.Rows(p))
 	facts := depgraph.StreamFacts(p, iv, mem.DefaultConfig())
 	if len(facts) > 0 {
 		fmt.Fprintln(w, "vector memory streams:")

@@ -2,6 +2,7 @@ package asm_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"macs/internal/asm"
@@ -13,11 +14,12 @@ import (
 // FuzzAsmParse asserts the assembly parser never panics on arbitrary
 // input, and that parse→print→parse is a fixpoint: a parsed program's
 // String() form parses back to a program with identical String(). Every
-// parsed instruction isa.Decode admits must decode to the row the
-// per-instruction accessors it replaced would derive, and one that reads
-// more registers than a row holds must be refused. The parser takes
-// operand forms no opcode has, which Decode refuses as well. Seeds are
-// the compiled forms of the ten case-study kernels and two raw programs.
+// parsed instruction must also decode (isa.Decode) to the row the
+// per-instruction accessors it replaced would derive — also when Decode
+// refuses its operand form, since the checker still reads that row — or
+// be refused with no row because it reads more registers than a row
+// holds or names a register no row can hold. Seeds are the compiled
+// forms of the ten case-study kernels and two raw programs.
 func FuzzAsmParse(f *testing.F) {
 	for _, k := range lfk.All() {
 		p, err := compiler.Compile(k.Source, compiler.DefaultOptions())
@@ -60,7 +62,10 @@ func checkRow(t *testing.T, in *isa.Instr) {
 		}
 	}
 	r, err := isa.Decode(in)
-	if err != nil {
+	if err != nil && r.Instr == nil {
+		if !badOperand(in) && (len(reads) <= isa.MaxReads || !strings.Contains(err.Error(), "registers")) {
+			t.Fatalf("%s: Decode refused %d reads with no row: %v", in, len(reads), err)
+		}
 		return
 	}
 	if len(reads) > isa.MaxReads {
@@ -138,6 +143,20 @@ func isTwoOpALU(in isa.Instr) bool {
 	switch in.Op {
 	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpAnd, isa.OpOr, isa.OpShf:
 		return true
+	}
+	return false
+}
+
+// badOperand reports a register operand outside its file or a memory
+// base that is not an a-register in its file: operands no row can hold.
+func badOperand(in *isa.Instr) bool {
+	for _, o := range in.Ops {
+		switch {
+		case o.Kind == isa.KindReg && isa.CheckReg(o.Reg) != nil:
+			return true
+		case o.Kind == isa.KindMem && !o.Base.IsZero() && (o.Base.Class != isa.ClassA || isa.CheckReg(o.Base) != nil):
+			return true
+		}
 	}
 	return false
 }

@@ -27,9 +27,7 @@ func AnnotateStrides(body []isa.Instr) StrideAnnotation {
 	ann := make(StrideAnnotation)
 	cur := int64(isa.WordBytes)
 	for i, in := range body {
-		if in.Op == isa.OpMov && len(in.Ops) == 2 &&
-			in.Ops[1].Kind == isa.KindReg && in.Ops[1].Reg == isa.VS() &&
-			in.Ops[0].Kind == isa.KindImm {
+		if d, ok := in.Dst(); ok && d == isa.VS() && in.Op == isa.OpMov && in.Ops[0].Kind == isa.KindImm {
 			cur = in.Ops[0].Imm
 			continue
 		}

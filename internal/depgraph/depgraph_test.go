@@ -161,7 +161,7 @@ halt
 .data d_out 8
 `
 	p := mustParse(t, src)
-	iv := depgraph.Intervals(p)
+	iv := depgraph.Intervals(p, depgraph.Rows(p))
 	// Instruction indices: 0 mov, 1 add, 2 lt, 3 jbrs, 4 st, 5 halt.
 	a0 := isa.Reg{Class: isa.ClassA, N: 0}
 	if got := iv.Reg(1, a0); got != depgraph.Range(0, 9) {
@@ -178,7 +178,7 @@ mov s0,vl
 halt
 `
 	p := mustParse(t, src)
-	iv := depgraph.Intervals(p)
+	iv := depgraph.Intervals(p, depgraph.Rows(p))
 	got := iv.Reg(2, isa.VL())
 	if got != depgraph.Range(0, int64(isa.VLMax)) && got != depgraph.Point(int64(isa.VLMax)) {
 		t.Errorf("vl after clamped write = %v", got)
@@ -202,7 +202,7 @@ halt
 .data d_c 8
 `
 	p := mustParse(t, src)
-	iv := depgraph.Intervals(p)
+	iv := depgraph.Intervals(p, depgraph.Rows(p))
 	a0 := isa.Reg{Class: isa.ClassA, N: 0}
 	got := iv.Reg(1, a0)
 	if !got.LoBnd || got.Lo != 0 {
@@ -227,7 +227,7 @@ halt
 .data d_s 8
 `
 	p := mustParse(t, src)
-	iv := depgraph.Intervals(p)
+	iv := depgraph.Intervals(p, depgraph.Rows(p))
 	facts := depgraph.StreamFacts(p, iv, mem.DefaultConfig())
 	if len(facts) != 3 {
 		t.Fatalf("got %d stream facts, want 3", len(facts))

@@ -32,7 +32,7 @@ func FuzzDepGraph(f *testing.F) {
 		}
 		// The interval analysis must terminate and not panic on any
 		// compilable program.
-		iv := depgraph.Intervals(p)
+		iv := depgraph.Intervals(p, depgraph.Rows(p))
 		_ = depgraph.StreamFacts(p, iv, mem.DefaultConfig())
 
 		cp, g, ok := depgraph.Analyze(p, isa.VLMax, depgraph.DefaultParams())

@@ -314,7 +314,11 @@ type cmpFact struct {
 // Registers start unknown and undefined, so no answer rests on the
 // machine's zeroed register file. Loads and floating-point results are
 // unconstrained.
-func Intervals(p *asm.Program) *IntervalResult {
+//
+// rows[i] is p.Instrs[i] decoded (isa.Decode), the zero Row where Decode
+// refuses it (Rows): the fixpoint folds only forms the simulator runs,
+// and an instruction it would not run leaves its destination unknown.
+func Intervals(p *asm.Program, rows []isa.Row) *IntervalResult {
 	res := &IntervalResult{Pre: make([]Env, len(p.Instrs))}
 	if len(p.Instrs) == 0 {
 		return res
@@ -334,7 +338,7 @@ func Intervals(p *asm.Program) *IntervalResult {
 			if record {
 				res.Pre[i] = st
 			}
-			stepInterval(&st, p.Instrs[i], &cmp)
+			stepInterval(&st, &p.Instrs[i], &rows[i], &cmp)
 		}
 		last := p.Instrs[b.End-1]
 		// A conditional branch with both sides inside the program sends
@@ -413,10 +417,28 @@ func Intervals(p *asm.Program) *IntervalResult {
 	return res
 }
 
-// stepInterval applies one instruction to the abstract state.
-func stepInterval(st *Env, in isa.Instr, cmp *cmpFact) {
+// Rows decodes every instruction of p for Intervals: the zero Row where
+// isa.Decode refuses one.
+func Rows(p *asm.Program) []isa.Row {
+	rows := make([]isa.Row, len(p.Instrs))
+	for i := range p.Instrs {
+		if r, err := isa.Decode(&p.Instrs[i]); err == nil {
+			rows[i] = r
+		}
+	}
+	return rows
+}
+
+// stepInterval applies one instruction, decoded as r, to the abstract
+// state. An instruction Decode refused (the zero Row) still assigns its
+// destination, or a compare the T flag, a value no range bounds.
+func stepInterval(st *Env, in *isa.Instr, r *isa.Row, cmp *cmpFact) {
 	if isCompare(in.Op) {
-		st.regs[gSlotT], *cmp = compare(st, in)
+		st.regs[gSlotT], *cmp = Range(0, 1), cmpFact{}
+		if r.Instr != nil && !in.IsFloat() {
+			// Floating-point compares read runtime data and decide nothing.
+			st.regs[gSlotT], *cmp = compare(st, in)
+		}
 		st.def |= 1 << gSlotT
 		return
 	}
@@ -437,32 +459,19 @@ func stepInterval(st *Env, in isa.Instr, cmp *cmpFact) {
 	}
 	nv := Top()
 	switch {
-	case in.Suffix == isa.SufD || in.Suffix == isa.SufS:
-		// Floating-point result: no integer range.
-	case in.Op == isa.OpMov && len(in.Ops) == 2:
+	case r.Instr == nil || r.Vector || in.IsFloat() || in.Op == isa.OpLd:
+		// Refused, a vector op writing a scalar (sum.d), a floating-point
+		// result or loaded runtime data: no integer range.
+	case in.Op == isa.OpMov:
 		nv = operandInterval(st, in.Ops[0])
-	case in.Op == isa.OpLd:
-		// Loaded values are runtime data.
-	case isScalarIntALUOp(in):
+	default:
+		// Every other scalar form with a destination is integer ALU.
 		nv = aluInterval(st, in)
-	case in.IsVector():
-		// Vector op writing a scalar (sum.d) or other: unconstrained.
 	}
 	if s == gSlotVL {
 		nv = nv.Clamp(0, int64(isa.VLMax))
 	}
 	st.regs[s] = nv
-}
-
-func isScalarIntALUOp(in isa.Instr) bool {
-	if in.IsVector() {
-		return false
-	}
-	switch in.Op {
-	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpNeg, isa.OpAnd, isa.OpOr, isa.OpShf:
-		return len(in.Ops) == 2 || len(in.Ops) == 3
-	}
-	return false
 }
 
 func operandInterval(st *Env, o isa.Operand) Interval {
@@ -475,7 +484,7 @@ func operandInterval(st *Env, o isa.Operand) Interval {
 	return Top()
 }
 
-func aluInterval(st *Env, in isa.Instr) Interval {
+func aluInterval(st *Env, in *isa.Instr) Interval {
 	var x, y Interval
 	dst := in.Ops[len(in.Ops)-1]
 	if len(in.Ops) == 2 {
@@ -520,14 +529,10 @@ func aluInterval(st *Env, in isa.Instr) Interval {
 	return Top()
 }
 
-// compare evaluates a compare: the T flag it sets (1 or 0 when the
-// operand ranges decide it, [0,1] otherwise) and, when one operand is a
-// tracked register, the fact its branch refines that register with.
-// Floating-point compares read runtime data and decide nothing.
-func compare(st *Env, in isa.Instr) (Interval, cmpFact) {
-	if in.Suffix == isa.SufD || in.Suffix == isa.SufS || len(in.Ops) != 2 {
-		return Range(0, 1), cmpFact{}
-	}
+// compare evaluates an integer compare: the T flag it sets (1 or 0 when
+// the operand ranges decide it, [0,1] otherwise) and, when one operand is
+// a tracked register, the fact its branch refines that register with.
+func compare(st *Env, in *isa.Instr) (Interval, cmpFact) {
 	x, y := operandInterval(st, in.Ops[0]), operandInterval(st, in.Ops[1])
 	t := Range(0, 1)
 	switch {

@@ -280,12 +280,7 @@ func (r *replay) execScalar(in isa.Instr) (jumped bool, err error) {
 			}
 		}
 		r.TakenBranch()
-		for _, o := range in.Ops {
-			if o.Kind == isa.KindLabel {
-				r.pc = r.prog.Labels[o.Label]
-				break
-			}
-		}
+		r.pc = r.prog.Labels[in.Ops[0].Label]
 		return true, nil
 	}
 	r.ScalarOp() // nop: Decode admits no other scalar opcode here

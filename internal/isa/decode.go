@@ -257,7 +257,7 @@ func checkOperands(in *Instr) error {
 // scalarForm is the ASU's rule. A move copies an integer source into a
 // register; a load reads its memory operand into an a or s register and
 // a store writes one to its memory operand; a compare reads two sources
-// and a branch names a label. nop and halt take anything.
+// and a branch takes one operand, its label. nop and halt take anything.
 func scalarForm(in *Instr) error {
 	ops, n := in.Ops, len(in.Ops)
 	switch in.Op {
@@ -299,8 +299,11 @@ func scalarForm(in *Instr) error {
 		}
 		return sources(in, ops, intSrc, "a register or an immediate")
 	case OpJbrs, OpJmp:
-		if !has(ops, KindLabel) {
+		switch {
+		case !has(ops, KindLabel):
 			return errors.New("branch without a label operand")
+		case n != 1:
+			return fmt.Errorf("branch needs 1 operand, its label, has %d", n)
 		}
 	case OpSum, OpSqrt, OpCvt:
 		return fmt.Errorf("%s has no scalar form in this subset", in.Op)
@@ -334,9 +337,10 @@ func aluForm(in *Instr) error {
 }
 
 // vectorForm is the VP's rule: the opcode has a Table 1 row and the
-// simulator's semantics. A load streams from its memory operand into its
-// last operand, a v register; a store from its first, a v register, to
-// its memory operand; a reduction sums a v register into an s register.
+// simulator's semantics. A load streams its memory operand into a v
+// register (mem,v) and a store a v register to its memory operand
+// (v,mem): one of the two operands is a v register, or the instruction
+// would not be vector. A reduction sums a v register into an s register.
 // Every other form streams its sources — v registers, or s registers and
 // immediates broadcast — into a v register, its last operand: neg, mov
 // and sqrt take one source, add, sub, mul and div two.
@@ -351,7 +355,9 @@ func vectorForm(in *Instr) error {
 		switch {
 		case !has(ops, KindMem):
 			return errors.New("vector load without a memory operand")
-		case !is(&ops[n-1], opV):
+		case n != 2:
+			return fmt.Errorf("vector load needs 2 operands, has %d", n)
+		case !is(&ops[1], opV):
 			return errors.New("vector load destination must be a v-register")
 		}
 		return nil
@@ -359,6 +365,8 @@ func vectorForm(in *Instr) error {
 		switch {
 		case !has(ops, KindMem):
 			return errors.New("vector store without a memory operand")
+		case n != 2:
+			return fmt.Errorf("vector store needs 2 operands, has %d", n)
 		case !is(&ops[0], opV):
 			return errors.New("vector store source must be a v-register")
 		}

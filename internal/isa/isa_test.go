@@ -266,10 +266,19 @@ func TestTwoOperandALUReadsDestination(t *testing.T) {
 		t.Errorf("neg Reads() = %v, want %v", got, want)
 	}
 	// The vector pipes have no two-operand form: they stream two sources
-	// into a third register.
+	// into a third register. Refused for its form alone, the instruction
+	// still decodes to its row, and the destination read is not a source:
+	// it chains on its explicit source only.
 	vec := Instr{Op: OpAdd, Suffix: SufD, Ops: []Operand{RegOp(V(1)), RegOp(V(2))}}
-	if _, err := Decode(&vec); err == nil || err.Error() != "vector add needs 3 operands, has 2" {
+	r, err := Decode(&vec)
+	if err == nil || err.Error() != "vector add needs 3 operands, has 2" {
 		t.Errorf("Decode(%s) error = %v, want the three-operand rule", vec, err)
+	}
+	if got, want := r.Reads(), []Reg{V(1), VL(), V(2)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("vector two-operand Reads() = %v, want %v", got, want)
+	}
+	if got := r.VectorReads(); !reflect.DeepEqual(got, []uint8{1}) {
+		t.Errorf("vector two-operand VectorReads() = %v, want [1]", got)
 	}
 }
 

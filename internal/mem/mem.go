@@ -53,11 +53,6 @@ type page [1 << pageShift]byte
 // offMask extracts an address's offset within its page.
 const offMask = len(page{}) - 1
 
-// DefaultSize is the size of the default machine's memory in bytes:
-// vm.DefaultConfig's, and the memory the static checker places a
-// program's data in.
-const DefaultSize = 16 << 20
-
 // New creates a memory of the given size in bytes.
 func New(size int64) *Memory {
 	return &Memory{layout: *NewLayout(size)}

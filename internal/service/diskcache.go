@@ -22,10 +22,11 @@ import (
 
 const (
 	// diskCacheVersion is baked into every segment header through the
-	// config fingerprint. Bump it whenever a persisted response schema or
-	// the content-key format changes; old segments then self-invalidate
-	// on open instead of lingering as unreachable bytes.
-	diskCacheVersion = 2
+	// config fingerprint. Bump it whenever a persisted response schema,
+	// the content-key format or the answer a key names changes; old
+	// segments then self-invalidate on open instead of lingering as
+	// unreachable bytes or serving a stale answer.
+	diskCacheVersion = 3
 
 	// diskSegmentMaxBytes rotates the active segment once it grows past
 	// this size, keeping any single file cheap to scan on open.

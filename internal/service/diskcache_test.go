@@ -89,26 +89,30 @@ func TestDiskCacheFingerprintInvalidation(t *testing.T) {
 	}
 }
 
-// TestDiskCacheVersionInvalidation: a segment written under an older
+// TestDiskCacheVersionInvalidation: a segment written under any older
 // store version self-invalidates even when its fingerprint matches, so
-// content keys of an older format never linger unreachable on disk.
+// content keys of an older format never linger unreachable on disk and
+// answers an older version gave are never served again.
 func TestDiskCacheVersionInvalidation(t *testing.T) {
-	dir := t.TempDir()
 	fp, err := configFingerprint(Config{}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := fmt.Sprintf(`{"magic":%q,"version":1,"fingerprint":%q}`+"\n"+`{"k":"k1","v":1}`+"\n", diskMagic, fp)
-	if err := os.WriteFile(filepath.Join(dir, "seg-000001.log"), []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := OpenDiskCache(dir, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if st := c.Stats(); st.Invalidated != 1 || st.Entries != 0 {
-		t.Fatalf("version-1 segment: %+v, want invalidated 1 and no entries", st)
+	for v := 1; v < diskCacheVersion; v++ {
+		dir := t.TempDir()
+		old := fmt.Sprintf(`{"magic":%q,"version":%d,"fingerprint":%q}`+"\n"+`{"k":"k1","v":1}`+"\n", diskMagic, v, fp)
+		if err := os.WriteFile(filepath.Join(dir, "seg-000001.log"), []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenDiskCache(dir, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := c.Stats()
+		c.Close()
+		if st.Invalidated != 1 || st.Entries != 0 {
+			t.Fatalf("version-%d segment: %+v, want invalidated 1 and no entries", v, st)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"macs"
 )
 
 // Old clients may still name a tier. Every analysis simulates, so these
@@ -172,6 +174,23 @@ func TestAnalyzeAutoFallback(t *testing.T) {
 	}
 	if runs := pipelineRuns(t, s); runs != 2 {
 		t.Errorf("pipeline ran %d times, want 2 (one per program)", runs)
+	}
+}
+
+// TestAnalyzeLargeMemory: the same kernel fits a 64 MB machine, so a
+// service configured with one answers it under every tier name.
+func TestAnalyzeLargeMemory(t *testing.T) {
+	vmc := macs.DefaultVMConfig()
+	vmc.MemSize = 64 << 20
+	s := newTestService(t, Config{Workers: 1, QueueSize: 4, VM: vmc})
+	src := strings.ReplaceAll(saxpySrc, "2048", "3000000")
+	for _, tier := range []string{"", "exact", "fast", "auto"} {
+		res, err := s.Analyze(context.Background(), AnalyzeRequest{
+			Source: src, Iterations: 64, Prime: Priming{Ints: map[string]int64{"N": 64}}, Tier: tier,
+		})
+		if err != nil || res.MeasuredCPL <= 0 {
+			t.Errorf("tier=%q: measured CPL %g, error %v", tier, res.MeasuredCPL, err)
+		}
 	}
 }
 

@@ -21,12 +21,23 @@ import (
 // their whole VL×VS span, VL clamped to the hardware maximum like the
 // machine does), the VL=0 no-op note and the bank-conflict stride
 // warning. Bounded ranges decide the accesses no constant resolves.
-func dataflow(p *asm.Program, rows []isa.Row) []Diagnostic {
+//
+// The fixpoint folds only what the simulator runs, so it reads the rows
+// with every instruction Decode refused (refused) zeroed, while the use
+// check still reads a row refused for its form alone.
+func dataflow(p *asm.Program, rows []isa.Row, refused []Diagnostic) []Diagnostic {
 	var ds []Diagnostic
 	rep := func(sev Severity, idx int, format string, args ...any) {
 		ds = append(ds, Diagnostic{sev, idx, fmt.Sprintf(format, args...)})
 	}
-	iv := depgraph.Intervals(p)
+	run := rows
+	if len(refused) > 0 {
+		run = append([]isa.Row(nil), rows...)
+		for _, d := range refused {
+			run[d.Instr] = isa.Row{}
+		}
+	}
+	iv := depgraph.Intervals(p, run)
 	for _, b := range iv.Blocks {
 		if !iv.Pre[b.Start].Live() {
 			rep(SevInfo, b.Start, "unreachable code")

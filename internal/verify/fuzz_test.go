@@ -7,6 +7,7 @@ import (
 	"macs/internal/asm"
 	"macs/internal/compiler"
 	"macs/internal/lfk"
+	"macs/internal/mem"
 	"macs/internal/verify"
 	"macs/internal/vm"
 )
@@ -43,8 +44,10 @@ func FuzzVerify(f *testing.F) {
 // budgets. Every program the parser and the loader accept must run to
 // its end or to an error without panicking, and every program the
 // checker accepts must load: verify-clean means the simulator runs it.
-// Seeds are the compiled LFKs, the bad-program corpus and the shape
-// programs the checker and the simulator once disagreed on.
+// The one load refusal left to the loader is data that the configured
+// memory cannot place, so that refusal must be the memory layout's own
+// for the same size. Seeds are the compiled LFKs, the bad-program corpus
+// and the shape programs the checker and the simulator once disagreed on.
 func FuzzSimulate(f *testing.F) {
 	addSeeds(f)
 	for _, tc := range shapeCases {
@@ -60,7 +63,7 @@ func FuzzSimulate(f *testing.F) {
 		cpu := vm.New(cfg)
 		loadErr := cpu.Load(p)
 		if loadErr != nil {
-			if verify.Must(p) == nil {
+			if verify.Must(p) == nil && !sameError(loadErr, place(p, cfg.MemSize)) {
 				t.Fatalf("verify-clean program refused by the loader: %v\n%s", loadErr, src)
 			}
 			return
@@ -68,6 +71,20 @@ func FuzzSimulate(f *testing.F) {
 		_, _ = cpu.Run() // data errors and budgets may end a run; a panic may not
 	})
 }
+
+// place lays out p's data in a memory of size bytes as the loader does,
+// returning the first symbol's refusal.
+func place(p *asm.Program, size int64) error {
+	l := mem.NewLayout(size)
+	for _, d := range p.Data {
+		if _, err := l.Place(d.Name, d.Size); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func sameError(a, b error) bool { return a != nil && b != nil && a.Error() == b.Error() }
 
 // addSeeds seeds a fuzz target with the compiled LFKs and the
 // bad-program corpus.

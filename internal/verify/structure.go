@@ -5,14 +5,13 @@ import (
 
 	"macs/internal/asm"
 	"macs/internal/isa"
-	"macs/internal/mem"
 )
 
 // structural reports what only the whole program decides: every label
-// index inside the program, every data symbol and branch label an operand
-// names defined, and the data placed in the default machine's memory by
-// the loader's own rule (mem.Layout), so a verify-clean program loads. What one instruction's operands
-// must be is isa.Decode's rule, which the decode pass reports.
+// index inside the program, and every data symbol and branch label an
+// operand names defined. What one instruction's operands must be is
+// isa.Decode's rule, which the decode pass reports. Whether the data fits
+// the memory is the loader's, which knows the machine's memory size.
 func structural(p *asm.Program) []Diagnostic {
 	var ds []Diagnostic
 	errf := func(i int, format string, args ...any) {
@@ -21,15 +20,6 @@ func structural(p *asm.Program) []Diagnostic {
 	for name, idx := range p.Labels {
 		if idx < 0 || idx > len(p.Instrs) {
 			errf(-1, "label %q index %d outside the program", name, idx)
-		}
-	}
-	// The loader stops at the first symbol it cannot place, and so does
-	// this check: every later address would depend on the failed one.
-	layout := mem.NewLayout(mem.DefaultSize)
-	for _, d := range p.Data {
-		if _, err := layout.Place(d.Name, d.Size); err != nil {
-			errf(-1, "%v", err)
-			break
 		}
 	}
 	for i, in := range p.Instrs {

@@ -12,7 +12,7 @@
 //     register classes per opcode, register ranges, vector forms with a
 //     Table 1 row) — so a verify-clean program loads and runs without a
 //     shape error; plus what only the whole program decides: labels and
-//     data symbols defined, and the data placed in the default memory;
+//     data symbols defined;
 //   - dataflow, read from depgraph's interval fixpoint (value ranges of
 //     the a/s registers, VL, VS and the T flag, plus must-defined bits
 //     for every register): use before definition over each decoded
@@ -137,7 +137,7 @@ func Check(p *asm.Program) []Diagnostic {
 	ds := structural(p)
 	rows, undecoded := decode(p)
 	ds = append(ds, undecoded...)
-	ds = append(ds, dataflow(p, rows)...)
+	ds = append(ds, dataflow(p, rows, undecoded)...)
 	ds = append(ds, resources(p, rows)...)
 	sort.SliceStable(ds, func(i, j int) bool {
 		if ds[i].Instr != ds[j].Instr {
@@ -151,7 +151,8 @@ func Check(p *asm.Program) []Diagnostic {
 // decode lowers every instruction once (isa.Decode) for the passes that
 // read rows. An instruction Decode refuses gets Decode's message as an
 // error finding. Refused for its form alone, it keeps its whole row, so
-// the other passes still report what else is wrong with it; refused
+// the use and resource checks still report what else is wrong with it
+// (the interval fixpoint folds only admitted forms: dataflow); refused
 // for a register outside its file or more reads than a row holds, it
 // gets a zero row (nil Instr), which those passes skip, so no pass reads
 // a partial row.

@@ -173,13 +173,18 @@ var badCorpus = []badCase{
 
 // shapeCases are programs whose last instruction before halt is no form
 // of its opcode — an a-register float source, a floating-point and, a
-// scalar load from a register, a float written to an a-register — each
-// with the one message isa.Decode refuses it with.
+// scalar load from a register, a float written to an a-register, and
+// registers the simulator would ignore on a vector store, a vector load
+// and a branch — each with the one message isa.Decode refuses it with.
 var shapeCases = []struct{ src, want string }{
 	{"mov #0,a1\nmov #0,s0\nadd.d a1,s0,s2\nhalt\n", "add.d operand a1 must be an s-register or an immediate"},
 	{"mov #0,s0\nmov #0,s1\nand.d s0,s1,s2\nhalt\n", "and.d has no floating-point form"},
 	{"mov #0,a1\nld.l a1,a2\nhalt\n", "scalar load source must be a memory operand"},
 	{"mov #0,a0\nadd.d #1,a0\nhalt\n", "add.d destination a0 must be an s-register"},
+	{"mov #1,vl\nmov #8,vs\nmov #0,a1\nmov #0,a2\nmov #0,a3\nmov #0,s0\nmov s0,v0\nst.l v0,a1,a2,d_X(a3)\nhalt\n.data d_X 64\n",
+		"vector store needs 2 operands, has 4"},
+	{"mov #1,vl\nmov #8,vs\nmov #0,a0\nmov #0,a1\nld.d d_X(a0),a1,v0\nhalt\n.data d_X 64\n", "vector load needs 2 operands, has 3"},
+	{"mov #0,a1\nmov #0,s2\njbrs.t a1,s2,L\nL:\nhalt\n", "branch needs 1 operand, its label, has 3"},
 }
 
 // TestShapeRefusedAtEveryGate: isa.Decode is the one rule of what the

@@ -26,7 +26,6 @@ package vm
 
 import (
 	"macs/internal/isa"
-	"macs/internal/mem"
 )
 
 // Config controls one simulation: the Machine being simulated (embedded,
@@ -56,7 +55,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Machine:   DefaultMachine(),
-		MemSize:   mem.DefaultSize,
+		MemSize:   16 << 20,
 		MaxCycles: 1 << 40,
 		MaxInstrs: 200_000_000,
 	}

@@ -158,12 +158,7 @@ func (c *CPU) resolve(in *instr, p *asm.Program) {
 		}
 	}
 	if in.Instr.IsBranch() {
-		for _, o := range in.Instr.Ops {
-			if o.Kind == isa.KindLabel {
-				in.target = p.Labels[o.Label]
-				break
-			}
-		}
+		in.target = p.Labels[in.Instr.Ops[0].Label]
 	}
 }
 

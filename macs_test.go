@@ -127,6 +127,28 @@ func TestParseAsmFacade(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSourceLargeMemory: whether a program's data fits is the
+// configured memory's question, so arrays larger than the default 16 MB
+// are refused by the default machine's loader and analyze cleanly on a
+// machine with 64 MB.
+func TestAnalyzeSourceLargeMemory(t *testing.T) {
+	src := strings.ReplaceAll(quickSrc, "2048", "3000000") // two 24 MB arrays
+	prime := macs.Inputs{Ints: map[string]int64{"N": 64}}.Prime()
+	cfg := macs.DefaultVMConfig()
+	const oom = `mem: out of memory allocating "d_X" (24000000 bytes)`
+	if _, err := macs.AnalyzeSourceVM(src, 64, cfg, prime); err == nil || !strings.HasSuffix(err.Error(), oom) {
+		t.Errorf("16 MB memory: error = %v, want one ending in %q", err, oom)
+	}
+	cfg.MemSize = 64 << 20
+	res, err := macs.AnalyzeSourceVM(src, 64, cfg, prime)
+	if err != nil {
+		t.Fatalf("64 MB memory: %v", err)
+	}
+	if res.MeasuredCPL < res.Analysis.MACS.CPL {
+		t.Errorf("measured %.3f below bound %.3f", res.MeasuredCPL, res.Analysis.MACS.CPL)
+	}
+}
+
 func TestAnalyzeSourceErrors(t *testing.T) {
 	if _, err := macs.AnalyzeSource("PROGRAM P\nREAL A\nA = 1.0\nEND", 1, nil); err == nil {
 		t.Error("loop-free source should fail")
