@@ -13,7 +13,8 @@
 //	BenchmarkFigure3Contention   multi-process slowdown
 //	BenchmarkAblation*           measured average CPL under each ablation
 //	BenchmarkLFK*                per-kernel simulation rate
-//	BenchmarkFastTier            per-kernel analytical-tier prediction time
+//	BenchmarkFastTierCold        per-kernel fast-tier prediction time
+//	BenchmarkExplore             per-kernel grid-sweep rate
 package macs_test
 
 import (
@@ -281,44 +282,12 @@ func BenchmarkLFK(b *testing.B) {
 	}
 }
 
-// BenchmarkFastTier measures the analytical serving tier per kernel on
-// repeated identical requests over one predictor: after an untimed first
-// sight, every timed request is a prediction-memo hit. Compile is outside
-// the timer like BenchmarkLFK. The per-kernel ratio of BenchmarkLFK ns/op
-// to BenchmarkFastTier ns/op is therefore the memo's speedup over
-// simulation, not the prediction engine's; benchgate gates its floor.
-// BenchmarkFastTierCold is the first-sight cost, about one simulation.
-func BenchmarkFastTier(b *testing.B) {
-	pred := fasttier.NewPredictor(vm.DefaultConfig())
-	for _, k := range lfk.All() {
-		k := k
-		b.Run(fmt.Sprintf("lfk%d", k.ID), func(b *testing.B) {
-			b.ReportAllocs()
-			c, err := lfk.Compile(k, compiler.DefaultOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			ints := k.SymbolInts()
-			var p fasttier.Prediction
-			if _, err := pred.Predict(c.Program, int64(k.Elements), ints); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p, err = pred.Predict(c.Program, int64(k.Elements), ints)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(p.CPL, "predicted-CPL")
-		})
-	}
-}
-
-// BenchmarkFastTierCold measures the fast tier's first-sight cost: a
-// fresh predictor (empty memo) steps the program through the timing
-// model from scratch every iteration.
+// BenchmarkFastTierCold measures the fast tier's cost per kernel: every
+// prediction steps the program through the timing model from scratch,
+// on a fresh interpreter, so it costs about one simulation. Compile is
+// outside the timer like BenchmarkLFK; the benchgate regression tool
+// holds each kernel's allocations per prediction to the committed
+// baseline.
 func BenchmarkFastTierCold(b *testing.B) {
 	cfg := vm.DefaultConfig()
 	for _, k := range lfk.All() {
@@ -330,13 +299,17 @@ func BenchmarkFastTierCold(b *testing.B) {
 				b.Fatal(err)
 			}
 			ints := k.SymbolInts()
+			pred := fasttier.NewPredictor(cfg)
+			var p fasttier.Prediction
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pred := fasttier.NewPredictor(cfg)
-				if _, err := pred.Predict(c.Program, int64(k.Elements), ints); err != nil {
+				p, err = pred.Predict(c.Program, int64(k.Elements), ints)
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			b.ReportMetric(p.CPL, "predicted-CPL")
 		})
 	}
 }
@@ -484,25 +457,24 @@ func BenchmarkMachineComparison(b *testing.B) {
 
 // BenchmarkExplore measures the design-space exploration engine per
 // kernel: one op is a full two-stage sweep of a 120-point machine grid
-// (compile once, fast-tier score every point, simulate the top 5%).
-// It reports the sweep throughput in grid points per wall-clock second
-// and the pruning economy (points swept per point simulated); benchgate
-// holds points/sec above the 1000/kernel floor and the prune ratio above
-// 10x, and gates points/sec against the committed baseline.
+// (compile once per vector length, fast-tier score every point, simulate
+// the top 5%). A sweep keeps nothing for the next, so every timed sweep
+// is a first sight. It reports the sweep throughput in grid points per
+// wall-clock second and the pruning economy (points swept per point
+// simulated); benchgate holds points/sec above the 1000/kernel floor and
+// the prune ratio above 10x, and gates points/sec against the committed
+// baseline.
 func BenchmarkExplore(b *testing.B) {
 	grid := explore.Grid{Axes: []explore.Axis{
 		{Param: "banks", Values: []float64{8, 16, 24, 32, 48, 64}},
 		{Param: "refresh-period", Values: []float64{200, 300, 400, 500, 600}},
 		{Param: "vlmax", Values: []float64{32, 64, 96, 128}},
 	}}
-	// One shared evaluator registry: repeated sweeps keep per-machine
-	// prediction memos warm, the serving steady state.
-	evals := explore.NewEvaluators(vm.DefaultConfig())
 	for _, k := range lfk.All() {
 		k := k
 		b.Run(fmt.Sprintf("lfk%d", k.ID), func(b *testing.B) {
 			b.ReportAllocs()
-			eng, err := explore.New(grid, explore.Options{Evaluators: evals})
+			eng, err := explore.New(grid, explore.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -512,13 +484,6 @@ func BenchmarkExplore(b *testing.B) {
 				Inputs:     k.Inputs,
 			}
 			ctx := context.Background()
-			// One untimed warm-up sweep builds this kernel's per-machine
-			// prediction memos; the timed loop then measures the serving
-			// steady state (cold-start cost is what BenchmarkLFK and
-			// BenchmarkFastTierCold cover).
-			if _, err := eng.Sweep(ctx, req); err != nil {
-				b.Fatal(err)
-			}
 			var swept, simulated int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -7,13 +7,13 @@ import (
 )
 
 // passingReport clears every gate but the allocation ceilings, which the
-// test varies through fast.
-func passingReport(fast map[string]KernelBench) Report {
+// test varies through fast (BenchmarkLFK) and tier
+// (BenchmarkFastTierCold).
+func passingReport(fast, tier map[string]KernelBench) Report {
 	return Report{
-		Fast: fast,
+		Fast:     fast,
+		FastTier: tier,
 		Aggregate: Aggregate{
-			FastTierSpeedup:              700,
-			FastTierMinKernelSpeedup:     200,
 			ExplorePointsPerSec:          50000,
 			ExploreMinKernelPointsPerSec: 20000,
 			ExploreMinPruneRatio:         20,
@@ -26,24 +26,29 @@ func TestGateAllocationCeilingPerKernel(t *testing.T) {
 	base := passingReport(map[string]KernelBench{
 		"lfk1": {AllocsPerOp: 1000},
 		"lfk2": {AllocsPerOp: 200},
+	}, map[string]KernelBench{
+		"lfk1": {AllocsPerOp: 20},
 	})
 	if err := writeReport(baseline, base); err != nil {
 		t.Fatal(err)
 	}
+	tierOK := map[string]KernelBench{"lfk1": {AllocsPerOp: 20}}
 	cases := []struct {
-		name string
-		fast map[string]KernelBench
-		want string // substring of the error; "" passes
+		name       string
+		fast, tier map[string]KernelBench
+		want       string // substring of the error; "" passes
 	}{
-		{"at baseline", map[string]KernelBench{"lfk1": {AllocsPerOp: 1000}, "lfk2": {AllocsPerOp: 200}}, ""},
-		{"within tolerance", map[string]KernelBench{"lfk1": {AllocsPerOp: 1100}, "lfk2": {AllocsPerOp: 150}}, ""},
+		{"at baseline", map[string]KernelBench{"lfk1": {AllocsPerOp: 1000}, "lfk2": {AllocsPerOp: 200}}, tierOK, ""},
+		{"within tolerance", map[string]KernelBench{"lfk1": {AllocsPerOp: 1100}, "lfk2": {AllocsPerOp: 150}}, tierOK, ""},
 		// lfk2 alone breaks its ceiling although the sum (1,121) stays
 		// under the aggregate's (1,320).
-		{"one kernel over", map[string]KernelBench{"lfk1": {AllocsPerOp: 900}, "lfk2": {AllocsPerOp: 221}}, "BenchmarkLFK/lfk2 allocates 221"},
-		{"kernel missing", map[string]KernelBench{"lfk1": {AllocsPerOp: 1000}}, "BenchmarkLFK/lfk2 did not run"},
+		{"one kernel over", map[string]KernelBench{"lfk1": {AllocsPerOp: 900}, "lfk2": {AllocsPerOp: 221}}, tierOK, "BenchmarkLFK/lfk2 allocates 221"},
+		{"kernel missing", map[string]KernelBench{"lfk1": {AllocsPerOp: 1000}}, tierOK, "BenchmarkLFK/lfk2 did not run"},
+		{"prediction over", base.Fast, map[string]KernelBench{"lfk1": {AllocsPerOp: 23}}, "BenchmarkFastTierCold/lfk1 allocates 23"},
+		{"prediction missing", base.Fast, nil, "BenchmarkFastTierCold/lfk1 did not run"},
 	}
 	for _, tc := range cases {
-		err := gate(passingReport(tc.fast), baseline, 0.10)
+		err := gate(passingReport(tc.fast, tc.tier), baseline, 0.10)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: %v", tc.name, err)

@@ -171,16 +171,19 @@ func cmdCheck(w io.Writer, args []string) error {
 	return nil
 }
 
+// cmdBound compiles and checks a kernel and prints its bounds (t_MA,
+// t_MAC, t_MACS, t_CP) without running it, so data larger than the
+// simulator's memory bounds all the same.
 func cmdBound(w io.Writer, args []string) error {
 	src, err := readSource(args)
 	if err != nil {
 		return err
 	}
-	res, err := macs.AnalyzeSource(src, 0, nil)
+	a, err := macs.BoundSource(src)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(w, res.Report())
+	fmt.Fprint(w, macs.Result{Analysis: a}.Report())
 	return nil
 }
 

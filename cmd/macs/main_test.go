@@ -55,20 +55,35 @@ func TestCmdCheck(t *testing.T) {
 	}
 }
 
+// TestCmdBound: bound prints the bounds without running the kernel, so
+// SAXPY over arrays too large for the simulator's memory bounds exactly
+// as SAXPY over 2048 elements does.
 func TestCmdBound(t *testing.T) {
-	var out strings.Builder
-	if err := cmdBound(&out, []string{writeKernel(t)}); err != nil {
+	huge := filepath.Join(t.TempDir(), "saxpy3m.f")
+	if err := os.WriteFile(huge, []byte(strings.ReplaceAll(saxpySrc, "2048", "3000000")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got := out.String()
-	for _, want := range []string{
-		"MA workload:",
-		"MAC workload:",
-		"t_MACS",
-		"fa=1 fm=1 l=2 s=1", // SAXPY: one add, one multiply, two loads, one store
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("bound output missing %q\n%s", want, got)
+	var first string
+	for _, path := range []string{writeKernel(t), huge} {
+		var out strings.Builder
+		if err := cmdBound(&out, []string{path}); err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		got := out.String()
+		for _, want := range []string{
+			"MA workload:",
+			"MAC workload:",
+			"t_MACS",
+			"fa=1 fm=1 l=2 s=1", // SAXPY: one add, one multiply, two loads, one store
+		} {
+			if !strings.Contains(got, want) {
+				t.Errorf("%s: bound output missing %q\n%s", filepath.Base(path), want, got)
+			}
+		}
+		if first == "" {
+			first = got
+		} else if got != first {
+			t.Errorf("%s: bound output\n%s\nwant the 2048-element kernel's\n%s", filepath.Base(path), got, first)
 		}
 	}
 }

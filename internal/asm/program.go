@@ -119,14 +119,18 @@ func (p *Program) FindData(name string) (DataDef, bool) {
 }
 
 // Validate checks what only the whole program decides: label indices
-// lie within the program, and every data symbol and branch label an
-// operand names is defined. What each instruction's operands must be is
+// lie within the program, each data symbol is defined once
+// (DataDefinedOnce), and every data symbol and branch label an operand
+// names is defined. What each instruction's operands must be is
 // isa.Decode's rule.
 func (p *Program) Validate() error {
 	for name, idx := range p.Labels {
 		if idx < 0 || idx > len(p.Instrs) {
 			return fmt.Errorf("asm: label %q index %d out of range", name, idx)
 		}
+	}
+	if err := p.DataDefinedOnce(); err != nil {
+		return err
 	}
 	for i, in := range p.Instrs {
 		for _, o := range in.Ops {
@@ -141,6 +145,20 @@ func (p *Program) Validate() error {
 				if _, ok := p.Labels[o.Label]; !ok {
 					return fmt.Errorf("asm: instr %d (%s): undefined label %q", i, in, o.Label)
 				}
+			}
+		}
+	}
+	return nil
+}
+
+// DataDefinedOnce reports the first data symbol the program defines
+// more than once, whatever the sizes: the loader places each name once,
+// so a second definition has no memory of its own.
+func (p *Program) DataDefinedOnce() error {
+	for i, d := range p.Data {
+		for _, e := range p.Data[:i] {
+			if e.Name == d.Name {
+				return fmt.Errorf("asm: data symbol %q defined twice", d.Name)
 			}
 		}
 	}

@@ -24,9 +24,10 @@ const DefaultTopFrac = 0.05
 
 // Options configures an Engine.
 type Options struct {
-	// Run is the run-bound configuration template (memory size, budgets,
-	// tracing); its Machine field is replaced by each grid point. The zero
-	// value takes vm.DefaultConfig.
+	// Run is the run-bound configuration template (memory size,
+	// budgets); its Machine field is replaced by each grid point, and its
+	// tracing is switched off, because a sweep reads no timing events.
+	// The zero value takes vm.DefaultConfig.
 	Run vm.Config
 	// Compiler configures the one compile each kernel gets. The zero
 	// value takes the default options.
@@ -39,119 +40,6 @@ type Options struct {
 	MinTop int
 	// Workers bounds sweep concurrency; <1 uses all cores.
 	Workers int
-	// Evaluators, when non-nil, shares per-machine fast-tier predictors
-	// with other engines — the serving layer holds one registry across
-	// requests so repeated sweeps keep their prediction memos warm. Nil
-	// gives the engine its own.
-	Evaluators *Evaluators
-}
-
-// Evaluators is a machine-keyed registry of per-machine fast-tier
-// predictors (each with its prediction memo), safe for concurrent use
-// and shareable between engines. Machines are recognized by value, so
-// two grids naming the same machine share one predictor.
-// It also caches compiled programs by (source, compiler options): the
-// fast tier's prediction memo is keyed by program pointer, so handing
-// repeated sweeps the same *Program is what lets a warm sweep skip the
-// schedule replay for every machine it has already scored. The memos
-// live and die with that cache: only the cache hands a program out
-// again, so when it turns over no memo entry can hit any more, and the
-// predictors are dropped with it rather than left pinning the past
-// programs they key.
-type Evaluators struct {
-	// run is the run template every point's configuration stamps its
-	// machine over, for prediction and exact simulation alike.
-	run   vm.Config
-	mu    sync.Mutex
-	m     map[vm.Machine]*fasttier.Predictor
-	progs map[progKey]*macs.Program
-}
-
-// progKey identifies one compile: a source text at one set of compiler
-// options (the VL having been set to the machine's effective length).
-type progKey struct {
-	src  string
-	opts macs.CompilerOptions
-}
-
-// progCap bounds the program cache; on overflow it is dropped wholesale
-// (compiles are cheap to redo, eviction bookkeeping is not), and the
-// predictor registry with it.
-const progCap = 128
-
-// evaluatorCap bounds the machine registry the same way. It holds the
-// largest grid the benchmarks sweep repeatedly (120 machines), so a warm
-// steady state keeps its memos; a service swept over ever-new machines
-// stays bounded instead of pinning a prediction memo per machine ever
-// seen.
-const evaluatorCap = 256
-
-// NewEvaluators creates a shared evaluator registry over one run
-// template. The template's own Machine field is irrelevant — it is
-// replaced by each requested machine — and its tracing is switched off,
-// because a sweep reads no timing events.
-func NewEvaluators(run vm.Config) *Evaluators {
-	if run == (vm.Config{}) {
-		run = vm.DefaultConfig()
-	}
-	run.Trace, run.TraceRing = false, 0
-	return &Evaluators{
-		run:   run,
-		m:     make(map[vm.Machine]*fasttier.Predictor),
-		progs: make(map[progKey]*macs.Program),
-	}
-}
-
-// predictor returns (creating on first sight) the predictor for one
-// machine.
-func (e *Evaluators) predictor(m vm.Machine) *fasttier.Predictor {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if p, ok := e.m[m]; ok {
-		return p
-	}
-	if len(e.m) >= evaluatorCap {
-		e.m = make(map[vm.Machine]*fasttier.Predictor)
-	}
-	p := fasttier.NewPredictor(e.run.WithMachine(m))
-	e.m[m] = p
-	return p
-}
-
-// program returns the compiled and verified program for one source at
-// one set of compiler options, compiling the parsed source on first
-// sight.
-func (e *Evaluators) program(src string, parsed *ftn.Program, opts macs.CompilerOptions) (*macs.Program, error) {
-	k := progKey{src, opts}
-	e.mu.Lock()
-	p, ok := e.progs[k]
-	e.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	prog, err := compiler.CompileProgram(parsed, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := macs.VerifyProgram(prog); err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	if len(e.progs) >= progCap {
-		e.progs = make(map[progKey]*macs.Program)
-		e.m = make(map[vm.Machine]*fasttier.Predictor)
-	}
-	e.progs[k] = prog
-	e.mu.Unlock()
-	return prog, nil
-}
-
-// Machines reports how many distinct machines the registry holds a
-// predictor for (at most evaluatorCap).
-func (e *Evaluators) Machines() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.m)
 }
 
 // Engine sweeps one grid over kernels. Create with New; an Engine may
@@ -159,7 +47,6 @@ func (e *Evaluators) Machines() int {
 type Engine struct {
 	opts   Options
 	points []vm.Machine
-	evals  *Evaluators
 }
 
 // New validates the grid, materializes its points and builds the engine.
@@ -171,6 +58,7 @@ func New(grid Grid, opts Options) (*Engine, error) {
 	if opts.Run == (vm.Config{}) {
 		opts.Run = vm.DefaultConfig()
 	}
+	opts.Run.Trace, opts.Run.TraceRing = false, 0
 	if opts.Compiler == (macs.CompilerOptions{}) {
 		opts.Compiler = macs.DefaultCompilerOptions()
 	}
@@ -184,11 +72,7 @@ func New(grid Grid, opts Options) (*Engine, error) {
 		opts.MinTop = 1
 	}
 	opts.Workers = par.Workers(opts.Workers)
-	evals := opts.Evaluators
-	if evals == nil {
-		evals = NewEvaluators(opts.Run)
-	}
-	return &Engine{opts: opts, points: points, evals: evals}, nil
+	return &Engine{opts: opts, points: points}, nil
 }
 
 // Points returns the number of machine points in the engine's grid.
@@ -321,8 +205,9 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each point's program is compiled, and bounded, at its machine's
-	// compile vector length (vm.Machine.CompileVL), as the facade's are.
+	// Each point's program is compiled, verified and bounded at its
+	// machine's compile vector length (vm.Machine.CompileVL), as the
+	// facade's are.
 	// A grid holds at most a handful of distinct lengths, so compilation
 	// stays shared across every other axis.
 	progOf := make(map[int]*macs.Program)
@@ -333,8 +218,11 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 		}
 		copts := e.opts.Compiler
 		copts.VL = vl
-		prog, err := e.evals.program(req.Source, parsed, copts)
+		prog, err := compiler.CompileProgram(parsed, copts)
 		if err != nil {
+			return nil, err
+		}
+		if err := macs.VerifyProgram(prog); err != nil {
 			return nil, err
 		}
 		progOf[vl] = prog
@@ -370,9 +258,10 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 		}
 	}
 
-	// Stage 1: fast-tier score for every point, in parallel. Data
-	// dependence is a property of the program, not of the machine; the
-	// first rejection flips the whole sweep into exhaustive simulation.
+	// Stage 1: fast-tier score for every point, in parallel, each on a
+	// fresh predictor. Data dependence is a property of the program, not
+	// of the machine; the first rejection flips the whole sweep into
+	// exhaustive simulation.
 	var dataDependent sync.Once
 	fallback := false
 	err = par.ForEachCtx(ctx, e.opts.Workers, n, func(i int) error {
@@ -383,7 +272,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 			Fingerprint: m.Fingerprint(),
 			Bounds:      boundsOf[boundsKey{m.CompileVL(), m.Rules}],
 		}
-		pred, err := e.evals.predictor(m).Predict(progOf[m.CompileVL()], req.Iterations, ints)
+		pred, err := fasttier.NewPredictor(e.opts.Run.WithMachine(m)).Predict(progOf[m.CompileVL()], req.Iterations, ints)
 		switch {
 		case errors.Is(err, fasttier.ErrDataDependent):
 			dataDependent.Do(func() { fallback = true })
@@ -438,7 +327,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 	err = par.ForEachCtx(ctx, e.opts.Workers, len(survivors), func(j int) error {
 		i := survivors[j]
 		p := &sw.Points[i]
-		cpu := vm.New(e.evals.run.WithMachine(p.Machine))
+		cpu := vm.New(e.opts.Run.WithMachine(p.Machine))
 		if err := cpu.Load(progOf[p.Machine.CompileVL()]); err != nil {
 			return fmt.Errorf("explore: point %d: %w", i, err)
 		}

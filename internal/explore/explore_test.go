@@ -2,15 +2,11 @@ package explore
 
 import (
 	"context"
-	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"macs"
-	"macs/internal/fasttier"
 	"macs/internal/lfk"
 	"macs/internal/vm"
 )
@@ -433,14 +429,17 @@ func TestSweepCancellation(t *testing.T) {
 
 // TestSweepChecksInputsFirst: inputs the program does not declare end
 // the sweep with the text macs.Inputs.Check gives, before any point is
-// predicted or simulated.
+// predicted or simulated. The engine runs on a memory too small for the
+// program's data, so a point predicted before the check would end the
+// sweep with the loader's out-of-memory refusal instead.
 func TestSweepChecksInputsFirst(t *testing.T) {
 	k, err := lfk.ByID(12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evals := NewEvaluators(vm.DefaultConfig())
-	eng, err := New(Grid{Axes: []Axis{{Param: "banks", Values: []float64{16, 32}}}}, Options{Evaluators: evals})
+	run := vm.DefaultConfig()
+	run.MemSize = 8 << 10
+	eng, err := New(Grid{Axes: []Axis{{Param: "banks", Values: []float64{16, 32}}}}, Options{Run: run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,144 +462,38 @@ func TestSweepChecksInputsFirst(t *testing.T) {
 			t.Errorf("sweep: %v, want %q", err, want)
 		}
 	}
-	if m := evals.Machines(); m != 0 {
-		t.Errorf("%d machines predicted, want 0", m)
-	}
 }
 
-// TestSharedEvaluators: engines sharing a registry share per-machine
-// state, keyed by machine.
-func TestSharedEvaluators(t *testing.T) {
-	shared := NewEvaluators(vm.DefaultConfig())
-	g := Grid{Axes: []Axis{{Param: "banks", Values: []float64{16, 32}}}}
-	for i := 0; i < 2; i++ {
-		if _, err := New(g, Options{Evaluators: shared}); err != nil {
-			t.Fatal(err)
-		}
-	}
+// TestSweepRepeatable: a sweep keeps nothing for the next, so one
+// request swept twice on one engine and once on another answers the
+// same sweep all three times.
+func TestSweepRepeatable(t *testing.T) {
 	k, err := lfk.ByID(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(g, Options{Evaluators: shared, TopFrac: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Sweep(context.Background(), Request{
-		Source: k.Source, Iterations: int64(k.Elements),
-		Inputs: k.Inputs,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := shared.Machines(); got != 2 {
-		t.Fatalf("shared registry holds %d machines, want 2", got)
-	}
-}
-
-// TestEvaluatorRegistryBounded sweeps more distinct machines than the
-// registry holds: it stays within evaluatorCap, and every sweep's rank-1
-// answer equals the one a fresh registry gives.
-func TestEvaluatorRegistryBounded(t *testing.T) {
-	k, err := lfk.ByID(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Request{
-		Source: k.Source, Iterations: int64(k.Elements),
-		Inputs: k.Inputs,
-	}
-	shared := NewEvaluators(vm.DefaultConfig())
-	const perSweep = 12
-	sweeps := evaluatorCap/perSweep + 2
-	for i := 0; i < sweeps; i++ {
-		periods := make([]float64, perSweep)
-		for j := range periods {
-			periods[j] = float64(200 + i*perSweep + j)
-		}
-		g := Grid{Axes: []Axis{{Param: "refresh-period", Values: periods}}}
-		eng, err := New(g, Options{Evaluators: shared})
+	g := Grid{Axes: []Axis{
+		{Param: "banks", Values: []float64{16, 32}},
+		{Param: "vlmax", Values: []float64{64, 128}},
+	}}
+	req := Request{Name: "lfk7", Source: k.Source, Iterations: int64(k.Elements), Inputs: k.Inputs}
+	var sweeps []*Sweep
+	for _, times := range []int{2, 1} {
+		eng, err := New(g, Options{TopFrac: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Sweep(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := shared.Machines(); n > evaluatorCap {
-			t.Fatalf("sweep %d: registry holds %d machines, cap %d", i, n, evaluatorCap)
-		}
-		fresh, err := New(g, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fresh.Sweep(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Best(), want.Best()) {
-			t.Fatalf("sweep %d: rank-1 %+v, fresh registry %+v", i, got.Best(), want.Best())
+		for i := 0; i < times; i++ {
+			sw, err := eng.Sweep(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweeps = append(sweeps, sw)
 		}
 	}
-	if n := shared.Machines(); n >= sweeps*perSweep {
-		t.Fatalf("registry holds all %d machines swept", n)
-	}
-}
-
-// TestPredictorsLiveAndDieWithProgramCache sweeps more distinct sources
-// than the program cache holds. A repeated sweep inside one cache
-// generation keeps its predictors, and so their memos, and answers
-// identically; once the cache turns over, no predictor from before is
-// left in the registry, since their memos key programs the cache can
-// never hand out again.
-func TestPredictorsLiveAndDieWithProgramCache(t *testing.T) {
-	k, err := lfk.ByID(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, rest, _ := strings.Cut(strings.TrimLeft(k.Source, "\n"), "\n")
-	variant := func(i int) Request {
-		return Request{
-			Source:     fmt.Sprintf("%s\nREAL XP%04d(8)\n%s", head, i, rest),
-			Iterations: int64(k.Elements), Inputs: k.Inputs,
+	for i, sw := range sweeps[1:] {
+		if !reflect.DeepEqual(sw, sweeps[0]) {
+			t.Errorf("sweep %d answered %+v, first %+v", i+2, sw, sweeps[0])
 		}
-	}
-	shared := NewEvaluators(vm.DefaultConfig())
-	eng, err := New(Grid{Axes: []Axis{{Param: "banks", Values: []float64{16, 32}}}}, Options{Evaluators: shared})
-	if err != nil {
-		t.Fatal(err)
-	}
-	predictors := func() map[vm.Machine]*fasttier.Predictor {
-		shared.mu.Lock()
-		defer shared.mu.Unlock()
-		return maps.Clone(shared.m)
-	}
-	ctx := context.Background()
-	first, err := eng.Sweep(ctx, variant(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := predictors()
-	again, err := eng.Sweep(ctx, variant(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, first) {
-		t.Errorf("repeated sweep answered %+v, first %+v", again, first)
-	}
-	if got := predictors(); len(before) != 2 || !maps.Equal(got, before) {
-		t.Errorf("repeated sweep left predictors %v, first sweep %v", got, before)
-	}
-	for i := 1; i <= progCap; i++ {
-		if _, err := eng.Sweep(ctx, variant(i)); err != nil {
-			t.Fatalf("variant %d: %v", i, err)
-		}
-	}
-	for m, p := range predictors() {
-		if before[m] == p {
-			t.Errorf("machine %s: predictor from before the program cache turned over is still registered", m.Fingerprint())
-		}
-	}
-	if n := len(shared.progs); n > progCap {
-		t.Errorf("program cache holds %d programs, cap %d", n, progCap)
 	}
 }

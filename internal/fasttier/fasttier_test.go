@@ -178,51 +178,44 @@ END
 `
 
 // TestPredictDataDependent: a branch on floating-point data is refused
-// with ErrDataDependent rather than guessed, and the refusal is not
-// memoized as an answer.
+// with ErrDataDependent rather than guessed.
 func TestPredictDataDependent(t *testing.T) {
 	prog, err := compiler.Compile(dataDepSrc, compiler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	pred := fasttier.NewPredictor(vm.DefaultConfig())
-	for i := 0; i < 2; i++ {
-		if _, err := pred.Predict(prog, 16, map[string]int64{"d_N": 16}); !errors.Is(err, fasttier.ErrDataDependent) {
-			t.Fatalf("call %d: error = %v, want ErrDataDependent", i, err)
-		}
+	if _, err := pred.Predict(prog, 16, map[string]int64{"d_N": 16}); !errors.Is(err, fasttier.ErrDataDependent) {
+		t.Fatalf("error = %v, want ErrDataDependent", err)
 	}
 }
 
-// TestPredictorConcurrent: several goroutines share one Predictor over
-// the ten LFKs — each on its own compiles (first sight, so every call
-// replays on a fresh interpreter) and on one shared set (memo hits racing
-// first sights) — and every answer equals its golden. Run under -race.
+// TestPredictorConcurrent: several goroutines share one Predictor and
+// one set of compiled LFKs, as a sweep's points share their program, and
+// every answer equals its golden. Run under -race.
 func TestPredictorConcurrent(t *testing.T) {
 	const goroutines = 4
 	shared := compileLFKs(t)
 	pred := fasttier.NewPredictor(vm.DefaultConfig())
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
-		own := compileLFKs(t)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := range own {
+			for i := range shared {
 				// Stagger the order so goroutines meet on different kernels.
-				j := (i + g*3) % len(own)
-				for _, c := range []*lfk.Compiled{own[j], shared[j]} {
-					k := c.Kernel
-					p, err := pred.Predict(c.Program, int64(k.Elements), k.SymbolInts())
-					if err != nil {
-						t.Errorf("goroutine %d lfk%d: %v", g, k.ID, err)
-						return
-					}
-					if p.Cycles != fastTierGolden[k.ID] {
-						t.Errorf("goroutine %d lfk%d: predicted %d cycles, golden %d", g, k.ID, p.Cycles, fastTierGolden[k.ID])
-					}
-					if err := p.Attr.Conserved(p.Cycles); err != nil {
-						t.Errorf("goroutine %d lfk%d: %v", g, k.ID, err)
-					}
+				c := shared[(i+g*3)%len(shared)]
+				k := c.Kernel
+				p, err := pred.Predict(c.Program, int64(k.Elements), k.SymbolInts())
+				if err != nil {
+					t.Errorf("goroutine %d lfk%d: %v", g, k.ID, err)
+					return
+				}
+				if p.Cycles != fastTierGolden[k.ID] {
+					t.Errorf("goroutine %d lfk%d: predicted %d cycles, golden %d", g, k.ID, p.Cycles, fastTierGolden[k.ID])
+				}
+				if err := p.Attr.Conserved(p.Cycles); err != nil {
+					t.Errorf("goroutine %d lfk%d: %v", g, k.ID, err)
 				}
 			}
 		}(g)

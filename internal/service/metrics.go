@@ -9,8 +9,8 @@ import (
 
 // This file declares every /metrics family, once, in exposition order.
 // The families the service updates live in the registry; the rest read
-// their owner (cache, queue, disk cache, explore registry, runtime
-// sampler) when /metrics renders. GET /metrics and GET
+// their owner (cache, queue, disk cache, runtime sampler) when /metrics
+// renders. GET /metrics and GET
 // /metrics?format=prom both render this one registry.
 
 // latencyBuckets are the upper bounds (seconds, inclusive) of every
@@ -113,8 +113,6 @@ func newMetrics(s *Service) *metrics {
 		"Grid points answered analytically without simulation.", "")
 	m.exploreSimulated = r.Counter("macsd_explore_points_simulated_total",
 		"Grid points promoted to exact simulation.", "")
-	r.GaugeFunc("macsd_explore_machines", "Distinct machine descriptions with warm evaluator state.",
-		func() float64 { return float64(s.explorers.Machines()) })
 
 	if rt := s.sampler; rt != nil {
 		r.GaugeFunc("go_goroutines", "Goroutines at the last runtime sample.",

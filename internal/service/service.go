@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"macs"
-	"macs/internal/explore"
 	"macs/internal/obs"
 )
 
@@ -214,11 +213,6 @@ type Service struct {
 	closeMu sync.Mutex
 	closed  bool
 
-	// explorers is the shared per-machine evaluator registry behind
-	// /v1/explore: fast-tier prediction memos keyed by machine, kept warm
-	// across sweep requests for as long as their programs stay cached.
-	explorers *explore.Evaluators
-
 	// sampler periodically snapshots the Go runtime when
 	// Config.RuntimeSample > 0; nil otherwise.
 	sampler *obs.RuntimeSampler
@@ -237,14 +231,13 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:       cfg,
-		pool:      NewPool(cfg.Workers, cfg.QueueSize),
-		cache:     NewCache(cfg.CacheSize),
-		log:       cfg.Logger,
-		analyzer:  macs.NewAnalyzer(cfg.VM),
-		explorers: explore.NewEvaluators(cfg.VM),
-		flights:   make(map[Key]*flight),
-		traces:    make(map[string]*obs.Trace),
+		cfg:      cfg,
+		pool:     NewPool(cfg.Workers, cfg.QueueSize),
+		cache:    NewCache(cfg.CacheSize),
+		log:      cfg.Logger,
+		analyzer: macs.NewAnalyzer(cfg.VM),
+		flights:  make(map[Key]*flight),
+		traces:   make(map[string]*obs.Trace),
 	}
 	if cfg.RuntimeSample > 0 {
 		s.sampler = obs.StartRuntimeSampler(cfg.RuntimeSample)
@@ -270,9 +263,8 @@ func New(cfg Config) *Service {
 // configFingerprint hashes everything that determines a cached result's
 // meaning: the persistent-cache schema version and the pipeline
 // configuration. The machine half goes in through the canonical
-// vm.Machine fingerprint — the same keying scheme the prediction memo
-// and the explore engine use — and the run-bound remainder of the VM
-// config rides alongside. Segments written under a different fingerprint
+// vm.Machine fingerprint — the one every explore point reports — and the
+// run-bound remainder of the VM config rides alongside. Segments written under a different fingerprint
 // are dropped on open, so stale schemas and stale machine models
 // self-invalidate.
 func configFingerprint(cfg Config) (string, error) {
@@ -384,10 +376,10 @@ type hitSlot struct {
 // slotKey is the context key of a request's *hitSlot.
 type slotKey struct{}
 
-// do is the heart of the service: memory-cache lookup, persistent-cache
-// fill, singleflight attach or lead, pool submission with backpressure,
-// and context-bounded waiting. It returns (value, servedFromCache,
-// error): cached is true when the value came from either cache level.
+// do is the heart of the service: the two-level lookup, singleflight
+// attach or lead, pool submission with backpressure, and context-bounded
+// waiting. It returns (value, servedFromCache, error): cached is true
+// when the value came from either cache level.
 // dec may be nil for results that should not persist. do records the
 // key and whether it was a hit in the request's hitSlot, if it carries
 // one.
@@ -395,17 +387,7 @@ func (s *Service) do(ctx context.Context, key Key, dec decodeFunc, fn func() (an
 	if sl, ok := ctx.Value(slotKey{}).(*hitSlot); ok {
 		defer func() { sl.key, sl.hit = key, cached && err == nil }()
 	}
-	_, sp := obs.Start(ctx, "cache-lookup")
-	v, hit := s.cache.Get(key)
-	sp.End()
-	if hit {
-		return v, true, nil
-	}
-	_, sp = obs.Start(ctx, "disk-lookup")
-	v, hit = s.diskGet(key, dec)
-	sp.End()
-	if hit {
-		s.cache.Put(key, v)
+	if v, hit := s.lookup(ctx, key, dec); hit {
 		return v, true, nil
 	}
 
@@ -414,7 +396,7 @@ func (s *Service) do(ctx context.Context, key Key, dec decodeFunc, fn func() (an
 		f.waiters++
 		s.mu.Unlock()
 		s.metrics.dedupShared.Add("", 1)
-		_, sp = obs.Start(ctx, "singleflight-wait")
+		_, sp := obs.Start(ctx, "singleflight-wait")
 		v, err := s.wait(ctx, f)
 		sp.End()
 		return v, false, err
@@ -473,10 +455,29 @@ func (s *Service) do(ctx context.Context, key Key, dec decodeFunc, fn func() (an
 	// the leading request; the compute closure's own stage spans nest as
 	// siblings under the same root (the flight context snapshot predates
 	// this span).
-	_, sp = obs.Start(ctx, "flight-wait")
+	_, sp := obs.Start(ctx, "flight-wait")
 	v, err = s.wait(ctx, f)
 	sp.End()
 	return v, false, err
+}
+
+// lookup reads key from the memory cache, then from the persistent
+// cache, filling memory on a disk hit. Each level is a span on ctx's
+// trace.
+func (s *Service) lookup(ctx context.Context, key Key, dec decodeFunc) (any, bool) {
+	_, sp := obs.Start(ctx, "cache-lookup")
+	v, hit := s.cache.Get(key)
+	sp.End()
+	if hit {
+		return v, true
+	}
+	_, sp = obs.Start(ctx, "disk-lookup")
+	v, hit = s.diskGet(key, dec)
+	sp.End()
+	if hit {
+		s.cache.Put(key, v)
+	}
+	return v, hit
 }
 
 // diskGet consults the persistent cache and rehydrates a hit through the

@@ -47,12 +47,14 @@ func FuzzVerify(f *testing.F) {
 // The one load refusal left to the loader is data that the configured
 // memory cannot place, so that refusal must be the memory layout's own
 // for the same size. Seeds are the compiled LFKs, the bad-program corpus
-// and the shape programs the checker and the simulator once disagreed on.
+// and the programs the checker and the simulator once disagreed on: the
+// shape programs, and a data name defined twice.
 func FuzzSimulate(f *testing.F) {
 	addSeeds(f)
 	for _, tc := range shapeCases {
 		f.Add(tc.src)
 	}
+	f.Add("mov #0,a0\nst.l a0,d_X\nhalt\n.data d_X 8\n.data d_X 16\n")
 	cfg := vm.DefaultConfig()
 	cfg.MaxInstrs, cfg.MaxCycles = 5000, 1<<20
 	f.Fuzz(func(t *testing.T, src string) {
@@ -63,7 +65,7 @@ func FuzzSimulate(f *testing.F) {
 		cpu := vm.New(cfg)
 		loadErr := cpu.Load(p)
 		if loadErr != nil {
-			if verify.Must(p) == nil && !sameError(loadErr, place(p, cfg.MemSize)) {
+			if verify.Must(p) == nil && !sameError(loadErr, outOfMemory(p, cfg.MemSize)) {
 				t.Fatalf("verify-clean program refused by the loader: %v\n%s", loadErr, src)
 			}
 			return
@@ -72,11 +74,16 @@ func FuzzSimulate(f *testing.F) {
 	})
 }
 
-// place lays out p's data in a memory of size bytes as the loader does,
-// returning the first symbol's refusal.
-func place(p *asm.Program, size int64) error {
+// outOfMemory lays out p's data in a memory of size bytes as the loader
+// does, returning the refusal of the first symbol that does not fit. A
+// name is placed once: its second definition is no memory refusal, so
+// it is not excused.
+func outOfMemory(p *asm.Program, size int64) error {
 	l := mem.NewLayout(size)
 	for _, d := range p.Data {
+		if _, placed := l.Addr(d.Name); placed {
+			return nil
+		}
 		if _, err := l.Place(d.Name, d.Size); err != nil {
 			return err
 		}

@@ -8,10 +8,12 @@ import (
 )
 
 // structural reports what only the whole program decides: every label
-// index inside the program, and every data symbol and branch label an
-// operand names defined. What one instruction's operands must be is
-// isa.Decode's rule, which the decode pass reports. Whether the data fits
-// the memory is the loader's, which knows the machine's memory size.
+// index inside the program, each data symbol defined once (with
+// asm.Program.DataDefinedOnce's text, the one the parser and the loader
+// refuse with), and every data symbol and branch label an operand names
+// defined. What one instruction's operands must be is isa.Decode's rule,
+// which the decode pass reports. Whether the data fits the memory is the
+// loader's, which knows the machine's memory size.
 func structural(p *asm.Program) []Diagnostic {
 	var ds []Diagnostic
 	errf := func(i int, format string, args ...any) {
@@ -21,6 +23,9 @@ func structural(p *asm.Program) []Diagnostic {
 		if idx < 0 || idx > len(p.Instrs) {
 			errf(-1, "label %q index %d outside the program", name, idx)
 		}
+	}
+	if err := p.DataDefinedOnce(); err != nil {
+		errf(-1, "%s", err)
 	}
 	for i, in := range p.Instrs {
 		for _, o := range in.Ops {

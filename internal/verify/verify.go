@@ -12,7 +12,7 @@
 //     register classes per opcode, register ranges, vector forms with a
 //     Table 1 row) — so a verify-clean program loads and runs without a
 //     shape error; plus what only the whole program decides: labels and
-//     data symbols defined;
+//     data symbols defined, each data symbol once;
 //   - dataflow, read from depgraph's interval fixpoint (value ranges of
 //     the a/s registers, VL, VS and the T flag, plus must-defined bits
 //     for every register): use before definition over each decoded

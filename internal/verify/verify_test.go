@@ -2,6 +2,7 @@ package verify_test
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -398,6 +399,33 @@ func TestDanglingLabel(t *testing.T) {
 	ds := verify.Check(p)
 	if !hasDiag(ds, verify.SevError, `branch to undefined label "nowhere"`) {
 		t.Errorf("missing dangling-label error; got:\n%s", renderAll(ds, p))
+	}
+}
+
+// TestDataDefinedTwice: each data name is defined once, a whole-program
+// rule of asm.Program.Validate, so the parser, the checker, the loader
+// and the predictor refuse a second definition with one text, whether
+// or not its size differs from the first. The checker and the loader
+// see an API-built program, since the parser refuses it first.
+func TestDataDefinedTwice(t *testing.T) {
+	const body = "mov #0,a0\nst.l a0,d_X\nhalt\n.data d_X 8\n"
+	const want = `asm: data symbol "d_X" defined twice`
+	cfg := vm.DefaultConfig()
+	for _, size := range []int64{16, 8} {
+		if _, err := asm.Parse(fmt.Sprintf("%s.data d_X %d\n", body, size)); err == nil || err.Error() != want {
+			t.Errorf("size %d: Parse = %v, want %q", size, err, want)
+		}
+		p := asm.MustParse(body)
+		p.AddData(asm.DataDef{Name: "d_X", Size: size})
+		if errs := verify.Errors(verify.Check(p)); len(errs) != 1 || errs[0] != (verify.Diagnostic{Severity: verify.SevError, Instr: -1, Message: want}) {
+			t.Errorf("size %d: Check errors = %v, want one program-level %q", size, errs, want)
+		}
+		if err := vm.New(cfg).Load(p); err == nil || err.Error() != want {
+			t.Errorf("size %d: Load = %v, want %q", size, err, want)
+		}
+		if _, err := fasttier.NewPredictor(cfg).Predict(p, 0, nil); err == nil || err.Error() != want {
+			t.Errorf("size %d: Predict = %v, want %q", size, err, want)
+		}
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // one compiled program and one run configuration.
 //
 // The zero value is not a useful machine; use DefaultMachine and adjust.
-// Machine is comparable, so in-memory per-machine state keys maps on the
-// value; the persistent result cache keys off Fingerprint.
+// Machine is comparable, so == tells two machines apart; the persistent
+// result cache keys off Fingerprint.
 type Machine struct {
 	// VLMax is the hardware vector length (128 on the C-240).
 	VLMax int
@@ -110,7 +110,7 @@ func (m Machine) BankConfig() mem.Config {
 // description: the SHA-256 of its Go-syntax rendering, which names every
 // field — nested Rules included — by construction, so two machines share
 // a fingerprint only when they are the same machine. The persistent
-// result cache keys off it; in-memory maps key on the Machine value.
+// result cache keys off it, and every explore point reports it.
 func (m Machine) Fingerprint() string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%#v", m))))
 }
