@@ -54,13 +54,21 @@ func BenchmarkTable1Calibration(b *testing.B) {
 	}
 }
 
+// suite runs the case study once on the default machine; each table and
+// figure benchmark regenerates its view from one such run.
+func suite(b *testing.B) []macs.KernelResult {
+	b.Helper()
+	rs, err := experiments.RunAll(experiments.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rs
+}
+
 func BenchmarkTable2Workload(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2(experiments.Default())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := experiments.Table2(suite(b))
 		if i == 0 {
 			delta := 0
 			for _, r := range rows {
@@ -74,10 +82,7 @@ func BenchmarkTable2Workload(b *testing.B) {
 func BenchmarkTable3Bounds(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3(experiments.Default())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := experiments.Table3(suite(b))
 		if i == 0 {
 			var sum float64
 			for _, r := range rows {
@@ -91,10 +96,7 @@ func BenchmarkTable3Bounds(b *testing.B) {
 func BenchmarkTable4Comparison(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t4, err := experiments.RunTable4(experiments.Default())
-		if err != nil {
-			b.Fatal(err)
-		}
+		t4 := experiments.Table4(suite(b))
 		if i == 0 {
 			b.ReportMetric(t4.MFLOPS[3], "measured-MFLOPS")
 			b.ReportMetric(t4.MFLOPS[2], "MACS-MFLOPS")
@@ -106,10 +108,7 @@ func BenchmarkTable4Comparison(b *testing.B) {
 func BenchmarkTable5AX(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable5(experiments.Default())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := experiments.Table5(suite(b))
 		if i == 0 {
 			var ta, tx float64
 			for _, r := range rows {
@@ -126,9 +125,7 @@ func BenchmarkTable5AX(b *testing.B) {
 func BenchmarkFigure1Hierarchy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure1(experiments.Default()); err != nil {
-			b.Fatal(err)
-		}
+		experiments.Figure1(suite(b))
 	}
 }
 
@@ -150,7 +147,7 @@ func BenchmarkFigure2Chaining(b *testing.B) {
 func BenchmarkFigure3Contention(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, slow, err := experiments.RunFigure3(experiments.Default())
+		rows, slow, err := experiments.RunFigure3(experiments.Default(), suite(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,7 +172,7 @@ func averageMeasuredCPL(b *testing.B, cfg experiments.Config) float64 {
 	}
 	var sum float64
 	for _, r := range results {
-		sum += r.Kernel.CPL(r.Cycles)
+		sum += r.MeasuredCPL
 	}
 	return sum / float64(len(results))
 }
@@ -399,10 +396,7 @@ func asmInnerLoop(c *lfk.Compiled) ([]isa.Instr, bool) {
 func BenchmarkExtensionBounds(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunExtended(experiments.Default())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := experiments.Extended(suite(b), macs.DefaultRules())
 		if i == 0 {
 			var plain, plus float64
 			for _, r := range rows {
@@ -421,7 +415,7 @@ func BenchmarkExtensionBounds(b *testing.B) {
 func BenchmarkClusterCoSimulation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunClusterContention(experiments.Default())
+		rows, err := experiments.RunClusterContention(experiments.Default(), suite(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -440,7 +434,7 @@ func BenchmarkClusterCoSimulation(b *testing.B) {
 func BenchmarkMachineComparison(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunMachineComparison()
+		rows, err := experiments.RunMachineComparison(experiments.Default())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	lfkbench              # everything
-//	lfkbench -table 4     # one table (1-5)
+//	lfkbench -table 4     # one table (1-8)
 //	lfkbench -figure 3    # one figure (1-3)
 //	lfkbench -parallel 0  # fan each sweep out over all cores
 package main
@@ -12,8 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"macs"
 	"macs/internal/experiments"
 	"macs/internal/report"
 )
@@ -29,90 +31,76 @@ func main() {
 	if *parallel == 0 {
 		cfg.Parallel = -1 // experiments: negative = one worker per core
 	}
-	all := *table == 0 && *figure == 0
-	if err := run(cfg, *table, *figure, all); err != nil {
+	if err := run(os.Stdout, cfg, *table, *figure); err != nil {
 		fmt.Fprintln(os.Stderr, "lfkbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(cfg experiments.Config, table, figure int, all bool) error {
+// run writes the selected tables and figures (all of them when table and
+// figure are both 0) to w. Every table and figure of the case study is a
+// view of one run of the suite, taken once.
+func run(w io.Writer, cfg experiments.Config, table, figure int) error {
+	all := table == 0 && figure == 0
+	var rs []macs.KernelResult
+	if all || (table >= 2 && table <= 7) || figure == 1 || figure == 3 {
+		var err error
+		if rs, err = experiments.RunAll(cfg); err != nil {
+			return err
+		}
+	}
 	if all || table == 1 {
 		res, err := experiments.Table1(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Println(report.Table1(res))
+		fmt.Fprintln(w, report.Table1(res))
 	}
 	if all || table == 2 {
-		rows, err := experiments.Table2(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(report.Table2(rows))
+		fmt.Fprintln(w, report.Table2(experiments.Table2(rs)))
 	}
 	if all || table == 3 {
-		rows, err := experiments.Table3(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(report.Table3(rows))
+		fmt.Fprintln(w, report.Table3(experiments.Table3(rs)))
 	}
 	if all || table == 4 {
-		t4, err := experiments.RunTable4(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(report.Table4(t4))
+		fmt.Fprintln(w, report.Table4(experiments.Table4(rs)))
 	}
 	if all || table == 5 {
-		rows, err := experiments.RunTable5(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(report.Table5(rows))
+		fmt.Fprintln(w, report.Table5(experiments.Table5(rs)))
 	}
 	if all || figure == 1 {
-		hs, err := experiments.Figure1(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(report.Figure1(hs))
+		fmt.Fprintln(w, report.Figure1(experiments.Figure1(rs)))
 	}
 	if all || figure == 2 {
 		fig, err := experiments.RunFigure2(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Println(report.Figure2(fig))
+		fmt.Fprintln(w, report.Figure2(fig))
 	}
 	if all || figure == 3 {
-		rows, slow, err := experiments.RunFigure3(cfg)
+		rows, slow, err := experiments.RunFigure3(cfg, rs)
 		if err != nil {
 			return err
 		}
-		fmt.Println(report.Figure3(rows, slow))
+		fmt.Fprintln(w, report.Figure3(rows, slow))
 	}
 	if all || table == 6 {
-		rows, err := experiments.RunExtended(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(report.Extended(rows))
+		fmt.Fprintln(w, report.Extended(experiments.Extended(rs, cfg.VM.Rules)))
 	}
 	if all || table == 7 {
-		rows, err := experiments.RunClusterContention(cfg)
+		rows, err := experiments.RunClusterContention(cfg, rs)
 		if err != nil {
 			return err
 		}
-		fmt.Println(report.Cluster(rows))
+		fmt.Fprintln(w, report.Cluster(rows))
 	}
 	if all || table == 8 {
-		rows, err := experiments.RunMachineComparison()
+		rows, err := experiments.RunMachineComparison(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Println(report.MachinesTable(rows))
+		fmt.Fprintln(w, report.MachinesTable(rows))
 	}
 	return nil
 }

@@ -12,10 +12,12 @@ import (
 // the same t_MACS+ as the extension table (`lfkbench -table 6`) for every
 // kernel: both price the kernel's own loop shape.
 func TestCmdLFKExtendedBoundMatchesTable6(t *testing.T) {
-	rows, err := experiments.RunExtended(experiments.Default())
+	cfg := experiments.Default()
+	rs, err := experiments.RunAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := experiments.Extended(rs, cfg.VM.Rules)
 	if len(rows) != 10 {
 		t.Fatalf("extension table has %d rows, want 10", len(rows))
 	}

@@ -1,6 +1,7 @@
 package macs_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,17 +61,18 @@ func ExampleKernelByID() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := macs.RunKernel(k, macs.DefaultExperimentConfig())
+	// RunKernel fails if the run's output misses the kernel's reference.
+	r, err := macs.RunKernel(context.Background(), k, macs.DefaultVMConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 	tma, tmac, tmacs, _ := r.CPFs()
 	fmt.Printf("LFK1: t_MA=%.3f t_MAC=%.3f t_MACS=%.3f CPF (paper: 0.600 0.800 0.840)\n",
 		tma, tmac, tmacs)
-	fmt.Println("validated:", r.Validated)
+	fmt.Println("primary cause:", r.Diagnosis().Primary())
 	// Output:
 	// LFK1: t_MA=0.600 t_MAC=0.800 t_MACS=0.840 CPF (paper: 0.600 0.800 0.840)
-	// validated: true
+	// primary cause: near-bound
 }
 
 // ExampleDiagnose applies the §4.4 rules to a first-difference loop with

@@ -30,7 +30,11 @@ func main() {
 		40*slow)
 
 	ecfg := experiments.Default()
-	rows, used, err := experiments.RunFigure3(ecfg)
+	single, err := experiments.RunAll(ecfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rows, used, err := experiments.RunFigure3(ecfg, single)
 	if err != nil {
 		log.Fatal(err)
 	}

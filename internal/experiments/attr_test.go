@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
+	"macs"
 	"macs/internal/lfk"
 	"macs/internal/vm"
 )
@@ -12,15 +14,8 @@ import (
 // each lane's issue plus attributed stall cycles must exactly equal the
 // run's total cycle count.
 func TestAttributionConservedAllKernels(t *testing.T) {
-	cfg := Default()
-	for _, k := range lfk.All() {
-		r, err := RunKernel(k, cfg)
-		if err != nil {
-			t.Fatalf("lfk%d: %v", k.ID, err)
-		}
-		if r.Stats.Cycles != r.Cycles {
-			t.Errorf("lfk%d: Stats.Cycles %d != Cycles %d", k.ID, r.Stats.Cycles, r.Cycles)
-		}
+	for _, r := range mustSuite(t) {
+		k := r.Kernel
 		if err := r.Stats.Attr.Conserved(r.Stats.Cycles); err != nil {
 			t.Errorf("lfk%d: %v", k.ID, err)
 		}
@@ -45,7 +40,7 @@ func TestAttributionRefreshShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Default()
-	r, err := RunKernel(k, cfg)
+	r, err := macs.RunKernel(context.Background(), k, cfg.VM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +54,7 @@ func TestAttributionRefreshShare(t *testing.T) {
 		t.Errorf("load/store refresh share = %.4f, want ~0.02 (2%% duty cycle)", share)
 	}
 	cfg.VM.RefreshStalls = false
-	r2, err := RunKernel(k, cfg)
+	r2, err := macs.RunKernel(context.Background(), k, cfg.VM)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"macs/internal/lfk"
+	"macs"
 	"macs/internal/vm"
 )
 
@@ -19,25 +19,21 @@ type ClusterRow struct {
 	Degradation float64
 }
 
-// RunClusterContention co-simulates four copies of every kernel on the
-// shared banks (the paper's same-executable case: processes fall into
-// lockstep and lose only 5-10%).
-func RunClusterContention(cfg Config) ([]ClusterRow, error) {
+// RunClusterContention co-simulates four copies of every kernel of the
+// run rs, which simulated cfg's machine, on the shared banks (the
+// paper's same-executable case: processes fall into lockstep and lose
+// only 5-10%). Each kernel's solo time is its run in rs.
+func RunClusterContention(cfg Config, rs []macs.KernelResult) ([]ClusterRow, error) {
 	var rows []ClusterRow
-	for _, k := range lfk.All() {
-		c, err := lfk.Compile(k, cfg.Compiler)
-		if err != nil {
-			return nil, err
-		}
-		soloStats, _, err := c.Run(cfg.VM)
-		if err != nil {
-			return nil, err
-		}
-
-		cfgs := []vm.Config{cfg.VM, cfg.VM, cfg.VM, cfg.VM}
-		cl := vm.NewCluster(cfgs)
+	for _, r := range rs {
+		k := r.Kernel
+		cl := vm.NewCluster([]vm.Config{cfg.VM, cfg.VM, cfg.VM, cfg.VM})
 		for i := 0; i < cl.Size(); i++ {
-			if err := c.Prime(cl.CPU(i)); err != nil {
+			cpu := cl.CPU(i)
+			if err := cpu.Load(r.Program); err != nil {
+				return nil, err
+			}
+			if err := k.Inputs.Write(cpu); err != nil {
 				return nil, err
 			}
 		}
@@ -53,7 +49,7 @@ func RunClusterContention(cfg Config) ([]ClusterRow, error) {
 		}
 		row := ClusterRow{
 			ID:         k.ID,
-			SoloCPL:    k.CPL(soloStats.Cycles),
+			SoloCPL:    r.MeasuredCPL,
 			ClusterCPL: k.CPL(worst),
 		}
 		row.Degradation = row.ClusterCPL / row.SoloCPL

@@ -1,39 +1,40 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation: Table 1 (calibrated instruction timings), Table 2 (LFK
+// Package experiments renders the tables and figures of the paper's
+// evaluation as views of one run of the case study through the facade:
+// RunAll puts every kernel through macs.RunKernel, and Table 2 (LFK
 // workloads), Table 3 (component bounds), Table 4 (bounds vs measured
-// CPF with harmonic-mean MFLOPS), Table 5 (A/X measurements), Figure 2
-// (chaining/tailgating timeline) and Figure 3 (bounds vs single- and
-// multi-process measurements).
+// CPF with harmonic-mean MFLOPS), Table 5 (A/X measurements), Figure 1
+// (the hierarchy), Figure 3's single-process bars, the extension table,
+// the co-simulation table and the §4.4 diagnoses all read its results.
+// Table 1 (calibrated instruction timings) and Figure 2 (the chaining
+// timeline) run calibration loops of their own; Figure 3's
+// multi-process bars and the machine comparison run the suite again on
+// other machines.
 package experiments
 
 import (
 	"context"
-	"fmt"
 
+	"macs"
 	"macs/internal/asm"
-	"macs/internal/ax"
 	"macs/internal/calib"
-	"macs/internal/compiler"
 	"macs/internal/core"
-	"macs/internal/depgraph"
 	"macs/internal/lfk"
 	"macs/internal/mem"
 	"macs/internal/par"
 	"macs/internal/vm"
 )
 
-// Config selects the machine and compiler configuration for a run.
+// Config selects the machine a run simulates and its fan-out.
 type Config struct {
-	VM       vm.Config
-	Compiler compiler.Options
+	VM vm.Config
 	// MultiSlowdown is the memory slowdown applied for the Figure 3
 	// multi-process bars; <=0 derives it from the bank-arbiter contention
 	// simulation of four different programs.
 	MultiSlowdown float64
-	// Parallel is the sweep fan-out: how many kernels RunAll and the
-	// table generators process concurrently, each on its own simulator.
-	// 0 or 1 runs sequentially (the historical behavior); n > 1 uses n
-	// workers; negative uses one worker per core.
+	// Parallel is the sweep fan-out: how many kernels RunAll (or
+	// calibration loops Table1) runs concurrently, each on its own
+	// simulator. 0 or 1 runs sequentially (the historical behavior);
+	// n > 1 uses n workers; negative uses one worker per core.
 	Parallel int
 }
 
@@ -47,87 +48,20 @@ func (c Config) workers() int {
 
 // Default returns the standard experiment configuration.
 func Default() Config {
-	return Config{
-		VM:       vm.DefaultConfig(),
-		Compiler: compiler.DefaultOptions(),
-	}
+	return Config{VM: vm.DefaultConfig()}
 }
 
-// KernelResult bundles everything measured and modeled for one kernel.
-type KernelResult struct {
-	Kernel *lfk.Kernel
-	// Analysis is the MA/MAC/MACS hierarchy at VL = 128.
-	Analysis core.Analysis
-	// Cycles is the measured single-process run time; AX carries the
-	// A-process and X-process run times.
-	Cycles int64
-	AX     ax.Measurement
-	// Stats is the full simulator outcome of the single-process run,
-	// including the stall-attribution ledger (Stats.Attr).
-	Stats vm.Stats
-	// Validated records that the run's numerical output matched the Go
-	// reference implementation.
-	Validated bool
-}
-
-// CPLs returns (t_MA, t_MAC, t_MACS, t_p) in cycles per loop iteration.
-func (r KernelResult) CPLs() (tma, tmac, tmacs, tp float64) {
-	return r.Analysis.TMA, r.Analysis.TMAC, r.Analysis.MACS.CPL,
-		r.Kernel.CPL(r.Cycles)
-}
-
-// CPFs returns the same hierarchy in cycles per flop.
-func (r KernelResult) CPFs() (tma, tmac, tmacs, tp float64) {
-	f := float64(r.Kernel.FlopsPerIteration())
-	tma, tmac, tmacs, tp = r.CPLs()
-	return tma / f, tmac / f, tmacs / f, tp / f
-}
-
-// RunKernel compiles, analyzes, measures and validates one kernel.
-func RunKernel(k *lfk.Kernel, cfg Config) (KernelResult, error) {
-	res := KernelResult{Kernel: k}
-	c, err := lfk.Compile(k, cfg.Compiler)
-	if err != nil {
-		return res, err
-	}
-	loop, ok := asm.InnerVectorLoop(c.Program)
-	if !ok {
-		return res, fmt.Errorf("experiments: lfk%d has no vector loop", k.ID)
-	}
-	res.Analysis = core.Analyze(k.Paper.MA, loop.Body, cfg.VM.VLMax, cfg.VM.Rules)
-	if cp, _, ok := depgraph.Analyze(c.Program, cfg.VM.VLMax, depgraph.DefaultParams()); ok {
-		res.Analysis.TCP = cp.CPL
-	}
-	st, cpu, err := c.Run(cfg.VM)
-	if err != nil {
-		return res, err
-	}
-	if err := c.Validate(cpu); err != nil {
-		return res, err
-	}
-	res.Validated = true
-	res.Cycles = st.Cycles
-	res.Stats = st
-	res.AX, err = ax.Measure(c.Program, cfg.VM, k.Inputs.Prime())
-	if err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// RunAll measures every kernel of the case study. With cfg.Parallel > 1
-// kernels run concurrently, one simulator per goroutine; results are
-// ordered by kernel regardless of fan-out.
-func RunAll(cfg Config) ([]KernelResult, error) {
+// RunAll puts every kernel of the case study through macs.RunKernel on
+// cfg's machine. With cfg.Parallel > 1 kernels run concurrently, one
+// simulator per goroutine; results are ordered by kernel regardless of
+// fan-out.
+func RunAll(cfg Config) ([]macs.KernelResult, error) {
 	ks := lfk.All()
-	out := make([]KernelResult, len(ks))
+	out := make([]macs.KernelResult, len(ks))
 	err := par.ForEachCtx(context.Background(), cfg.workers(), len(ks), func(i int) error {
-		r, err := RunKernel(ks[i], cfg)
-		if err != nil {
-			return fmt.Errorf("lfk%d: %w", ks[i].ID, err)
-		}
+		r, err := macs.RunKernel(context.Background(), ks[i], cfg.VM)
 		out[i] = r
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -147,35 +81,13 @@ type Table2Row struct {
 	MA, MAC core.Workload
 }
 
-// Table2 regenerates the LFK workload table.
-func Table2(cfg Config) ([]Table2Row, error) {
-	ks := lfk.All()
-	rows := make([]Table2Row, len(ks))
-	err := par.ForEachCtx(context.Background(), cfg.workers(), len(ks), func(i int) error {
-		k := ks[i]
-		c, err := lfk.Compile(k, cfg.Compiler)
-		if err != nil {
-			return err
-		}
-		loop, ok := asm.InnerVectorLoop(c.Program)
-		if !ok {
-			return fmt.Errorf("lfk%d: no vector loop", k.ID)
-		}
-		ma, err := compiler.MAWorkload(k.Source)
-		if err != nil {
-			return err
-		}
-		rows[i] = Table2Row{
-			ID:  k.ID,
-			MA:  ma,
-			MAC: core.WorkloadFromAssembly(loop.Body),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// Table2 is the LFK workload table.
+func Table2(rs []macs.KernelResult) []Table2Row {
+	rows := make([]Table2Row, len(rs))
+	for i, r := range rs {
+		rows[i] = Table2Row{ID: r.Kernel.ID, MA: r.Analysis.MA, MAC: r.Analysis.MAC}
 	}
-	return rows, nil
+	return rows
 }
 
 // Table3Row is one kernel's component and full bounds in CPL.
@@ -186,20 +98,13 @@ type Table3Row struct {
 	TMA, TMAC, TMACS float64
 }
 
-// Table3 regenerates the performance-bounds table.
-func Table3(cfg Config) ([]Table3Row, error) {
-	ks := lfk.All()
-	rows := make([]Table3Row, len(ks))
-	err := par.ForEachCtx(context.Background(), cfg.workers(), len(ks), func(i int) error {
-		k := ks[i]
-		c, err := lfk.Compile(k, cfg.Compiler)
-		if err != nil {
-			return err
-		}
-		loop, _ := asm.InnerVectorLoop(c.Program)
-		a := core.Analyze(k.Paper.MA, loop.Body, cfg.VM.VLMax, cfg.VM.Rules)
+// Table3 is the performance-bounds table.
+func Table3(rs []macs.KernelResult) []Table3Row {
+	rows := make([]Table3Row, len(rs))
+	for i, r := range rs {
+		a := r.Analysis
 		rows[i] = Table3Row{
-			ID:     k.ID,
+			ID:     r.Kernel.ID,
 			TM:     a.MA.TM(),
 			TMp:    a.MAC.TM(),
 			TMACSm: a.MACSM.CPL,
@@ -210,12 +115,8 @@ func Table3(cfg Config) ([]Table3Row, error) {
 			TMAC:   a.TMAC,
 			TMACS:  a.MACS.CPL,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return rows, nil
+	return rows
 }
 
 // Table4Row compares the bounds hierarchy with measured performance for
@@ -227,26 +128,19 @@ type Table4Row struct {
 	Paper                  lfk.PaperRow
 }
 
-// Table4 is the full comparison with averages and harmonic-mean MFLOPS.
-type Table4 struct {
+// Comparison is Table 4: the full comparison with averages and
+// harmonic-mean MFLOPS.
+type Comparison struct {
 	Rows   []Table4Row
 	Avg    [4]float64 // average CPF: MA, MAC, MACS, measured
 	MFLOPS [4]float64
 }
 
-// RunTable4 regenerates the bounds-vs-measured comparison.
-func RunTable4(cfg Config) (Table4, error) {
-	results, err := RunAll(cfg)
-	if err != nil {
-		return Table4{}, err
-	}
-	return table4From(results), nil
-}
-
-func table4From(results []KernelResult) Table4 {
-	var t Table4
+// Table4 is the bounds-vs-measured comparison.
+func Table4(rs []macs.KernelResult) Comparison {
+	var t Comparison
 	var sums [4]float64
-	for _, r := range results {
+	for _, r := range rs {
 		tma, tmac, tmacs, tp := r.CPFs()
 		row := Table4Row{
 			ID: r.Kernel.ID, TMA: tma, TMAC: tmac, TMACS: tmacs, TP: tp,
@@ -258,7 +152,7 @@ func table4From(results []KernelResult) Table4 {
 			sums[i] += v
 		}
 	}
-	n := float64(len(results))
+	n := float64(len(rs))
 	for i := range sums {
 		t.Avg[i] = sums[i] / n
 		t.MFLOPS[i] = core.HarmonicMeanMFLOPS([]float64{t.Avg[i]})
@@ -275,18 +169,10 @@ type Table5Row struct {
 	TA, TMACSm float64
 }
 
-// RunTable5 regenerates the A/X measurement table.
-func RunTable5(cfg Config) ([]Table5Row, error) {
-	results, err := RunAll(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return table5From(results), nil
-}
-
-func table5From(results []KernelResult) []Table5Row {
+// Table5 is the A/X measurement table.
+func Table5(rs []macs.KernelResult) []Table5Row {
 	var rows []Table5Row
-	for _, r := range results {
+	for _, r := range rs {
 		k := r.Kernel
 		rows = append(rows, Table5Row{
 			ID:     k.ID,
@@ -312,14 +198,10 @@ type Hierarchy struct {
 	TX, TA, TP       float64
 }
 
-// Figure1 renders the hierarchy data for every kernel.
-func Figure1(cfg Config) ([]Hierarchy, error) {
-	results, err := RunAll(cfg)
-	if err != nil {
-		return nil, err
-	}
+// Figure1 is the hierarchy data for every kernel.
+func Figure1(rs []macs.KernelResult) []Hierarchy {
 	var out []Hierarchy
-	for _, r := range results {
+	for _, r := range rs {
 		k := r.Kernel
 		out = append(out, Hierarchy{
 			ID:     k.ID,
@@ -334,7 +216,7 @@ func Figure1(cfg Config) ([]Hierarchy, error) {
 			TP:     k.CPL(r.AX.TP),
 		})
 	}
-	return out, nil
+	return out
 }
 
 // Figure2 reproduces the chaining walkthrough: the chained ld/add/mul
@@ -400,18 +282,15 @@ type Figure3Row struct {
 	Single, Multi    float64
 }
 
-// RunFigure3 regenerates the Figure 3 data. The multi-process bars rerun
+// RunFigure3 is the Figure 3 data: the bounds and single-process bars of
+// the idle-machine run single, and multi-process bars from a rerun of
 // every kernel with the memory port slowed by the contention factor
 // obtained from the four-CPU bank-arbiter simulation (paper §4.2: one
 // access per 56-64 ns instead of 40 ns).
-func RunFigure3(cfg Config) ([]Figure3Row, float64, error) {
+func RunFigure3(cfg Config, single []macs.KernelResult) ([]Figure3Row, float64, error) {
 	slow := cfg.MultiSlowdown
 	if slow <= 0 {
 		slow = mem.ContentionSlowdown(mem.DefaultConfig(), 4, true, 4000)
-	}
-	single, err := RunAll(cfg)
-	if err != nil {
-		return nil, 0, err
 	}
 	loaded := cfg
 	loaded.VM.MemSlowdown = slow

@@ -1,21 +1,33 @@
 package experiments
 
 import (
+	"context"
 	"math"
+	"sync"
 	"testing"
 
+	"macs"
 	"macs/internal/lfk"
 )
 
-func TestRunKernelLFK1(t *testing.T) {
-	cfg := Default()
-	k := mustKernel(t, 1)
-	r, err := RunKernel(k, cfg)
+// suite is the one run of the case study on the default machine that
+// the table and figure views below read.
+var suite = sync.OnceValues(func() ([]macs.KernelResult, error) { return RunAll(Default()) })
+
+func mustSuite(t *testing.T) []macs.KernelResult {
+	t.Helper()
+	rs, err := suite()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Validated {
-		t.Error("kernel output not validated")
+	return rs
+}
+
+func TestRunKernelLFK1(t *testing.T) {
+	k := mustKernel(t, 1)
+	r, err := macs.RunKernel(context.Background(), k, Default().VM)
+	if err != nil {
+		t.Fatal(err)
 	}
 	tma, tmac, tmacs, tp := r.CPFs()
 	if tma != 0.6 || tmac != 0.8 {
@@ -30,10 +42,7 @@ func TestRunKernelLFK1(t *testing.T) {
 }
 
 func TestTable2MatchesPaper(t *testing.T) {
-	rows, err := Table2(Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Table2(mustSuite(t))
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d, want 10", len(rows))
 	}
@@ -52,11 +61,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestTable3Hierarchy(t *testing.T) {
-	rows, err := Table3(Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
+	for _, r := range Table3(mustSuite(t)) {
 		if r.TMA > r.TMAC+1e-9 || r.TMAC > r.TMACS+1e-9 {
 			t.Errorf("lfk%d: hierarchy violated: %v %v %v", r.ID, r.TMA, r.TMAC, r.TMACS)
 		}
@@ -71,10 +76,7 @@ func TestTable3Hierarchy(t *testing.T) {
 }
 
 func TestTable4ShapeAgainstPaper(t *testing.T) {
-	t4, err := RunTable4(Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t4 := Table4(mustSuite(t))
 	for _, r := range t4.Rows {
 		// Bound CPFs must be close to the paper (same model, same
 		// compiler behaviours).
@@ -121,11 +123,7 @@ func TestTable4ShapeAgainstPaper(t *testing.T) {
 }
 
 func TestTable5Relations(t *testing.T) {
-	rows, err := RunTable5(Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
+	for _, r := range Table5(mustSuite(t)) {
 		// Measurements sit at or above their bounds.
 		if r.TX < r.TMACSf-0.01 {
 			t.Errorf("lfk%d: t_x %.2f below t_MACS^f %.2f", r.ID, r.TX, r.TMACSf)
@@ -172,7 +170,7 @@ func TestFigure2(t *testing.T) {
 func TestFigure3Contention(t *testing.T) {
 	cfg := Default()
 	cfg.MultiSlowdown = 1.45 // pin for test determinism
-	rows, slow, err := RunFigure3(cfg)
+	rows, slow, err := RunFigure3(cfg, mustSuite(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +202,7 @@ func TestFigure3Contention(t *testing.T) {
 func TestDerivedContentionSlowdownInRange(t *testing.T) {
 	cfg := Default()
 	cfg.MultiSlowdown = 0 // derive from the arbiter simulation
-	_, slow, err := RunFigure3(cfg)
+	_, slow, err := RunFigure3(cfg, mustSuite(t))
 	if err != nil {
 		t.Fatal(err)
 	}

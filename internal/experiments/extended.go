@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
-	"macs/internal/advisor"
+	"macs"
 	"macs/internal/asm"
 	"macs/internal/core"
-	"macs/internal/lfk"
 )
 
 // ExtendedRow compares the plain MACS bound, the short-vector extended
@@ -21,58 +18,36 @@ type ExtendedRow struct {
 	PctMACS, PctPlus     float64 // bound / measured
 }
 
-// RunExtended computes the extension table for every kernel.
-func RunExtended(cfg Config) ([]ExtendedRow, error) {
-	results, err := RunAll(cfg)
-	if err != nil {
-		return nil, err
-	}
+// Extended is the extension table: each kernel's compiled loop priced
+// under the chime rules the run used, t_MACSD at the vector length it
+// was bounded at.
+func Extended(rs []macs.KernelResult, rules core.Rules) []ExtendedRow {
 	var rows []ExtendedRow
-	for _, r := range results {
+	for _, r := range rs {
 		k := r.Kernel
-		c, err := lfk.Compile(k, cfg.Compiler)
-		if err != nil {
-			return nil, err
-		}
-		loop, ok := asm.InnerVectorLoop(c.Program)
-		if !ok {
-			return nil, fmt.Errorf("lfk%d: no vector loop", k.ID)
-		}
-		ext := core.ExtendedBound(loop.Body, k.Shape(), cfg.VM.Rules)
-		tp := k.CPL(r.Cycles)
+		// RunKernel bounded this loop, so the program has one.
+		loop, _ := asm.InnerVectorLoop(r.Program)
 		row := ExtendedRow{
 			ID:    k.ID,
 			TMACS: r.Analysis.MACS.CPL,
-			TPlus: ext.CPL,
-			TD:    core.MACSDBound(loop.Body, cfg.VM.VLMax, cfg.VM.Rules).CPL,
-			TP:    tp,
+			TPlus: core.ExtendedBound(loop.Body, k.Shape(), rules).CPL,
+			TD:    core.MACSDBound(loop.Body, r.Analysis.VL, rules).CPL,
+			TP:    r.MeasuredCPL,
 		}
-		if tp > 0 {
-			row.PctMACS = row.TMACS / tp
-			row.PctPlus = row.TPlus / tp
+		if row.TP > 0 {
+			row.PctMACS = row.TMACS / row.TP
+			row.PctPlus = row.TPlus / row.TP
 		}
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
-// DiagnoseAll runs the §4.4 advisor over every kernel.
-func DiagnoseAll(cfg Config) (map[int]advisor.Diagnosis, error) {
-	results, err := RunAll(cfg)
-	if err != nil {
-		return nil, err
+// DiagnoseAll is the §4.4 advisor's diagnosis of every kernel, by id.
+func DiagnoseAll(rs []macs.KernelResult) map[int]macs.Diagnosis {
+	out := make(map[int]macs.Diagnosis, len(rs))
+	for _, r := range rs {
+		out[r.Kernel.ID] = r.Diagnosis()
 	}
-	out := make(map[int]advisor.Diagnosis, len(results))
-	for i := range results {
-		r := &results[i]
-		k := r.Kernel
-		out[k.ID] = advisor.Diagnose(advisor.Inputs{
-			Analysis: r.Analysis,
-			TP:       k.CPL(r.AX.TP),
-			TA:       k.CPL(r.AX.TA),
-			TX:       k.CPL(r.AX.TX),
-			Attr:     &r.Stats.Attr,
-		})
-	}
-	return out, nil
+	return out
 }

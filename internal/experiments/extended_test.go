@@ -7,10 +7,7 @@ import (
 )
 
 func TestRunExtended(t *testing.T) {
-	rows, err := RunExtended(Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Extended(mustSuite(t), Default().VM.Rules)
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d, want 10", len(rows))
 	}
@@ -47,10 +44,7 @@ func TestRunExtended(t *testing.T) {
 }
 
 func TestDiagnoseAll(t *testing.T) {
-	ds, err := DiagnoseAll(Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := DiagnoseAll(mustSuite(t))
 	if len(ds) != 10 {
 		t.Fatalf("diagnoses = %d, want 10", len(ds))
 	}
@@ -70,7 +64,7 @@ func TestDiagnoseAll(t *testing.T) {
 }
 
 func TestRunClusterContention(t *testing.T) {
-	rows, err := RunClusterContention(Default())
+	rows, err := RunClusterContention(Default(), mustSuite(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,19 @@
 package experiments
 
 import (
-	"macs/internal/asm"
-	"macs/internal/compiler"
 	"macs/internal/core"
-	"macs/internal/isa"
-	"macs/internal/lfk"
 	"macs/internal/vm"
 )
 
 // Machine is a named machine configuration — the paper's conclusion
 // argues the MACS approach "can be generalized ... to assess a broad
 // range of machines"; these presets demonstrate it on vector machines
-// the paper compares the C-240 against (§3.3).
+// the paper compares the C-240 against (§3.3). Each preset's programs
+// are compiled at its own vector length (vm.Machine.CompileVL), as every
+// facade run's are.
 type Machine struct {
-	Name     string
-	VM       vm.Config
-	Compiler compiler.Options
+	Name string
+	VM   vm.Config
 }
 
 // Machines returns the comparison set:
@@ -28,14 +25,13 @@ type Machine struct {
 //   - Cray-2-like: no chaining at all (§3.3: "with the notable exception
 //     of the Cray-2").
 func Machines() []Machine {
-	c240 := Machine{Name: "Convex C-240", VM: vm.DefaultConfig(), Compiler: compiler.DefaultOptions()}
+	c240 := Machine{Name: "Convex C-240", VM: vm.DefaultConfig()}
 
-	cray1 := Machine{Name: "Cray-1-like (VL=64, no memory chaining)", VM: vm.DefaultConfig(), Compiler: compiler.DefaultOptions()}
+	cray1 := Machine{Name: "Cray-1-like (VL=64, no memory chaining)", VM: vm.DefaultConfig()}
 	cray1.VM.VLMax = 64
 	cray1.VM.Rules.NoMemoryChaining = true
-	cray1.Compiler.VL = 64
 
-	cray2 := Machine{Name: "Cray-2-like (no chaining)", VM: vm.DefaultConfig(), Compiler: compiler.DefaultOptions()}
+	cray2 := Machine{Name: "Cray-2-like (no chaining)", VM: vm.DefaultConfig()}
 	cray2.VM.Rules.Chaining = false
 
 	return []Machine{c240, cray1, cray2}
@@ -48,49 +44,32 @@ type MachineRow struct {
 	// MFLOPS are the harmonic means at the 25 MHz clock.
 	AvgMACSCPF, AvgMeasuredCPF float64
 	BoundMFLOPS, MFLOPS        float64
-	// Validated is false if any kernel's output failed validation.
-	Validated bool
 }
 
-// RunMachineComparison runs the full suite on every machine preset.
-func RunMachineComparison() ([]MachineRow, error) {
+// RunMachineComparison runs the full suite (RunAll, with cfg's fan-out)
+// on every machine preset. A kernel whose output misses its reference
+// on any preset fails the comparison.
+func RunMachineComparison(cfg Config) ([]MachineRow, error) {
 	var rows []MachineRow
 	for _, m := range Machines() {
-		row := MachineRow{Name: m.Name, Validated: true}
-		var sumBound, sumMeasured float64
-		for _, k := range lfk.All() {
-			c, err := lfk.Compile(k, m.Compiler)
-			if err != nil {
-				return nil, err
-			}
-			st, cpu, err := c.Run(m.VM)
-			if err != nil {
-				return nil, err
-			}
-			if err := c.Validate(cpu); err != nil {
-				row.Validated = false
-			}
-			loop, _ := innerLoopOf(c)
-			bound := core.MACSBound(loop, m.VM.VLMax, m.VM.Rules)
-			f := float64(k.FlopsPerIteration())
-			sumBound += bound.CPL / f
-			sumMeasured += k.CPF(st.Cycles)
+		c := cfg
+		c.VM = m.VM
+		rs, err := RunAll(c)
+		if err != nil {
+			return nil, err
 		}
-		n := float64(len(lfk.All()))
-		row.AvgMACSCPF = sumBound / n
-		row.AvgMeasuredCPF = sumMeasured / n
+		row := MachineRow{Name: m.Name}
+		for _, r := range rs {
+			_, _, tmacs, tp := r.CPFs()
+			row.AvgMACSCPF += tmacs
+			row.AvgMeasuredCPF += tp
+		}
+		n := float64(len(rs))
+		row.AvgMACSCPF /= n
+		row.AvgMeasuredCPF /= n
 		row.BoundMFLOPS = core.HarmonicMeanMFLOPS([]float64{row.AvgMACSCPF})
 		row.MFLOPS = core.HarmonicMeanMFLOPS([]float64{row.AvgMeasuredCPF})
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// innerLoopOf extracts a compiled kernel's vector inner loop body.
-func innerLoopOf(c *lfk.Compiled) ([]isa.Instr, bool) {
-	loop, ok := asm.InnerVectorLoop(c.Program)
-	if !ok {
-		return nil, false
-	}
-	return loop.Body, true
 }

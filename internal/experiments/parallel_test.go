@@ -9,7 +9,9 @@ import (
 
 // TestRunAllParallelMatchesSequential is the sweep-runner gate: fanning
 // the kernels out over goroutines must reproduce the sequential results
-// exactly — same order, same Stats, same attribution ledgers.
+// exactly — same order, same analyses, programs, Stats, attribution
+// ledgers and A/X measurements. Every table and figure view reads one
+// such run, so this also covers the tables' fan-out.
 func TestRunAllParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full kernel sweep")
@@ -42,36 +44,6 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("lfk%d: parallel result diverges from sequential:\ngot  %+v\nwant %+v",
 				want[i].Kernel.ID, g, w)
 		}
-	}
-}
-
-func TestTablesParallelMatchSequential(t *testing.T) {
-	seq := Default()
-	parCfg := Default()
-	parCfg.Parallel = 4
-
-	t2s, err := Table2(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2p, err := Table2(parCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(t2p, t2s) {
-		t.Fatal("parallel Table2 diverges from sequential")
-	}
-
-	t3s, err := Table3(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3p, err := Table3(parCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(t3p, t3s) {
-		t.Fatal("parallel Table3 diverges from sequential")
 	}
 }
 

@@ -29,9 +29,6 @@ type Options struct {
 	// tracing is switched off, because a sweep reads no timing events.
 	// The zero value takes vm.DefaultConfig.
 	Run vm.Config
-	// Compiler configures the one compile each kernel gets. The zero
-	// value takes the default options.
-	Compiler macs.CompilerOptions
 	// TopFrac is the fraction of grid points promoted to exact
 	// simulation, ranked by fast-tier predicted cycles; 0 takes
 	// DefaultTopFrac, and at least MinTop points always survive.
@@ -59,9 +56,6 @@ func New(grid Grid, opts Options) (*Engine, error) {
 		opts.Run = vm.DefaultConfig()
 	}
 	opts.Run.Trace, opts.Run.TraceRing = false, 0
-	if opts.Compiler == (macs.CompilerOptions{}) {
-		opts.Compiler = macs.DefaultCompilerOptions()
-	}
 	if opts.TopFrac <= 0 {
 		opts.TopFrac = DefaultTopFrac
 	}
@@ -205,9 +199,9 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each point's program is compiled, verified and bounded at its
-	// machine's compile vector length (vm.Machine.CompileVL), as the
-	// facade's are.
+	// Each point's program is compiled with the facade's options for its
+	// machine (macs.CompilerOptionsFor), then verified and bounded at its
+	// compile vector length (vm.Machine.CompileVL), as the facade's are.
 	// A grid holds at most a handful of distinct lengths, so compilation
 	// stays shared across every other axis.
 	progOf := make(map[int]*macs.Program)
@@ -216,9 +210,7 @@ func (e *Engine) Sweep(ctx context.Context, req Request) (*Sweep, error) {
 		if _, ok := progOf[vl]; ok {
 			continue
 		}
-		copts := e.opts.Compiler
-		copts.VL = vl
-		prog, err := compiler.CompileProgram(parsed, copts)
+		prog, err := compiler.CompileProgram(parsed, macs.CompilerOptionsFor(m))
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ func TestGridSizeAndPoints(t *testing.T) {
 	g := Grid{Axes: []Axis{
 		{Param: "banks", Values: []float64{16, 32}},
 		{Param: "refresh-stalls", Values: []float64{0, 1}},
-		{Param: "vlmax", Values: []float64{64, 128, 256}},
+		{Param: "vlmax", Values: []float64{64, 128, 32}},
 	}}
 	if got := g.Size(); got != 12 {
 		t.Fatalf("Size = %d, want 12", got)
@@ -39,7 +39,7 @@ func TestGridSizeAndPoints(t *testing.T) {
 	if pts[1].VLMax != 128 || pts[1].Banks != 16 {
 		t.Fatalf("odometer order wrong: point 1 = %+v", pts[1])
 	}
-	if pts[11].Banks != 32 || pts[11].VLMax != 256 || !pts[11].RefreshStalls {
+	if pts[11].Banks != 32 || pts[11].VLMax != 32 || !pts[11].RefreshStalls {
 		t.Fatalf("last point = %+v", pts[11])
 	}
 	// An axis-free grid has exactly one point: the base.
@@ -65,6 +65,33 @@ func TestGridValidation(t *testing.T) {
 		if _, err := g.Points(); err == nil {
 			t.Errorf("case %d: bad grid accepted: %+v", i, g)
 		}
+	}
+
+	// A VLMax the vector registers cannot hold, on an axis or in the
+	// base (a base that leaves VLMax unset has VLMax 0), is refused in
+	// vm.Machine.Check's words, the text every other surface uses.
+	long := vm.DefaultMachine()
+	long.VLMax = 256
+	for _, tc := range []struct {
+		vlmax int
+		grid  Grid
+	}{
+		{256, Grid{Axes: []Axis{{Param: "vlmax", Values: []float64{64, 128, 256}}}}},
+		{0, Grid{Axes: []Axis{{Param: "vlmax", Values: []float64{0, 64}}}}},
+		{256, Grid{Base: long}},
+		{0, Grid{Base: vm.Machine{Banks: 16}, Axes: []Axis{{Param: "banks", Values: []float64{16, 32}}}}},
+	} {
+		want := vm.Machine{VLMax: tc.vlmax}.Check()
+		if _, err := tc.grid.Points(); err == nil || err.Error() != want.Error() {
+			t.Errorf("grid %+v: error %v, want %v", tc.grid, err, want)
+		}
+		if _, err := New(tc.grid, Options{Workers: 1}); err == nil || err.Error() != want.Error() {
+			t.Errorf("engine over grid %+v: error %v, want %v", tc.grid, err, want)
+		}
+	}
+	// An axis that sets VLMax makes a base without one runnable.
+	if _, err := (Grid{Base: vm.Machine{Banks: 16}, Axes: []Axis{{Param: "vlmax", Values: []float64{64}}}}).Points(); err != nil {
+		t.Errorf("vlmax axis over a base without VLMax: %v", err)
 	}
 }
 
@@ -121,15 +148,27 @@ func TestSweepOnePointDifferential(t *testing.T) {
 // TestSweepCompileVLDifferential: the facade and a one-point sweep
 // compile and bound a machine's program at one vector length
 // (vm.Machine.CompileVL), so they report the same t_MACS, VL and cycles
-// at, below and above the ISA's register length.
+// at and below the ISA's register length, and both refuse a machine
+// above it, in one text, before compiling anything.
 func TestSweepCompileVLDifferential(t *testing.T) {
 	for _, vlmax := range []int{32, 128, 256} {
+		cfg := vm.DefaultConfig()
+		cfg.VLMax = vlmax
 		eng, err := New(Grid{Axes: []Axis{{Param: "vlmax", Values: []float64{float64(vlmax)}}}}, Options{Workers: 2})
+		if vlmax > 128 {
+			want := cfg.Machine.Check()
+			if want == nil || err == nil || err.Error() != want.Error() {
+				t.Errorf("vlmax %d: engine error %v, want %v", vlmax, err, want)
+			}
+			k := lfk.All()[0]
+			if _, err := macs.AnalyzeSourceVM(k.Source, int64(k.Elements), cfg, k.Inputs.Prime()); err == nil || err.Error() != want.Error() {
+				t.Errorf("vlmax %d: facade error %v, want %v", vlmax, err, want)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := vm.DefaultConfig()
-		cfg.VLMax = vlmax
 		for _, k := range lfk.All() {
 			sw, err := eng.Sweep(context.Background(), Request{Source: k.Source, Iterations: int64(k.Elements), Inputs: k.Inputs})
 			if err != nil {
@@ -140,8 +179,8 @@ func TestSweepCompileVLDifferential(t *testing.T) {
 				t.Fatalf("vlmax %d lfk%d: %v", vlmax, k.ID, err)
 			}
 			p := sw.Points[0]
-			if wantVL := min(vlmax, 128); res.Analysis.VL != wantVL {
-				t.Errorf("vlmax %d lfk%d: facade bounds at VL %d, want %d", vlmax, k.ID, res.Analysis.VL, wantVL)
+			if res.Analysis.VL != vlmax {
+				t.Errorf("vlmax %d lfk%d: facade bounds at VL %d, want %d", vlmax, k.ID, res.Analysis.VL, vlmax)
 			}
 			if p.Bounds.TMACS != res.Analysis.MACS.CPL || p.Cycles != res.Stats.Cycles {
 				t.Errorf("vlmax %d lfk%d: sweep t_MACS %v over %d cycles, facade %v over %d",

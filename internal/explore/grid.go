@@ -114,7 +114,10 @@ func Params() []string {
 	return out
 }
 
-// checkAxis validates one axis against the parameter registry.
+// checkAxis validates one axis against the parameter registry. A value
+// that leaves the default machine one vm.Machine.Check refuses (a vlmax
+// of 0 or above the register length) is refused in Check's words, as the
+// same machine is on every other surface.
 func checkAxis(a Axis) error {
 	p, ok := params[a.Param]
 	if !ok {
@@ -124,6 +127,11 @@ func checkAxis(a Axis) error {
 		return fmt.Errorf("explore: axis %q has no values", a.Param)
 	}
 	for _, v := range a.Values {
+		m := vm.DefaultMachine()
+		p.apply(&m, v)
+		if err := m.Check(); err != nil {
+			return err
+		}
 		switch p.kind {
 		case kindInt:
 			if v != math.Trunc(v) || v < 1 {
@@ -153,7 +161,9 @@ func (g Grid) Size() int {
 }
 
 // Points validates the grid and materializes every machine point in
-// lexicographic axis order (the last axis varies fastest).
+// lexicographic axis order (the last axis varies fastest). A point
+// vm.Machine.Check refuses, such as a base that leaves VLMax unset,
+// refuses the grid.
 func (g Grid) Points() ([]vm.Machine, error) {
 	base := g.Base
 	if base == (vm.Machine{}) {
@@ -170,6 +180,9 @@ func (g Grid) Points() ([]vm.Machine, error) {
 		m := base
 		for ai, a := range g.Axes {
 			params[a.Param].apply(&m, a.Values[idx[ai]])
+		}
+		if err := m.Check(); err != nil {
+			return nil, err
 		}
 		out = append(out, m)
 		// Odometer increment, last axis fastest.

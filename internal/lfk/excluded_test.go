@@ -40,7 +40,7 @@ func TestExcludedKernelsRunScalar(t *testing.T) {
 			if st.VectorInstrs != 0 {
 				t.Errorf("lfk%d used %d vector instructions on a recurrence", k.ID, st.VectorInstrs)
 			}
-			if err := c.Validate(cpu); err != nil {
+			if err := k.Validate(cpu); err != nil {
 				t.Fatal(err)
 			}
 			// The scalar fallback is far slower than the vectorized

@@ -80,7 +80,7 @@ func TestKernelsFunctionalCorrectness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Validate(cpu); err != nil {
+			if err := k.Validate(cpu); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -106,7 +106,7 @@ func TestScalarCompilationCorrectness(t *testing.T) {
 			if st.VectorInstrs != 0 {
 				t.Errorf("scalar build used %d vector instrs", st.VectorInstrs)
 			}
-			if err := c.Validate(cpu); err != nil {
+			if err := k.Validate(cpu); err != nil {
 				t.Fatal(err)
 			}
 		})

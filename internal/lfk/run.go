@@ -24,23 +24,17 @@ func Compile(k *Kernel, opts compiler.Options) (*Compiled, error) {
 	return &Compiled{Kernel: k, Program: prog}, nil
 }
 
-// NewCPU creates a simulator, loads the program and primes the kernel's
-// inputs.
+// NewCPU creates a simulator, loads the program and writes the kernel's
+// inputs into its memory.
 func (c *Compiled) NewCPU(cfg vm.Config) (*vm.CPU, error) {
 	cpu := vm.New(cfg)
-	if err := c.Prime(cpu); err != nil {
+	if err := cpu.Load(c.Program); err != nil {
+		return nil, err
+	}
+	if err := c.Kernel.Inputs.Write(cpu); err != nil {
 		return nil, err
 	}
 	return cpu, nil
-}
-
-// Prime loads the kernel's program into a fresh simulator and writes its
-// inputs into memory.
-func (c *Compiled) Prime(cpu *vm.CPU) error {
-	if err := cpu.Load(c.Program); err != nil {
-		return err
-	}
-	return c.Kernel.Inputs.Write(cpu)
 }
 
 // Run executes the primed kernel and returns the simulator statistics.
@@ -56,20 +50,20 @@ func (c *Compiled) Run(cfg vm.Config) (vm.Stats, *vm.CPU, error) {
 	return st, cpu, nil
 }
 
-// Validate compares the simulator's memory against the kernel's Go
-// reference implementation; it returns the first mismatch.
-func (c *Compiled) Validate(cpu *vm.CPU) error {
-	k := c.Kernel
+// Validate compares the memory of a simulator that ran the kernel
+// against the kernel's Go reference implementation; it returns the first
+// mismatch.
+func (k *Kernel) Validate(cpu *vm.CPU) error {
 	want := k.Reference(k)
 	m := cpu.Memory()
 	for _, name := range k.Outputs {
 		expect, ok := want[name]
 		if !ok {
-			return fmt.Errorf("lfk%d: reference does not produce %s", k.ID, name)
+			return fmt.Errorf("reference does not produce %s", name)
 		}
 		base, ok := m.SymbolAddr(compiler.DataSym(name))
 		if !ok {
-			return fmt.Errorf("lfk%d: output symbol %s missing", k.ID, name)
+			return fmt.Errorf("output symbol %s missing", name)
 		}
 		for i, w := range expect {
 			got, err := m.ReadF64(base + int64(i*8))
@@ -77,7 +71,7 @@ func (c *Compiled) Validate(cpu *vm.CPU) error {
 				return err
 			}
 			if !closeEnough(got, w) {
-				return fmt.Errorf("lfk%d: %s(%d) = %v, want %v", k.ID, name, i+1, got, w)
+				return fmt.Errorf("%s(%d) = %v, want %v", name, i+1, got, w)
 			}
 		}
 	}

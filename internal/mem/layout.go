@@ -10,7 +10,6 @@ import "fmt"
 // the simulator's by construction.
 type Layout struct {
 	symbols map[string]int64
-	sizes   map[string]int64
 	next    int64
 	size    int64
 }
@@ -19,7 +18,6 @@ type Layout struct {
 func NewLayout(size int64) *Layout {
 	return &Layout{
 		symbols: make(map[string]int64),
-		sizes:   make(map[string]int64),
 		next:    layoutBase,
 		size:    size,
 	}
@@ -29,18 +27,16 @@ func NewLayout(size int64) *Layout {
 // to catch null dereferences.
 const layoutBase = 64
 
-// Place assigns a base address to a named symbol. Placing an existing
-// name returns its existing base (sizes must match); a symbol that does
-// not fit in the memory is an error.
+// Place assigns a base address to a named symbol. A name is placed at
+// most once (a program defines each data symbol once, which asm.Program
+// checks before any load), and a symbol that does not fit in the memory
+// is an error.
 func (l *Layout) Place(name string, size int64) (int64, error) {
 	if size < 0 {
 		return 0, fmt.Errorf("mem: negative size for %q", name)
 	}
-	if addr, ok := l.symbols[name]; ok {
-		if prev := l.sizes[name]; prev != size {
-			return 0, fmt.Errorf("mem: symbol %q re-allocated with size %d (was %d)", name, size, prev)
-		}
-		return addr, nil
+	if _, ok := l.symbols[name]; ok {
+		return 0, fmt.Errorf("mem: symbol %q placed twice", name)
 	}
 	addr := (l.next + 7) &^ 7
 	// addr > size-n rather than addr+n > size: the latter overflows int64
@@ -49,7 +45,6 @@ func (l *Layout) Place(name string, size int64) (int64, error) {
 		return 0, fmt.Errorf("mem: out of memory allocating %q (%d bytes)", name, size)
 	}
 	l.symbols[name] = addr
-	l.sizes[name] = size
 	l.next = addr + size
 	return addr, nil
 }

@@ -62,8 +62,7 @@ func New(size int64) *Memory {
 func (m *Memory) Size() int64 { return m.layout.size }
 
 // Alloc reserves size bytes for a named symbol, 8-byte aligned, and returns
-// its base address. Allocating an existing name returns the existing base
-// (sizes must then match).
+// its base address. A name is allocated at most once (Layout.Place).
 func (m *Memory) Alloc(name string, size int64) (int64, error) {
 	return m.layout.Place(name, size)
 }

@@ -24,10 +24,10 @@ func TestAllocAndSymbols(t *testing.T) {
 	if a2 < a1+1024 {
 		t.Errorf("y (%d) overlaps x (%d..%d)", a2, a1, a1+1024)
 	}
-	// Re-alloc of the same name returns the same base.
-	a3, err := m.Alloc("x", 1024)
-	if err != nil || a3 != a1 {
-		t.Errorf("re-Alloc(x) = %d,%v, want %d,nil", a3, err, a1)
+	// A name is placed once: a second Alloc of it is refused, and the
+	// first placement stands.
+	if a3, err := m.Alloc("x", 1024); err == nil {
+		t.Errorf("re-Alloc(x) = %d, want the refusal", a3)
 	}
 	if got, ok := m.SymbolAddr("x"); !ok || got != a1 {
 		t.Errorf("SymbolAddr(x) = %d,%v", got, ok)
@@ -47,19 +47,26 @@ func TestAllocOutOfMemory(t *testing.T) {
 	}
 }
 
+// TestAllocSizeMismatch: a second placement of a name is refused with one
+// text whatever its size, and leaves the memory's next placement where
+// the first one left it.
 func TestAllocSizeMismatch(t *testing.T) {
 	m := New(1 << 16)
 	if _, err := m.Alloc("x", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Alloc("x", 2048); err == nil {
-		t.Error("re-Alloc with different size should fail")
+	const want = `mem: symbol "x" placed twice`
+	for _, size := range []int64{2048, 1024, 8} {
+		if _, err := m.Alloc("x", size); err == nil || err.Error() != want {
+			t.Errorf("re-Alloc(x, %d): error %v, want %q", size, err, want)
+		}
 	}
 	if _, err := m.Alloc("x", -1); err == nil {
 		t.Error("re-Alloc with negative size should fail")
 	}
-	if _, err := m.Alloc("x", 1024); err != nil {
-		t.Errorf("re-Alloc with matching size should succeed: %v", err)
+	x, _ := m.SymbolAddr("x")
+	if y, err := m.Alloc("y", 8); err != nil || y != x+1024 {
+		t.Errorf("Alloc(y) = %d,%v, want %d,nil right after x", y, err, x+1024)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestTable1Rendering(t *testing.T) {
 }
 
 func TestTable4Rendering(t *testing.T) {
-	t4 := experiments.Table4{
+	t4 := experiments.Comparison{
 		Rows: []experiments.Table4Row{{
 			ID: 1, TMA: 0.6, TMAC: 0.8, TMACS: 0.84, TP: 0.85,
 			PctMA: 0.7, PctMAC: 0.94, PctMACS: 0.99,
@@ -87,19 +87,14 @@ func TestFigure2Rendering(t *testing.T) {
 
 func TestEndToEndTables(t *testing.T) {
 	// Smoke-render every table from real data.
-	cfg := experiments.Default()
-	t2, err := experiments.Table2(cfg)
+	rs, err := experiments.RunAll(experiments.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(Table2(t2), "Table 2") {
+	if !strings.Contains(Table2(experiments.Table2(rs)), "Table 2") {
 		t.Error("Table2 render failed")
 	}
-	t3, err := experiments.Table3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := Table3(t3)
+	out := Table3(experiments.Table3(rs))
 	if !strings.Contains(out, "t_MACS^m") || len(strings.Split(out, "\n")) < 12 {
 		t.Errorf("Table3 render too short:\n%s", out)
 	}

@@ -92,11 +92,10 @@ func (s *Service) checkExplore(req ExploreRequest) (*explore.Engine, error) {
 		req.Grid.Base = s.cfg.VM.Machine
 	}
 	return explore.New(req.Grid, explore.Options{
-		Run:      s.cfg.VM,
-		Compiler: s.cfg.Compiler,
-		TopFrac:  req.TopFrac,
-		MinTop:   req.MinTop,
-		Workers:  s.cfg.Workers,
+		Run:     s.cfg.VM,
+		TopFrac: req.TopFrac,
+		MinTop:  req.MinTop,
+		Workers: s.cfg.Workers,
 	})
 }
 

@@ -41,10 +41,12 @@ type Config struct {
 	// RequestTimeout bounds one request end to end (queue wait included).
 	RequestTimeout time.Duration
 	// Compiler, VM and Rules are part of every cache key, through one
-	// digest taken when the service is built. VM is the
-	// machine every endpoint answers for: its VLMax sets the compile-time
-	// strip length (Analyzer.CompilerOptions) and its Rules form the
-	// chimes. Compiler seeds the explore engine's per-machine compiles.
+	// digest taken when the service is built. VM is the machine every
+	// endpoint answers for: its VLMax sets the compile-time strip length
+	// (macs.CompilerOptionsFor) and its Rules form the chimes; a machine
+	// vm.Machine.Check refuses fails every keyed request. Compiler and
+	// Rules are read by the key alone: every compile uses the facade's
+	// options, and every endpoint runs on VM.Rules.
 	Compiler macs.CompilerOptions
 	VM       macs.VMConfig
 	Rules    macs.Rules
@@ -268,6 +270,9 @@ func New(cfg Config) *Service {
 // are dropped on open, so stale schemas and stale machine models
 // self-invalidate.
 func configFingerprint(cfg Config) (string, error) {
+	if err := cfg.VM.Machine.Check(); err != nil {
+		return "", err
+	}
 	run := cfg.VM
 	run.Machine = macs.Machine{} // keyed separately via Fingerprint
 	k, err := NewKey("cache-fingerprint", fmt.Sprintf("v%d", diskCacheVersion),
@@ -820,7 +825,9 @@ func (s *Service) AX(ctx context.Context, req AXRequest) (AXResponse, error) {
 
 // LFKResponse is the outcome of GET /v1/lfk/{id}: the bounds hierarchy,
 // the measured and A/X performance, validation status and the §4.4
-// diagnosis for one case-study kernel.
+// diagnosis for one case-study kernel. Validated is always true: a run
+// whose output misses the kernel's reference is an error, not a
+// response.
 type LFKResponse struct {
 	ID        int        `json:"id"`
 	Name      string     `json:"name"`
@@ -852,30 +859,22 @@ func (s *Service) LFK(ctx context.Context, id int) (LFKResponse, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := macs.DefaultExperimentConfig()
-		cfg.VM = s.cfg.VM
-		cfg.Compiler = s.analyzer.CompilerOptions()
-		r, err := macs.RunKernel(k, cfg)
+		// The request context carries the trace, as in Analyze; an
+		// output that misses the reference is an error.
+		r, err := macs.RunKernel(ctx, k, s.cfg.VM)
 		if err != nil {
 			return nil, err
 		}
-		diag := macs.Diagnose(macs.DiagnosisInputs{
-			Analysis: r.Analysis,
-			TP:       k.CPL(r.AX.TP),
-			TA:       k.CPL(r.AX.TA),
-			TX:       k.CPL(r.AX.TX),
-			Attr:     &r.Stats.Attr,
-		})
 		s.metrics.recordRun(r.Stats)
 		return &LFKResponse{
 			ID:          k.ID,
 			Name:        k.Name,
 			Bounds:      boundsView(r.Analysis),
-			TP:          k.CPL(r.Cycles),
+			TP:          r.MeasuredCPL,
 			TA:          k.CPL(r.AX.TA),
 			TX:          k.CPL(r.AX.TX),
-			Validated:   r.Validated,
-			Diagnosis:   diag.String(),
+			Validated:   true,
+			Diagnosis:   r.Diagnosis().String(),
 			Attribution: r.Stats.Attr.Totals(),
 		}, nil
 	})

@@ -69,19 +69,23 @@ func DefaultMachine() Machine {
 	}
 }
 
-// CompileVL is the vector length a program for this machine is compiled,
-// and therefore bounded, at. A program's strip length is fixed at compile
-// time (its strip loop advances by the compile-time VL), so a machine
-// with a VLMax below the ISA's register length needs its loops
-// strip-mined at its own length: compiled longer, the hardware would
-// clamp every strip and silently skip elements. A longer VLMax, or none,
-// leaves the program at the register length.
-func (m Machine) CompileVL() int {
-	if m.VLMax <= 0 || m.VLMax > isa.VLMax {
-		return isa.VLMax
+// Check refuses a machine no program can be compiled for: its VLMax must
+// lie in 1..isa.VLMax, the vector register length. Every entry point
+// that compiles or runs for a caller's machine (the facade, the service,
+// an explore grid) asks it first, so all of them refuse alike.
+func (m Machine) Check() error {
+	if m.VLMax < 1 || m.VLMax > isa.VLMax {
+		return fmt.Errorf("vm: VLMax %d is outside 1..%d, the vector register length", m.VLMax, isa.VLMax)
 	}
-	return m.VLMax
+	return nil
 }
+
+// CompileVL is the vector length a program for this machine is compiled,
+// and therefore bounded, at: its VLMax. A program's strip loop advances
+// by the compile-time VL while the hardware clamps each strip's VL at
+// VLMax, so the two must be equal, or strips skip or repeat elements.
+// Check refuses a VLMax the vector registers cannot hold.
+func (m Machine) CompileVL() int { return m.VLMax }
 
 // BankConfig renders the machine's memory geometry as the bank model's
 // configuration. Zero geometry fields take the C-240 defaults — a Machine

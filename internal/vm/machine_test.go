@@ -2,6 +2,7 @@ package vm
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -129,5 +130,29 @@ func TestWithMachine(t *testing.T) {
 	got := cfg.WithMachine(m)
 	if got.Banks != 17 || !got.Trace || got.MemSize != cfg.MemSize {
 		t.Fatalf("WithMachine = %+v", got)
+	}
+}
+
+// TestMachineCheck: a VLMax must lie in 1..isa.VLMax, since programs are
+// strip-mined at the machine's VLMax (CompileVL) and the vector registers
+// hold isa.VLMax elements; anything else is refused with one text.
+func TestMachineCheck(t *testing.T) {
+	for _, vlmax := range []int{1, 32, 64, 128} {
+		m := DefaultMachine()
+		m.VLMax = vlmax
+		if err := m.Check(); err != nil {
+			t.Errorf("VLMax %d refused: %v", vlmax, err)
+		}
+		if m.CompileVL() != vlmax {
+			t.Errorf("VLMax %d compiles at %d", vlmax, m.CompileVL())
+		}
+	}
+	for _, vlmax := range []int{-1, 0, 129, 256} {
+		m := DefaultMachine()
+		m.VLMax = vlmax
+		want := fmt.Sprintf("vm: VLMax %d is outside 1..128, the vector register length", vlmax)
+		if err := m.Check(); err == nil || err.Error() != want {
+			t.Errorf("VLMax %d: error %v, want %q", vlmax, err, want)
+		}
 	}
 }

@@ -11,7 +11,9 @@
 //   - execute the compiled code on the cycle-level Convex C-240 simulator
 //     and measure actual performance t_p;
 //   - generate and run the A-process and X-process codes (t_a, t_x);
-//   - regenerate every table and figure of the paper's evaluation.
+//   - put the paper's case-study kernels through that same pipeline
+//     (RunKernel), which internal/experiments renders as every table and
+//     figure of the paper's evaluation.
 //
 // Quick start:
 //
@@ -49,7 +51,6 @@ import (
 	"macs/internal/compiler"
 	"macs/internal/core"
 	"macs/internal/depgraph"
-	"macs/internal/experiments"
 	"macs/internal/ftn"
 	"macs/internal/lfk"
 	"macs/internal/obs"
@@ -88,12 +89,8 @@ type (
 	Inputs = compiler.Inputs
 	// Kernel is one Livermore kernel of the case study.
 	Kernel = lfk.Kernel
-	// KernelResult bundles bounds, measurement and validation status.
-	KernelResult = experiments.KernelResult
 	// AXMeasurement holds t_p, t_a and t_x cycle counts.
 	AXMeasurement = ax.Measurement
-	// ExperimentConfig configures table/figure regeneration.
-	ExperimentConfig = experiments.Config
 	// Attribution is the per-lane stall-attribution ledger of a run (issue
 	// plus attributed stall cycles equal total cycles on every lane).
 	Attribution = vm.Attribution
@@ -133,11 +130,19 @@ const (
 )
 
 // Defaults for the C-240 configuration.
-func DefaultRules() Rules                       { return core.DefaultRules() }
-func DefaultVMConfig() VMConfig                 { return vm.DefaultConfig() }
-func DefaultMachine() Machine                   { return vm.DefaultMachine() }
-func DefaultCompilerOptions() CompilerOptions   { return compiler.DefaultOptions() }
-func DefaultExperimentConfig() ExperimentConfig { return experiments.Default() }
+func DefaultRules() Rules                     { return core.DefaultRules() }
+func DefaultVMConfig() VMConfig               { return vm.DefaultConfig() }
+func DefaultMachine() Machine                 { return vm.DefaultMachine() }
+func DefaultCompilerOptions() CompilerOptions { return compiler.DefaultOptions() }
+
+// CompilerOptionsFor returns the options every compile of a source for
+// machine m uses: the defaults, strip-mined at m's compile vector length
+// (Machine.CompileVL), the length its bounds are computed at too.
+func CompilerOptionsFor(m Machine) CompilerOptions {
+	opts := compiler.DefaultOptions()
+	opts.VL = m.CompileVL()
+	return opts
+}
 
 // NewCPU creates a simulator instance.
 func NewCPU(cfg VMConfig) *CPU { return vm.New(cfg) }
@@ -171,9 +176,58 @@ func Kernels() []*Kernel { return lfk.All() }
 // KernelByID returns one case-study kernel (1,2,3,4,6,7,8,9,10,12).
 func KernelByID(id int) (*Kernel, error) { return lfk.ByID(id) }
 
-// RunKernel compiles, bounds, measures and validates one kernel.
-func RunKernel(k *Kernel, cfg ExperimentConfig) (KernelResult, error) {
-	return experiments.RunKernel(k, cfg)
+// KernelResult is one case-study kernel put through the pipeline: the
+// analysis and run of its source, and the A-process and X-process run
+// times of its program.
+type KernelResult struct {
+	Result
+	Kernel *Kernel
+	AX     AXMeasurement
+}
+
+// RunKernel puts one case-study kernel through the pipeline every source
+// takes (AnalyzeSourceVMCtx: compile at cfg's vector length, verify,
+// bound, simulate on the kernel's inputs), checks the run's output
+// against the kernel's reference, and measures t_a and t_x. An output
+// that misses the reference is an error.
+func RunKernel(ctx context.Context, k *Kernel, cfg VMConfig) (KernelResult, error) {
+	res, cpu, err := analyze(ctx, k.Source, int64(k.Elements), cfg, k.Inputs.Prime())
+	r := KernelResult{Result: res, Kernel: k}
+	if err == nil {
+		err = k.Validate(cpu)
+	}
+	if err == nil {
+		r.AX, err = ax.Measure(res.Program, cfg, k.Inputs.Prime())
+	}
+	if err != nil {
+		return r, fmt.Errorf("lfk%d: %w", k.ID, err)
+	}
+	return r, nil
+}
+
+// CPLs returns (t_MA, t_MAC, t_MACS, t_p) in cycles per loop iteration.
+func (r KernelResult) CPLs() (tma, tmac, tmacs, tp float64) {
+	return r.Analysis.TMA, r.Analysis.TMAC, r.Analysis.MACS.CPL, r.MeasuredCPL
+}
+
+// CPFs returns the same hierarchy in cycles per flop.
+func (r KernelResult) CPFs() (tma, tmac, tmacs, tp float64) {
+	f := float64(r.Kernel.FlopsPerIteration())
+	tma, tmac, tmacs, tp = r.CPLs()
+	return tma / f, tmac / f, tmacs / f, tp / f
+}
+
+// Diagnosis applies the paper's §4.4 rules to the kernel's bounds, its
+// A/X measurements and its run's stall attribution.
+func (r KernelResult) Diagnosis() Diagnosis {
+	k := r.Kernel
+	return advisor.Diagnose(advisor.Inputs{
+		Analysis: r.Analysis,
+		TP:       k.CPL(r.AX.TP),
+		TA:       k.CPL(r.AX.TA),
+		TX:       k.CPL(r.AX.TX),
+		Attr:     &r.Stats.Attr,
+	})
 }
 
 // MABound computes the MA workload of a source's inner loop (perfect
@@ -205,20 +259,25 @@ type Result struct {
 	Trace []TraceEvent
 }
 
-// boundSource compiles src and computes the MA/MAC/MACS hierarchy of its
-// inner loop under the given configuration. It is the shared front half
-// of BoundSource and AnalyzeSource. The source is parsed once: code
-// generation leaves the syntax tree untouched (compiler's
-// TestCompileLeavesASTUntouched), so the MA workload reads the tree the
-// compiler lowered. The compile, verify and bound stages each record a
-// span on the trace riding ctx (no-ops when none does).
-func boundSource(ctx context.Context, src string, opts CompilerOptions, vl int, rules Rules) (*Program, Analysis, error) {
+// boundSource compiles src for machine m and computes the MA/MAC/MACS
+// hierarchy of its inner loop at m's compile vector length under m's
+// chime rules. It is the shared front half of BoundSource and
+// AnalyzeSource, and refuses a machine vm.Machine.Check refuses before
+// compiling. The source is parsed once: code generation leaves the
+// syntax tree untouched (compiler's TestCompileLeavesASTUntouched), so
+// the MA workload reads the tree the compiler lowered. The compile,
+// verify and bound stages each record a span on the trace riding ctx
+// (no-ops when none does).
+func boundSource(ctx context.Context, src string, m Machine) (*Program, Analysis, error) {
 	var a Analysis
+	if err := m.Check(); err != nil {
+		return nil, a, err
+	}
 	_, sp := obs.Start(ctx, "compile")
 	parsed, err := ftn.Parse(src)
 	var prog *Program
 	if err == nil {
-		prog, err = compiler.CompileProgram(parsed, opts)
+		prog, err = compiler.CompileProgram(parsed, CompilerOptionsFor(m))
 	}
 	sp.End()
 	if err != nil {
@@ -231,7 +290,7 @@ func boundSource(ctx context.Context, src string, opts CompilerOptions, vl int, 
 		return prog, a, err
 	}
 	_, sp = obs.Start(ctx, "bound")
-	a, err = BoundParsed(parsed, prog, vl, rules)
+	a, err = BoundParsed(parsed, prog, m.CompileVL(), m.Rules)
 	sp.End()
 	return prog, a, err
 }
@@ -287,7 +346,7 @@ func BoundSource(src string) (Analysis, error) {
 // BoundSourceCtx is BoundSource under a context: stage spans (compile,
 // verify, bound) are recorded on the trace riding ctx, if any.
 func BoundSourceCtx(ctx context.Context, src string) (Analysis, error) {
-	_, a, err := boundSource(ctx, src, compiler.DefaultOptions(), vm.DefaultConfig().VLMax, core.DefaultRules())
+	_, a, err := boundSource(ctx, src, vm.DefaultMachine())
 	return a, err
 }
 
@@ -303,18 +362,10 @@ func AnalyzeSource(src string, iterations int64, prime func(*CPU) error) (Result
 // configuration: use it to enable tracing (Trace/TraceRing), model memory
 // contention (MemSlowdown) or change the machine. The program is compiled
 // and bounded at the machine's compile vector length (Machine.CompileVL)
-// under its chime rules. Every call runs on a fresh simulator.
+// under its chime rules; a machine Machine.Check refuses is refused
+// before compiling. Every call runs on a fresh simulator.
 func AnalyzeSourceVM(src string, iterations int64, cfg VMConfig, prime func(*CPU) error) (Result, error) {
 	return AnalyzeSourceVMCtx(context.Background(), src, iterations, cfg, prime)
-}
-
-// compilerOptionsFor is the default compile options strip-mined at the
-// machine's compile vector length (Machine.CompileVL), the length its
-// bounds are computed at too.
-func compilerOptionsFor(cfg VMConfig) CompilerOptions {
-	opts := compiler.DefaultOptions()
-	opts.VL = cfg.CompileVL()
-	return opts
 }
 
 // AnalyzeSourceVMCtx is AnalyzeSourceVM under a context: every pipeline
@@ -323,12 +374,18 @@ func compilerOptionsFor(cfg VMConfig) CompilerOptions {
 // to the trace as simulator lanes, converted only if the trace is viewed.
 // Without a trace on ctx the overhead is a handful of nil checks.
 func AnalyzeSourceVMCtx(ctx context.Context, src string, iterations int64, cfg VMConfig, prime func(*CPU) error) (Result, error) {
+	res, _, err := analyze(ctx, src, iterations, cfg, prime)
+	return res, err
+}
+
+// analyze is AnalyzeSourceVMCtx returning the simulator it ran on too,
+// so RunKernel can read the run's output from its memory.
+func analyze(ctx context.Context, src string, iterations int64, cfg VMConfig, prime func(*CPU) error) (Result, *CPU, error) {
 	var res Result
-	opts := compilerOptionsFor(cfg)
-	prog, a, err := boundSource(ctx, src, opts, opts.VL, cfg.Rules)
+	prog, a, err := boundSource(ctx, src, cfg.Machine)
 	res.Program = prog
 	if err != nil {
-		return res, err
+		return res, nil, err
 	}
 	res.Analysis = a
 	cpu := vm.New(cfg)
@@ -336,14 +393,14 @@ func AnalyzeSourceVMCtx(ctx context.Context, src string, iterations int64, cfg V
 	err = cpu.Load(prog)
 	sp.End()
 	if err != nil {
-		return res, err
+		return res, nil, err
 	}
 	if prime != nil {
 		_, sp = obs.Start(ctx, "prime")
 		err = prime(cpu)
 		sp.End()
 		if err != nil {
-			return res, err
+			return res, nil, err
 		}
 	}
 	_, sim := obs.Start(ctx, "simulate")
@@ -355,13 +412,13 @@ func AnalyzeSourceVMCtx(ctx context.Context, src string, iterations int64, cfg V
 	}
 	sim.End()
 	if err != nil {
-		return res, err
+		return res, nil, err
 	}
 	res.Iterations = iterations
 	if iterations > 0 {
 		res.MeasuredCPL = float64(res.Stats.Cycles) / float64(iterations)
 	}
-	return res, nil
+	return res, cpu, nil
 }
 
 // Analyzer is the full pipeline on one machine: it answers exactly as
@@ -381,16 +438,15 @@ func NewAnalyzer(cfg VMConfig) *Analyzer {
 func (a *Analyzer) Config() VMConfig { return a.cfg }
 
 // CompilerOptions returns the options every analyzer path compiles
-// with: the defaults, strip-mined at the machine's compile vector length.
-func (a *Analyzer) CompilerOptions() CompilerOptions { return compilerOptionsFor(a.cfg) }
+// with: CompilerOptionsFor the analyzer's machine.
+func (a *Analyzer) CompilerOptions() CompilerOptions { return CompilerOptionsFor(a.cfg.Machine) }
 
 // BoundSourceCtx is BoundSourceCtx on the analyzer's machine: the source
 // is compiled with CompilerOptions and bounded at its vector length under
 // the configuration's chime rules, so the hierarchy equals the one
 // AnalyzeSourceCtx reports.
 func (a *Analyzer) BoundSourceCtx(ctx context.Context, src string) (Analysis, error) {
-	opts := a.CompilerOptions()
-	_, an, err := boundSource(ctx, src, opts, opts.VL, a.cfg.Rules)
+	_, an, err := boundSource(ctx, src, a.cfg.Machine)
 	return an, err
 }
 
@@ -441,8 +497,12 @@ func (r Result) Report() string {
 }
 
 // MeasureAX generates and runs the A-process and X-process codes of a
-// compiled program (paper §3.6).
+// compiled program (paper §3.6). A machine Machine.Check refuses is
+// refused before any run.
 func MeasureAX(p *Program, cfg VMConfig, prime func(*CPU) error) (AXMeasurement, error) {
+	if err := cfg.Machine.Check(); err != nil {
+		return AXMeasurement{}, err
+	}
 	return ax.Measure(p, cfg, prime)
 }
 

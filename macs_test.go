@@ -1,6 +1,7 @@
 package macs_test
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -87,12 +88,9 @@ func TestKernelRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := macs.RunKernel(k, macs.DefaultExperimentConfig())
+	r, err := macs.RunKernel(context.Background(), k, macs.DefaultVMConfig())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !r.Validated {
-		t.Error("LFK1 output not validated")
 	}
 	_, _, tmacs, tp := r.CPFs()
 	if math.Abs(tmacs-0.840) > 0.001 {
@@ -100,6 +98,24 @@ func TestKernelRegistry(t *testing.T) {
 	}
 	if tp < tmacs {
 		t.Errorf("t_p %v below bound %v", tp, tmacs)
+	}
+
+	// A machine whose VLMax the vector registers cannot hold is refused
+	// before compiling, on every facade path, in one text.
+	long := macs.DefaultVMConfig()
+	long.VLMax = 256
+	want := long.Machine.Check()
+	if want == nil {
+		t.Fatal("VLMax 256 passes Machine.Check")
+	}
+	if _, err := macs.RunKernel(context.Background(), k, long); err == nil || !strings.HasSuffix(err.Error(), want.Error()) {
+		t.Errorf("RunKernel on VLMax 256: %v, want %q", err, want)
+	}
+	if _, err := macs.NewAnalyzer(long).BoundSourceCtx(context.Background(), k.Source); err == nil || err.Error() != want.Error() {
+		t.Errorf("BoundSourceCtx on VLMax 256: %v, want %q", err, want)
+	}
+	if _, err := macs.MeasureAX(r.Program, long, k.Inputs.Prime()); err == nil || err.Error() != want.Error() {
+		t.Errorf("MeasureAX on VLMax 256: %v, want %q", err, want)
 	}
 }
 
