@@ -47,6 +47,25 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestTablesParallelMatchSequential checks the paper's Tables 2 and 3
+// as rendered: the views of a parallel run must equal those of a
+// sequential one.
+func TestTablesParallelMatchSequential(t *testing.T) {
+	seq := mustSuite(t)
+	parCfg := Default()
+	parCfg.Parallel = 4
+	par, err := RunAll(parCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(Table2(par), Table2(seq)) {
+		t.Fatal("parallel Table2 diverges from sequential")
+	}
+	if !reflect.DeepEqual(Table3(par), Table3(seq)) {
+		t.Fatal("parallel Table3 diverges from sequential")
+	}
+}
+
 func TestCalibrateAllNMatchesSequential(t *testing.T) {
 	cfg := Default()
 	want, err := calib.CalibrateAll(cfg.VM)
